@@ -1,4 +1,4 @@
-"""Wall-clock benchmark of kernel fusion + the compiled evaluator fast path.
+"""Wall-clock benchmark of kernel fusion + the compiled (vector) tier.
 
 Measures the simulator's own execution speed (not the analytic model) on
 an ADAS-style post-processing pipeline built around the scalable
@@ -9,9 +9,10 @@ pipeline:
 
 * ``interpreter_unfused`` - the seed execution path: every kernel
   launched separately, every body tree-interpreted,
-* ``fastpath_unfused``   - compiled evaluator fast path, separate passes,
+* ``fastpath_unfused``   - compiled tier (``enable_fast_path=True``: the
+  brookvec vector programs), separate passes,
 * ``interpreter_fused``  - passes merged by ``rt.fuse``, interpreted,
-* ``fastpath_fused``     - fusion + fast path (the PR's full path).
+* ``fastpath_fused``     - fusion + compiled tier (the full path).
 
 Outputs must be bitwise identical across all variants on the CPU
 backend, and the combined path must be at least 2x faster than the seed
@@ -133,7 +134,7 @@ def _run_pipeline_variant(size: int, fast_path: bool, fuse: bool):
 
 def _render_table(results, best_size, best_speedup) -> str:
     lines = [
-        "Fusion + compiled fast path: wall-clock per frame (CPU backend)",
+        "Fusion + compiled vector tier: wall-clock per frame (CPU backend)",
         "pipeline: " + " -> ".join(STAGES),
         "",
         f"{'size':>6} {'interp/unfused':>15} {'fast/unfused':>13} "
@@ -148,19 +149,19 @@ def _render_table(results, best_size, best_speedup) -> str:
         )
     lines.append("")
     lines.append(f"best: {best_speedup:.2f}x at size {best_size} "
-                 "(fast path + fusion vs. seed interpreter path)")
+                 "(vector tier + fusion vs. seed interpreter path)")
     return "\n".join(lines)
 
 
 @pytest.fixture(scope="module")
 def fast_path_micro():
-    """Per-kernel fast path vs. interpreter (no runtime, no fusion)."""
+    """Per-kernel vector program vs. interpreter (no runtime, no fusion)."""
     program = compile_source(BS_SOURCE)
     # The two-output kernel is split for single-render-target devices;
     # benchmark the call-pricing piece.
     kernel = program.kernel(program.kernel_groups["black_scholes"][0])
     helpers = program.helpers()
-    assert kernel.fast_path is not None
+    assert kernel.vector_path is not None
     elements = 64 * 64
     rng = np.random.default_rng(1)
     inputs = {
@@ -175,15 +176,15 @@ def fast_path_micro():
             elements, stream_inputs=inputs, scalar_args=scalars)
 
     def compiled():
-        kernel.fast_path.run(elements, stream_inputs=inputs,
-                             scalar_args=scalars)
+        kernel.vector_path.run(elements, stream_inputs=inputs,
+                               scalar_args=scalars)
 
     interpreter_s = _time_best(interpret)
     compiled_s = _time_best(compiled)
     reference = KernelEvaluator(kernel.definition, helpers).run(
         elements, stream_inputs=inputs, scalar_args=scalars)
-    outputs, _ = kernel.fast_path.run(elements, stream_inputs=inputs,
-                                      scalar_args=scalars)
+    outputs, _ = kernel.vector_path.run(elements, stream_inputs=inputs,
+                                        scalar_args=scalars)
     bitwise = all(
         np.array_equal(np.asarray(reference[key], dtype=np.float32).view(np.uint32),
                        np.asarray(outputs[key], dtype=np.float32).view(np.uint32))
@@ -243,8 +244,8 @@ def test_fusion_speedup(publish, fast_path_micro):
     publish("fusion", _render_table(results, best_size, best_speedup))
 
     # Acceptance: outputs are bitwise identical on the CPU backend and the
-    # combined fast path + fusion beats the seed interpreter path >= 2x.
-    assert bitwise_all, "fused/fast-path pipeline output differs from seed path"
+    # combined vector tier + fusion beats the seed interpreter path >= 2x.
+    assert bitwise_all, "fused/vector pipeline output differs from seed path"
     assert fast_path_micro["bitwise_identical"]
     assert best_speedup >= 2.0, (
         f"expected >= 2x speedup, measured {best_speedup:.2f}x "

@@ -59,10 +59,10 @@ many times::
         ])
         pipeline.launch()
 
-Divergence-free kernels are additionally compiled ahead of time into a
-closure program (the evaluator fast path), bypassing per-launch AST
-interpretation with bit-identical results; divergent kernels keep using
-the masked SIMT interpreter.
+Kernels that brookvec approves are additionally compiled ahead of time
+into a whole-array vector program, bypassing per-launch AST
+interpretation with bit-identical results; the rest keep using the
+masked SIMT interpreter.
 
 Execution targets are pluggable through the backend registry::
 

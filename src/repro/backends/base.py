@@ -7,12 +7,14 @@ registry (:mod:`repro.backends.registry`); the built-ins register
 themselves on import and third-party targets plug in via
 :func:`~repro.backends.registry.register_backend`.
 
-All backends execute kernels through the same engine: divergence-free
-kernels run their ahead-of-time compiled closure program
-(:mod:`repro.core.exec.compiled`), everything else goes through the
-masked SIMT interpreter (:mod:`repro.core.exec.evaluator`).  Backends
-differ in where stream data lives, how much precision survives storage,
-how gather accesses behave at the edges and which hardware limits apply.
+All backends execute kernels through the same engine,
+:func:`repro.core.exec.evaluate`: brookvec-approved kernels run their
+whole-array vector program (:mod:`repro.core.exec.vectorized`),
+everything else goes through the masked SIMT interpreter
+(:mod:`repro.core.exec.evaluator`).  Reductions run on the multipass
+reduction engine (:mod:`repro.runtime.reduction`).  Backends differ in
+where stream data lives, how much precision survives storage, how
+gather accesses behave at the edges and which hardware limits apply.
 
 Streams whose 2-D layout exceeds ``TargetLimits.max_texture_size`` are
 backed by a :class:`~repro.runtime.tiling.TiledStorage` (one device
@@ -32,7 +34,7 @@ import numpy as np
 from ..core.analysis.resources import TargetLimits
 from ..core.compiler import CompiledKernel
 from ..core import ast_nodes as ast
-from ..core.exec.evaluator import KernelEvaluator, KernelExecutionStats
+from ..core.exec import KernelExecutionStats, evaluate
 from ..core.exec.gather import ClampingGatherSource, GatherSource
 from ..errors import KernelLaunchError
 from ..runtime.profiling import KernelLaunchRecord, TransferRecord
@@ -239,7 +241,9 @@ class Backend(abc.ABC):
         launch share a single snapshot of the gather arrays.
         """
 
-    @abc.abstractmethod
+    # ------------------------------------------------------------------ #
+    # Reductions
+    # ------------------------------------------------------------------ #
     def reduce(
         self,
         kernel: CompiledKernel,
@@ -247,10 +251,14 @@ class Backend(abc.ABC):
         input_stream: "Stream",
     ) -> "tuple[float, KernelLaunchRecord]":
         """Run a multipass reduction of ``input_stream`` to a scalar."""
+        from ..runtime.reduction import multipass_reduce
 
-    # ------------------------------------------------------------------ #
-    # Partial reductions (reduce to a smaller stream)
-    # ------------------------------------------------------------------ #
+        result = multipass_reduce(
+            kernel.definition, helpers, self.device_view(input_stream.storage),
+            quantize=self._reduction_quantize(),
+        )
+        return result.value, _reduction_record(kernel, result)
+
     def _reduction_quantize(self):
         """Storage model applied to reduction results before they are kept
         on the device (RGBA8 round trip on OpenGL ES 2, nothing elsewhere)."""
@@ -305,14 +313,7 @@ class Backend(abc.ABC):
             output_stream.shape.layout_2d, quantize=self._reduction_quantize(),
         )
         self._store_reduction_output(output_stream.storage, result.values)
-        return KernelLaunchRecord(
-            kernel=kernel.name,
-            elements=result.elements_processed,
-            flops=result.flops,
-            texture_fetches=result.texture_fetches,
-            passes=result.passes,
-            reduction=True,
-        )
+        return _reduction_record(kernel, result)
 
     # ------------------------------------------------------------------ #
     # Shared execution helper
@@ -329,44 +330,26 @@ class Backend(abc.ABC):
     ) -> "tuple[Dict[str, np.ndarray], KernelExecutionStats]":
         """Run the kernel body once over ``domain`` with prepared inputs.
 
-        Divergence-free kernels carry a compiled closure program
-        (``kernel.fast_path``) that skips per-launch AST interpretation;
-        everything else goes through the masked interpreter.  Both paths
-        produce bit-identical outputs and equivalent work statistics.
+        Plain launches hand :func:`~repro.core.exec.evaluate` the 2-d
+        layout (enabling the vector program's padded-slice gather plan);
         ``index_map`` overrides the ``indexof`` positions (tiled
         launches pass the global positions of the tile's elements).
         """
-        if kernel.vector_path is not None:
-            # Whole-array program for brookvec-approved kernels.  Plain
-            # launches hand over the 2-d layout (enabling the padded-slice
-            # gather plan) and let the program derive ``indexof`` lazily;
-            # tiled launches pass their explicit global positions instead.
-            return kernel.vector_path.run(
-                domain.element_count,
-                stream_inputs=stream_values,
-                scalar_args=scalar_args,
-                gathers=gathers,
-                index=index_map,
-                layout=domain.layout_2d if index_map is None else None,
-            )
-        index = domain.element_positions() if index_map is None else index_map
-        if kernel.fast_path is not None:
-            return kernel.fast_path.run(
-                domain.element_count,
-                stream_inputs=stream_values,
-                scalar_args=scalar_args,
-                gathers=gathers,
-                index=index,
-            )
-        evaluator = KernelEvaluator(kernel.definition, helpers)
-        outputs = evaluator.run(
-            domain.element_count,
-            stream_inputs=stream_values,
-            scalar_args=scalar_args,
-            gathers=gathers,
-            index=index,
-        )
-        return outputs, evaluator.stats
+        return evaluate(kernel, helpers, domain.element_count, stream_values,
+                        gathers, scalar_args, index=index_map,
+                        layout=domain.layout_2d)
+
+
+def _reduction_record(kernel: CompiledKernel, result) -> KernelLaunchRecord:
+    """Launch record of one (full or partial) multipass reduction."""
+    return KernelLaunchRecord(
+        kernel=kernel.name,
+        elements=result.elements_processed,
+        flops=result.flops,
+        texture_fetches=result.texture_fetches,
+        passes=result.passes,
+        reduction=True,
+    )
 
 
 def create_backend(name: str, device: Optional[str] = None) -> Backend:

@@ -27,7 +27,6 @@ from ..core.compiler import CompiledKernel
 from ..core.exec.gather import ClampingGatherSource
 from ..errors import BackendError, KernelLaunchError
 from ..runtime.profiling import KernelLaunchRecord, TransferRecord
-from ..runtime.reduction import multipass_reduce
 from ..runtime.shape import StreamShape
 from ..runtime.tiling import TilePlan, TiledStorage
 from .base import Backend, StreamStorage
@@ -207,24 +206,6 @@ class CALBackend(Backend):
                                 values: np.ndarray) -> None:
         rows, cols = storage.shape.layout_2d
         storage.resource.write(np.asarray(values, dtype=np.float32).reshape(rows, cols))
-
-    def reduce(
-        self,
-        kernel: CompiledKernel,
-        helpers: Dict[str, ast.FunctionDef],
-        input_stream,
-    ):
-        data = self.device_view(input_stream.storage)
-        result = multipass_reduce(kernel.definition, helpers, data, quantize=None)
-        record = KernelLaunchRecord(
-            kernel=kernel.name,
-            elements=result.elements_processed,
-            flops=result.flops,
-            texture_fetches=result.texture_fetches,
-            passes=result.passes,
-            reduction=True,
-        )
-        return result.value, record
 
 
 register_backend(

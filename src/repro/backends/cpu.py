@@ -1,7 +1,7 @@
 """CPU backend of the Brook Auto runtime.
 
 Streams live in host memory as float32 arrays; kernels run through the
-shared execution engine (compiled fast path for straight-line bodies,
+shared execution engine (vector program for brookvec-approved kernels,
 masked evaluator otherwise) with direct (bounds-checked) gather access.
 This is Brook's original validation backend: every reference application
 checks its GPU output against the result of this path.
@@ -24,7 +24,6 @@ from ..core.compiler import CompiledKernel
 from ..core.exec.gather import NumpyGatherSource
 from ..errors import BackendError, KernelLaunchError
 from ..runtime.profiling import KernelLaunchRecord, TransferRecord
-from ..runtime.reduction import multipass_reduce
 from ..runtime.shape import StreamShape
 from .base import Backend, StreamStorage
 from .registry import register_backend
@@ -170,24 +169,6 @@ class CPUBackend(Backend):
                                 values: np.ndarray) -> None:
         rows, cols = storage.shape.layout_2d
         storage.data = np.asarray(values, dtype=np.float32).reshape(rows, cols)
-
-    def reduce(
-        self,
-        kernel: CompiledKernel,
-        helpers: Dict[str, ast.FunctionDef],
-        input_stream,
-    ):
-        data = input_stream.storage.data
-        result = multipass_reduce(kernel.definition, helpers, data, quantize=None)
-        record = KernelLaunchRecord(
-            kernel=kernel.name,
-            elements=result.elements_processed,
-            flops=result.flops,
-            texture_fetches=result.texture_fetches,
-            passes=result.passes,
-            reduction=True,
-        )
-        return result.value, record
 
 
 register_backend(

@@ -4,9 +4,10 @@ Every stream is backed by an RGBA8 texture on the simulated embedded GPU
 (:mod:`repro.gles2`); writing a stream encodes floats into texels, and
 kernel launches run as fragment-shader passes over a framebuffer-attached
 output texture, sampling the inputs with normalized coordinates.  The
-texture padding needed for power-of-two / square-only devices, the
-float<->RGBA8 numerics and the multipass reductions are handled here,
-transparently to the application, exactly as sections 5.2-5.5 describe.
+texture padding needed for power-of-two / square-only devices and the
+float<->RGBA8 numerics (also between multipass reduction passes) are
+handled here, transparently to the application, exactly as sections
+5.2-5.5 describe.
 
 The backend registers itself with the backend registry under ``"gles2"``
 (aliases ``"opengl-es2"``, ``"es2"``, ``"gl"``) together with its device
@@ -24,7 +25,7 @@ import numpy as np
 from ..core import ast_nodes as ast
 from ..core.analysis.resources import TargetLimits
 from ..core.compiler import CompiledKernel
-from ..core.exec.evaluator import KernelEvaluator
+from ..core.exec import evaluate
 from ..core.exec.gather import ClampingGatherSource
 from ..errors import BackendError, KernelLaunchError
 from ..gles2.context import GLES2Context
@@ -34,7 +35,6 @@ from ..gles2.shader import FragmentJob, FragmentShader, ShaderProgram
 from ..gles2.texture import Texture2D
 from ..runtime.numerics import decode_float_rgba8, encode_float_rgba8, quantize_roundtrip
 from ..runtime.profiling import KernelLaunchRecord, TransferRecord
-from ..runtime.reduction import multipass_reduce
 from ..runtime.shape import StreamShape
 from ..runtime.tiling import TilePlan, TiledStorage
 from .base import Backend, StreamStorage
@@ -65,7 +65,7 @@ class GLES2StreamStorage(StreamStorage):
 
 
 class BrookKernelShader(FragmentShader):
-    """Fragment shader that runs a compiled Brook kernel via the evaluator.
+    """Fragment shader that runs a compiled Brook kernel via the engine.
 
     This is what the Brook Auto runtime installs for every kernel pass;
     hand-written applications implement :class:`FragmentShader` themselves
@@ -118,35 +118,12 @@ class BrookKernelShader(FragmentShader):
                  np.floor(job.texcoord[:, 1] * output_size[1])], axis=1
             ).astype(np.float32)
 
-        if self.kernel.vector_path is not None:
-            # Fragment passes always carry explicit positions (texcoord
-            # derived), so the vector program runs its generic whole-array
-            # nodes rather than the layout-dependent slice plan.
-            outputs, stats = self.kernel.vector_path.run(
-                count,
-                stream_inputs=stream_values,
-                scalar_args=self.scalar_args,
-                gathers=self.gathers,
-                index=index,
-            )
-        elif self.kernel.fast_path is not None:
-            outputs, stats = self.kernel.fast_path.run(
-                count,
-                stream_inputs=stream_values,
-                scalar_args=self.scalar_args,
-                gathers=self.gathers,
-                index=index,
-            )
-        else:
-            evaluator = KernelEvaluator(self.kernel.definition, self.helpers)
-            outputs = evaluator.run(
-                count,
-                stream_inputs=stream_values,
-                scalar_args=self.scalar_args,
-                gathers=self.gathers,
-                index=index,
-            )
-            stats = evaluator.stats
+        # Fragment passes always carry explicit positions (texcoord
+        # derived), so a vector program runs its generic whole-array
+        # nodes rather than the layout-dependent slice plan.
+        outputs, stats = evaluate(self.kernel, self.helpers, count,
+                                  stream_values, self.gathers,
+                                  self.scalar_args, index=index)
         self.last_flops = stats.flops
         self.last_gather_fetches = stats.gather_fetches
         result = outputs[self.out_name]
@@ -357,26 +334,6 @@ class GLES2Backend(Backend):
         rows, cols = storage.shape.layout_2d
         shaped = np.asarray(values, dtype=np.float32).reshape(rows, cols)
         storage.texture.data[:rows, :cols] = encode_float_rgba8(shaped)
-
-    def reduce(
-        self,
-        kernel: CompiledKernel,
-        helpers: Dict[str, ast.FunctionDef],
-        input_stream,
-    ):
-        data = self.device_view(input_stream.storage)
-        result = multipass_reduce(
-            kernel.definition, helpers, data, quantize=quantize_roundtrip,
-        )
-        record = KernelLaunchRecord(
-            kernel=kernel.name,
-            elements=result.elements_processed,
-            flops=result.flops,
-            texture_fetches=result.texture_fetches,
-            passes=result.passes,
-            reduction=True,
-        )
-        return result.value, record
 
 
 register_backend(

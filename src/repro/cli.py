@@ -144,8 +144,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         # build_vector_path ones - consistent with what would execute.
         vector_options = CompilerOptions(
             target=_target_limits(args.device), strict=False,
-            emit_glsl_es=False, emit_desktop_glsl=False, emit_c=False,
-            enable_fast_path=False, enable_vector_path=True)
+            emit_glsl_es=False, emit_desktop_glsl=False, emit_c=False)
         vector_program = compile_source(source, filename=str(source_path),
                                         options=vector_options)
         print()
@@ -383,10 +382,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _vectorize_reports(program):
     """(name, report) per launchable kernel, verdict/executable-consistent.
 
-    Reports come off the compiled kernels (``enable_vector_path=True``),
-    i.e. through :func:`~repro.core.exec.vectorized.build_vector_path`,
-    so a BV-300/BV-301 verdict always denotes a program that will really
-    run and backend-unsupported kernels show the downgraded BV-302.
+    Reports come off the compiled kernels, i.e. through
+    :func:`~repro.core.exec.vectorized.build_vector_path`, so a
+    BV-300/BV-301 verdict always denotes a program that will really run
+    and backend-unsupported kernels show the downgraded BV-302.
     """
     return [(name, kernel.vector_report)
             for name, kernel in program.kernels.items()
@@ -434,7 +433,6 @@ def _cmd_vectorize(args: argparse.Namespace) -> int:
             param_bounds=dict(app.param_bounds) if app else {},
             range_specs=dict(app.range_specs) if app else {},
             emit_glsl_es=False, emit_desktop_glsl=False, emit_c=False,
-            enable_fast_path=False, enable_vector_path=True,
         )
 
     rows = []

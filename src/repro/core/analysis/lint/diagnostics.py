@@ -9,7 +9,8 @@ releases.  Severity semantics:
 * ``warning`` — a property that could not be proved and that diverges
   across backends or violates MISRA-style hygiene.
 * ``note`` — an *explain* diagnostic: nothing is wrong, but an
-  optimisation (fast path, fusion) is unavailable and this says why.
+  optimisation (straight-line vector program, fusion) is unavailable
+  and this says why.
 """
 
 from __future__ import annotations
@@ -67,9 +68,9 @@ LINT_RULES: Dict[str, LintRule] = {
                  "A local variable is written but its value is never read."),
         LintRule("BL-107", "unassigned-output", LintSeverity.WARNING,
                  "An out stream parameter is never assigned on some path."),
-        LintRule("BL-110", "fast-path-miss", LintSeverity.NOTE,
-                 "The kernel cannot use the compiled fast path; the first "
-                 "divergent construct is reported."),
+        LintRule("BL-110", "whole-array-miss", LintSeverity.NOTE,
+                 "The kernel misses the straight-line whole-array (BV-300) "
+                 "program; the first divergent construct is reported."),
         LintRule("BL-111", "fusion-boundary", LintSeverity.NOTE,
                  "Two kernels of this program cannot fuse; the "
                  "check_fusable reason is reported."),

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ... import ast_nodes as ast
-from ...exec.compiled import is_straight_line
+from ...exec.vectorized import is_straight_line
 from ...transforms.fuse import check_fusable
 from ..ranges import (Interval, KernelRangeAnalysis, RangeContext)
 from .diagnostics import Diagnostic, LINT_RULES, LintSeverity
@@ -334,12 +334,12 @@ def _check_outputs(kernel: ast.FunctionDef,
 
 
 # --------------------------------------------------------------------------- #
-# BL-110: explain fast-path misses
+# BL-110: explain misses of the straight-line whole-array program
 # --------------------------------------------------------------------------- #
 _STRAIGHT = (ast.Block, ast.DeclStatement, ast.ExprStatement)
 
 
-def _check_fast_path(kernel: ast.FunctionDef, source_file: str,
+def _check_straight_line(kernel: ast.FunctionDef, source_file: str,
                      vector_report=None) -> Iterable[Diagnostic]:
     if not kernel.is_kernel or kernel.is_reduction:
         return
@@ -347,16 +347,17 @@ def _check_fast_path(kernel: ast.FunctionDef, source_file: str,
         return
     for node in kernel.body.walk():
         if isinstance(node, ast.Statement) and not isinstance(node, _STRAIGHT):
-            message = (f"kernel misses the compiled fast path: first "
-                       f"divergent construct is a {type(node).__name__}")
-            # Cross-reference the brookvec verdict: a fast-path miss is
-            # only a real interpreter fallback when the vector path
-            # rejects the kernel too, and then the blocking construct or
-            # obligation (with its location) is what the user must fix.
+            message = (f"kernel misses the straight-line whole-array "
+                       f"(BV-300) program: first divergent construct is a "
+                       f"{type(node).__name__}")
+            # Cross-reference the brookvec verdict: the miss is only a
+            # real interpreter fallback when brookvec rejects the kernel
+            # too, and then the blocking construct or obligation (with
+            # its location) is what the user must fix.
             if vector_report is not None and vector_report.vectorizable:
                 how = ("masked vector execution"
                        if vector_report.divergent
-                       else "unmasked whole-array execution")
+                       else "unmasked region-tree execution")
                 message += (f"; brookvec still runs it whole-array "
                             f"({vector_report.verdict}: {how})")
             elif vector_report is not None:
@@ -438,7 +439,8 @@ def kernel_diagnostics(kernel: ast.FunctionDef,
     diagnostics.extend(_UninitScan(kernel, source_file).run())
     diagnostics.extend(_check_dead_stores(kernel, source_file))
     diagnostics.extend(_check_outputs(kernel, source_file))
-    diagnostics.extend(_check_fast_path(kernel, source_file, vector_report))
+    diagnostics.extend(_check_straight_line(kernel, source_file,
+                                            vector_report))
     return diagnostics
 
 

@@ -32,7 +32,7 @@ The candidate space per pipeline signature:
 Each candidate additionally carries ``host_eval_s``: the predicted host
 functional-simulation cost of its launches, priced per element by the
 execution path each kernel actually takes (brookvec whole-array vector
-path / PR-2 compiled fast path / masked interpreter).  Modelled GPU
+path / masked interpreter).  Modelled GPU
 time stays the primary objective; ``host_eval_s`` breaks its ties, so
 ``plan="auto"`` never fuses away the vector path for zero modelled
 gain - a merged kernel only loses BV-300/BV-301 status when the fusion
@@ -90,7 +90,7 @@ DEFAULT_DEVICE_COUNTS = (1, 2, 4)
 _MAX_FREE_GROUPS = 3
 
 #: Calibrated host-side functional-simulation throughput (seconds per
-#: element) of the three per-launch execution paths.  ``modelled_ms``
+#: element) of the two per-launch execution paths.  ``modelled_ms``
 #: prices *target GPU* time; this second axis prices what the simulator
 #: itself pays per launch, so candidates with equal modelled time
 #: tie-break toward the configuration that keeps the brookvec
@@ -99,7 +99,6 @@ _MAX_FREE_GROUPS = 3
 #: onto the masked interpreter).
 _HOST_EVAL_S_PER_ELEMENT = {
     "vector": 15e-9,
-    "fast": 150e-9,
     "interpreter": 300e-9,
 }
 
@@ -108,8 +107,6 @@ def _host_path(piece) -> str:
     """Which host execution path a compiled kernel piece takes."""
     if getattr(piece, "vector_path", None) is not None:
         return "vector"
-    if getattr(piece, "fast_path", None) is not None:
-        return "fast"
     return "interpreter"
 
 
@@ -118,8 +115,8 @@ def _host_eval_seconds(infos, fused_groups) -> float:
 
     Fusion keeps the vector path only when *every* member kernel has it
     (mirroring the runtime's fuse gating); a mixed group drops the
-    merged kernel to its compiled fast path at best, and that real cost
-    is what this term charges.
+    merged kernel to the masked interpreter, and that real cost is what
+    this term charges.
     """
     grouped: Dict[int, Tuple[int, ...]] = {}
     for group in fused_groups:
@@ -137,14 +134,9 @@ def _host_eval_seconds(infos, fused_groups) -> float:
         if group in priced:
             continue
         priced.add(group)
-        paths = [path for index in group
-                 for path in infos[index].piece_paths]
-        if all(path == "vector" for path in paths):
-            fused_path = "vector"
-        elif "interpreter" in paths:
-            fused_path = "interpreter"
-        else:
-            fused_path = "fast"
+        fused_path = "vector" if all(
+            path == "vector" for index in group
+            for path in infos[index].piece_paths) else "interpreter"
         for index in group:
             total += (_HOST_EVAL_S_PER_ELEMENT[fused_path]
                       * infos[index].domain.element_count)
@@ -195,7 +187,7 @@ class PlanCandidate:
     executable: bool
     #: Why the candidate is not feasible/executable (``None`` when it is).
     reason: Optional[str] = None
-    #: Predicted host functional-simulation seconds (vector / fast /
+    #: Predicted host functional-simulation seconds (vector /
     #: interpreter per-launch paths); the modelled-time tie-breaker.
     host_eval_s: float = 0.0
 
@@ -331,7 +323,7 @@ class PlanDecision:
             f"  host functional simulation: baseline "
             f"{self.baseline.host_eval_s * 1e3:.4f} ms -> chosen "
             f"{self.chosen.host_eval_s * 1e3:.4f} ms "
-            f"(vector/fast/interpreter path pricing)")
+            f"(vector/interpreter path pricing)")
         return "\n".join(lines)
 
 

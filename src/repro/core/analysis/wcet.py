@@ -27,7 +27,7 @@ the execution engines perform:
   resource estimate's flat per-call charge would under-count helpers,
   which the interpreter executes at full cost);
 * compound assignments charge the value expression twice, matching the
-  interpreter and the compiled fast path;
+  interpreter and the vector program;
 * declarations, plain assignments and constructors are charged one
   operation of slack each (the engines charge nothing for them).
 
@@ -183,7 +183,7 @@ class _CostWalker:
             if expr.op == "=":
                 return _add(value_cost, (1, 0))  # +1 slack for the store
             # Compound assignment re-evaluates the value expression (the
-            # interpreter and the fast path both charge it twice) plus
+            # interpreter and the vector program both charge it twice) plus
             # the target read and the combining operation.
             target_cost = self.expression(expr.target)
             cost = _add(_scale(value_cost, 2), target_cost)

@@ -29,7 +29,6 @@ from .codegen.c_backend import generate_c
 from .codegen.glsl_desktop import generate_desktop_glsl
 from .codegen.glsl_es import generate_glsl_es
 from .analysis.vectorize import VectorizationReport
-from .exec.compiled import CompiledKernelProgram, compile_fast_path
 from .exec.vectorized import VectorizedKernelProgram, build_vector_path
 from .parser import parse
 from .semantic import AnalyzedProgram, analyze
@@ -66,17 +65,13 @@ class CompilerOptions:
         emit_glsl_es: Generate GLSL ES 1.0 text.
         emit_desktop_glsl: Generate desktop GLSL text.
         emit_c: Generate C text.
-        enable_fast_path: Ahead-of-time compile divergence-free kernel
-            bodies into a closure program (see
-            :mod:`repro.core.exec.compiled`); divergent kernels always
-            fall back to the masked interpreter.  Disable to force every
-            kernel through the interpreter (benchmarking / debugging).
-        enable_vector_path: Compile brookvec-approved kernels (verdict
+        enable_fast_path: Compile brookvec-approved kernels (verdict
             BV-300/BV-301, see :mod:`repro.core.analysis.vectorize`) to
-            whole-array programs (:mod:`repro.core.exec.vectorized`).
-            ``None`` (default) inherits ``enable_fast_path``; kernels the
-            analysis rejects (BV-302/BV-303) always fall back to the
-            masked interpreter or fast path with zero behavior change.
+            whole-array vector programs
+            (:mod:`repro.core.exec.vectorized`); kernels the analysis
+            rejects (BV-302/BV-303) run on the masked interpreter with
+            zero behavior change.  Disable to force every kernel through
+            the interpreter (benchmarking / debugging).
     """
 
     target: TargetLimits = field(default_factory=TargetLimits)
@@ -90,14 +85,6 @@ class CompilerOptions:
     emit_desktop_glsl: bool = True
     emit_c: bool = True
     enable_fast_path: bool = True
-    enable_vector_path: Optional[bool] = None
-
-    @property
-    def vector_enabled(self) -> bool:
-        """Effective vector-path switch (``None`` inherits the fast path)."""
-        if self.enable_vector_path is None:
-            return self.enable_fast_path
-        return self.enable_vector_path
 
     def fingerprint(self) -> str:
         """Stable digest of every option that influences compilation.
@@ -136,12 +123,8 @@ class CompiledKernel:
     c_source: Optional[str] = None
     #: Maximum loop iterations per element (None when not statically bounded).
     max_loop_iterations: Optional[int] = None
-    #: Closure program for divergence-free bodies (None: use the masked
-    #: interpreter).  Shared by every launch of this kernel.
-    fast_path: Optional[CompiledKernelProgram] = field(default=None,
-                                                      compare=False)
     #: Whole-array program for brookvec-approved kernels (None: fall back
-    #: to the fast path / masked interpreter).  Shared by every launch.
+    #: to the masked interpreter).  Shared by every launch.
     vector_path: Optional[VectorizedKernelProgram] = field(default=None,
                                                            compare=False)
     #: The brookvec verdict this kernel compiled under (None when the
@@ -308,9 +291,6 @@ class BrookAutoCompiler:
                 except CodegenError:
                     compiled_kernel.c_source = None
             if options.enable_fast_path:
-                compiled_kernel.fast_path = compile_fast_path(
-                    kernel, compiled.helpers())
-            if options.vector_enabled:
                 compiled_kernel.vector_path, compiled_kernel.vector_report = \
                     build_vector_path(
                         kernel, compiled.helpers(),

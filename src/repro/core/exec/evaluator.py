@@ -39,6 +39,7 @@ __all__ = [
     "where_select",
     "materialize",
     "apply_builtin",
+    "layout_positions",
 ]
 
 
@@ -80,6 +81,16 @@ class _Frame:
         self.returned = np.zeros(size, dtype=bool)
         self.return_value: Optional[np.ndarray] = None
         self.loops: List[_LoopRecord] = []
+
+
+def layout_positions(rows: int, cols: int) -> np.ndarray:
+    """(x, y) position of every element of a row-major 2-D layout.
+
+    Returns an ``(rows * cols, 2)`` float32 array; ``x`` is the column
+    (fastest axis), matching the convention of ``indexof``.
+    """
+    ys, xs = np.mgrid[0:rows, 0:cols]
+    return np.stack([xs.reshape(-1), ys.reshape(-1)], axis=1).astype(np.float32)
 
 
 def _is_int_dtype(array: np.ndarray) -> bool:
@@ -148,7 +159,7 @@ def where_select(cond: np.ndarray, then, other):
 def apply_builtin(name: str, args: List, size: int):
     """Apply a Brook builtin to evaluated arguments.
 
-    Shared by the tree-walking interpreter and the compiled fast path so
+    Shared by the tree-walking interpreter and the vector program so
     both produce bit-identical results for every builtin.
     """
     arrays = [np.asarray(a, dtype=np.float32) if not np.issubdtype(

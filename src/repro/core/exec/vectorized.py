@@ -1,15 +1,14 @@
 """Whole-array vectorized execution of brookvec-approved kernels.
 
-The PR-2 fast path (:mod:`repro.core.exec.compiled`) removed the AST
-dispatch cost for *straight-line* kernels but kept two per-launch
-expenses: gathers run through per-element fancy indexing (a random
-access per lane, the dominant cost of stencil kernels) and the
-``indexof`` positions are materialised for every launch.  Divergent
-kernels got nothing at all.
-
-This module compiles every kernel that brookvec
-(:mod:`repro.core.analysis.vectorize`) marks BV-300 or BV-301 into a
-whole-array NumPy program:
+This is the compiled execution tier; everything it does not cover runs
+on the masked interpreter (:mod:`repro.core.exec.evaluator`), which
+stays the bitwise reference.  Every kernel that brookvec
+(:mod:`repro.core.analysis.vectorize`) marks BV-300 or BV-301 is
+compiled **once** into a whole-array NumPy program: each statement and
+expression becomes a specialised Python closure over the same NumPy
+primitives the interpreter uses (:func:`align_pair`,
+:func:`apply_builtin`, :func:`where_select`, ``_merge_masked``), so no
+launch pays for AST dispatch.
 
 * straight-line bodies become a flat closure list, with gathers whose
   indices are affine in ``indexof`` and clamped to the array edge served
@@ -25,10 +24,11 @@ whole-array NumPy program:
 
 Legality is *not* re-derived here: the caller gates compilation on the
 brookvec verdict, whose speculation obligations (masked division,
-gather bounds, dead-lane overflow) were discharged against the PR-8
-interval engine.  Evaluating a masked region on all lanes is exactly
-what the masked interpreter itself does, so a proved obligation
-guarantees the whole-array program cannot trap or diverge from it.
+gather bounds, dead-lane overflow) were discharged against the interval
+engine (:mod:`repro.core.analysis.ranges`).  Evaluating a masked region
+on all lanes is exactly what the masked interpreter itself does, so a
+proved obligation guarantees the whole-array program cannot trap or
+diverge from it.
 
 ``build_vector_path`` keeps verdict and executable consistent: if a
 vectorizable kernel uses a construct this backend cannot compile, the
@@ -44,21 +44,24 @@ import numpy as np
 
 from ...errors import KernelLaunchError, RuntimeBrookError
 from .. import ast_nodes as ast
+from ..builtins import lookup_builtin
 from ..types import ParamKind, ScalarKind, swizzle_indices
 from ..analysis.vectorize import (
     VERDICT_FALLBACK,
     VectorizationReport,
     analyze_kernel_vectorization,
 )
-from .compiled import _Compiler, _Unsupported, is_straight_line
 from .evaluator import (
     KernelExecutionStats,
     _Frame,
     _is_int_dtype,
     _LoopRecord,
     _merge_masked,
+    align_pair,
+    apply_builtin,
     as_bool_array,
     materialize,
+    where_select,
 )
 from .gather import GatherSource
 
@@ -66,12 +69,32 @@ __all__ = [
     "VectorizedKernelProgram",
     "build_vector_path",
     "compile_vector_path",
+    "is_straight_line",
 ]
 
 _MAX_SIMT_STEPS = 1_000_000
 #: Above this extent a float32 ``indexof`` coordinate loses integer
 #: exactness, so the slice/fancy-index equivalence argument breaks.
 _MAX_EXACT_EXTENT = 1 << 24
+
+_STRAIGHT_LINE_STATEMENTS = (ast.Block, ast.DeclStatement, ast.ExprStatement)
+
+
+class _Unsupported(Exception):
+    """Internal: the kernel uses a construct the vector backend lacks."""
+
+
+def is_straight_line(body: ast.Statement) -> bool:
+    """Whether ``body`` contains only divergence-free statements.
+
+    Declarations, expression statements and nested blocks qualify;
+    ``if``/loops/``return``/``break``/``continue``/``goto`` do not.
+    Straight-line kernels get the flat (slice-gather) step list; the
+    rest run through the region tree.
+    """
+    return all(isinstance(node, _STRAIGHT_LINE_STATEMENTS)
+               or not isinstance(node, ast.Statement)
+               for node in body.walk())
 
 
 # --------------------------------------------------------------------------- #
@@ -80,12 +103,11 @@ _MAX_EXACT_EXTENT = 1 << 24
 class _VCtx:
     """Per-launch execution context shared by every compiled closure.
 
-    Extends the fast path's context with the current activity mask
-    (``None`` while execution is un-diverged - the common case that the
-    store closures exploit to skip the ``np.where`` merge), a lazily
-    built ``indexof`` (per column, so a kernel reading only ``idx.x``
-    never pays for the stack), and the padded gather arrays of the
-    slice plan.
+    Holds the current activity mask (``None`` while execution is
+    un-diverged - the common case that the store closures exploit to
+    skip the ``np.where`` merge), a lazily built ``indexof`` (per
+    column, so a kernel reading only ``idx.x`` never pays for the
+    stack), and the padded gather arrays of the slice plan.
     """
 
     __slots__ = ("size", "gathers", "stats", "layout", "pads", "mask",
@@ -382,15 +404,23 @@ def _literal_value(expr: ast.Expression) -> Optional[float]:
 # --------------------------------------------------------------------------- #
 # Compiler
 # --------------------------------------------------------------------------- #
-class _VCompiler(_Compiler):
-    """Extends the fast-path expression compiler with mask-aware stores,
-    fully general helper calls, lazy ``indexof`` columns and (in slice
-    mode) padded-slice gathers."""
+#: A compiled expression: ``fn(env, ctx) -> value``.
+_ExprFn = Callable[[Dict[str, np.ndarray], _VCtx], object]
+#: A compiled statement: ``fn(env, ctx) -> None``.
+_StmtFn = Callable[[Dict[str, np.ndarray], _VCtx], None]
+
+
+class _VCompiler:
+    """Compiles one kernel (and its helper calls) to closures, with
+    mask-aware stores, fully general helper calls, lazy ``indexof``
+    columns and (in slice mode) padded-slice gathers."""
 
     def __init__(self, kernel: ast.FunctionDef,
                  helpers: Dict[str, ast.FunctionDef],
                  slice_mode: bool = False):
-        super().__init__(helpers)
+        self.helpers = helpers
+        self._helper_cache: Dict[str, Tuple[Callable, int]] = {}
+        self._compiling: Set[str] = set()
         self.kernel = kernel
         self.slice_mode = slice_mode
         self.slice_plans: List[_SlicePlan] = []
@@ -414,6 +444,41 @@ class _VCompiler(_Compiler):
         self._float_locals: Set[str] = set()
 
     # -- statement/region compilation ---------------------------------- #
+    @staticmethod
+    def _flatten(body: ast.Statement):
+        if isinstance(body, ast.Block):
+            for stmt in body.statements:
+                yield from _VCompiler._flatten(stmt)
+        else:
+            yield body
+
+    def _compile_decl(self, stmt: ast.DeclStatement, defined: Set[str]
+                      ) -> Tuple[_StmtFn, int]:
+        name = stmt.name
+        kind = stmt.decl_type.kind
+        width = stmt.decl_type.width
+        if stmt.init is not None:
+            init_fn, cost = self.compile_expr(stmt.init, defined)
+        else:
+            init_fn, cost = None, 0
+        is_int_decl = kind is ScalarKind.INT
+        dtype = np.int32 if is_int_decl else np.float32
+        defined.add(name)
+
+        def step(env, ctx):
+            if init_fn is not None:
+                value = init_fn(env, ctx)
+            else:
+                shape = (ctx.size,) if width == 1 else (ctx.size, width)
+                value = np.zeros(shape, dtype=dtype)
+            if is_int_decl and not _is_int_dtype(value):
+                value = np.asarray(np.floor(value), dtype=np.int32) \
+                    if not np.issubdtype(np.asarray(value).dtype, np.bool_) \
+                    else np.asarray(value, dtype=np.int32)
+            env[name] = np.asarray(value)
+
+        return step, cost
+
     def compile_nodes(self, body: ast.Statement, defined: Set[str]) -> List:
         nodes: List = []
         steps: List[Callable] = []
@@ -676,11 +741,208 @@ class _VCompiler(_Compiler):
             return None
         return None
 
-    # -- expression overrides ------------------------------------------ #
-    def compile_expr(self, expr: ast.Expression, defined: Set[str]):
-        if isinstance(expr, ast.Identifier) and self._stmt_reads is not None:
-            self._stmt_reads.add(expr.name)
-        return super().compile_expr(expr, defined)
+    # -- expressions ----------------------------------------------------- #
+    def compile_expr(self, expr: ast.Expression, defined: Set[str]
+                     ) -> Tuple[_ExprFn, int]:
+        if isinstance(expr, ast.NumberLiteral):
+            constant = np.float32(expr.value) if expr.is_float \
+                else np.int32(int(expr.value))
+            return (lambda env, ctx: constant), 0
+        if isinstance(expr, ast.BoolLiteral):
+            constant = np.bool_(expr.value)
+            return (lambda env, ctx: constant), 0
+        if isinstance(expr, ast.Identifier):
+            name = expr.name
+            if self._stmt_reads is not None:
+                self._stmt_reads.add(name)
+            if name not in defined:
+                raise _Unsupported(f"read of undefined name {name!r}")
+            return (lambda env, ctx: env[name]), 0
+        if isinstance(expr, ast.UnaryOp):
+            return self._compile_unary(expr, defined)
+        if isinstance(expr, ast.BinaryOp):
+            return self._compile_binary(expr, defined)
+        if isinstance(expr, ast.Assignment):
+            return self._compile_assignment(expr, defined)
+        if isinstance(expr, ast.Conditional):
+            cond_fn, c0 = self.compile_expr(expr.cond, defined)
+            then_fn, c1 = self.compile_expr(expr.then, defined)
+            other_fn, c2 = self.compile_expr(expr.otherwise, defined)
+
+            def select(env, ctx):
+                cond = as_bool_array(cond_fn(env, ctx), ctx.size)
+                return where_select(cond, then_fn(env, ctx), other_fn(env, ctx))
+
+            return select, c0 + c1 + c2 + 1
+        if isinstance(expr, ast.CallExpr):
+            return self._compile_call(expr, defined)
+        if isinstance(expr, ast.ConstructorExpr):
+            return self._compile_constructor(expr, defined)
+        if isinstance(expr, ast.IndexExpr):
+            return self._compile_gather(expr, defined)
+        if isinstance(expr, ast.MemberExpr):
+            return self._compile_member(expr, defined)
+        if isinstance(expr, ast.IndexOfExpr):
+            return (lambda env, ctx: ctx.index), 0
+        raise _Unsupported(type(expr).__name__)
+
+    def _compile_unary(self, expr: ast.UnaryOp, defined: Set[str]):
+        operand_fn, cost = self.compile_expr(expr.operand, defined)
+        if expr.op == "-":
+            fn = lambda env, ctx: -np.asarray(operand_fn(env, ctx))
+        elif expr.op == "!":
+            fn = lambda env, ctx: ~as_bool_array(operand_fn(env, ctx), ctx.size)
+        elif expr.op == "~":
+            fn = lambda env, ctx: ~np.asarray(operand_fn(env, ctx), dtype=np.int32)
+        else:
+            raise _Unsupported(f"unary operator {expr.op!r}")
+        return fn, cost + 1
+
+    _BINARY_OPS = {
+        "+": lambda l, r: l + r,
+        "-": lambda l, r: l - r,
+        "*": lambda l, r: l * r,
+        "<": lambda l, r: l < r,
+        ">": lambda l, r: l > r,
+        "<=": lambda l, r: l <= r,
+        ">=": lambda l, r: l >= r,
+        "==": lambda l, r: l == r,
+        "!=": lambda l, r: l != r,
+    }
+
+    def _compile_binary(self, expr: ast.BinaryOp, defined: Set[str]):
+        left_fn, c0 = self.compile_expr(expr.left, defined)
+        right_fn, c1 = self.compile_expr(expr.right, defined)
+        return self._binary_from_fns(expr.op, left_fn, right_fn), c0 + c1 + 1
+
+    def _binary_from_fns(self, op: str, left_fn: _ExprFn, right_fn: _ExprFn
+                         ) -> _ExprFn:
+        simple = self._BINARY_OPS.get(op)
+        if simple is not None:
+            def fn(env, ctx):
+                left, right = align_pair(np.asarray(left_fn(env, ctx)),
+                                         np.asarray(right_fn(env, ctx)))
+                return simple(left, right)
+            return fn
+        if op == "/":
+            def fn(env, ctx):
+                left, right = align_pair(np.asarray(left_fn(env, ctx)),
+                                         np.asarray(right_fn(env, ctx)))
+                if _is_int_dtype(left) and _is_int_dtype(right):
+                    return np.where(right != 0,
+                                    left // np.where(right == 0, 1, right), 0)
+                return left / np.asarray(right, dtype=np.float32)
+            return fn
+        if op == "%":
+            def fn(env, ctx):
+                left, right = align_pair(np.asarray(left_fn(env, ctx)),
+                                         np.asarray(right_fn(env, ctx)))
+                if _is_int_dtype(left) and _is_int_dtype(right):
+                    return np.where(right != 0,
+                                    left % np.where(right == 0, 1, right), 0)
+                return np.fmod(left, right)
+            return fn
+        if op == "&&":
+            def fn(env, ctx):
+                left, right = align_pair(np.asarray(left_fn(env, ctx)),
+                                         np.asarray(right_fn(env, ctx)))
+                return as_bool_array(left, ctx.size) & as_bool_array(right, ctx.size)
+            return fn
+        if op == "||":
+            def fn(env, ctx):
+                left, right = align_pair(np.asarray(left_fn(env, ctx)),
+                                         np.asarray(right_fn(env, ctx)))
+                return as_bool_array(left, ctx.size) | as_bool_array(right, ctx.size)
+            return fn
+        raise _Unsupported(f"binary operator {op!r}")
+
+    def _compile_assignment(self, expr: ast.Assignment, defined: Set[str]):
+        value_fn, value_cost = self.compile_expr(expr.value, defined)
+        if expr.op != "=":
+            # Mirror the interpreter: the compound value is computed by
+            # re-evaluating ``target op value`` (the value expression runs
+            # twice, and its flops are counted twice).
+            target_fn, target_cost = self.compile_expr(expr.target, defined)
+            combined_fn = self._binary_from_fns(expr.op[:-1], target_fn, value_fn)
+            cost = value_cost + target_cost + value_cost + 1
+
+            def compute(env, ctx):
+                value_fn(env, ctx)
+                return combined_fn(env, ctx)
+        else:
+            compute, cost = value_fn, value_cost
+
+        store = self._compile_store(expr.target, defined)
+
+        def assign(env, ctx):
+            value = compute(env, ctx)
+            store(env, ctx, value)
+            return value
+
+        return assign, cost
+
+    def _compile_call(self, expr: ast.CallExpr, defined: Set[str]):
+        arg_fns: List[_ExprFn] = []
+        args_cost = 0
+        for arg in expr.args:
+            fn, cost = self.compile_expr(arg, defined)
+            arg_fns.append(fn)
+            args_cost += cost
+        builtin = lookup_builtin(expr.callee)
+        if builtin is not None:
+            name = expr.callee
+
+            def call(env, ctx):
+                args = [fn(env, ctx) for fn in arg_fns]
+                return apply_builtin(name, args, ctx.size)
+
+            return call, args_cost + builtin.flop_cost
+        helper_fn, helper_cost = self._compile_helper(expr.callee)
+
+        def call(env, ctx):
+            args = [fn(env, ctx) for fn in arg_fns]
+            return helper_fn(args, ctx)
+
+        return call, args_cost + helper_cost
+
+    def _compile_constructor(self, expr: ast.ConstructorExpr, defined: Set[str]):
+        arg_fns: List[_ExprFn] = []
+        cost = 0
+        for arg in expr.args:
+            fn, arg_cost = self.compile_expr(arg, defined)
+            arg_fns.append(fn)
+            cost += arg_cost
+        target = expr.target_type
+        if target.width == 1:
+            kind = target.kind
+
+            def construct(env, ctx):
+                value = np.asarray(arg_fns[0](env, ctx))
+                if kind is ScalarKind.INT:
+                    return np.asarray(np.trunc(value), dtype=np.int32)
+                if kind is ScalarKind.FLOAT:
+                    return np.asarray(value, dtype=np.float32)
+                return as_bool_array(value, ctx.size)
+
+            return construct, cost
+        width = target.width
+
+        def construct(env, ctx):
+            columns: List[np.ndarray] = []
+            for fn in arg_fns:
+                arg = np.asarray(fn(env, ctx), dtype=np.float32)
+                if arg.ndim == 2:
+                    for component in range(arg.shape[1]):
+                        columns.append(arg[:, component])
+                else:
+                    columns.append(arg)
+            if len(columns) == 1:
+                columns = columns * width
+            columns = [np.broadcast_to(np.asarray(c, dtype=np.float32),
+                                       (ctx.size,)) for c in columns]
+            return np.stack(columns, axis=1)
+
+        return construct, cost
 
     def _compile_member(self, expr: ast.MemberExpr, defined: Set[str]):
         # Lazy indexof columns: idx.x / idx.y never build the stacked
@@ -690,7 +952,27 @@ class _VCompiler(_Compiler):
                 return (lambda env, ctx: ctx.index_x), 0
             if expr.member == "y":
                 return (lambda env, ctx: ctx.index_y), 0
-        return super()._compile_member(expr, defined)
+        base_fn, cost = self.compile_expr(expr.base, defined)
+        indices = swizzle_indices(expr.member)
+        member = expr.member
+
+        def select(env, ctx):
+            base = np.asarray(base_fn(env, ctx))
+            if base.ndim == 0:
+                raise RuntimeBrookError(
+                    f"cannot swizzle scalar value with .{member}")
+            if base.ndim == 1 and base.shape[0] in (2, 3, 4) \
+                    and base.shape[0] != ctx.size:
+                selected = base[list(indices)]
+                return selected[0] if len(indices) == 1 else selected
+            if base.ndim == 1:
+                raise RuntimeBrookError(
+                    f"cannot swizzle scalar per-thread value with .{member}")
+            if len(indices) == 1:
+                return base[:, indices[0]]
+            return base[:, list(indices)]
+
+        return select, cost
 
     def _compile_store(self, target: ast.Expression, defined: Set[str]):
         if isinstance(target, ast.Identifier):
@@ -804,7 +1086,46 @@ class _VCompiler(_Compiler):
             plan_closure = self._try_slice_gather(expr, defined)
             if plan_closure is not None:
                 return plan_closure
-        return super()._compile_gather(expr, defined)
+        index_exprs: List[ast.Expression] = []
+        node: ast.Expression = expr
+        while isinstance(node, ast.IndexExpr):
+            index_exprs.append(node.index)
+            node = node.base
+        index_exprs.reverse()
+        if not isinstance(node, ast.Identifier) or node.name in defined:
+            # Indexing anything but a gather-array parameter is a runtime
+            # error in the interpreter; leave those kernels to it.
+            raise _Unsupported("index of a non-gather value")
+        name = node.name
+        index_fns: List[_ExprFn] = []
+        cost = 0
+        for index_expr in index_exprs:
+            fn, index_cost = self.compile_expr(index_expr, defined)
+            index_fns.append(fn)
+            cost += index_cost
+
+        def gather(env, ctx):
+            source = ctx.gathers.get(name)
+            if source is None:
+                raise RuntimeBrookError(
+                    "only gather-array parameters can be indexed during execution"
+                )
+            if len(index_fns) == 1:
+                index_value = np.asarray(index_fns[0](env, ctx))
+                if index_value.ndim == 2 and index_value.shape[1] >= 2:
+                    cols = index_value[:, 0]
+                    rows = index_value[:, 1]
+                else:
+                    cols = index_value
+                    rows = np.zeros_like(np.asarray(cols, dtype=np.float32))
+            else:
+                rows = np.asarray(index_fns[0](env, ctx))
+                cols = np.asarray(index_fns[1](env, ctx))
+            rows = np.broadcast_to(np.asarray(rows, dtype=np.float32), (ctx.size,))
+            cols = np.broadcast_to(np.asarray(cols, dtype=np.float32), (ctx.size,))
+            return source.fetch(rows, cols)
+
+        return gather, cost
 
     def _try_slice_gather(self, expr: ast.IndexExpr, defined: Set[str]):
         index_exprs: List[ast.Expression] = []

@@ -23,7 +23,7 @@ keep running as two passes.  Reductions are likewise never fused.
 This module operates purely on the AST (:func:`fuse_definitions`) plus a
 convenience wrapper that packages the fused definition as a
 :class:`~repro.core.compiler.CompiledKernel` with generated shader text
-and a compiled fast path (:func:`fuse_compiled`).  The runtime entry
+and a vector program (:func:`fuse_compiled`).  The runtime entry
 points - ``rt.fuse([...])`` and fusing command queues - live in
 :mod:`repro.runtime.launch`.
 """
@@ -235,13 +235,13 @@ def fuse_compiled(
     connections: Dict[str, str],
     helpers: Dict[str, ast.FunctionDef],
     enable_fast_path: bool = True,
-    enable_vector_path: bool = False,
 ) -> Tuple["CompiledKernel", FusionResult]:
     """Fuse two compiled kernels into a launchable :class:`CompiledKernel`.
 
     Runs the AST fusion, re-estimates resources, regenerates the shader
-    artefacts (best effort, like the compiler driver) and compiles the
-    fast path for the merged body.  ``fused_from`` records the flattened
+    artefacts (best effort, like the compiler driver) and, when
+    ``enable_fast_path`` is set, compiles the vector program for the
+    merged body.  ``fused_from`` records the flattened
     source kernel names so launch statistics can attribute saved passes.
     """
     # Imported lazily: the compiler driver imports this package for its
@@ -252,7 +252,6 @@ def fuse_compiled(
     from ..codegen.glsl_desktop import generate_desktop_glsl
     from ..codegen.glsl_es import generate_glsl_es
     from ..compiler import CompiledKernel
-    from ..exec.compiled import compile_fast_path
     from ...errors import CodegenError
 
     result = fuse_definitions(producer.definition, consumer.definition,
@@ -280,8 +279,6 @@ def fuse_compiled(
         except CodegenError:
             setattr(fused, attribute, None)
     if enable_fast_path:
-        fused.fast_path = compile_fast_path(fused_def, helpers)
-    if enable_vector_path:
         from ..exec.vectorized import build_vector_path
 
         fused.vector_path, fused.vector_report = build_vector_path(

@@ -157,8 +157,7 @@ def run(device: str = "videocore-iv") -> ComplianceResult:
         options = CompilerOptions(target=target,
                                   param_bounds=dict(app.param_bounds),
                                   range_specs=dict(app.range_specs),
-                                  strict=False,
-                                  enable_vector_path=True)
+                                  strict=False)
         compiled = compile_source(app.brook_source, filename=f"{name}.br",
                                   options=options)
         entry = _entry_from_report(name, compiled.certification)

@@ -228,7 +228,6 @@ class FusedPlan:
         scalar_args: Dict[str, float],
         out_args: Dict[str, Stream],
         enable_fast_path: bool,
-        enable_vector_path: bool = False,
     ):
         self.runtime = runtime
         self.kernel = kernel
@@ -239,7 +238,6 @@ class FusedPlan:
         self.scalar_args = scalar_args
         self.out_args = out_args
         self.enable_fast_path = enable_fast_path
-        self.enable_vector_path = enable_vector_path
         self._bound_streams = list(
             {id(s): s for s in (*stream_args.values(), *gather_args.values(),
                                 *out_args.values())}.values()
@@ -352,7 +350,7 @@ def _plan_fusion_view(plan):
     if isinstance(plan, FusedPlan):
         return (plan.kernel, plan.helpers, plan.domain, plan.stream_args,
                 plan.gather_args, plan.scalar_args, plan.out_args,
-                plan.enable_fast_path, plan.enable_vector_path)
+                plan.enable_fast_path)
     if isinstance(plan, LaunchPlan):
         if plan.is_reduction or len(plan._pieces) != 1:
             return None
@@ -360,7 +358,7 @@ def _plan_fusion_view(plan):
         options = plan.handle.program.options
         return (piece, plan.handle._helpers, plan._domain, stream_args,
                 gather_args, scalar_args, out_args,
-                options.enable_fast_path, options.vector_enabled)
+                options.enable_fast_path)
     return None
 
 
@@ -372,9 +370,9 @@ def _try_fuse_pair(runtime: "BrookRuntime", current, nxt,
     if producer_view is None or consumer_view is None:
         return None
     (prod_kernel, prod_helpers, prod_domain, prod_streams, prod_gathers,
-     prod_scalars, prod_outs, prod_fast, prod_vector) = producer_view
+     prod_scalars, prod_outs, prod_fast) = producer_view
     (cons_kernel, cons_helpers, cons_domain, cons_streams, cons_gathers,
-     cons_scalars, cons_outs, cons_fast, cons_vector) = consumer_view
+     cons_scalars, cons_outs, cons_fast) = consumer_view
     if prod_domain.dims != cons_domain.dims:
         return None
 
@@ -423,7 +421,6 @@ def _try_fuse_pair(runtime: "BrookRuntime", current, nxt,
         fused_kernel, result = fuse_compiled(
             prod_kernel, cons_kernel, connections, helpers,
             enable_fast_path=prod_fast and cons_fast,
-            enable_vector_path=prod_vector and cons_vector,
         )
     except FusionError:
         return None
@@ -448,7 +445,6 @@ def _try_fuse_pair(runtime: "BrookRuntime", current, nxt,
         runtime, fused_kernel, helpers, cons_domain,
         stream_args, gather_args, scalar_args, out_args,
         enable_fast_path=prod_fast and cons_fast,
-        enable_vector_path=prod_vector and cons_vector,
     )
 
 

@@ -31,6 +31,7 @@ import numpy as np
 
 from ..core.analysis.memory_usage import padded_texture_extent
 from ..core.analysis.resources import TargetLimits
+from ..core.exec.evaluator import layout_positions
 from ..errors import StreamError
 
 __all__ = ["StreamShape", "MAX_STREAM_RANK"]
@@ -120,9 +121,7 @@ class StreamShape:
         Returns an ``(element_count, 2)`` float32 array; ``x`` is the
         column (fastest axis), matching the convention of ``indexof``.
         """
-        rows, cols = self.layout_2d
-        ys, xs = np.mgrid[0:rows, 0:cols]
-        return np.stack([xs.reshape(-1), ys.reshape(-1)], axis=1).astype(np.float32)
+        return layout_positions(*self.layout_2d)
 
     def flatten(self, data: np.ndarray, element_width: int = 1) -> np.ndarray:
         """Reshape logical-shape data to the 2-D layout (rows, cols[, width])."""

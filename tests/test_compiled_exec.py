@@ -1,8 +1,11 @@
-"""Tests for the compiled evaluator fast path (repro.core.exec.compiled).
+"""Tests for the compiled execution tier switched by ``enable_fast_path``.
 
-The fast path must (a) qualify exactly the divergence-free kernels,
+The compiled tier is the brookvec vector program
+(repro.core.exec.vectorized).  It must (a) be attached to every kernel
+brookvec approves, straight-line or divergent, and to no reduction,
 (b) produce bit-identical outputs and equivalent work statistics to the
-masked interpreter, and (c) leave divergent kernels on the interpreter.
+masked interpreter, and (c) leave the kernels brookvec rejects, and
+every kernel when the switch is off, on the interpreter.
 """
 
 import numpy as np
@@ -10,7 +13,7 @@ import pytest
 
 from repro.apps.base import get_application, list_applications
 from repro.core.compiler import CompilerOptions, compile_source
-from repro.core.exec.compiled import compile_fast_path, is_straight_line
+from repro.core.exec.vectorized import compile_vector_path, is_straight_line
 from repro.core.exec.evaluator import KernelEvaluator
 from repro.core.exec.gather import NumpyGatherSource
 from repro.errors import KernelLaunchError
@@ -57,6 +60,14 @@ kernel void looping(float x<>, float n, out float r<>) {
     r = acc;
 }
 
+kernel void spinning(float x<>, out float r<>) {
+    float acc = x;
+    while (acc < 4.0) {
+        acc = acc + 1.0;
+    }
+    r = acc;
+}
+
 reduce void total(float v<>, reduce float acc) {
     acc += v;
 }
@@ -65,7 +76,8 @@ reduce void total(float v<>, reduce float acc) {
 
 @pytest.fixture(scope="module")
 def program():
-    return compile_source(STRAIGHT_SOURCE, param_bounds={"looping": {"n": 4}})
+    return compile_source(STRAIGHT_SOURCE, strict=False,
+                          param_bounds={"looping": {"n": 4}})
 
 
 # --------------------------------------------------------------------------- #
@@ -73,16 +85,21 @@ def program():
 # --------------------------------------------------------------------------- #
 class TestQualification:
     def test_straight_line_kernels_get_a_fast_path(self, program):
-        assert program.kernel("mixdown").fast_path is not None
-        assert program.kernel("vec_ops").fast_path is not None
+        assert program.kernel("mixdown").vector_path is not None
+        assert program.kernel("vec_ops").vector_path is not None
 
     def test_divergent_kernels_fall_back(self, program):
-        assert program.kernel("branching").fast_path is None
-        assert program.kernel("looping").fast_path is None
+        # Divergence alone no longer forces the interpreter (BV-301
+        # kernels run masked vector programs); a kernel brookvec
+        # rejects does fall back.
+        assert program.kernel("branching").vector_path is not None
+        assert program.kernel("looping").vector_path is not None
+        assert program.kernel("spinning").vector_path is None
+        assert program.kernel("spinning").vector_report.verdict == "BV-302"
 
     def test_reductions_never_qualify(self, program):
-        assert program.kernel("total").fast_path is None
-        assert compile_fast_path(program.kernel("total").definition) is None
+        assert program.kernel("total").vector_path is None
+        assert compile_vector_path(program.kernel("total").definition) is None
 
     def test_is_straight_line_predicate(self, program):
         assert is_straight_line(program.kernel("mixdown").definition.body)
@@ -91,10 +108,11 @@ class TestQualification:
 
     def test_option_disables_compilation(self):
         disabled = compile_source(
-            STRAIGHT_SOURCE, options=CompilerOptions(enable_fast_path=False),
+            STRAIGHT_SOURCE,
+            options=CompilerOptions(enable_fast_path=False, strict=False),
             param_bounds={"looping": {"n": 4}},
         )
-        assert all(k.fast_path is None for k in disabled.kernels.values())
+        assert all(k.vector_path is None for k in disabled.kernels.values())
 
     def test_option_is_part_of_the_fingerprint(self):
         assert CompilerOptions().fingerprint() != \
@@ -115,7 +133,7 @@ def _run_both(program, name, size, stream_inputs, scalar_args=None,
     )
     fresh_gathers = {k: NumpyGatherSource(v._data) for k, v in
                      (gathers or {}).items()}
-    compiled, stats = kernel.fast_path.run(
+    compiled, stats = kernel.vector_path.run(
         size, stream_inputs=stream_inputs, scalar_args=scalar_args,
         gathers=fresh_gathers,
     )
@@ -160,7 +178,7 @@ class TestEquivalence:
     def test_error_message_parity_for_missing_stream(self, program):
         kernel = program.kernel("vec_ops")
         with pytest.raises(KernelLaunchError, match="missing input stream"):
-            kernel.fast_path.run(8, stream_inputs={"a": np.zeros(8)})
+            kernel.vector_path.run(8, stream_inputs={"a": np.zeros(8)})
 
     @pytest.mark.parametrize("app_name", sorted(list_applications()))
     def test_every_app_is_bitwise_identical_on_cpu(self, app_name):
@@ -177,7 +195,7 @@ class TestEquivalence:
             got = np.asarray(outputs[True][key], dtype=np.float32)
             want = np.asarray(expected, dtype=np.float32)
             assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), \
-                f"{app_name}.{key} differs between fast path and interpreter"
+                f"{app_name}.{key} differs between vector path and interpreter"
 
 
 # --------------------------------------------------------------------------- #
@@ -196,7 +214,7 @@ class TestBackendIntegration:
             options = CompilerOptions(enable_fast_path=enabled)
             with BrookRuntime(backend=backend, compiler_options=options) as rt:
                 module = rt.compile(self.SRC)
-                assert (module.program.kernel("saxpy").fast_path
+                assert (module.program.kernel("saxpy").vector_path
                         is not None) is enabled
                 x = rt.stream_from(data_x)
                 y = rt.stream_from(data_y)

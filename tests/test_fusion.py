@@ -87,7 +87,7 @@ class TestFuseDefinitions:
         )
         assert fused.glsl_es is not None
         assert fused.c_source is not None
-        assert fused.fast_path is not None
+        assert fused.vector_path is not None
         assert fused.fused_from == ("scale", "offset")
         assert fused.fused_saved_components == 1
 
@@ -350,7 +350,7 @@ class TestRuntimeFusion:
             ])
             plan = pipeline.segments[0][0]
             assert isinstance(plan, FusedPlan)
-            assert plan.kernel.fast_path is None
+            assert plan.kernel.vector_path is None
             pipeline.launch()
             np.testing.assert_allclose(z.read(), 2.0 * pipeline_data + 0.25,
                                        rtol=1e-6)

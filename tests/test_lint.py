@@ -175,6 +175,9 @@ class TestRules:
             "kernel void n(float a<>, out float o<>) {"
             " o = 0.0; if (a > 0.0) { o = a; } }")
         assert "BL-110" in codes(report)
+        bl110 = [d for d in report.diagnostics if d.rule == "BL-110"]
+        assert "straight-line whole-array (BV-300) program" in \
+            bl110[0].message
 
     def test_bl111_fusion_boundary(self):
         # The producer's early return carries a mask that would suppress

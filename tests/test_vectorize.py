@@ -4,8 +4,8 @@ Covers (a) the verdict taxonomy - BV-300 for divergence-free kernels,
 BV-301 for divergent-but-proved ones, BV-302 for constructs outside the
 vectorizable subset, BV-303 for unproved speculation obligations,
 (b) the verdict/executable consistency contract of ``build_vector_path``,
-(c) the ``enable_vector_path`` compiler option (inheritance from
-``enable_fast_path``, compile-cache fingerprint participation), and
+(c) the ``enable_fast_path`` compiler option that switches the vector
+tier (compile-cache fingerprint participation), and
 (d) the brooklint integration: BV facts, the BL-110 cross-reference and
 the opt-in BV-3xx notes with SARIF rule descriptors.
 """
@@ -176,13 +176,6 @@ class TestConsistency:
 # Compiler option wiring (satellite: cache fingerprint regression)
 # --------------------------------------------------------------------------- #
 class TestOptions:
-    def test_default_inherits_the_fast_path_switch(self):
-        assert CompilerOptions().vector_enabled
-        assert not CompilerOptions(enable_fast_path=False).vector_enabled
-        assert CompilerOptions(enable_fast_path=False,
-                               enable_vector_path=True).vector_enabled
-        assert not CompilerOptions(enable_vector_path=False).vector_enabled
-
     def test_compile_attaches_vector_paths(self):
         compiled = compile_source(
             SOURCE, options=CompilerOptions(strict=False))
@@ -194,16 +187,16 @@ class TestOptions:
     def test_option_disables_compilation(self):
         disabled = compile_source(
             SOURCE, options=CompilerOptions(strict=False,
-                                            enable_vector_path=False))
+                                            enable_fast_path=False))
         assert all(k.vector_path is None for k in disabled.kernels.values())
 
     def test_option_is_part_of_the_fingerprint(self):
-        # Regression: toggling enable_vector_path must miss the
-        # per-runtime compile cache, exactly like enable_fast_path.
+        # Regression: toggling the vector tier must miss the per-runtime
+        # compile cache.
         assert CompilerOptions().fingerprint() != \
-            CompilerOptions(enable_vector_path=False).fingerprint()
-        assert CompilerOptions(enable_vector_path=True).fingerprint() != \
-            CompilerOptions(enable_vector_path=False).fingerprint()
+            CompilerOptions(enable_fast_path=False).fingerprint()
+        assert CompilerOptions(enable_fast_path=True).fingerprint() == \
+            CompilerOptions().fingerprint()
 
     def test_runtime_cache_round_trip(self):
         source = ("kernel void scale(float g, float x<>, out float r<>) "
@@ -214,7 +207,7 @@ class TestOptions:
             rt.compile(source)
             after = rt.compile_cache_info()
             assert after["hits"] == before["hits"] + 1
-        vector_off = CompilerOptions(enable_vector_path=False)
+        vector_off = CompilerOptions(enable_fast_path=False)
         with BrookRuntime(backend="cpu", compiler_options=vector_off) as rt:
             module = rt.compile(source)
             assert module.program.kernel("scale").vector_path is None

@@ -27,9 +27,12 @@ from repro.core.exec.vectorized import build_vector_path
 from repro.gles2.device import GPUDeviceProfile
 from repro.gles2.limits import GLES2Limits
 from repro.runtime import BrookRuntime
+from repro.runtime.launch import FusedPlan
+from repro.service import prepare_request
+from repro.service.bench import build_adas_request
 
-INTERP = CompilerOptions(enable_fast_path=False, enable_vector_path=False)
-VECTOR = CompilerOptions(enable_fast_path=False, enable_vector_path=True)
+INTERP = CompilerOptions(enable_fast_path=False)
+VECTOR = CompilerOptions()
 
 
 def assert_bitwise(got, want, label=""):
@@ -96,18 +99,34 @@ class TestApplications:
 
     def test_apps_actually_take_the_vector_path(self):
         # Guard against the suite silently passing because everything
-        # fell back: every app map kernel must carry a vector program.
+        # fell back, and against a kernel silently dropping to the
+        # interpreter under default options: every map kernel of the
+        # apps and of the ADAS pipeline, fused kernels included, must
+        # carry a vector program.
+        def check(label, kernel):
+            assert kernel.vector_path is not None, \
+                f"{label}:{kernel.name} fell back " \
+                f"({kernel.vector_report.verdict})"
+
         for app_name in list_applications():
             app = get_application(app_name)
             with BrookRuntime(backend="cpu",
                               compiler_options=VECTOR) as rt:
                 module = app.compile(rt)
                 for kernel in module.program.kernels.values():
-                    if kernel.definition.is_reduction:
-                        continue
-                    assert kernel.vector_path is not None, \
-                        f"{app_name}:{kernel.name} fell back " \
-                        f"({kernel.vector_report.verdict})"
+                    if not kernel.definition.is_reduction:
+                        check(app_name, kernel)
+        frame = np.zeros((16, 16), dtype=np.float32)
+        with BrookRuntime(backend="cpu") as rt:
+            module, _, plans = prepare_request(
+                rt, build_adas_request(16, frame))
+            for kernel in module.program.kernels.values():
+                check("adas", kernel)
+            fused = [plan for plan, _ in rt.fuse(plans).segments
+                     if isinstance(plan, FusedPlan)]
+            assert fused
+            for plan in fused:
+                check("adas-fused", plan.kernel)
 
 
 # --------------------------------------------------------------------------- #
