@@ -94,7 +94,8 @@ def layout_positions(rows: int, cols: int) -> np.ndarray:
 
 
 def _is_int_dtype(array: np.ndarray) -> bool:
-    return np.issubdtype(np.asarray(array).dtype, np.integer)
+    # ``dtype.kind`` is the cheap form of ``np.issubdtype(.., np.integer)``.
+    return np.asarray(array).dtype.kind in "iu"
 
 
 def _merge_masked(old: np.ndarray, new: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -162,8 +163,11 @@ def apply_builtin(name: str, args: List, size: int):
     Shared by the tree-walking interpreter and the vector program so
     both produce bit-identical results for every builtin.
     """
-    arrays = [np.asarray(a, dtype=np.float32) if not np.issubdtype(
-        np.asarray(a).dtype, np.bool_) else np.asarray(a) for a in args]
+    arrays = []
+    for arg in args:
+        array = np.asarray(arg)
+        arrays.append(array if array.dtype.kind == "b"
+                      else np.asarray(array, dtype=np.float32))
     if name in ("min",):
         return np.minimum(*align_pair(arrays[0], arrays[1]))
     if name in ("max",):
@@ -375,7 +379,7 @@ class KernelEvaluator:
                 value = np.zeros(shape, dtype=dtype)
             if stmt.decl_type.kind is ScalarKind.INT and not _is_int_dtype(value):
                 value = np.asarray(np.floor(value), dtype=np.int32) \
-                    if not np.issubdtype(np.asarray(value).dtype, np.bool_) \
+                    if np.asarray(value).dtype.kind != "b" \
                     else np.asarray(value, dtype=np.int32)
             frame.env[stmt.name] = np.asarray(value)
             return mask

@@ -38,6 +38,7 @@ report is downgraded to BV-302 and the kernel keeps the interpreter.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -100,18 +101,55 @@ def is_straight_line(body: ast.Statement) -> bool:
 # --------------------------------------------------------------------------- #
 # Per-launch context
 # --------------------------------------------------------------------------- #
+@lru_cache(maxsize=8)
+def _index_columns(rows: int, cols: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only ``indexof`` x and y columns of a ``rows x cols`` layout.
+
+    They reproduce ``StreamShape.element_positions`` bitwise: x is the
+    column (fastest axis), y the row, both int-range values converted to
+    float32.  A launch without a layout is the ``1 x size`` layout.
+    """
+    xs = np.tile(np.arange(cols), rows).astype(np.float32)
+    ys = np.repeat(np.arange(rows), cols).astype(np.float32)
+    xs.flags.writeable = False
+    ys.flags.writeable = False
+    return xs, ys
+
+
+@lru_cache(maxsize=8)
+def _index_pairs(rows: int, cols: int) -> np.ndarray:
+    """Read-only stacked ``(rows * cols, 2)`` ``indexof`` positions."""
+    pairs = np.stack(_index_columns(rows, cols), axis=1)
+    pairs.flags.writeable = False
+    return pairs
+
+
+def _edge_pad(dense: np.ndarray, pad: int) -> np.ndarray:
+    """``np.pad(dense, pad, mode="edge")`` for a 2-D array, filled directly."""
+    rows, cols = dense.shape
+    out = np.empty((rows + 2 * pad, cols + 2 * pad), dtype=dense.dtype)
+    body = out[pad:pad + rows]
+    body[:, pad:pad + cols] = dense
+    body[:, :pad] = dense[:, :1]
+    body[:, pad + cols:] = dense[:, -1:]
+    out[:pad] = body[:1]
+    out[pad + rows:] = body[-1:]
+    return out
+
+
 class _VCtx:
     """Per-launch execution context shared by every compiled closure.
 
     Holds the current activity mask (``None`` while execution is
     un-diverged - the common case that the store closures exploit to
-    skip the ``np.where`` merge), a lazily built ``indexof`` (per
-    column, so a kernel reading only ``idx.x`` never pays for the
-    stack), and the padded gather arrays of the slice plan.
+    skip the ``np.where`` merge), the ``indexof`` values (per column, so
+    a kernel reading only ``idx.x`` never pays for the stack; shared
+    read-only arrays of the launch layout unless the caller passed
+    explicit positions), and the padded gather arrays of the slice plan.
     """
 
     __slots__ = ("size", "gathers", "stats", "layout", "pads", "mask",
-                 "explicit_index", "_index", "_index_x", "_index_y", "_full")
+                 "explicit_index", "_index", "_full")
 
     def __init__(self, size: int, gathers: Dict[str, GatherSource],
                  stats: KernelExecutionStats,
@@ -126,43 +164,27 @@ class _VCtx:
         self.explicit_index = index is not None
         self._index = None if index is None \
             else np.asarray(index, dtype=np.float32)
-        self._index_x: Optional[np.ndarray] = None
-        self._index_y: Optional[np.ndarray] = None
         self._full: Optional[np.ndarray] = None
 
-    # The columns reproduce StreamShape.element_positions bitwise:
-    # x is the column (fastest axis), y the row, both int-range values
-    # converted to float32.
+    def _layout(self) -> Tuple[int, int]:
+        return self.layout if self.layout is not None else (1, self.size)
+
     @property
     def index_x(self) -> np.ndarray:
-        if self._index_x is None:
-            if self._index is not None:
-                self._index_x = self._index[:, 0]
-            elif self.layout is not None:
-                rows, cols = self.layout
-                self._index_x = np.tile(
-                    np.arange(cols), rows).astype(np.float32)
-            else:
-                self._index_x = np.arange(self.size, dtype=np.float32)
-        return self._index_x
+        if self._index is not None:
+            return self._index[:, 0]
+        return _index_columns(*self._layout())[0]
 
     @property
     def index_y(self) -> np.ndarray:
-        if self._index_y is None:
-            if self._index is not None:
-                self._index_y = self._index[:, 1]
-            elif self.layout is not None:
-                rows, cols = self.layout
-                self._index_y = np.repeat(
-                    np.arange(rows), cols).astype(np.float32)
-            else:
-                self._index_y = np.zeros(self.size, dtype=np.float32)
-        return self._index_y
+        if self._index is not None:
+            return self._index[:, 1]
+        return _index_columns(*self._layout())[1]
 
     @property
     def index(self) -> np.ndarray:
         if self._index is None:
-            self._index = np.stack([self.index_x, self.index_y], axis=1)
+            self._index = _index_pairs(*self._layout())
         return self._index
 
     @property
@@ -473,7 +495,7 @@ class _VCompiler:
                 value = np.zeros(shape, dtype=dtype)
             if is_int_decl and not _is_int_dtype(value):
                 value = np.asarray(np.floor(value), dtype=np.int32) \
-                    if not np.issubdtype(np.asarray(value).dtype, np.bool_) \
+                    if np.asarray(value).dtype.kind != "b" \
                     else np.asarray(value, dtype=np.int32)
             env[name] = np.asarray(value)
 
@@ -999,11 +1021,12 @@ class _VCompiler:
                             and (old_arr.ndim == 0
                                  or (old_arr.ndim == 1
                                      and old_arr.shape[0] == ctx.size)):
-                        result_type = np.result_type(value_arr.dtype,
-                                                     old_arr.dtype)
-                        env[name] = value_arr \
-                            if value_arr.dtype == result_type \
-                            else value_arr.astype(result_type)
+                        if value_arr.dtype != old_arr.dtype:
+                            result_type = np.result_type(value_arr.dtype,
+                                                         old_arr.dtype)
+                            if value_arr.dtype != result_type:
+                                value_arr = value_arr.astype(result_type)
+                        env[name] = value_arr
                         return
                     mask = ctx.full_mask
                 env[name] = _merge_masked(materialize(old, ctx.size),
@@ -1065,9 +1088,35 @@ class _VCompiler:
             self._compiling.discard(name)
             self._stmt_reads = saved_reads
 
+        # A straight-line body ending in ``return value`` needs no frame
+        # under the full mask: every lane runs every statement once and
+        # returns, so the flops are the static cost times the lane count
+        # and the return merge selects every lane.  The merge still runs
+        # against float32 zeros so the result dtype is promoted exactly
+        # as _ReturnNode does.  An empty launch keeps the general path,
+        # which runs no node at all there.
+        straight_cost = None
+        if nodes and isinstance(nodes[-1], _ReturnNode) \
+                and nodes[-1].value_fn is not None \
+                and all(isinstance(node, _Seq) for node in nodes[:-1]):
+            straight_cost = sum(node.cost for node in nodes)
+            straight_steps = [step for node in nodes[:-1]
+                              for step in node.steps]
+            return_fn = nodes[-1].value_fn
+
         def call(args, ctx):
             env = {pname: materialize(value, ctx.size).copy()
                    for pname, value in zip(param_names, args)}
+            if straight_cost is not None and ctx.mask is None and ctx.size:
+                ctx.stats.flops += straight_cost * ctx.size
+                for step in straight_steps:
+                    step(env, ctx)
+                value = return_fn(env, ctx)
+                zeros = np.zeros(ctx.size, dtype=np.float32) \
+                    if np.ndim(value) <= 1 \
+                    else np.zeros((ctx.size, np.shape(value)[-1]),
+                                  dtype=np.float32)
+                return _merge_masked(zeros, value, ctx.full_mask)
             frame = _Frame(ctx.size)
             caller_mask = ctx.mask
             mask = caller_mask.copy() if caller_mask is not None \
@@ -1355,10 +1404,12 @@ class VectorizedKernelProgram:
             if param.kind is ParamKind.OUT_STREAM:
                 value = env[param.name]
                 # The interpreter's np.where merges always produce fresh
-                # arrays; the elided stores may hand back an input array
-                # or a slice view, so restore freshness here.
+                # arrays; the elided stores may hand back an input array,
+                # a slice view or a shared read-only indexof column, so
+                # restore freshness here.
+                flags = value.flags
                 if id(value) in input_ids or value.base is not None \
-                        or not value.flags.owndata:
+                        or not flags.owndata or not flags.writeable:
                     value = value.copy()
                 outputs[param.name] = value
                 stats.stream_writes += size
@@ -1379,6 +1430,10 @@ class VectorizedKernelProgram:
         try:
             dense_by_name: Dict[str, np.ndarray] = {}
             pad_by_name: Dict[str, int] = {}
+            # Plans share their clamp-bound closures (``x2 = min(idx.x +
+            # 1.0, width - 1.0)`` serves every gather reading ``x2``), so
+            # each distinct closure is evaluated once per launch.
+            bounds: Dict[Callable, np.ndarray] = {}
             for plan in self._slice_plans:
                 source = ctx.gathers.get(plan.name)
                 if source is None:
@@ -1395,7 +1450,9 @@ class VectorizedKernelProgram:
                                       (plan.col_hi_fn, cols)):
                     if hi_fn is None:
                         continue
-                    bound = np.asarray(hi_fn(env, ctx))
+                    bound = bounds.get(hi_fn)
+                    if bound is None:
+                        bound = bounds[hi_fn] = np.asarray(hi_fn(env, ctx))
                     if bound.ndim != 0 or float(bound) != float(extent - 1):
                         return False
                 pad_by_name[plan.name] = max(pad_by_name[plan.name],
@@ -1404,7 +1461,7 @@ class VectorizedKernelProgram:
             return False
         for name, dense in dense_by_name.items():
             pad = pad_by_name[name]
-            padded = np.pad(dense, pad, mode="edge") if pad else dense
+            padded = _edge_pad(dense, pad) if pad else dense
             ctx.pads[name] = (padded, pad)
         return True
 

@@ -125,15 +125,18 @@ class _PendingItem:
 class _PreparedRequest:
     """Cache entry: streams + prepared plans for one request signature."""
 
-    __slots__ = ("streams", "plans", "pipeline", "launchables")
+    __slots__ = ("streams", "plans", "pipeline", "launchables", "label")
 
-    def __init__(self, streams, plans, pipeline, launchables=None):
+    def __init__(self, streams, plans, pipeline, launchables, label):
         self.streams = streams
         self.plans = plans
         self.pipeline = pipeline
         #: Auto-planned execution order (fused groups + bare plans);
         #: ``None`` outside ``plan="auto"``.
         self.launchables = launchables
+        #: ``_signature_label`` of the request signature, computed once
+        #: on the cache miss that built the entry (hits reuse it).
+        self.label = label
 
     def release(self) -> None:
         for stream in self.streams.values():
@@ -224,14 +227,14 @@ class _ServiceWorker:
                 budget = request.deadline - request.release
             chosen = decision.choose(budget)
             key = (key, chosen.config.key())
-        label = _signature_label(request)
         entry = self._cache.get(key)
         if entry is not None:
             self._cache_hits += 1
-            self._record_sig(label, hit=True)
+            self._record_sig(entry.label, hit=True)
             self._cache.move_to_end(key)
             return entry, True
         self._cache_misses += 1
+        label = _signature_label(request)
         self._record_sig(label, hit=False)
         rt = self.runtime
         _module, streams, plans = prepare_request(rt, request)
@@ -243,7 +246,8 @@ class _ServiceWorker:
             pipeline = (rt.fuse(plans)
                         if self.service.mode == "pipeline" else None)
             launchables = None
-        entry = _PreparedRequest(streams, plans, pipeline, launchables)
+        entry = _PreparedRequest(streams, plans, pipeline, launchables,
+                                 label)
         self._cache[key] = entry
         while len(self._cache) > self.service.plan_cache_size:
             # Defer the stream release to the caller: an evicted entry

@@ -153,6 +153,43 @@ class TestBrookService:
                           for c in per_signature.values())
         assert counters == [(0, 1), (1, 1)]
 
+    def test_per_signature_counters_survive_eviction(self):
+        # A one-entry cache and two alternating signatures: every switch
+        # evicts, and the re-inserted entry must count under the same
+        # label as the one it replaced.
+        data_a = np.arange(16.0, dtype=np.float32)
+        data_b = np.arange(32.0, dtype=np.float32)
+        order = [data_a, data_b, data_a, data_b, data_b]
+        with BrookService(backend="cpu", pool_size=1,
+                          plan_cache_size=1) as service:
+            for index, data in enumerate(order):
+                service.process(make_request(data, name=f"r{index}"))
+            cache = service.service_report()["workers"][0]["plan_cache"]
+        assert cache["entries"] == 1
+        assert cache["hits"] == 1 and cache["misses"] == 4
+        per_signature = cache["per_signature"]
+        assert len(per_signature) == 2
+        assert sorted((c["hits"], c["misses"])
+                      for c in per_signature.values()) == [(0, 2), (1, 2)]
+
+    def test_per_signature_counters_under_auto_plan(self):
+        # plan="auto" extends the cache key with the chosen config; the
+        # counters stay keyed by the request signature alone.
+        data_a = np.arange(16.0, dtype=np.float32)
+        data_b = np.arange(32.0, dtype=np.float32)
+        with BrookService(backend="cpu", pool_size=1,
+                          plan="auto") as service:
+            for index, data in enumerate([data_a, data_a + 1, data_b]):
+                service.process(make_request(data, name=f"r{index}"))
+            cache = service.service_report()["workers"][0]["plan_cache"]
+        assert cache["hits"] == 1 and cache["misses"] == 2
+        per_signature = cache["per_signature"]
+        assert len(per_signature) == 2
+        for label in per_signature:
+            assert label.startswith("scale+offset@")
+        assert sorted((c["hits"], c["misses"])
+                      for c in per_signature.values()) == [(0, 1), (1, 1)]
+
     def test_least_loaded_dispatch_spreads_requests(self):
         data = np.arange(8.0, dtype=np.float32)
         with BrookService(backend="cpu", pool_size=3) as service:
