@@ -15,12 +15,13 @@ launch pays for AST dispatch.
   by **padded-array slices** - one contiguous strided read instead of a
   million random fetches - and the index columns built lazily only when
   the kernel actually reads them;
-* divergent bodies (the BV-301 subset) run through a small region tree
-  whose ``if``/loop drivers replay the masked interpreter's algorithm
-  verbatim - same mask algebra, same ``np.where`` lane merges, same
-  error messages - so results stay bit-identical, while every region's
-  flop count is a compile-time constant multiplied by the live-lane
-  popcount.
+* bodies with control flow run through a small region tree whose
+  ``if``/loop drivers replay the masked interpreter's algorithm - same
+  mask algebra, same ``np.where`` lane merges, same error messages, with
+  ``None`` standing for "every lane live" so exit-free loops and ``if``s
+  under a full mask skip the merges - so results stay bit-identical,
+  while every region's flop count is a compile-time constant multiplied
+  by the live-lane popcount.
 
 Legality is *not* re-derived here: the caller gates compilation on the
 brookvec verdict, whose speculation obligations (masked division,
@@ -37,6 +38,7 @@ report is downgraded to BV-302 and the kernel keeps the interpreter.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import replace
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Set, Tuple
@@ -79,6 +81,7 @@ _MAX_SIMT_STEPS = 1_000_000
 _MAX_EXACT_EXTENT = 1 << 24
 
 _STRAIGHT_LINE_STATEMENTS = (ast.Block, ast.DeclStatement, ast.ExprStatement)
+_EXITS = (ast.BreakStatement, ast.ContinueStatement, ast.ReturnStatement)
 
 
 class _Unsupported(Exception):
@@ -96,6 +99,11 @@ def is_straight_line(body: ast.Statement) -> bool:
     return all(isinstance(node, _STRAIGHT_LINE_STATEMENTS)
                or not isinstance(node, ast.Statement)
                for node in body.walk())
+
+
+def _has_exit(stmt: ast.Statement) -> bool:
+    """Whether ``stmt`` contains a ``break``, ``continue`` or ``return``."""
+    return any(isinstance(node, _EXITS) for node in stmt.walk())
 
 
 # --------------------------------------------------------------------------- #
@@ -194,10 +202,6 @@ class _VCtx:
             self._full = np.ones(self.size, dtype=bool)
         return self._full
 
-    def ones(self) -> np.ndarray:
-        """A fresh, writable all-true mask."""
-        return np.ones(self.size, dtype=bool)
-
 
 def _popcount(ctx: _VCtx, mask: Optional[np.ndarray]) -> int:
     return ctx.size if mask is None else int(mask.sum())
@@ -237,13 +241,15 @@ class _Seq:
 
 
 class _IfNode:
-    __slots__ = ("cond_fn", "cond_cost", "then_nodes", "else_nodes")
+    __slots__ = ("cond_fn", "cond_cost", "then_nodes", "else_nodes",
+                 "exit_free")
 
-    def __init__(self, cond_fn, cond_cost, then_nodes, else_nodes):
+    def __init__(self, cond_fn, cond_cost, then_nodes, else_nodes, exit_free):
         self.cond_fn = cond_fn
         self.cond_cost = cond_cost
         self.then_nodes = then_nodes
         self.else_nodes = else_nodes
+        self.exit_free = exit_free
 
     def exec(self, env, ctx, mask, frame):
         ctx.mask = mask
@@ -253,35 +259,37 @@ class _IfNode:
             # Uniform condition: the interpreter's broadcast mask algebra
             # degenerates to taking one branch with the mask unchanged
             # (and never counts a divergent branch).
-            taken = bool(raw) if raw.dtype == np.bool_ else bool(raw != 0)
-            if taken:
-                return _run_nodes(self.then_nodes, env, ctx, mask, frame)
-            if self.else_nodes is not None:
-                return _run_nodes(self.else_nodes, env, ctx, mask, frame)
-            return mask
+            branch = self.then_nodes if raw else self.else_nodes
+            return mask if branch is None \
+                else _run_nodes(branch, env, ctx, mask, frame)
         cond = as_bool_array(raw, ctx.size)
         base = mask if mask is not None else ctx.full_mask
         then_mask = base & cond
         else_mask = base & ~cond
         if then_mask.any() and else_mask.any():
             ctx.stats.divergent_branches += 1
-        after_then = then_mask
-        if then_mask.any():
-            after_then = _run_nodes(self.then_nodes, env, ctx, then_mask, frame)
-        after_else = else_mask
-        if self.else_nodes is not None and else_mask.any():
-            after_else = _run_nodes(self.else_nodes, env, ctx, else_mask, frame)
-        return after_then | after_else
+        after_then = _run_nodes(self.then_nodes, env, ctx, then_mask, frame)
+        after_else = else_mask if self.else_nodes is None \
+            else _run_nodes(self.else_nodes, env, ctx, else_mask, frame)
+        # Without exits the branches fall through with all their lanes,
+        # so the union is the entry mask - None (full) included.
+        return mask if self.exit_free else after_then | after_else
 
 
 class _LoopNode:
-    """Replays KernelEvaluator._run_loop verbatim over compiled closures."""
+    """Replays KernelEvaluator._run_loop over compiled closures.
+
+    A body without exits needs no :class:`_LoopRecord` and falls through
+    with the mask it ran under, so the loop keeps the caller's mask -
+    None (full) included - until a per-lane condition turns a lane off.
+    """
 
     __slots__ = ("kernel_name", "init_nodes", "cond_fn", "cond_cost",
-                 "body_nodes", "update_fn", "update_cost", "check_before")
+                 "body_nodes", "update_fn", "update_cost", "check_before",
+                 "exits")
 
     def __init__(self, kernel_name, init_nodes, cond_fn, cond_cost,
-                 body_nodes, update_fn, update_cost, check_before):
+                 body_nodes, update_fn, update_cost, check_before, exits):
         self.kernel_name = kernel_name
         self.init_nodes = init_nodes
         self.cond_fn = cond_fn
@@ -290,52 +298,61 @@ class _LoopNode:
         self.update_fn = update_fn
         self.update_cost = update_cost
         self.check_before = check_before
+        self.exits = exits
+
+    def _narrow(self, env, ctx, mask):
+        """``mask & cond``, staying ``None`` while every lane is live."""
+        ctx.mask = mask
+        ctx.stats.flops += self.cond_cost * _popcount(ctx, mask)
+        cond = as_bool_array(self.cond_fn(env, ctx), ctx.size)
+        if mask is None:
+            if cond.shape == (ctx.size,) and cond.all():
+                return None
+            mask = ctx.full_mask
+        return mask & cond
 
     def exec(self, env, ctx, mask, frame):
         if self.init_nodes is not None:
             _run_nodes(self.init_nodes, env, ctx, mask, frame)
-        stats = ctx.stats
-        record = _LoopRecord(ctx.size)
-        frame.loops.append(record)
-        base = mask if mask is not None else ctx.ones()
-        entered = base.copy()
-        iter_mask = base.copy()
+        record = None
+        iter_mask = mask
+        if self.exits:
+            record = _LoopRecord(ctx.size)
+            frame.loops.append(record)
+            if iter_mask is None:
+                iter_mask = np.ones(ctx.size, dtype=bool)
         steps = 0
-        try:
-            while True:
-                if self.check_before or steps > 0:
-                    if self.cond_fn is not None:
-                        ctx.mask = iter_mask
-                        stats.flops += self.cond_cost * int(iter_mask.sum())
-                        cond = as_bool_array(self.cond_fn(env, ctx), ctx.size)
-                        iter_mask = iter_mask & cond
-                if not iter_mask.any():
-                    break
-                steps += 1
-                stats.simt_loop_steps += 1
-                if steps > _MAX_SIMT_STEPS:
-                    raise RuntimeBrookError(
-                        f"kernel {self.kernel_name!r} exceeded "
-                        f"{_MAX_SIMT_STEPS} loop steps; the loop is unbounded "
-                        "or the bound is too large for simulation"
-                    )
+        while True:
+            if self.cond_fn is not None and (self.check_before or steps > 0):
+                iter_mask = self._narrow(env, ctx, iter_mask)
+            if not (ctx.size if iter_mask is None else iter_mask.any()):
+                break
+            steps += 1
+            ctx.stats.simt_loop_steps += 1
+            if steps > _MAX_SIMT_STEPS:
+                raise RuntimeBrookError(
+                    f"kernel {self.kernel_name!r} exceeded "
+                    f"{_MAX_SIMT_STEPS} loop steps; the loop is unbounded "
+                    "or the bound is too large for simulation"
+                )
+            if record is None:
+                _run_nodes(self.body_nodes, env, ctx, iter_mask, frame)
+            else:
                 record.continued[:] = False
                 fall = _run_nodes(self.body_nodes, env, ctx, iter_mask, frame)
                 alive = fall | (record.continued & iter_mask)
-                alive = alive & ~record.broke & ~frame.returned
-                if self.update_fn is not None and alive.any():
-                    ctx.mask = alive
-                    stats.flops += self.update_cost * int(alive.sum())
-                    self.update_fn(env, ctx)
-                iter_mask = alive
-                if not self.check_before and self.cond_fn is not None:
-                    ctx.mask = iter_mask
-                    stats.flops += self.cond_cost * int(iter_mask.sum())
-                    cond = as_bool_array(self.cond_fn(env, ctx), ctx.size)
-                    iter_mask = iter_mask & cond
-        finally:
-            frame.loops.pop()
-        return entered & ~frame.returned
+                iter_mask = alive & ~record.broke & ~frame.returned
+            if self.update_fn is not None \
+                    and (iter_mask is None or iter_mask.any()):
+                ctx.mask = iter_mask
+                ctx.stats.flops += self.update_cost * _popcount(ctx, iter_mask)
+                self.update_fn(env, ctx)
+            if not self.check_before and self.cond_fn is not None:
+                iter_mask = self._narrow(env, ctx, iter_mask)
+        if record is None:
+            return mask
+        frame.loops.pop()
+        return (mask if mask is not None else ctx.full_mask) & ~frame.returned
 
 
 class _ReturnNode:
@@ -415,6 +432,12 @@ class _SlicePlan:
         self.dx = dx
         self.row_hi_fn = row_hi_fn
         self.col_hi_fn = col_hi_fn
+
+
+def _scalar_pair(left: ast.Expression, right: ast.Expression) -> bool:
+    """Whether both operands are typed width 1, so ``align_pair`` is a no-op."""
+    return all(side.type is not None and side.type.width == 1
+               for side in (left, right))
 
 
 def _literal_value(expr: ast.Expression) -> Optional[float]:
@@ -530,7 +553,8 @@ class _VCompiler:
                 else_nodes = None
                 if stmt.else_branch is not None:
                     else_nodes = self.compile_nodes(stmt.else_branch, defined)
-                nodes.append(_IfNode(cond_fn, cond_cost, then_nodes, else_nodes))
+                nodes.append(_IfNode(cond_fn, cond_cost, then_nodes, else_nodes,
+                                     not _has_exit(stmt)))
             elif isinstance(stmt, ast.ForStatement):
                 flush()
                 init_nodes = None
@@ -577,7 +601,8 @@ class _VCompiler:
         else:
             update_fn, update_cost = None, 0
         return _LoopNode(self.kernel.name, init_nodes, cond_fn, cond_cost,
-                         body_nodes, update_fn, update_cost, check_before)
+                         body_nodes, update_fn, update_cost, check_before,
+                         _has_exit(body))
 
     # -- fast (straight-line) compilation ------------------------------ #
     def compile_fast_body(self, body: ast.Statement, defined: Set[str]
@@ -821,25 +846,23 @@ class _VCompiler:
         return fn, cost + 1
 
     _BINARY_OPS = {
-        "+": lambda l, r: l + r,
-        "-": lambda l, r: l - r,
-        "*": lambda l, r: l * r,
-        "<": lambda l, r: l < r,
-        ">": lambda l, r: l > r,
-        "<=": lambda l, r: l <= r,
-        ">=": lambda l, r: l >= r,
-        "==": lambda l, r: l == r,
-        "!=": lambda l, r: l != r,
+        "+": operator.add, "-": operator.sub, "*": operator.mul,
+        "<": operator.lt, ">": operator.gt, "<=": operator.le,
+        ">=": operator.ge, "==": operator.eq, "!=": operator.ne,
     }
 
     def _compile_binary(self, expr: ast.BinaryOp, defined: Set[str]):
         left_fn, c0 = self.compile_expr(expr.left, defined)
         right_fn, c1 = self.compile_expr(expr.right, defined)
-        return self._binary_from_fns(expr.op, left_fn, right_fn), c0 + c1 + 1
+        return self._binary_from_fns(expr.op, left_fn, right_fn,
+                                     _scalar_pair(expr.left, expr.right)
+                                     ), c0 + c1 + 1
 
-    def _binary_from_fns(self, op: str, left_fn: _ExprFn, right_fn: _ExprFn
-                         ) -> _ExprFn:
+    def _binary_from_fns(self, op: str, left_fn: _ExprFn, right_fn: _ExprFn,
+                         scalar_pair: bool) -> _ExprFn:
         simple = self._BINARY_OPS.get(op)
+        if simple is not None and scalar_pair:
+            return lambda env, ctx: simple(left_fn(env, ctx), right_fn(env, ctx))
         if simple is not None:
             def fn(env, ctx):
                 left, right = align_pair(np.asarray(left_fn(env, ctx)),
@@ -885,7 +908,9 @@ class _VCompiler:
             # re-evaluating ``target op value`` (the value expression runs
             # twice, and its flops are counted twice).
             target_fn, target_cost = self.compile_expr(expr.target, defined)
-            combined_fn = self._binary_from_fns(expr.op[:-1], target_fn, value_fn)
+            combined_fn = self._binary_from_fns(
+                expr.op[:-1], target_fn, value_fn,
+                _scalar_pair(expr.target, expr.value))
             cost = value_cost + target_cost + value_cost + 1
 
             def compute(env, ctx):

@@ -9,8 +9,8 @@ back with zero behavior change.
 
 Coverage here mirrors the acceptance criteria: all reference-application
 kernels, seeded random kernels, divergent-branch NaN propagation,
-integer division, gather edge-clamp semantics and the composition
-matrix.
+integer division, gather edge-clamp semantics, the loop and branch
+matrix (uniform loops run unmasked) and the composition matrix.
 """
 
 import random
@@ -19,11 +19,18 @@ import numpy as np
 import pytest
 
 from repro.apps.base import get_application, list_applications
+from repro.backends import base as backend_base
+from repro.backends import gles2_backend
 from repro.backends.gles2_backend import GLES2Backend
+from repro.core import ast_nodes as ast
+from repro.core import parse
 from repro.core.compiler import CompilerOptions, compile_source
+from repro.core.exec import evaluate
+from repro.core.exec import vectorized as vector_tier
 from repro.core.exec.evaluator import KernelEvaluator
 from repro.core.exec.gather import NumpyGatherSource
 from repro.core.exec.vectorized import build_vector_path
+from repro.errors import RuntimeBrookError
 from repro.gles2.device import GPUDeviceProfile
 from repro.gles2.limits import GLES2Limits
 from repro.runtime import BrookRuntime
@@ -64,13 +71,8 @@ def run_differential(source, kernel, size, stream_inputs, scalar_args=None,
     assert interpreted.keys() == vectorized.keys()
     for key in interpreted:
         assert_bitwise(vectorized[key], interpreted[key], f"{kernel}.{key}")
-    istats = evaluator.stats
-    assert stats.flops == istats.flops
-    assert stats.stream_reads == istats.stream_reads
-    assert stats.stream_writes == istats.stream_writes
-    assert stats.gather_fetches == istats.gather_fetches
-    assert stats.divergent_branches == istats.divergent_branches
-    assert stats.elements == istats.elements
+    # The whole dataclass, so a counter added later is compared too.
+    assert stats == evaluator.stats
     return report
 
 
@@ -434,3 +436,395 @@ class TestCompositions:
                 module.clamp01(x, z)
                 results[label] = z.read()
         assert_bitwise(results["vector"], results["interp"], "sharded")
+
+
+# --------------------------------------------------------------------------- #
+# Loops and branches: uniform control flow runs unmasked
+# --------------------------------------------------------------------------- #
+LOOPS = """
+float twice(float v) {
+    return v * 2.0 - 1.0;
+}
+
+float bump(float v) {
+    if (v > 1.0) {
+        return v * 0.5;
+    }
+    return v + 0.25;
+}
+
+kernel void for_n(float x<>, float n, out float r<>) {
+    float acc = x;
+    for (int i = 0; i < n; i = i + 1) {
+        acc = acc * 0.5 + 1.0;
+    }
+    r = acc;
+}
+
+kernel void while_n(float x<>, float n, out float r<>) {
+    float acc = x;
+    float i = 0.0;
+    while (i < n) {
+        acc = acc + x * i;
+        i = i + 1.0;
+    }
+    r = acc;
+}
+
+kernel void do_n(float x<>, float n, out float r<>) {
+    float acc = x;
+    float i = 0.0;
+    do {
+        acc = acc * 1.5 - i;
+        i = i + 1.0;
+    } while (i < n);
+    r = acc;
+}
+
+kernel void lane_trip(float x<>, float n, out float r<>) {
+    float acc = 0.0;
+    for (float i = 0.0; i < x; i = i + 1.0) {
+        acc = acc + i * 0.5;
+    }
+    r = acc + n;
+}
+
+kernel void branch_in_loop(float x<>, float n, out float r<>) {
+    float acc = x;
+    for (int i = 0; i < n; i = i + 1) {
+        if (acc > 1.0) {
+            acc = acc - x * 0.5;
+        } else {
+            acc = acc + 0.75;
+        }
+        acc = acc * 0.9;
+    }
+    r = acc;
+}
+
+kernel void nested(float x<>, float n, out float r<>) {
+    float acc = x;
+    for (int i = 0; i < n; i = i + 1) {
+        for (int j = 0; j < 3; j = j + 1) {
+            acc = acc * 0.5 + float(j);
+        }
+        acc = acc + x;
+    }
+    r = acc;
+}
+
+kernel void helper_in_loop(float x<>, float n, out float r<>) {
+    float acc = x;
+    for (int i = 0; i < n; i = i + 1) {
+        acc = bump(twice(acc)) + 0.125;
+    }
+    r = acc;
+}
+
+kernel void int_counter(float x<>, float n, out float r<>) {
+    int k = 0;
+    for (int i = 0; i < n; i = i + 1) {
+        k = k + i * 2;
+        if (k > 6) {
+            k = k - 5;
+        }
+    }
+    r = x + float(k);
+}
+
+kernel void uniform_break(float x<>, float n, out float r<>) {
+    float acc = x;
+    for (int i = 0; i < 16; i = i + 1) {
+        if (float(i) >= n) {
+            break;
+        }
+        if (float(i) == 2.0) {
+            continue;
+        }
+        acc = acc * 0.5 + 1.0;
+    }
+    r = acc;
+}
+
+kernel void loop_return(float x<>, float n, out float r<>) {
+    r = x;
+    for (int i = 0; i < 16; i = i + 1) {
+        if (float(i) >= n) {
+            return;
+        }
+        r = r + x * 0.5;
+    }
+}
+"""
+
+#: ``lane_trip`` loops ``ceil(x)`` times per lane (the range spec bounds
+#: it); with ``x > 0`` every lane enters, then lanes leave one by one.
+LOOP_SPECS = {"lane_trip": {"params": {"x": (0, 8)}}}
+
+#: (kernel, trip counts ``n``) of the matrix.
+LOOP_CASES = [
+    ("for_n", (0, 1, 5)),
+    ("while_n", (0, 1, 5)),
+    ("do_n", (0, 1, 5)),
+    ("lane_trip", (0,)),
+    ("branch_in_loop", (1, 6)),
+    ("nested", (0, 1, 4)),
+    ("helper_in_loop", (1, 4)),
+    ("int_counter", (0, 1, 6)),
+    ("uniform_break", (0, 1, 5)),
+    ("loop_return", (0, 1, 5)),
+]
+
+
+@pytest.fixture
+def launch_stats(monkeypatch):
+    """Every ``(kernel, KernelExecutionStats)`` the backends evaluate."""
+    recorded = []
+
+    def recording(kernel, *args, **kwargs):
+        outputs, stats = evaluate(kernel, *args, **kwargs)
+        recorded.append((kernel.definition.name, stats))
+        return outputs, stats
+
+    monkeypatch.setattr(backend_base, "evaluate", recording)
+    monkeypatch.setattr(gles2_backend, "evaluate", recording)
+    return recorded
+
+
+def _loop_nodes(program):
+    """Every compiled loop node of a vector program, outermost first."""
+    pending, found = list(program._nodes), []
+    while pending:
+        node = pending.pop(0)
+        if isinstance(node, vector_tier._LoopNode):
+            found.append(node)
+            pending.extend(node.body_nodes)
+        elif isinstance(node, vector_tier._IfNode):
+            pending.extend(node.then_nodes + (node.else_nodes or []))
+    return found
+
+
+class TestLoopAndBranchMatrix:
+    """Outputs and every stats field equal the interpreter's, per backend."""
+
+    def _run(self, backend, options, kernel, data, n, recorded):
+        recorded.clear()
+        with BrookRuntime(backend=backend, compiler_options=options) as rt:
+            module = rt.compile(LOOPS, strict=False, range_specs=LOOP_SPECS)
+            handle = module.program.kernel(kernel)
+            assert (handle.vector_path is None) == (options is INTERP), \
+                handle.vector_report and handle.vector_report.reason
+            x = rt.stream_from(data)
+            r = rt.stream(data.shape)
+            module.kernel(kernel)(x, n, r)
+            return r.read(), list(recorded)
+
+    @pytest.mark.parametrize("backend", ["cpu", "gles2"])
+    @pytest.mark.parametrize("kernel,trips", LOOP_CASES)
+    def test_bitwise_and_stats(self, backend, kernel, trips, rng,
+                               launch_stats):
+        data = rng.uniform(0.25, 3.0, (6, 8)).astype(np.float32)
+        for n in trips:
+            want, want_stats = self._run(backend, INTERP, kernel, data, n,
+                                         launch_stats)
+            got, got_stats = self._run(backend, VECTOR, kernel, data, n,
+                                       launch_stats)
+            assert_bitwise(got, want, f"{kernel}(n={n}) on {backend}")
+            assert got_stats == want_stats, f"{kernel}(n={n}) on {backend}"
+            assert got_stats, "no launch was recorded"
+
+    def test_exit_free_loops_drop_the_loop_record(self):
+        program = compile_source(LOOPS, options=CompilerOptions(
+            strict=False, range_specs=LOOP_SPECS))
+
+        def exits(kernel):
+            return [node.exits
+                    for node in _loop_nodes(program.kernel(kernel).vector_path)]
+
+        assert exits("for_n") == [False]
+        assert exits("nested") == [False, False]
+        assert exits("branch_in_loop") == [False]
+        assert exits("uniform_break") == [True]
+        assert exits("loop_return") == [True]
+
+    def test_uniform_loop_stores_without_lane_merges(self, monkeypatch, rng):
+        # Under the full mask a store is a plain rebinding; only the
+        # first counter update (a 0-d value widening to one per lane)
+        # still merges.
+        merges = []
+        real_merge = vector_tier._merge_masked
+
+        def counting(*args):
+            merges.append(1)
+            return real_merge(*args)
+
+        monkeypatch.setattr(vector_tier, "_merge_masked", counting)
+        program = compile_source(LOOPS, options=CompilerOptions(strict=False))
+        vec = program.kernel("branch_in_loop").vector_path
+        x = rng.uniform(0.25, 3.0, 64).astype(np.float32)
+        _, stats = vec.run(64, stream_inputs={"x": x},
+                           scalar_args={"n": 12.0})
+        assert stats.simt_loop_steps == 12
+        # Per trip: two masked stores in the divergent branches; the
+        # trailing ``acc = acc * 0.9`` and the counter update merge no
+        # lanes once the counter is per-lane.
+        assert len(merges) == 1 + 2 * 12
+
+
+class TestEdgeLaunches:
+    SOURCE = """
+    kernel void edge(float x<>, float n, out float r<>) {
+        float acc = x;
+        for (int i = 0; i < n; i = i + 1) {
+            if (acc > 1.0) {
+                acc = acc * 0.5;
+            }
+            acc = acc + 0.25;
+        }
+        r = acc;
+    }
+    """
+
+    @pytest.mark.parametrize("size", [0, 1])
+    @pytest.mark.parametrize("n", [0.0, 3.0])
+    def test_empty_and_single_lane_launch(self, size, n, rng):
+        x = rng.uniform(0.0, 3.0, size).astype(np.float32)
+        run_differential(self.SOURCE, "edge", size, {"x": x}, {"n": n})
+
+    @pytest.mark.parametrize("kernel", ["for_n", "uniform_break"])
+    def test_step_limit_error_is_unchanged(self, kernel, monkeypatch):
+        monkeypatch.setattr(vector_tier, "_MAX_SIMT_STEPS", 4)
+        program = compile_source(LOOPS, options=CompilerOptions(strict=False))
+        handle = program.kernel(kernel)
+        x = np.ones(8, dtype=np.float32)
+        args = dict(stream_inputs={"x": x}, scalar_args={"n": 10.0})
+        with pytest.raises(RuntimeBrookError) as want:
+            KernelEvaluator(handle.definition, program.helpers(),
+                            max_simt_steps=4).run(8, **args)
+        with pytest.raises(RuntimeBrookError) as got:
+            handle.vector_path.run(8, **args)
+        assert str(got.value) == str(want.value)
+        assert "exceeded 4 loop steps" in str(got.value)
+
+
+# --------------------------------------------------------------------------- #
+# Loops inside fused, tiled, scalarized and untyped kernels
+# --------------------------------------------------------------------------- #
+LOOP_PIPE = """
+kernel void grow(float x<>, float n, out float y<>) {
+    float acc = x;
+    for (int i = 0; i < n; i = i + 1) {
+        acc = acc * 0.5 + 1.0;
+    }
+    y = acc;
+}
+
+kernel void fold(float y<>, float n, out float z<>) {
+    float2 p = indexof(z);
+    float acc = y;
+    for (int i = 0; i < n; i = i + 1) {
+        if (acc > 1.5 + p.x * 0.125) {
+            acc = acc - 0.25;
+        }
+        acc = acc * 1.25 - p.y * 0.0625;
+    }
+    z = acc;
+}
+"""
+
+SWIRL = """
+kernel void swirl(float2 v<>, float n, out float w<>) {
+    float2 acc = float2(v.x, v.y);
+    for (int i = 0; i < n; i = i + 1) {
+        acc = acc * 0.5 + float2(v.y, 1.0) * v.x;
+        if (acc.x > acc.y) {
+            acc.y = acc.y + v.x;
+        }
+    }
+    w = acc.x + acc.y * 0.5;
+}
+"""
+
+
+class TestLoopCompositions:
+    def _fused(self, options, data, recorded):
+        recorded.clear()
+        with BrookRuntime(backend="cpu", compiler_options=options) as rt:
+            module = rt.compile(LOOP_PIPE, strict=False)
+            x = rt.stream_from(data)
+            y = rt.stream(data.shape)
+            z = rt.stream(data.shape)
+            plan = rt.fuse([module.grow.bind(x, 3.0, y),
+                            module.fold.bind(y, 4.0, z)])
+            fused = [seg for seg, _ in plan.segments
+                     if isinstance(seg, FusedPlan)]
+            assert len(fused) == 1
+            assert (fused[0].kernel.vector_path is None) == (options is INTERP)
+            plan.launch()
+            return z.read(), list(recorded)
+
+    def test_fused_loops(self, rng, launch_stats):
+        data = rng.uniform(0.0, 3.0, (8, 8)).astype(np.float32)
+        want, want_stats = self._fused(INTERP, data, launch_stats)
+        got, got_stats = self._fused(VECTOR, data, launch_stats)
+        assert_bitwise(got, want, "fused loops")
+        assert got_stats == want_stats
+
+    def test_tiled_loops(self, rng, launch_stats):
+        data = rng.uniform(0.0, 3.0, (16, 16)).astype(np.float32)
+        results = {}
+        for label, options in (("interp", INTERP), ("vector", VECTOR)):
+            launch_stats.clear()
+            with tiny_gles2_runtime(options) as rt:
+                module = rt.compile(LOOP_PIPE, strict=False)
+                y = rt.stream_from(data)
+                z = rt.stream((16, 16))
+                module.fold(y, 5.0, z)
+                assert rt.statistics.launches[-1].tiles > 1
+                results[label] = (z.read(), list(launch_stats))
+        assert_bitwise(results["vector"][0], results["interp"][0], "tiled")
+        assert results["vector"][1] == results["interp"][1]
+
+    @pytest.mark.parametrize("positions", ["layout", "index"])
+    def test_scalarized_float2_loops(self, positions, rng):
+        # The runtime binds the original (float2) signature, so the split
+        # kernel runs directly: with a layout as on cpu, and with explicit
+        # indexof positions as in a gles2 fragment pass.
+        program = compile_source(SWIRL, options=CompilerOptions(
+            strict=False, scalarize=True))
+        handle = program.kernel("swirl")
+        assert [p.name for p in handle.definition.params] == \
+            ["v_x", "v_y", "n", "w"]
+        layout = (4, 8)
+        index = np.stack(np.meshgrid(np.arange(8, dtype=np.float32),
+                                     np.arange(4, dtype=np.float32)),
+                         axis=-1).reshape(-1, 2)
+        inputs = {name: rng.uniform(0.0, 2.0, 32).astype(np.float32)
+                  for name in ("v_x", "v_y")}
+        evaluator = KernelEvaluator(handle.definition, program.helpers())
+        want = evaluator.run(32, stream_inputs=inputs,
+                             scalar_args={"n": 3.0}, index=index)
+        where = {"layout": layout} if positions == "layout" \
+            else {"index": index}
+        got, stats = handle.vector_path.run(
+            32, stream_inputs=inputs, scalar_args={"n": 3.0}, **where)
+        assert_bitwise(got["w"], want["w"], "scalarized swirl")
+        assert stats == evaluator.stats
+
+    def test_untyped_ast_keeps_the_aligning_path(self, rng):
+        # Without semantic analysis every node has ``type is None``, so
+        # each binary op keeps align_pair (float2 against float here).
+        kernel = parse(SWIRL).functions[0]
+        assert all(node.type is None for node in kernel.walk()
+                   if isinstance(node, ast.Expression))
+        size = 32
+        inputs = {"v": rng.uniform(0.0, 2.0, (size, 2)).astype(np.float32)}
+        evaluator = KernelEvaluator(kernel, {})
+        want = evaluator.run(size, stream_inputs=inputs,
+                             scalar_args={"n": 3.0})
+        vec, report = build_vector_path(kernel, {})
+        assert vec is not None, report.reason
+        got, stats = vec.run(size, stream_inputs=inputs,
+                             scalar_args={"n": 3.0})
+        assert_bitwise(got["w"], want["w"], "untyped swirl")
+        assert stats == evaluator.stats
