@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.parser import parse
+from repro.core.compiler import compile_source
 from repro.runtime.reduction import multipass_reduce
 from repro.timing import TARGET_PLATFORM
 from repro.timing.gpu_model import GPUWorkload
@@ -61,7 +61,7 @@ def test_ablation_fold_factor_tradeoff(benchmark, publish):
 
 def test_ablation_functional_reduction(benchmark):
     """The functional multipass engine (2x2) reproduces the NumPy sum."""
-    kernel = parse(SUM_KERNEL).kernels[0]
+    kernel = compile_source(SUM_KERNEL).kernel("total")
     data = np.random.default_rng(2).uniform(0, 1, (64, 64)).astype(np.float32)
 
     def reduce():

@@ -12,7 +12,8 @@ All backends execute kernels through the same engine,
 whole-array vector program (:mod:`repro.core.exec.vectorized`),
 everything else goes through the masked SIMT interpreter
 (:mod:`repro.core.exec.evaluator`).  Reductions run on the multipass
-reduction engine (:mod:`repro.runtime.reduction`).  Backends differ in
+reduction engine (:mod:`repro.runtime.reduction`), whose folds go
+through the same :func:`~repro.core.exec.evaluate`.  Backends differ in
 where stream data lives, how much precision survives storage, how
 gather accesses behave at the edges and which hardware limits apply.
 
@@ -41,6 +42,7 @@ from ..runtime.profiling import KernelLaunchRecord, TransferRecord
 from ..runtime.shape import StreamShape
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..runtime.reduction import ReductionResult
     from ..runtime.stream import Stream
 
 __all__ = ["StreamStorage", "Backend", "create_backend"]
@@ -251,13 +253,31 @@ class Backend(abc.ABC):
         input_stream: "Stream",
     ) -> "tuple[float, KernelLaunchRecord]":
         """Run a multipass reduction of ``input_stream`` to a scalar."""
-        from ..runtime.reduction import multipass_reduce
+        result = self._reduce_storage(kernel, helpers, input_stream.storage)
+        return result.value, result.record(kernel.name)
 
-        result = multipass_reduce(
-            kernel.definition, helpers, self.device_view(input_stream.storage),
-            quantize=self._reduction_quantize(),
-        )
-        return result.value, _reduction_record(kernel, result)
+    def _reduce_storage(self, kernel: CompiledKernel,
+                        helpers: Dict[str, ast.FunctionDef],
+                        storage: StreamStorage) -> "ReductionResult":
+        """Multipass-reduce one storage of this device.
+
+        A reduction pass samples 2x2 blocks of one texture, so it cannot
+        cross tile boundaries: a tiled storage reduces tile by tile and
+        the per-tile partials fold with the same kernel.  The storage
+        model (RGBA8 round trip on OpenGL ES 2) applies between every
+        pass of both stages, exactly as for an untiled reduction.
+        """
+        from ..runtime.reduction import combine_partials, multipass_reduce
+        from ..runtime.tiling import TiledStorage
+
+        quantize = self._reduction_quantize()
+        if not isinstance(storage, TiledStorage):
+            return multipass_reduce(kernel, helpers,
+                                    self.device_view(storage), quantize)
+        return combine_partials(kernel, helpers, [
+            multipass_reduce(kernel, helpers, self.device_view(tile), quantize)
+            for tile in storage.tiles
+        ], quantize)
 
     def _reduction_quantize(self):
         """Storage model applied to reduction results before they are kept
@@ -287,9 +307,13 @@ class Backend(abc.ABC):
         into a stream that fits one texture instead).
         """
         from ..runtime.reduction import partial_reduce
+        from ..runtime.sharding import ShardedStorage
         from ..runtime.tiling import TiledStorage
 
-        if isinstance(output_stream.storage, TiledStorage):
+        storage = output_stream.storage
+        pieces = storage.shards if isinstance(storage, ShardedStorage) \
+            else [storage]
+        if any(isinstance(piece, TiledStorage) for piece in pieces):
             raise KernelLaunchError(
                 f"reduction output stream {output_stream.name!r} of shape "
                 f"{tuple(output_stream.shape.dims)} exceeds the device "
@@ -309,11 +333,11 @@ class Backend(abc.ABC):
             )
         data = self.device_view(input_stream.storage)
         result = partial_reduce(
-            kernel.definition, helpers, np.asarray(data, dtype=np.float32),
-            output_stream.shape.layout_2d, quantize=self._reduction_quantize(),
+            kernel, helpers, data, output_stream.shape.layout_2d,
+            quantize=self._reduction_quantize(),
         )
-        self._store_reduction_output(output_stream.storage, result.values)
-        return _reduction_record(kernel, result)
+        self._store_reduction_output(storage, result.values)
+        return result.record(kernel.name)
 
     # ------------------------------------------------------------------ #
     # Shared execution helper
@@ -338,18 +362,6 @@ class Backend(abc.ABC):
         return evaluate(kernel, helpers, domain.element_count, stream_values,
                         gathers, scalar_args, index=index_map,
                         layout=domain.layout_2d)
-
-
-def _reduction_record(kernel: CompiledKernel, result) -> KernelLaunchRecord:
-    """Launch record of one (full or partial) multipass reduction."""
-    return KernelLaunchRecord(
-        kernel=kernel.name,
-        elements=result.elements_processed,
-        flops=result.flops,
-        texture_fetches=result.texture_fetches,
-        passes=result.passes,
-        reduction=True,
-    )
 
 
 def create_backend(name: str, device: Optional[str] = None) -> Backend:

@@ -15,8 +15,8 @@ layer all talk to "the backend" exactly as before, and the wrapper
   logical transfer with the per-device driver call count,
 * dispatches kernel launches through
   :func:`~repro.runtime.sharding.launch_sharded` (one concurrent pass
-  per device) and reductions through
-  :func:`~repro.runtime.sharding.sharded_reduce`.
+  per device); reductions fold per-device partials with
+  :func:`~repro.runtime.reduction.combine_partials`.
 
 Capability questions (target limits, fusion launchability, gather
 semantics) delegate to device 0 - the group is homogeneous by
@@ -25,6 +25,7 @@ construction.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -35,15 +36,14 @@ from ..core.analysis.sharding import ShardPlan
 from ..core.compiler import CompiledKernel
 from ..errors import KernelLaunchError, RuntimeBrookError
 from ..runtime.profiling import KernelLaunchRecord, TransferRecord
+from ..runtime.reduction import combine_partials
 from ..runtime.shape import StreamShape
 from ..runtime.sharding import (
     DeviceGroup,
     ShardedStorage,
     launch_sharded,
     shard_stream_shape,
-    sharded_reduce,
 )
-from ..runtime.tiling import TiledStorage
 from .base import Backend, StreamStorage
 
 __all__ = ["ShardedBackend"]
@@ -242,9 +242,35 @@ class ShardedBackend(Backend):
         helpers: Dict[str, ast.FunctionDef],
         input_stream,
     ):
-        if isinstance(input_stream.storage, ShardedStorage):
-            return sharded_reduce(self, kernel, helpers, input_stream)
-        return self.devices[0].reduce(kernel, helpers, input_stream)
+        """Reduce a sharded stream: per-device partials, then combine.
+
+        Each device reduces its own band concurrently (tile by tile when
+        the band is itself tiled); the partials travel to device 0 (halo
+        traffic: one value per remote shard) and fold there with the
+        same kernel, as a tiled stream's partials do on one device.
+        Like a tiled reduction this reassociates the operator: exactly
+        associative reductions (``min``/``max``, integer-valued sums)
+        are bit-identical to ``devices=1``; general floating-point sums
+        can differ by the usual reassociation ULPs, which Brook's
+        associativity requirement on reduction operators allows.
+        """
+        storage = input_stream.storage
+        if not isinstance(storage, ShardedStorage):
+            return self.devices[0].reduce(kernel, helpers, input_stream)
+        plan = storage.plan
+        partials = self.run([
+            (lambda s=shard: self.devices[s.index]._reduce_storage(
+                kernel, helpers, storage.shards[s.index]))
+            for shard in plan.shards
+        ])
+        result = combine_partials(kernel, helpers, partials,
+                                  self._reduction_quantize())
+        # ``tiles``: one plus every shard's tiles beyond its first.
+        record = replace(result.record(kernel.name),
+                         tiles=result.tiles - (plan.shard_count - 1),
+                         shards=plan.shard_count,
+                         halo_bytes=(plan.shard_count - 1) * 4)
+        return result.value, record
 
     def _store_reduction_output(self, storage: StreamStorage,
                                 values: np.ndarray) -> None:
@@ -255,12 +281,6 @@ class ShardedBackend(Backend):
         rows, cols = storage.shape.layout_2d
         shaped = np.asarray(values, dtype=np.float32).reshape(rows, cols)
         for shard, shard_storage in zip(plan.shards, storage.shards):
-            if isinstance(shard_storage, TiledStorage):
-                raise KernelLaunchError(
-                    f"reduction output stream {storage.name!r} has a shard "
-                    "that itself exceeds the device texture limit; reduce "
-                    "into a stream whose bands fit one texture each"
-                )
             band = plan.slice(shaped, shard)
             shard_rows, shard_cols = shard_storage.shape.layout_2d
             self.devices[shard.index]._store_reduction_output(

@@ -52,7 +52,7 @@ def lint_program(program, specs: Optional[Dict[str, dict]] = None,
             param_bounds=param_bounds.get(kernel.name))
         report.kernels.append(kernel.name)
         facts = kernel_facts(analysis, ctx)
-        if kernel.is_kernel and not kernel.is_reduction:
+        if kernel.is_kernel:
             facts.update(vector_report.to_facts())
         report.facts[kernel.name] = facts
         report.diagnostics.extend(

@@ -341,7 +341,7 @@ _STRAIGHT = (ast.Block, ast.DeclStatement, ast.ExprStatement)
 
 def _check_straight_line(kernel: ast.FunctionDef, source_file: str,
                      vector_report=None) -> Iterable[Diagnostic]:
-    if not kernel.is_kernel or kernel.is_reduction:
+    if not kernel.is_kernel:
         return
     if is_straight_line(kernel.body):
         return
@@ -380,7 +380,7 @@ def _check_straight_line(kernel: ast.FunctionDef, source_file: str,
 def vectorization_diagnostics(kernel: ast.FunctionDef, vector_report,
                               source_file: str) -> List[Diagnostic]:
     """One BV-3xx note per kernel, built from a brookvec report."""
-    if not kernel.is_kernel or kernel.is_reduction:
+    if not kernel.is_kernel:
         return []
     verdict = vector_report.verdict
     message = vector_report.reason or LINT_RULES[verdict].summary

@@ -265,12 +265,7 @@ class _Analyzer:
     def run(self) -> VectorizationReport:
         kernel = self.kernel
         if not kernel.is_kernel:
-            self._fallback("not a map kernel", kernel.location)
-            return self.report
-        if kernel.is_reduction:
-            self._fallback(
-                "reduction kernels fold across lanes and stay on the "
-                "interpreter", kernel.location)
+            self._fallback("not a kernel", kernel.location)
             return self.report
 
         for param in kernel.params:

@@ -49,6 +49,7 @@ def evaluate(
     scalar_args: Dict[str, float],
     index: Optional[np.ndarray] = None,
     layout: Optional[Tuple[int, int]] = None,
+    reduce_inputs: Optional[Dict[str, np.ndarray]] = None,
 ) -> Tuple[Dict[str, np.ndarray], KernelExecutionStats]:
     """Run a compiled kernel's body once over ``element_count`` threads.
 
@@ -59,7 +60,8 @@ def evaluate(
     fragment passes); without it, ``layout`` is the ``(rows, cols)`` of
     the domain, from which the positions are derived (lazily by the
     vector program, which also needs the layout for its padded-slice
-    gathers).
+    gathers).  ``reduce_inputs`` holds the accumulators of a reduction
+    kernel's ``reduce`` parameters, returned updated with the outputs.
     """
     if kernel.vector_path is not None:
         return kernel.vector_path.run(
@@ -69,6 +71,7 @@ def evaluate(
             gathers=gathers,
             index=index,
             layout=layout if index is None else None,
+            reduce_inputs=reduce_inputs,
         )
     if index is None and layout is not None:
         index = layout_positions(*layout)
@@ -79,5 +82,6 @@ def evaluate(
         scalar_args=scalar_args,
         gathers=gathers,
         index=index,
+        reduce_inputs=reduce_inputs,
     )
     return outputs, evaluator.stats

@@ -1364,11 +1364,18 @@ class VectorizedKernelProgram:
         gathers: Optional[Dict[str, GatherSource]] = None,
         index: Optional[np.ndarray] = None,
         layout: Optional[Tuple[int, int]] = None,
+        reduce_inputs: Optional[Dict[str, np.ndarray]] = None,
     ) -> Tuple[Dict[str, np.ndarray], KernelExecutionStats]:
-        """Execute the vector program over ``element_count`` threads."""
+        """Execute the vector program over ``element_count`` threads.
+
+        ``reduce_inputs`` holds the initial accumulator of every
+        ``reduce`` parameter; a float32 copy is bound and returned with
+        the ``out`` streams (reduction kernels only).
+        """
         stream_inputs = dict(stream_inputs or {})
         scalar_args = dict(scalar_args or {})
         gathers = dict(gathers or {})
+        reduce_inputs = reduce_inputs or {}
         size = int(element_count)
         stats = KernelExecutionStats(elements=size)
         ctx = _VCtx(size, gathers, stats, index=index, layout=layout)
@@ -1407,6 +1414,14 @@ class VectorizedKernelProgram:
                 width = param.type.width
                 shape = (size,) if width == 1 else (size, width)
                 env[param.name] = np.zeros(shape, dtype=np.float32)
+            elif param.kind is ParamKind.REDUCE:
+                if param.name not in reduce_inputs:
+                    raise KernelLaunchError(
+                        f"missing reduce accumulator {param.name!r} for "
+                        f"kernel {kernel.name!r}"
+                    )
+                env[param.name] = np.array(reduce_inputs[param.name],
+                                           dtype=np.float32, copy=True)
 
         fetch_before = {name: source.fetch_count
                         for name, source in gathers.items()}
@@ -1426,7 +1441,7 @@ class VectorizedKernelProgram:
 
         outputs: Dict[str, np.ndarray] = {}
         for param in kernel.params:
-            if param.kind is ParamKind.OUT_STREAM:
+            if param.kind in (ParamKind.OUT_STREAM, ParamKind.REDUCE):
                 value = env[param.name]
                 # The interpreter's np.where merges always produce fresh
                 # arrays; the elided stores may hand back an input array,
@@ -1579,10 +1594,6 @@ def build_vector_path(
                                               param_bounds=param_bounds)
     if not report.vectorizable:
         return None, report
-    if kernel.is_reduction or not kernel.is_kernel:
-        return None, replace(
-            report, verdict=VERDICT_FALLBACK,
-            reason="reduction kernels run through the multipass reducer")
     try:
         program = _compile_program(kernel, helpers)
     except _Unsupported as exc:

@@ -76,8 +76,8 @@ class ComplianceEntry:
     #: (``summary()`` of the application's :class:`LintReport`); empty
     #: for the counter-example, which never reaches the linter.
     lint_summary: Dict[str, int] = field(default_factory=dict)
-    #: brookvec evidence: per-kernel BV-3xx verdict (map kernels only;
-    #: reductions run the multipass reducer and are not counted).
+    #: brookvec evidence: per-kernel BV-3xx verdict of every kernel,
+    #: reductions included (their folds run the same tiers).
     vector_verdicts: Dict[str, str] = field(default_factory=dict)
 
     @property

@@ -40,7 +40,7 @@ from ..core.compiler import CompiledKernel
 from ..core.transforms.fuse import fuse_compiled
 from ..errors import FusionError, KernelLaunchError
 from .stream import Stream
-from .tiling import TiledStorage, launch_tile_plan, launch_tiled, tiled_reduce
+from .tiling import launch_tile_plan, launch_tiled
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core import ast_nodes as ast
@@ -183,17 +183,9 @@ class LaunchPlan:
                 self._reduce_piece, helpers, self._reduce_input, accumulator
             ))
             return accumulator.read()
-        if isinstance(self._reduce_input.storage, TiledStorage):
-            # One reduction pass cannot sample across tile textures:
-            # reduce each tile, then combine the partials with the same
-            # kernel (see repro.runtime.tiling.tiled_reduce).
-            value, record = tiled_reduce(
-                backend, self._reduce_piece, helpers, self._reduce_input
-            )
-        else:
-            value, record = backend.reduce(
-                self._reduce_piece, helpers, self._reduce_input
-            )
+        value, record = backend.reduce(
+            self._reduce_piece, helpers, self._reduce_input
+        )
         records.append(record)
         # If the caller passed a 1-element stream for the accumulator, fill it.
         if accumulator is not None:

@@ -22,9 +22,9 @@ through a :class:`DeviceGroup` worker pool:
   ``launch_tiled``'s single ``prepare_gathers`` call, which is what
   keeps in-place launches (gather source == output stream) bit-identical
   to a single-device pass.
-* **Reductions** mirror ``tiled_reduce``: each device reduces its band
-  with the normal multipass engine and the per-device partials are
-  folded with the same kernel (:func:`sharded_reduce`).
+* **Reductions** (``ShardedBackend.reduce``) mirror a tiled reduction:
+  each device reduces its band with the multipass engine and the
+  per-device partials are folded with the same kernel.
 * A shard that still exceeds its device's texture limit is **tiled
   transparently**: the per-device storage is an ordinary
   :class:`~repro.runtime.tiling.TiledStorage` and the shard pass runs
@@ -54,12 +54,11 @@ from ..core.analysis.sharding import (
 from ..core.exec.gather import GatherSource
 from ..errors import KernelLaunchError, StreamError
 from .profiling import KernelLaunchRecord
-from .reduction import multipass_reduce
 from .shape import StreamShape
-from .tiling import TiledStorage, launch_tiled, tiled_reduce
+from .tiling import TiledStorage, launch_tiled
 
 __all__ = ["ShardedStorage", "HaloGatherSource", "DeviceGroup",
-           "launch_sharded", "sharded_reduce", "shard_stream_shape"]
+           "launch_sharded", "shard_stream_shape"]
 
 
 def shard_stream_shape(plan: ShardPlan, shard: ShardSlice) -> StreamShape:
@@ -500,84 +499,3 @@ def launch_sharded(
             if isinstance(storage, ShardedStorage):
                 storage.invalidate_view()
     return aggregate_shard_records(records, plan.shard_count, halo_bytes)
-
-
-# --------------------------------------------------------------------------- #
-# Reductions
-# --------------------------------------------------------------------------- #
-def sharded_reduce(group, kernel, helpers, input_stream
-                   ) -> "tuple[float, KernelLaunchRecord]":
-    """Reduce a sharded stream: per-device partials, then combine.
-
-    Each device reduces its own band with the normal multipass engine
-    (through :func:`~repro.runtime.tiling.tiled_reduce` when the band is
-    itself tiled) and the per-device partial values are folded with the
-    *same* reduce kernel, mirroring ``tiled_reduce`` one level up.  The
-    per-device storage model (RGBA8 round trips on OpenGL ES 2) applies
-    between the passes of every stage, exactly as on one device.
-
-    Like a tiled reduction, the partial-then-combine structure
-    reassociates the operator: exactly associative reductions
-    (``min``/``max``, integer-valued sums) are bit-identical to
-    ``devices=1``; general floating-point sums can differ by the usual
-    reassociation ULPs (Brook requires reduction operators to be
-    associative, so any such difference is within the language
-    contract).
-    """
-    storage: ShardedStorage = input_stream.storage
-    plan = storage.plan
-
-    def reduce_shard(shard: ShardSlice):
-        device = group.devices[shard.index]
-        shard_storage = storage.shards[shard.index]
-        if isinstance(shard_storage, TiledStorage):
-            view = _ShardStreamView(input_stream, shard_storage,
-                                    shard_stream_shape(plan, shard),
-                                    shard.index)
-            value, record = tiled_reduce(device, kernel, helpers, view)
-            return (value, record.passes, record.elements, record.flops,
-                    record.texture_fetches, record.tiles)
-        data = device.device_view(shard_storage)
-        result = multipass_reduce(
-            kernel.definition, helpers, np.asarray(data, dtype=np.float32),
-            quantize=device._reduction_quantize(),
-        )
-        return (result.value, result.passes, result.elements_processed,
-                result.flops, result.texture_fetches, 1)
-
-    results = group.run([
-        (lambda s=shard: reduce_shard(s)) for shard in plan.shards
-    ])
-    partials = [r[0] for r in results]
-    passes = sum(r[1] for r in results)
-    elements = sum(r[2] for r in results)
-    flops = sum(r[3] for r in results)
-    fetches = sum(r[4] for r in results)
-    tiles = sum(r[5] for r in results) - (plan.shard_count - 1)
-
-    value = partials[0]
-    if len(partials) > 1:
-        # The partials travel to one device (halo traffic: one value per
-        # remote shard) and fold there with the same kernel.
-        combine = multipass_reduce(
-            kernel.definition, helpers,
-            np.asarray(partials, dtype=np.float32).reshape(1, -1),
-            quantize=group.devices[0]._reduction_quantize(),
-        )
-        value = combine.value
-        passes += combine.passes
-        elements += combine.elements_processed
-        flops += combine.flops
-        fetches += combine.texture_fetches
-    record = KernelLaunchRecord(
-        kernel=kernel.name,
-        elements=elements,
-        flops=flops,
-        texture_fetches=fetches,
-        passes=passes,
-        reduction=True,
-        tiles=tiles,
-        shards=plan.shard_count,
-        halo_bytes=(plan.shard_count - 1) * 4,
-    )
-    return value, record

@@ -23,9 +23,10 @@ launched.  The engine makes oversized domains a first-class scenario:
   aggregated into a single record carrying ``tiles=N``, which the
   :class:`~repro.timing.gpu_model.GPUModel` prices with its
   tiling-overhead term.
-* :func:`tiled_reduce` reduces each tile with the normal multipass
-  engine and then combines the per-tile partials with the same kernel,
-  because a single reduction pass cannot sample across tile textures.
+* Reductions of a tiled stream (``Backend.reduce``) reduce each tile
+  with the multipass engine and then combine the per-tile partials with
+  the same kernel, because a single reduction pass cannot sample across
+  tile textures.
 
 Integration is transparent: :class:`~repro.runtime.launch.LaunchPlan`
 and :class:`~repro.runtime.launch.FusedPlan` consult the plan at launch
@@ -44,10 +45,9 @@ from ..core.analysis.resources import TargetLimits
 from ..core.analysis.tiling import TileRect, folded_layout, tile_grid
 from ..errors import KernelLaunchError
 from .profiling import KernelLaunchRecord
-from .reduction import multipass_reduce
 from .shape import StreamShape
 
-__all__ = ["TilePlan", "TiledStorage", "launch_tiled", "tiled_reduce"]
+__all__ = ["TilePlan", "TiledStorage", "launch_tiled"]
 
 
 class TilePlan:
@@ -338,53 +338,3 @@ def launch_tiled(
             if isinstance(storage, TiledStorage):
                 storage.invalidate_view()
     return aggregate_tile_records(records, plan.tile_count)
-
-
-def tiled_reduce(backend, kernel, helpers, input_stream
-                 ) -> "tuple[float, KernelLaunchRecord]":
-    """Reduce a tiled stream: per-tile multipass, then combine partials.
-
-    A reduction pass samples 2x2 blocks of one texture, so it cannot
-    cross tile boundaries; each tile reduces independently and the
-    per-tile partial values are folded together with the *same* reduce
-    kernel (associativity is what Brook requires of reduction operators
-    anyway).  The backend's storage model (RGBA8 round trip on OpenGL
-    ES 2) applies between every pass of both stages, exactly as it does
-    for an untiled reduction.
-    """
-    storage: TiledStorage = input_stream.storage
-    quantize = backend._reduction_quantize()
-    partials: List[float] = []
-    passes = elements = flops = fetches = 0
-    for tile_storage in storage.tiles:
-        data = backend.device_view(tile_storage)
-        result = multipass_reduce(kernel.definition, helpers,
-                                  np.asarray(data, dtype=np.float32),
-                                  quantize=quantize)
-        partials.append(result.value)
-        passes += result.passes
-        elements += result.elements_processed
-        flops += result.flops
-        fetches += result.texture_fetches
-    value = partials[0]
-    if len(partials) > 1:
-        combine = multipass_reduce(
-            kernel.definition, helpers,
-            np.asarray(partials, dtype=np.float32).reshape(1, -1),
-            quantize=quantize,
-        )
-        value = combine.value
-        passes += combine.passes
-        elements += combine.elements_processed
-        flops += combine.flops
-        fetches += combine.texture_fetches
-    record = KernelLaunchRecord(
-        kernel=kernel.name,
-        elements=elements,
-        flops=flops,
-        texture_fetches=fetches,
-        passes=passes,
-        reduction=True,
-        tiles=storage.tile_count,
-    )
-    return value, record

@@ -2,7 +2,7 @@
 
 The compiled tier is the brookvec vector program
 (repro.core.exec.vectorized).  It must (a) be attached to every kernel
-brookvec approves, straight-line or divergent, and to no reduction,
+brookvec approves, straight-line or divergent, reductions included,
 (b) produce bit-identical outputs and equivalent work statistics to the
 masked interpreter, and (c) leave the kernels brookvec rejects, and
 every kernel when the switch is off, on the interpreter.
@@ -13,7 +13,7 @@ import pytest
 
 from repro.apps.base import get_application, list_applications
 from repro.core.compiler import CompilerOptions, compile_source
-from repro.core.exec.vectorized import compile_vector_path, is_straight_line
+from repro.core.exec.vectorized import is_straight_line
 from repro.core.exec.evaluator import KernelEvaluator
 from repro.core.exec.gather import NumpyGatherSource
 from repro.errors import KernelLaunchError
@@ -74,6 +74,17 @@ reduce void total(float v<>, reduce float acc) {
 """
 
 
+REDUCTIONS = """
+reduce void total(float v<>, reduce float acc) { acc += v; }
+reduce void peak(float v<>, reduce float acc) { acc = max(acc, v); }
+reduce void peak_if(float v<>, reduce float acc) {
+    if (v > acc) {
+        acc = v;
+    }
+}
+"""
+
+
 @pytest.fixture(scope="module")
 def program():
     return compile_source(STRAIGHT_SOURCE, strict=False,
@@ -97,9 +108,25 @@ class TestQualification:
         assert program.kernel("spinning").vector_path is None
         assert program.kernel("spinning").vector_report.verdict == "BV-302"
 
-    def test_reductions_never_qualify(self, program):
-        assert program.kernel("total").vector_path is None
-        assert compile_vector_path(program.kernel("total").definition) is None
+    def test_reductions_qualify(self):
+        # A reduce kernel's folds run through the same tiers as a map
+        # kernel: its vector program binds a copy of the accumulator and
+        # returns it updated.
+        program = compile_source(REDUCTIONS, strict=False)
+        values = np.array([2.0, -1.0, 0.5], dtype=np.float32)
+        start = np.array([1.0, -2.0, 3.0], dtype=np.float32)
+        for name, verdict, want in (
+                ("total", "BV-300", [3.0, -3.0, 3.5]),
+                ("peak", "BV-300", [2.0, -1.0, 3.0]),
+                ("peak_if", "BV-301", [2.0, -1.0, 3.0])):
+            kernel = program.kernel(name)
+            assert kernel.vector_report.verdict == verdict, name
+            accumulator = start.copy()
+            outputs, _ = kernel.vector_path.run(
+                3, stream_inputs={"v": values},
+                reduce_inputs={"acc": accumulator})
+            np.testing.assert_array_equal(outputs["acc"], want)
+            np.testing.assert_array_equal(accumulator, start)
 
     def test_is_straight_line_predicate(self, program):
         assert is_straight_line(program.kernel("mixdown").definition.body)

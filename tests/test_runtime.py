@@ -12,7 +12,7 @@ from repro.errors import (
 )
 from repro.runtime import BrookRuntime
 from repro.runtime.reduction import multipass_reduce
-from repro.core.parser import parse
+from repro.core.compiler import compile_source
 
 
 SAXPY = "kernel void saxpy(float a, float x<>, float y<>, out float r<>) { r = a * x + y; }"
@@ -299,12 +299,20 @@ class TestReductions:
         assert module.total(stream) == pytest.approx(float(data.sum()))
 
     def test_multipass_reduce_engine_directly(self):
-        kernel = parse(self.SUM).kernels[0]
+        kernel = compile_source(self.SUM).kernel("total")
         data = np.arange(35, dtype=np.float32).reshape(5, 7)
         result = multipass_reduce(kernel, {}, data)
         assert result.value == pytest.approx(float(data.sum()))
         assert result.passes == 3
         assert result.elements_processed > 0
+
+    def test_multipass_reduce_pass_bound(self, monkeypatch):
+        from repro.runtime import reduction
+        monkeypatch.setattr(reduction, "MAX_PASSES", 2)
+        kernel = compile_source(self.SUM).kernel("total")
+        data = np.ones((5, 7), dtype=np.float32)   # needs 3 passes
+        with pytest.raises(KernelLaunchError, match="did not converge"):
+            multipass_reduce(kernel, {}, data)
 
 
 class TestPartialReductions:
@@ -357,7 +365,7 @@ class TestPartialReductions:
 
     def test_partial_reduce_engine_directly(self):
         from repro.runtime.reduction import partial_reduce
-        kernel = parse(self.SUM).kernels[0]
+        kernel = compile_source(self.SUM).kernel("total")
         data = np.arange(24, dtype=np.float32).reshape(4, 6)
         result = partial_reduce(kernel, {}, data, (2, 3))
         expected = data.reshape(2, 2, 3, 2).sum(axis=(1, 3))

@@ -77,6 +77,12 @@ kernel void helped(float x<>, out float r<>) {
 reduce void total(float v<>, reduce float acc) {
     acc += v;
 }
+
+reduce void biggest(float v<>, reduce float acc) {
+    if (v > acc) {
+        acc = v;
+    }
+}
 """
 
 
@@ -164,12 +170,16 @@ class TestConsistency:
         assert vec is None
         assert not report.vectorizable
 
-    def test_reductions_are_downgraded(self, program):
-        kernel = program.kernel("total").definition
-        vec, report = build_vector_path(kernel, program.helpers())
-        assert vec is None
-        assert report.verdict == VERDICT_FALLBACK
-        assert "reduction" in report.reason
+    def test_reductions_are_vectorized(self, program):
+        for name, verdict, want in (("total", VERDICT_VECTORIZED, [6.0, 4.0]),
+                                    ("biggest", VERDICT_MASKED, [4.0, 3.0])):
+            kernel = program.kernel(name).definition
+            vec, report = build_vector_path(kernel, program.helpers())
+            assert report.verdict == verdict, name
+            outputs, _ = vec.run(
+                2, stream_inputs={"v": np.float32([4.0, 1.0])},
+                reduce_inputs={"acc": np.float32([2.0, 3.0])})
+            np.testing.assert_array_equal(outputs["acc"], want)
 
 
 # --------------------------------------------------------------------------- #
@@ -221,7 +231,7 @@ class TestLintIntegration:
         report = lint_program(program)
         assert report.facts["straight"]["vector_verdict"] == VERDICT_VECTORIZED
         assert report.facts["whiles"]["vector_verdict"] == VERDICT_FALLBACK
-        assert "vector_verdict" not in report.facts["total"]
+        assert report.facts["total"]["vector_verdict"] == VERDICT_VECTORIZED
 
     def test_bl110_cross_references_the_verdict(self, program):
         report = lint_program(program)
@@ -242,6 +252,8 @@ class TestLintIntegration:
         assert rules["divergent"] == "BV-301"
         assert rules["whiles"] == "BV-302"
         assert rules["masked_div"] == "BV-303"
+        assert rules["total"] == "BV-300"
+        assert rules["biggest"] == "BV-301"
 
     def test_bv_rules_are_registered(self):
         for code in ("BV-300", "BV-301", "BV-302", "BV-303"):

@@ -10,7 +10,8 @@ back with zero behavior change.
 Coverage here mirrors the acceptance criteria: all reference-application
 kernels, seeded random kernels, divergent-branch NaN propagation,
 integer division, gather edge-clamp semantics, the loop and branch
-matrix (uniform loops run unmasked) and the composition matrix.
+matrix (uniform loops run unmasked), the composition matrix and the
+reduction folds (scalar, block-wise, tiled and sharded).
 """
 
 import random
@@ -22,6 +23,7 @@ from repro.apps.base import get_application, list_applications
 from repro.backends import base as backend_base
 from repro.backends import gles2_backend
 from repro.backends.gles2_backend import GLES2Backend
+from repro.backends.sharded import ShardedBackend
 from repro.core import ast_nodes as ast
 from repro.core import parse
 from repro.core.compiler import CompilerOptions, compile_source
@@ -30,10 +32,11 @@ from repro.core.exec import vectorized as vector_tier
 from repro.core.exec.evaluator import KernelEvaluator
 from repro.core.exec.gather import NumpyGatherSource
 from repro.core.exec.vectorized import build_vector_path
-from repro.errors import RuntimeBrookError
+from repro.errors import KernelLaunchError, RuntimeBrookError
 from repro.gles2.device import GPUDeviceProfile
 from repro.gles2.limits import GLES2Limits
-from repro.runtime import BrookRuntime
+from repro.runtime import BrookRuntime, quantize_roundtrip
+from repro.runtime import reduction
 from repro.runtime.launch import FusedPlan
 from repro.service import prepare_request
 from repro.service.bench import build_adas_request
@@ -116,8 +119,7 @@ class TestApplications:
                               compiler_options=VECTOR) as rt:
                 module = app.compile(rt)
                 for kernel in module.program.kernels.values():
-                    if not kernel.definition.is_reduction:
-                        check(app_name, kernel)
+                    check(app_name, kernel)
         frame = np.zeros((16, 16), dtype=np.float32)
         with BrookRuntime(backend="cpu") as rt:
             module, _, plans = prepare_request(
@@ -373,7 +375,7 @@ kernel void clamp01(float y<>, out float z<>) {
 """
 
 
-def tiny_gles2_runtime(options, max_texture_size=8):
+def tiny_gles2_backend(max_texture_size=8):
     profile = GPUDeviceProfile(
         name=f"tiny-{max_texture_size}",
         limits=GLES2Limits(name=f"tiny-{max_texture_size}",
@@ -384,7 +386,11 @@ def tiny_gles2_runtime(options, max_texture_size=8):
         texture_fetch_ns=2.0,
         fill_rate_mpixels=100.0,
     )
-    return BrookRuntime(backend=GLES2Backend(profile),
+    return GLES2Backend(profile)
+
+
+def tiny_gles2_runtime(options, max_texture_size=8):
+    return BrookRuntime(backend=tiny_gles2_backend(max_texture_size),
                         compiler_options=options)
 
 
@@ -588,6 +594,7 @@ def launch_stats(monkeypatch):
 
     monkeypatch.setattr(backend_base, "evaluate", recording)
     monkeypatch.setattr(gles2_backend, "evaluate", recording)
+    monkeypatch.setattr(reduction, "evaluate", recording)
     return recorded
 
 
@@ -828,3 +835,204 @@ class TestLoopCompositions:
                              scalar_args={"n": 3.0})
         assert_bitwise(got["w"], want["w"], "untyped swirl")
         assert stats == evaluator.stats
+
+
+# --------------------------------------------------------------------------- #
+# Reductions: every fold runs through evaluate()
+# --------------------------------------------------------------------------- #
+REDUCE = """
+float twice(float v) {
+    return v + v;
+}
+
+reduce void rsum(float v<>, reduce float acc) {
+    acc += v;
+}
+
+reduce void rmax(float v<>, reduce float acc) {
+    acc = max(acc, v);
+}
+
+reduce void rpeak(float v<>, reduce float acc) {
+    if (v > acc) {
+        acc = v;
+    }
+}
+
+reduce void rtwice(float v<>, reduce float acc) {
+    acc = acc + twice(v);
+}
+"""
+REDUCE_KERNELS = ["rsum", "rmax", "rpeak", "rtwice"]
+REDUCE_SHAPES = [(1, 1), (1, 7), (7, 1), (5, 3), (63, 65), (256, 256),
+                 (1000,)]
+#: Shapes that tile (or fold and tile) on a 16-texel device.
+TILED_SHAPES = [(5, 3), (20, 13), (40, 33), (1000,)]
+
+
+def _reduce_runtime(target, options):
+    if target == "tiled":
+        return tiny_gles2_runtime(options, max_texture_size=16)
+    if target == "sharded-tiled":
+        # Two 16-texel devices: every band of a TILED_SHAPES stream
+        # past (5, 3) is itself tiled.
+        return BrookRuntime(
+            backend=ShardedBackend([tiny_gles2_backend(16),
+                                    tiny_gles2_backend(16)]),
+            compiler_options=options)
+    if target == "cpu-x2":
+        return BrookRuntime(backend="cpu", devices=2,
+                            compiler_options=options)
+    return BrookRuntime(backend=target, compiler_options=options)
+
+
+def _clamped_reference(definition, helpers, data, quantize=None):
+    """The 2x2 multipass fold written with clamped fancy indexing."""
+    live = np.asarray(data, dtype=np.float32)
+    live = live.reshape(1, -1) if live.ndim == 1 else live
+    passes = flops = 0
+    while live.size > 1:
+        height, width = live.shape
+        oy, ox = np.mgrid[0:(height + 1) // 2, 0:(width + 1) // 2]
+        accumulator = live[2 * oy, 2 * ox]
+        for dy, dx in ((0, 1), (1, 0), (1, 1)):
+            ys, xs = 2 * oy + dy, 2 * ox + dx
+            valid = (ys < height) & (xs < width)
+            if not valid.any():
+                continue
+            neighbour = live[np.minimum(ys, height - 1),
+                             np.minimum(xs, width - 1)]
+            evaluator = KernelEvaluator(definition, helpers)
+            outputs = evaluator.run(
+                accumulator.size,
+                stream_inputs={"v": neighbour.reshape(-1)},
+                reduce_inputs={"acc": accumulator.reshape(-1)})
+            combined = outputs["acc"].reshape(accumulator.shape)
+            accumulator = np.where(valid, combined,
+                                   accumulator).astype(np.float32)
+            flops += evaluator.stats.flops
+        if quantize is not None:
+            accumulator = np.asarray(quantize(accumulator), dtype=np.float32)
+        live = accumulator
+        passes += 1
+    return live.reshape(-1)[0], passes, flops
+
+
+class TestReductions:
+    """Reduced value, ``reduce_into`` output, every launch-record field
+    and every fold's stats equal the interpreter's, per backend and
+    path."""
+
+    def _run(self, target, options, kernel, data, out_shape, recorded):
+        recorded.clear()
+        with _reduce_runtime(target, options) as rt:
+            module = rt.compile(REDUCE, strict=False)
+            handle = module.program.kernel(kernel)
+            assert (handle.vector_path is None) == (options is INTERP)
+            x = rt.stream_from(data)
+            if out_shape is None:
+                result = np.float32(module.kernel(kernel)(x, 0.0))
+            else:
+                accumulator = rt.stream(out_shape)
+                module.kernel(kernel)(x, accumulator)
+                result = accumulator.read()
+            return result, list(rt.statistics.launches), list(recorded)
+
+    def _check(self, target, kernel, data, out_shape, recorded):
+        want = self._run(target, INTERP, kernel, data, out_shape, recorded)
+        got = self._run(target, VECTOR, kernel, data, out_shape, recorded)
+        label = f"{kernel}{data.shape}->{out_shape} on {target}"
+        assert_bitwise(got[0], want[0], label)
+        assert got[1] == want[1], label
+        folds, want_folds = got[2], want[2]
+        if target in ("sharded-tiled", "cpu-x2"):
+            # Devices fold their bands concurrently, in any order.
+            folds, want_folds = sorted(folds, key=repr), \
+                sorted(want_folds, key=repr)
+        assert folds == want_folds, label
+        assert got[1][-1].reduction, label
+        # Folds run exactly when the output is smaller than the input.
+        out_count = 1 if out_shape is None else int(np.prod(out_shape))
+        assert bool(got[2]) == (data.size > out_count), label
+        return got[1][-1]
+
+    @pytest.mark.parametrize("target", ["cpu", "gles2", "cal"])
+    @pytest.mark.parametrize("kernel", REDUCE_KERNELS)
+    def test_scalar(self, target, kernel, rng, launch_stats):
+        for shape in REDUCE_SHAPES:
+            data = rng.uniform(-4.0, 4.0, shape).astype(np.float32)
+            self._check(target, kernel, data, None, launch_stats)
+
+    @pytest.mark.parametrize("target", ["cpu", "gles2", "cal"])
+    @pytest.mark.parametrize("kernel", REDUCE_KERNELS)
+    def test_reduce_into(self, target, kernel, rng, launch_stats):
+        data = rng.uniform(-4.0, 4.0, (12, 18)).astype(np.float32)
+        for out_shape in ((3, 6), (4, 9), (1, 1), (12, 18)):
+            self._check(target, kernel, data, out_shape, launch_stats)
+
+    #: (elements, flops, texture_fetches, passes, tiles, shards,
+    #: halo_bytes) of ``rsum`` over (40, 33): 3x3 tiles on one device;
+    #: two bands of 2x3 tiles each on two devices, partials combined on
+    #: device 0.
+    PINNED = {"tiled": (1793, 1322, 1896, 39, 9, 1, 0),
+              "sharded-tiled": (1800, 1321, 1924, 51, 11, 2, 4)}
+
+    @pytest.mark.parametrize("target", ["tiled", "sharded-tiled", "cpu-x2"])
+    @pytest.mark.parametrize("kernel", REDUCE_KERNELS)
+    def test_tiled_and_sharded(self, target, kernel, rng, launch_stats):
+        for shape in TILED_SHAPES:
+            data = rng.uniform(-4.0, 4.0, shape).astype(np.float32)
+            record = self._check(target, kernel, data, None, launch_stats)
+            if kernel == "rsum" and shape == (40, 33) \
+                    and target in self.PINNED:
+                assert (record.elements, record.flops,
+                        record.texture_fetches, record.passes,
+                        record.tiles, record.shards,
+                        record.halo_bytes) == self.PINNED[target]
+        if target != "cpu-x2":
+            data = rng.uniform(-4.0, 4.0, (12, 18)).astype(np.float32)
+            for out_shape in ((3, 6), (4, 9), (1, 1)):
+                self._check(target, kernel, data, out_shape, launch_stats)
+
+    @pytest.mark.parametrize("quantize", [None, quantize_roundtrip])
+    @pytest.mark.parametrize("kernel", REDUCE_KERNELS)
+    def test_pairing_matches_the_clamped_reference(self, kernel, quantize,
+                                                   rng):
+        # The strided quadrants of the edge-padded array pair exactly
+        # the elements the clamped 2x2 gather pairs.
+        program = compile_source(REDUCE, options=CompilerOptions(
+            strict=False))
+        compiled = program.kernel(kernel)
+        for shape in REDUCE_SHAPES[:-2] + [(1000,), (2, 9), (9, 2)]:
+            data = rng.uniform(-4.0, 4.0, shape).astype(np.float32)
+            want, passes, flops = _clamped_reference(
+                compiled.definition, program.helpers(), data, quantize)
+            got = reduction.multipass_reduce(compiled, program.helpers(),
+                                             data, quantize)
+            assert_bitwise(got.value, want, f"{kernel}{shape}")
+            assert (got.passes, got.flops) == (passes, flops)
+
+    @pytest.mark.parametrize("target", ["cpu", "gles2", "cal"])
+    def test_one_to_one_reduce_into_owns_its_output(self, target):
+        # No fold runs: the output receives the input values and keeps
+        # them after the input stream is overwritten.
+        data = np.arange(6, dtype=np.float32).reshape(2, 3)
+        with _reduce_runtime(target, VECTOR) as rt:
+            module = rt.compile(REDUCE, strict=False)
+            x = rt.stream_from(data)
+            accumulator = rt.stream((2, 3))
+            module.rsum(x, accumulator)
+            x.write(np.zeros_like(data))
+            assert_bitwise(accumulator.read(), data, target)
+
+    def test_missing_accumulator_error_is_unchanged(self):
+        program = compile_source(REDUCE, options=CompilerOptions(
+            strict=False))
+        compiled = program.kernel("rsum")
+        values = {"v": np.zeros(4, dtype=np.float32)}
+        with pytest.raises(KernelLaunchError) as vector_error:
+            compiled.vector_path.run(4, stream_inputs=values)
+        with pytest.raises(KernelLaunchError) as interp_error:
+            KernelEvaluator(compiled.definition, {}).run(
+                4, stream_inputs=values)
+        assert str(vector_error.value) == str(interp_error.value)
