@@ -8,8 +8,8 @@ three claims BENCH_autoplan.json exists to witness:
   brute-force scan of the full candidate table (the planner cannot
   quietly pick a non-optimal row);
 * **never worse than unplanned** - the chosen config's modelled time is
-  <= the unplanned baseline (unfused, single batch, the runtime's
-  device count), because the baseline is itself in the candidate set;
+  <= the unplanned baseline (unfused, the runtime's device count),
+  because the baseline is itself in the candidate set;
 * **bit-exactness** - executing the chosen config (fused groups,
   sharded device groups, tiled textures, in whatever combination the
   planner picked) produces outputs bit-identical to running the same
@@ -137,8 +137,7 @@ def _serial_cpu_reference(builder, size):
 def _run_config(label, builder, size, runtime_kwargs, reference):
     with BrookRuntime(**runtime_kwargs) as rt:
         plans, outs = BUILDERS[builder](rt, size)
-        decision = rt.autoplan(plans, platform=PLATFORM, max_batch=8,
-                               label=label)
+        decision = rt.autoplan(plans, platform=PLATFORM, label=label)
         # Independent exhaustive re-scan of the candidate table: the
         # argmin the planner claims must be the argmin that is there.
         selectable = [c for c in decision.candidates if c.selectable]
@@ -194,7 +193,7 @@ def _render_table(rows) -> str:
     lines.append("")
     lines.append("modelled basis: analytic GPUModel pricing of the "
                  "candidate's bounded work counters; baseline = unfused, "
-                 "single batch, the runtime's own device count")
+                 "the runtime's own device count")
     lines.append("bitwise basis: chosen-config execution vs. serial "
                  "unfused single-CPU-device run of the same pipeline")
     return "\n".join(lines)
@@ -231,9 +230,9 @@ def test_autoplan_decisions(publish):
         "bitwise_identical": bitwise,
         "speedup_basis": (
             "modelled execution time of the chosen configuration vs. the "
-            "unplanned baseline (unfused, single batch, same device "
-            "count), both priced by the analytic GPUModel on the same "
-            "platform; no wall-clock claims"),
+            "unplanned baseline (unfused, same device count), both priced "
+            "by the analytic GPUModel on the same platform; no wall-clock "
+            "claims"),
     }
     BENCH_PATH.write_text(json.dumps(payload, indent=2, default=str) + "\n")
     publish("autoplan", _render_table(rows))

@@ -72,14 +72,13 @@ def _soundness_case(label, **service_kwargs):
 @pytest.fixture(scope="module")
 def soundness_matrix(publish):
     cases = [
-        _soundness_case("plain", backend="cpu", fuse="off"),
-        _soundness_case("fused", backend="cpu", fuse="pipeline"),
-        _soundness_case("queue", backend="cpu", fuse="queue"),
-        _soundness_case("sharded", backend="cpu", fuse="pipeline", devices=2),
+        _soundness_case("plain", backend="cpu", fuse=False),
+        _soundness_case("fused", backend="cpu", fuse=True),
+        _soundness_case("sharded", backend="cpu", fuse=True, devices=2),
         # 40x40 frames on the constrained ES2 profile (512 max texture,
         # square/power-of-two only) force the tiled execution engine.
         _soundness_case("tiled-gles2", backend="gles2",
-                        device="constrained-es2", fuse="off", size=40),
+                        device="constrained-es2", fuse=False, size=40),
     ]
     lines = ["WCET soundness matrix (modelled actual vs static bound):",
              f"{'case':>14} {'requests':>9} {'min margin':>11} {'sound':>6}"]

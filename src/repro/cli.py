@@ -24,8 +24,8 @@ compiler is used in a build system:
   work bounds the deadline-aware serving layer relies on.
 * ``brookauto autoplan`` - run the cost-model auto-planner on the ADAS
   image pipeline and print the per-candidate pricing table (fusion /
-  devices / batching) with the chosen configuration and its modelled
-  speedup over the unplanned baseline.
+  devices) with the chosen configuration and its modelled speedup over
+  the unplanned baseline.
 * ``brookauto lint`` - run the brooklint interval/range analysis over
   ``.br`` sources, Python files with embedded kernel strings, or the
   registered reference applications (``--apps``), emitting findings as a
@@ -550,7 +550,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 overload=(args.overload if args.overload is not None
                           else 2.0),
                 deadline_ms=args.deadline_ms,
-                fuse=args.fuse,
+                fuse=not args.no_fuse,
                 devices=args.devices,
                 platform=args.platform,
                 sanitize=args.sanitize,
@@ -562,7 +562,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 size=args.size,
                 requests=args.requests,
                 pool_sizes=pool_sizes,
-                fuse=args.fuse,
+                fuse=not args.no_fuse,
                 devices=args.devices,
                 sanitize=args.sanitize,
             )
@@ -606,7 +606,6 @@ def _cmd_autoplan(args: argparse.Namespace) -> int:
                     request, module.program, rt, plans,
                     platform=args.platform,
                     executable_devices=rt.device_count,
-                    max_batch=args.max_batch,
                     limits=rt.backend.target_limits(),
                 )
                 deadline_s = (args.deadline_ms * 1e-3
@@ -790,8 +789,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--devices", type=int, default=1,
                               help="devices per worker runtime: each request "
                                    "is sharded across a device group")
-    serve_parser.add_argument("--fuse", default="pipeline",
-                              choices=("pipeline", "queue", "off"))
+    serve_parser.add_argument("--no-fuse", action="store_true",
+                              help="launch one pass per kernel call instead "
+                                   "of one fused pass per request")
     serve_parser.add_argument("--overload", type=float, default=None,
                               help="deadline mode: offered load as a multiple "
                                    "of pool capacity (EDF + WCET admission "
@@ -827,8 +827,6 @@ def build_parser() -> argparse.ArgumentParser:
                                       "executable device count)")
     autoplan_parser.add_argument("--platform", default="target",
                                  help="timing platform pricing the candidates")
-    autoplan_parser.add_argument("--max-batch", type=int, default=8,
-                                 help="largest queue batch to enumerate")
     autoplan_parser.add_argument("--deadline-ms", type=float, default=None,
                                  help="also resolve the deadline-constrained "
                                       "choice for this budget (exit 1 when "

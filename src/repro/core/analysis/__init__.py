@@ -13,8 +13,8 @@ ISO 26262 / MISRA-style guidelines require an answer to at compile time:
   given that every Brook Auto stream is statically sized?
 * :mod:`wcet` - what is the worst-case work (and, priced through the
   platform cost model, time) a kernel launch can cost?
-* :mod:`planner` - which execution configuration (fusion, devices,
-  batching) should a pipeline use, given the platform cost model and,
+* :mod:`planner` - which execution configuration (fusion, devices)
+  should a pipeline use, given the platform cost model and,
   optionally, a deadline its WCET bound must fit?
 * :mod:`dataflow` - is a whole launch *pipeline* free of races,
   use-after-release and dead intermediates (stream-level dependency DAG

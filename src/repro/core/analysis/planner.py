@@ -1,12 +1,12 @@
 """Cost-model-driven auto-planner: pick the execution config by pricing it.
 
-Fusion (PR 2), tiling (PR 3), queue batching (PR 4) and multi-device
-sharding (PR 5) each expose a knob the caller has had to pick by hand
-per platform.  This module turns those four manual knobs into one
-self-driving decision: enumerate the candidate execution configurations
-of a prepared pipeline, price every candidate with the same analytic
-:class:`~repro.timing.gpu_model.GPUModel` that prices recorded work and
-WCET bounds, and return the argmin as a :class:`PlanDecision`.
+Fusion, tiling and multi-device sharding each expose a knob the caller
+has had to pick by hand per platform.  This module turns those manual
+knobs into one self-driving decision: enumerate the candidate execution
+configurations of a prepared pipeline, price every candidate with the
+same analytic :class:`~repro.timing.gpu_model.GPUModel` that prices
+recorded work and WCET bounds, and return the argmin as a
+:class:`PlanDecision`.
 
 The candidate space per pipeline signature:
 
@@ -23,11 +23,7 @@ The candidate space per pipeline signature:
 * **tile geometry** - not a free knob: the tile decomposition is a pure
   function of (shape, device limits), so each candidate is priced with
   the tile count its launches would actually use
-  (:meth:`GPUModel.tiling_overhead` per switch);
-* **queue batching** - how many requests a service worker drains into
-  one round.  Batching amortises host-side dispatch, not modelled GPU
-  time, so batch variants price identically and the deterministic
-  tie-break prefers the larger batch.
+  (:meth:`GPUModel.tiling_overhead` per switch).
 
 Each candidate additionally carries ``host_eval_s``: the predicted host
 functional-simulation cost of its launches, priced per element by the
@@ -45,9 +41,9 @@ halo/replication traffic predicted from the per-kernel access
 classification (:func:`~repro.core.analysis.sharding.classify_kernel`),
 then prices through ``GPUModel.time_seconds`` /
 ``sharded_time_seconds`` and subtracts ``fusion_savings`` for the fused
-groups of the candidate.  Because the un-fused single-batch
-configuration is always in the candidate set, the chosen config's
-modelled time is never worse than the unplanned baseline.
+groups of the candidate.  Because the un-fused configuration is always
+in the candidate set, the chosen config's modelled time is never worse
+than the unplanned baseline.
 
 Deadline interaction (the PR-6 follow-up): when a request carries a
 deadline, :meth:`PlanDecision.choose` first drops every candidate whose
@@ -156,17 +152,14 @@ class CandidateConfig:
     axis: str
     #: Fuse groups toggled *on*, as tuples of contiguous plan indices.
     fused_groups: Tuple[Tuple[int, ...], ...]
-    #: Requests a service worker drains into one processing round.
-    batch: int
 
     def key(self) -> Tuple:
         """Hashable identity (stable across processes)."""
-        return (self.devices, self.axis, self.fused_groups, self.batch)
+        return (self.devices, self.axis, self.fused_groups)
 
     def describe(self) -> str:
         fused = ",".join(f"{g[0]}-{g[-1]}" for g in self.fused_groups) or "-"
-        return (f"devices={self.devices} axis={self.axis} "
-                f"fused=[{fused}] batch={self.batch}")
+        return f"devices={self.devices} axis={self.axis} fused=[{fused}]"
 
 
 @dataclass(frozen=True)
@@ -201,7 +194,6 @@ class PlanCandidate:
             "axis": self.config.axis,
             "fused_groups": [list(group) for group in
                              self.config.fused_groups],
-            "batch": self.config.batch,
             "modelled_ms": self.modelled_s * 1e3,
             "wcet_ms": self.wcet_s * 1e3,
             "host_eval_ms": self.host_eval_s * 1e3,
@@ -216,10 +208,10 @@ class PlanDecision:
     """The planner's verdict for one pipeline signature.
 
     ``candidates`` is the full priced table in enumeration order (most
-    fused first, then devices ascending, natural axis first, larger
-    batch first); ``chosen`` is the argmin over the selectable rows with
-    first-wins tie-breaking, so the same signature on the same platform
-    always yields the same decision regardless of dict iteration order.
+    fused first, then devices ascending, natural axis first); ``chosen``
+    is the argmin over the selectable rows with first-wins tie-breaking,
+    so the same signature on the same platform always yields the same
+    decision regardless of dict iteration order.
     """
 
     label: str
@@ -298,7 +290,7 @@ class PlanDecision:
             f"  natural shard axis: {self.natural_axis}",
         ]
         header = (f"  {'':2}{'devices':>7} {'axis':>5} {'fused':>12} "
-                  f"{'batch':>5} {'modelled_ms':>12} {'wcet_ms':>10}  status")
+                  f"{'modelled_ms':>12} {'wcet_ms':>10}  status")
         lines.append(header)
         for candidate in self.candidates:
             config = candidate.config
@@ -311,7 +303,7 @@ class PlanDecision:
             mark = "* " if candidate is self.chosen else "  "
             lines.append(
                 f"  {mark}{config.devices:>7} {config.axis:>5} {fused:>12} "
-                f"{config.batch:>5} {candidate.modelled_s * 1e3:>12.4f} "
+                f"{candidate.modelled_s * 1e3:>12.4f} "
                 f"{candidate.wcet_s * 1e3:>10.4f}  {status}")
         for boundary in self.fusion_boundaries:
             lines.append(f"  boundary {boundary}")
@@ -587,7 +579,6 @@ def plan_pipeline(
     platform: str = "target",
     device_counts: Sequence[int] = DEFAULT_DEVICE_COUNTS,
     executable_devices: Optional[int] = None,
-    max_batch: int = 1,
     limits: Optional[TargetLimits] = None,
     label: Optional[str] = None,
     wcet_by_devices: Optional[Dict[int, float]] = None,
@@ -605,8 +596,6 @@ def plan_pipeline(
             candidates matching it are selectable (the rest stay in the
             table as fleet advice).  ``None`` makes every enumerated
             count selectable.
-        max_batch: Largest queue batch to enumerate (the service's
-            ``max_batch``).
         limits: Target limits bounding the tile decomposition (defaults
             to the runtime backend's).
         label: Decision label (defaults to the kernel chain).
@@ -645,7 +634,6 @@ def plan_pipeline(
     counts = sorted({max(1, int(count)) for count in device_counts})
     if executable_devices is not None and executable_devices not in counts:
         counts = sorted(set(counts) | {int(executable_devices)})
-    batches = sorted({1, max(1, int(max_batch))}, reverse=True)
     map_layouts = [info.domain.layout_2d for info in infos
                    if not info.is_reduction]
     layout = map_layouts[0] if map_layouts else infos[0].domain.layout_2d
@@ -672,25 +660,23 @@ def plan_pipeline(
                 if not feasible:
                     reason = (f"layout {layout} shards into {natural} bands; "
                               f"{axis} bands are not available")
-                for batch in batches:
-                    candidates.append(PlanCandidate(
-                        config=CandidateConfig(
-                            devices=devices, axis=axis,
-                            fused_groups=subset, batch=batch),
-                        modelled_s=modelled_s,
-                        wcet_s=wcet_s,
-                        feasible=feasible,
-                        executable=executable,
-                        reason=reason,
-                        host_eval_s=host_eval_s,
-                    ))
+                candidates.append(PlanCandidate(
+                    config=CandidateConfig(
+                        devices=devices, axis=axis, fused_groups=subset),
+                    modelled_s=modelled_s,
+                    wcet_s=wcet_s,
+                    feasible=feasible,
+                    executable=executable,
+                    reason=reason,
+                    host_eval_s=host_eval_s,
+                ))
 
     base_devices = (int(executable_devices)
                     if executable_devices is not None else counts[0])
     baseline = next(
         c for c in candidates
         if not c.config.fused_groups and c.config.devices == base_devices
-        and c.config.axis == natural and c.config.batch == 1)
+        and c.config.axis == natural)
 
     chosen: Optional[PlanCandidate] = None
     for candidate in candidates:
@@ -727,7 +713,6 @@ def plan_service_request(
     platform: str = "target",
     device_counts: Sequence[int] = DEFAULT_DEVICE_COUNTS,
     executable_devices: Optional[int] = None,
-    max_batch: int = 1,
     limits: Optional[TargetLimits] = None,
 ) -> PlanDecision:
     """:func:`plan_pipeline` with the request's ``request_wcet`` bounds.
@@ -748,8 +733,8 @@ def plan_service_request(
     label = "+".join(one_call.kernel for one_call in request.calls)
     return plan_pipeline(
         runtime, plans, platform=platform, device_counts=counts,
-        executable_devices=executable_devices, max_batch=max_batch,
-        limits=limits, label=label, wcet_by_devices=wcet_by_devices)
+        executable_devices=executable_devices, limits=limits, label=label,
+        wcet_by_devices=wcet_by_devices)
 
 
 def build_launchables(runtime, plans: Sequence[object],

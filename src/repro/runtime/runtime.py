@@ -428,14 +428,13 @@ class BrookRuntime:
         return build_fused_pipeline(self, plans)
 
     def autoplan(self, plans: List[LaunchPlan], platform: str = "target",
-                 device_counts=None, max_batch: int = 1,
-                 label: Optional[str] = None):
+                 device_counts=None, label: Optional[str] = None):
         """Cost-model decision for how to execute a prepared pipeline.
 
         Enumerates the candidate execution configurations of ``plans``
-        (fusion on/off per legal group, device-group sizes, shard axis,
-        batching), prices each with the ``platform`` timing model, and
-        returns the argmin as a
+        (fusion on/off per legal group, device-group sizes, shard axis),
+        prices each with the ``platform`` timing model, and returns the
+        argmin as a
         :class:`~repro.core.analysis.planner.PlanDecision`.  Only
         candidates matching this runtime's :attr:`device_count` are
         selectable; other device counts stay in the decision's table as
@@ -458,7 +457,7 @@ class BrookRuntime:
             device_counts = DEFAULT_DEVICE_COUNTS
         return plan_pipeline(
             self, plans, platform=platform, device_counts=device_counts,
-            executable_devices=self.device_count, max_batch=max_batch,
+            executable_devices=self.device_count,
             limits=self.backend.target_limits(), label=label,
         )
 

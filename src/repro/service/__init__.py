@@ -9,8 +9,9 @@ accelerator.  This package provides that serving surface:
   shapes), safe to build on any thread.
 * :class:`~repro.service.service.BrookService` - ``pool_size`` worker
   runtimes with least-loaded dispatch, per-signature prepared-plan
-  caching, optional fused batching through ``CommandQueue(fuse=True)``
-  and aggregated latency/throughput reporting via ``service_report()``.
+  caching (each cached request is one ordered launch list, fused by
+  default) and aggregated latency/throughput reporting via
+  ``service_report()``.
 * :mod:`~repro.service.bench` - the ADAS-pipeline serving benchmark
   behind ``brookauto serve-bench`` and ``BENCH_service.json``.
 * :mod:`~repro.service.deadline` - deadline-aware serving: static WCET

@@ -1,7 +1,7 @@
 """Serving throughput harness: the ADAS pipeline as service requests.
 
 Shared by the ``brookauto serve-bench`` CLI subcommand and the
-``benchmarks/test_service_throughput.py`` benchmark (which publishes the
+``benchmarks/bench_service_throughput.py`` benchmark (which publishes the
 results as ``BENCH_service.json``).  The workload is the ADAS-style
 post-processing pipeline built around the scalable ``image_filter``
 application (Figure 3): a 3x3 convolution followed by seven
@@ -183,7 +183,7 @@ def run_service_bench(
     requests: int = 64,
     pool_sizes: Sequence[int] = (1, 2, 4),
     frames: int = 8,
-    fuse: object = True,
+    fuse: bool = True,
     seed: int = 0,
     devices: int = 1,
     sanitize: bool = False,
@@ -286,7 +286,7 @@ def run_service_bench(
             "frames": frames,
         },
         "requests": requests,
-        "fuse": str(fuse),
+        "fuse": fuse,
         "serial_baseline": baseline,
         "pools": pools,
         "bitwise_identical": bitwise_all,
@@ -298,7 +298,7 @@ def probe_request_times(backend: str = "cpu",
                         size: int = 32,
                         devices: int = 1,
                         platform: str = "target",
-                        fuse: object = True,
+                        fuse: bool = True,
                         seed: int = 0) -> Tuple[float, float]:
     """Steady-state (modelled_s, wcet_s) of one ADAS request.
 
@@ -327,7 +327,7 @@ def run_deadline_bench(
     frames: int = 8,
     overload: float = 2.0,
     deadline_ms: Optional[float] = None,
-    fuse: object = True,
+    fuse: bool = True,
     seed: int = 0,
     devices: int = 1,
     platform: str = "target",
@@ -455,7 +455,7 @@ def run_deadline_bench(
         "requests": requests,
         "pool_size": pool_size,
         "overload": float(overload),
-        "fuse": str(fuse),
+        "fuse": fuse,
         "timing": {
             "request_modelled_s": actual_s,
             "request_wcet_s": wcet_s,

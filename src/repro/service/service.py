@@ -11,22 +11,17 @@ is enabled - are built once and reused for every later request with the
 same signature, so steady-state serving only pays for writing the input
 data, launching the prepared pass(es) and reading the outputs.
 
-Execution modes (the ``fuse`` argument):
+Every prepared request holds one ordered launch list, built once on the
+cache miss: ``[rt.fuse(plans)]`` with ``fuse=True`` (default), the bare
+plans with ``fuse=False`` and, under ``plan="auto"``, the fused groups
+and bare plans the planner chose.  A cached request launches that list
+in order; every configuration produces bit-identical outputs to
+executing the request's calls serially on a single runtime and only
+differs in how many passes it pays.  A worker drains up to
+``max_batch`` queued requests at a time and serves each one on its own,
+so one request's failure never touches another's future.
 
-* ``"pipeline"`` (default, also ``True``) - prepared requests are fused
-  once with ``rt.fuse``; repeat requests launch the cached pipeline.
-* ``"queue"`` - each drained batch of requests flushes through one
-  ``rt.queue(fuse=True)``: fusion re-runs per flush, statistics are
-  recorded in bulk.  Mirrors what a client batching launches by hand
-  would get.
-* ``"off"`` (also ``False``/``None``) - prepared plans launch serially,
-  one pass per kernel call.
-
-Every mode produces bit-identical outputs to executing the request's
-calls serially on a single runtime; the modes only differ in how many
-passes (and how much per-request overhead) they pay.
-
-With ``plan="auto"`` the fuse mode stops being a knob: the cost-model
+With ``plan="auto"`` ``fuse`` stops being a knob: the cost-model
 auto-planner (:mod:`repro.core.analysis.planner`) prices the candidate
 configurations of each request signature on the service's timing
 platform and executes the argmin.  Decisions are cached per
@@ -48,7 +43,7 @@ import threading
 import time
 from collections import OrderedDict, deque
 from queue import Empty, Queue
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -123,16 +118,14 @@ class _PendingItem:
 
 
 class _PreparedRequest:
-    """Cache entry: streams + prepared plans for one request signature."""
+    """Cache entry: streams + the ordered launch list of one signature."""
 
-    __slots__ = ("streams", "plans", "pipeline", "launchables", "label")
+    __slots__ = ("streams", "launchables", "label")
 
-    def __init__(self, streams, plans, pipeline, launchables, label):
+    def __init__(self, streams, launchables, label):
         self.streams = streams
-        self.plans = plans
-        self.pipeline = pipeline
-        #: Auto-planned execution order (fused groups + bare plans);
-        #: ``None`` outside ``plan="auto"``.
+        #: What a request of this signature launches, in order: one fused
+        #: pipeline, the bare plans, or the auto-planner's mix of both.
         self.launchables = launchables
         #: ``_signature_label`` of the request signature, computed once
         #: on the cache miss that built the entry (hits reuse it).
@@ -211,8 +204,7 @@ class _ServiceWorker:
                 self._sig_stats.popitem(last=False)
         counters[0 if hit else 1] += 1
 
-    def _entry_for(self, request: ServiceRequest,
-                   evicted: List[_PreparedRequest]
+    def _entry_for(self, request: ServiceRequest
                    ) -> "Tuple[_PreparedRequest, bool]":
         key: Tuple = request.signature()
         chosen = None
@@ -240,122 +232,64 @@ class _ServiceWorker:
         _module, streams, plans = prepare_request(rt, request)
         if chosen is not None:
             from ..core.analysis.planner import build_launchables
-            pipeline = None
             launchables = build_launchables(rt, plans, chosen.config)
+        elif self.service.fuse:
+            launchables = [rt.fuse(plans)]
         else:
-            pipeline = (rt.fuse(plans)
-                        if self.service.mode == "pipeline" else None)
-            launchables = None
-        entry = _PreparedRequest(streams, plans, pipeline, launchables,
-                                 label)
+            launchables = plans
+        entry = _PreparedRequest(streams, launchables, label)
         self._cache[key] = entry
         while len(self._cache) > self.service.plan_cache_size:
-            # Defer the stream release to the caller: an evicted entry
-            # may still be referenced by an earlier request of the batch
-            # currently being processed.
-            evicted.append(self._cache.popitem(last=False)[1])
+            # The new entry is the most recent, so an evicted one is
+            # never the entry about to run.
+            self._cache.popitem(last=False)[1].release()
         return entry, False
 
     def _process_batch(self, batch: List[_PendingItem]) -> None:
-        resolved: List[Tuple[_PendingItem, _PreparedRequest, bool]] = []
-        evicted: List[_PreparedRequest] = []
         for item in batch:
             try:
-                entry, cached = self._entry_for(item.request, evicted)
+                entry, cached = self._entry_for(item.request)
             except BaseException as exc:  # noqa: BLE001 - forwarded
                 self.service._complete(self, item, None, exc)
             else:
-                resolved.append((item, entry, cached))
-        if self.service._track_deadlines:
-            # One request per round: the statistics interval between the
-            # round's start and end then belongs to exactly one request,
-            # which is what prices its modelled execution time (and the
-            # WCET margin) without cross-request attribution guesswork.
-            for record in resolved:
-                self._run_round([record])
-        else:
-            # Requests sharing a cache entry share streams, so they
-            # cannot be in flight inside the same flush - split the
-            # batch into rounds of pairwise-distinct entries, preserving
-            # submission order.
-            round_items: List[Tuple[_PendingItem, _PreparedRequest, bool]] = []
-            seen = set()
-            for record in resolved:
-                if id(record[1]) in seen:
-                    self._run_round(round_items)
-                    round_items, seen = [], set()
-                round_items.append(record)
-                seen.add(id(record[1]))
-            if round_items:
-                self._run_round(round_items)
-        for entry in evicted:
-            entry.release()
+                self._run_round(item, entry, cached)
 
-    def _run_round(self, round_items) -> None:
-        if not round_items:
-            return
-        started = time.perf_counter()
-        completed = 0
+    def _run_round(self, item: _PendingItem, entry: _PreparedRequest,
+                   cached: bool) -> None:
+        """Serve one request on its prepared entry and resolve its future.
+
+        ``execute_s`` spans the input writes and the launches; the
+        output reads are excluded.  With deadline tracking the
+        statistics interval since ``marker`` belongs to this request
+        alone, which is what prices its modelled execution time.
+        """
         tracking = self.service._track_deadlines
+        started = time.perf_counter()
         marker = self.runtime.statistics.marker() if tracking else None
         try:
-            for item, entry, _ in round_items:
-                for name, array in item.request.inputs.items():
-                    entry.streams[name].write(array)
-            values: List[Optional[float]] = []
-            planned = any(entry.launchables is not None
-                          for _, entry, _ in round_items)
-            if self.service.mode == "queue" and not planned \
-                    and len(round_items) >= 1:
-                # One fusing flush for the whole round: adjacent
-                # producer->consumer launches inside each request merge,
-                # statistics are recorded in one bulk operation.
-                with self.runtime.queue(fuse=True) as q:
-                    for _, entry, _ in round_items:
-                        for plan in entry.plans:
-                            q.submit(plan)
-                    results = q.flush()
-                offset = 0
-                for _, entry, _ in round_items:
-                    offset += len(entry.plans)
-                    values.append(results[offset - 1])
-            else:
-                for _, entry, _ in round_items:
-                    if entry.launchables is not None:
-                        # Auto-planned order: fused groups and bare
-                        # plans exactly as the chosen config dictates.
-                        value = None
-                        for launchable in entry.launchables:
-                            value = launchable.launch()
-                        values.append(value)
-                    elif entry.pipeline is not None:
-                        values.append(entry.pipeline.launch())
-                    else:
-                        value = None
-                        for plan in entry.plans:
-                            value = plan.launch()
-                        values.append(value)
-            elapsed = time.perf_counter() - started
-            per_request = elapsed / len(round_items)
-            for (item, entry, cached), value in zip(round_items, values):
-                outputs = {name: entry.streams[name].read()
-                           for name in item.request.outputs}
-                response = ServiceResponse(
-                    name=item.request.name,
-                    outputs=outputs,
-                    value=value,
-                    worker=self.index,
-                    latency_s=time.perf_counter() - item.submitted_at,
-                    execute_s=per_request,
-                    cached=cached,
-                )
-                if tracking:
-                    self._account_deadline(item, response, marker)
-                self.service._complete(self, item, response, None)
-                completed += 1
+            streams = entry.streams
+            for name, array in item.request.inputs.items():
+                streams[name].write(array)
+            value = None
+            for launchable in entry.launchables:
+                value = launchable.launch()
+            execute_s = time.perf_counter() - started
+            response = ServiceResponse(
+                name=item.request.name,
+                outputs={name: streams[name].read()
+                         for name in item.request.outputs},
+                value=value,
+                worker=self.index,
+                latency_s=time.perf_counter() - item.submitted_at,
+                execute_s=execute_s,
+                cached=cached,
+            )
+            if tracking:
+                self._account_deadline(item, response, marker)
         except BaseException as exc:  # noqa: BLE001 - forwarded
-            for item, _, _ in round_items[completed:]:
-                self.service._complete(self, item, None, exc)
+            self.service._complete(self, item, None, exc)
+        else:
+            self.service._complete(self, item, response, None)
 
     # ------------------------------------------------------------------ #
     def _account_deadline(self, item: _PendingItem,
@@ -363,8 +297,8 @@ class _ServiceWorker:
         """Advance the virtual clock and stamp deadline fields.
 
         The statistics interval since ``marker`` covers exactly this
-        request's input writes, kernel passes and output reads (deadline
-        mode runs one request per round); pricing it with the platform
+        request's input writes, kernel passes and output reads (every
+        request runs as its own round); pricing it with the platform
         model gives the modelled execution time the deadline accounting
         runs on.  The stream/plan *preparation* transfers of a cache
         miss happen before the marker and are deliberately excluded -
@@ -423,12 +357,11 @@ class BrookService:
         backend: Registered backend name for every worker runtime.
         device: Device profile handed to GPU backends.
         pool_size: Number of worker runtimes (and threads).
-        fuse: Execution mode - ``"pipeline"``/``True`` (prepared fused
-            pipelines, the fastest steady state), ``"queue"`` (batched
-            ``CommandQueue(fuse=True)`` flushes) or ``"off"``/``False``
-            (one pass per kernel call).
-        max_batch: Upper bound on requests a worker drains into one
-            processing round.
+        fuse: ``True`` fuses each prepared request once with ``rt.fuse``
+            (the fastest steady state); ``False`` launches one pass per
+            kernel call.
+        max_batch: Upper bound on requests a worker drains from its
+            queue at once (each one is still served on its own).
         plan_cache_size: Prepared request signatures kept per worker
             (least recently used entries are evicted and their streams
             released).
@@ -454,10 +387,10 @@ class BrookService:
             explicitly turns deadline *tracking* on even under the FIFO
             scheduler without admission - that is the measurable
             baseline the deadline benchmark compares against.
-        plan: ``"manual"`` (default) executes the ``fuse`` mode as
+        plan: ``"manual"`` (default) executes the ``fuse`` setting as
             given; ``"auto"`` lets the cost-model planner pick the
-            execution configuration per request signature (fusion
-            groups, batching - priced on the service's timing platform,
+            execution configuration per request signature (which fuse
+            groups to merge - priced on the service's timing platform,
             which defaults to ``"target"`` without turning deadline
             tracking on).  Deadline-carrying requests only receive
             configurations whose WCET bound fits the deadline budget;
@@ -476,7 +409,7 @@ class BrookService:
         backend: str = "cpu",
         device: Optional[str] = None,
         pool_size: int = 2,
-        fuse: Union[bool, str, None] = True,
+        fuse: bool = True,
         max_batch: int = 8,
         plan_cache_size: int = 32,
         compiler_options: Optional[CompilerOptions] = None,
@@ -506,17 +439,10 @@ class BrookService:
             raise RuntimeBrookError(
                 f"BrookService needs at least one device per worker, got "
                 f"devices={devices}")
-        if fuse in (True, "pipeline"):
-            self.mode = "pipeline"
-        elif fuse == "queue":
-            self.mode = "queue"
-        elif fuse in (False, None, "off"):
-            self.mode = "off"
-        else:
+        if not isinstance(fuse, bool):
             raise RuntimeBrookError(
-                f"unknown fuse mode {fuse!r}; expected 'pipeline', 'queue' "
-                "or 'off'"
-            )
+                f"fuse must be True or False, got {fuse!r}")
+        self.fuse = fuse
         if scheduler not in ("fifo", "edf"):
             raise RuntimeBrookError(
                 f"unknown scheduler {scheduler!r}; expected 'fifo' or 'edf'")
@@ -695,7 +621,6 @@ class BrookService:
                 request, module.program, rt, plans,
                 platform=self.platform,
                 executable_devices=self.devices,
-                max_batch=self.max_batch,
                 limits=rt.backend.target_limits(),
             )
         finally:
@@ -832,7 +757,7 @@ class BrookService:
             "device": self.device,
             "pool_size": self.pool_size,
             "devices": self.devices,
-            "mode": self.mode,
+            "fuse": self.fuse,
             "scheduler": self.scheduler,
             "admission": self.admission,
             "requests_completed": completed,
@@ -941,4 +866,4 @@ class BrookService:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<BrookService backend={self.backend_name!r} "
-                f"pool={self.pool_size} mode={self.mode!r}>")
+                f"pool={self.pool_size} fuse={self.fuse}>")

@@ -276,6 +276,20 @@ class TestServeBenchSanitize:
         assert sanitized["sanitizer"]["counts"] == {}
 
 
+class TestServeBenchFuseFlag:
+    def test_no_fuse_serves_unfused_plans(self, tmp_path, capsys):
+        exit_code = main(["serve-bench", "--size", "16", "--requests", "6",
+                          "--pool-sizes", "1", "--no-fuse",
+                          "--json", str(tmp_path / "bench.json")])
+        assert exit_code == 0
+        payload = json.loads((tmp_path / "bench.json").read_text())
+        assert payload["fuse"] is False
+        assert payload["bitwise_identical"] is True
+        report = payload["pools"]["1"]["report"]
+        assert report["fuse"] is False
+        assert report["device_totals"]["kernels_fused"] == 0
+
+
 class TestVectorizeCommand:
     DIVERGENT = """
 kernel void shade(float knee, float x<>, out float r<>) {

@@ -55,7 +55,7 @@ class TestArgminSoundness:
     def test_chosen_matches_brute_force_scan(self):
         with BrookRuntime(backend="cpu") as rt:
             plans, _ = make_plans(rt)
-            decision = rt.autoplan(plans, max_batch=4)
+            decision = rt.autoplan(plans)
         selectable = [c for c in decision.candidates if c.selectable]
         assert selectable, "candidate table has no selectable rows"
         best = min(c.modelled_s for c in selectable)
@@ -65,21 +65,20 @@ class TestArgminSoundness:
     def test_chosen_never_worse_than_baseline(self):
         with BrookRuntime(backend="cpu") as rt:
             plans, _ = make_plans(rt)
-            decision = rt.autoplan(plans, max_batch=8)
+            decision = rt.autoplan(plans)
         assert decision.chosen.modelled_s <= decision.baseline.modelled_s
         assert decision.speedup >= 1.0
 
     def test_candidate_space_covers_every_knob(self):
         with BrookRuntime(backend="cpu") as rt:
             plans, _ = make_plans(rt)
-            decision = rt.autoplan(plans, max_batch=4)
+            decision = rt.autoplan(plans)
         configs = {c.config.key() for c in decision.candidates}
         # 2 fuse subsets x (1 device count with 1 axis + 2 with 2 axes)
-        # x 2 batches = 2 * (1 + 2 + 2) * 2 rows, all distinct.
-        assert len(configs) == len(decision.candidates) == 20
+        # = 2 * (1 + 2 + 2) rows, all distinct.
+        assert len(configs) == len(decision.candidates) == 10
         assert {c.config.devices for c in decision.candidates} == {1, 2, 4}
         assert {c.config.axis for c in decision.candidates} == {"rows", "cols"}
-        assert {c.config.batch for c in decision.candidates} == {1, 4}
         assert {c.config.fused_groups
                 for c in decision.candidates} == {(), ((0, 1),)}
 
@@ -88,8 +87,8 @@ class TestArgminSoundness:
             plans, _ = make_plans(rt)
             decision = rt.autoplan(plans)
         by_key = {c.config.key(): c for c in decision.candidates}
-        fused = by_key[(1, "rows", ((0, 1),), 1)]
-        unfused = by_key[(1, "rows", (), 1)]
+        fused = by_key[(1, "rows", ((0, 1),))]
+        unfused = by_key[(1, "rows", ())]
         assert fused.modelled_s < unfused.modelled_s
 
     def test_reduction_tail_stays_unfused_with_reason(self):
@@ -141,7 +140,7 @@ DETERMINISM_SCRIPT = textwrap.dedent("""
         x.write(np.zeros((16, 16), dtype=np.float32))
         plans = [module.scale.bind(x, 2.0, tmp),
                  module.offset.bind(tmp, 1.0, out)]
-        decision = rt.autoplan(plans, max_batch=8)
+        decision = rt.autoplan(plans)
     print(json.dumps(decision.to_payload(), sort_keys=True))
 """)
 
@@ -167,8 +166,8 @@ class TestDeterminism:
     def test_same_decision_within_process(self):
         with BrookRuntime(backend="cpu") as rt:
             plans, _ = make_plans(rt)
-            first = rt.autoplan(plans, max_batch=8)
-            second = rt.autoplan(plans, max_batch=8)
+            first = rt.autoplan(plans)
+            second = rt.autoplan(plans)
         assert first.to_payload() == second.to_payload()
         assert first.chosen.config == second.chosen.config
 
@@ -242,7 +241,7 @@ class TestDecisionCache:
 class TestDeadlineSelection:
     def _decision(self, rt) -> PlanDecision:
         plans, _ = make_plans(rt)
-        return rt.autoplan(plans, max_batch=4)
+        return rt.autoplan(plans)
 
     def test_selected_candidate_always_fits_budget(self):
         with BrookRuntime(backend="cpu") as rt:
@@ -299,7 +298,7 @@ class TestBuildLaunchables:
         with BrookRuntime(backend="cpu") as rt:
             plans, (_, _, out) = make_plans(rt, size=8)
             config = CandidateConfig(devices=1, axis="rows",
-                                     fused_groups=((0, 1),), batch=1)
+                                     fused_groups=((0, 1),))
             launchables = build_launchables(rt, plans, config)
             assert len(launchables) == 1
             launchables[-1].launch()
@@ -310,6 +309,6 @@ class TestBuildLaunchables:
         with BrookRuntime(backend="cpu") as rt:
             plans, (_, _, out) = make_plans(rt, size=8)
             config = CandidateConfig(devices=1, axis="rows",
-                                     fused_groups=(), batch=1)
+                                     fused_groups=())
             launchables = build_launchables(rt, plans, config)
             assert launchables == plans

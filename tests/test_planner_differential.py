@@ -185,7 +185,7 @@ def run_serial_cpu(build, size, seed):
 def run_planned(rt, build, size, seed):
     """Plan the pipeline, materialise the chosen config, execute it."""
     plans, outs = build(rt, size, seed)
-    decision = rt.autoplan(plans, max_batch=4)
+    decision = rt.autoplan(plans)
     launchables = build_launchables(rt, plans, decision.chosen.config)
     for launchable in launchables:
         launchable.launch()

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.errors import RuntimeBrookError
+from repro.errors import KernelLaunchError, RuntimeBrookError
 from repro.service import (
     BrookService,
     KernelCall,
@@ -99,15 +99,17 @@ class TestBrookService:
             response = service.process(request)
         assert response.value == pytest.approx(data.sum() * 2.0)
 
-    @pytest.mark.parametrize("fuse", ["pipeline", "queue", "off"])
-    def test_modes_bit_identical(self, fuse):
+    @pytest.mark.parametrize("config", [dict(fuse=True), dict(fuse=False),
+                                        dict(plan="auto")],
+                             ids=["fuse", "nofuse", "auto"])
+    def test_modes_bit_identical(self, config):
         rng = np.random.default_rng(3)
         frames = [rng.uniform(-5, 5, (12, 12)).astype(np.float32)
                   for _ in range(6)]
         reference = None
-        for mode in ("off", fuse):
+        for knobs in (dict(fuse=False), config):
             with BrookService(backend="cpu", pool_size=2,
-                              fuse=mode) as service:
+                              **knobs) as service:
                 responses = service.map(
                     [make_request(frame, name=f"f{i}")
                      for i, frame in enumerate(frames)])
@@ -228,17 +230,69 @@ class TestBrookService:
             good = service.process(make_request(data))
         np.testing.assert_allclose(good.outputs["out"], data * 2 + 1)
 
+    def test_launch_failure_fails_only_its_own_request(self, monkeypatch):
+        """A request raising at launch fails only its own future, even
+        when distinct-signature requests were drained with it."""
+        from repro.runtime.launch import LaunchPlan
+
+        source = SRC + """
+kernel void hold(float x<>, out float y<>) { y = x; }
+kernel void fail(float x<>, out float y<>) { y = x; }
+"""
+        gate = threading.Event()
+        original = LaunchPlan.launch
+
+        def launch(plan):
+            if plan.kernel_name == "hold":
+                gate.wait(timeout=10.0)
+            if plan.kernel_name == "fail":
+                raise KernelLaunchError("injected device fault")
+            return original(plan)
+
+        monkeypatch.setattr(LaunchPlan, "launch", launch)
+
+        def single(kernel, size, name):
+            return ServiceRequest(
+                source=source, calls=(call(kernel, "x", "out"),),
+                inputs={"x": np.arange(float(size), dtype=np.float32)},
+                outputs={"out": (size,)}, name=name)
+
+        requests = [
+            make_request(np.arange(8.0, dtype=np.float32), name="r0"),
+            single("fail", 12, "bad"),
+            make_request(np.arange(16.0, dtype=np.float32), name="r2"),
+            make_request(np.arange(20.0, dtype=np.float32), name="r3"),
+        ]
+        with BrookService(backend="cpu", pool_size=1, fuse=False,
+                          max_batch=8) as service:
+            # The held request keeps the worker busy until everything is
+            # queued, so the next drain takes all four at once.
+            held = service.submit(single("hold", 4, "held"))
+            futures = [service.submit(request) for request in requests]
+            gate.set()
+            assert held.result(timeout=10.0).name == "held"
+            errors = [future.exception(timeout=10.0) for future in futures]
+            report = service.service_report()
+        assert isinstance(errors[1], KernelLaunchError)
+        for index in (0, 2, 3):
+            assert errors[index] is None
+            np.testing.assert_array_equal(
+                futures[index].result().outputs["out"],
+                requests[index].inputs["x"] * 2.0 + 1.0)
+        assert report["requests_failed"] == 1
+        assert report["requests_completed"] == 4
+
     def test_tiny_plan_cache_eviction_within_one_batch(self):
         """Distinct signatures drained into one batch must all succeed
         even when resolving a later request evicts an earlier one's
-        cache entry (the evicted streams stay alive until the batch is
-        done)."""
+        cache entry (each request runs before the next one is
+        resolved)."""
         requests = [
             make_request(np.arange(float(4 + 4 * i), dtype=np.float32),
                          name=f"r{i}")
             for i in range(4)
         ]
-        with BrookService(backend="cpu", pool_size=1, fuse="off",
+        with BrookService(backend="cpu", pool_size=1, fuse=False,
                           plan_cache_size=1, max_batch=8) as service:
             # Submit everything before the single worker wakes up so the
             # batch drain sees all four signatures at once.
@@ -323,6 +377,9 @@ class TestBrookService:
             BrookService(pool_size=0)
         with pytest.raises(RuntimeBrookError):
             BrookService(fuse="bogus")
+        for removed in ("queue", "pipeline", "off", None):
+            with pytest.raises(RuntimeBrookError, match="fuse"):
+                BrookService(fuse=removed)
         with pytest.raises(RuntimeBrookError):
             BrookService(pool_size=1).submit(object())  # type: ignore[arg-type]
 
@@ -332,7 +389,7 @@ class TestBrookService:
             service.process(make_request(data))
             report = service.service_report()
         assert report["pool_size"] == 2
-        assert report["mode"] == "pipeline"
+        assert report["fuse"] is True
         assert report["requests_completed"] == 1
         assert set(report["latency_ms"]) == {"mean", "p50", "p95", "max"}
         assert report["device_totals"]["passes"] >= 1
@@ -403,10 +460,11 @@ class TestServeBenchHarness:
         assert len(request.scratch) == 7
 
     def test_bench_smoke_bitwise(self):
-        payload = run_service_bench(size=16, requests=6, pool_sizes=(2,),
-                                    frames=3)
+        payload = run_service_bench(size=16, requests=6,
+                                    pool_sizes=(1, 2, 4), frames=3)
         assert payload["bitwise_identical"]
-        assert payload["pools"]["2"]["requests_per_s"] > 0
+        for pool_size in ("1", "2", "4"):
+            assert payload["pools"][pool_size]["requests_per_s"] > 0
 
 
 # --------------------------------------------------------------------------- #
