@@ -105,25 +105,18 @@ class BrookKernelShader(FragmentShader):
                 v = job.frag_coord[:, 1] / texture.height
                 texels = texture.sample_normalized(u, v)
                 stream_values[param.name] = decode_float_rgba8(texels)
-        # indexof: the normalized varying scaled back by the hidden output
-        # size uniform (the element index of the current fragment); tiled
-        # passes instead receive the precomputed global positions.
-        if self.index_map is not None:
-            index = np.asarray(self.index_map, dtype=np.float32)
-        else:
-            output_size = job.uniforms.get("__brook_output_size",
-                                           (float(job.width), float(job.height)))
-            index = np.stack(
-                [np.floor(job.texcoord[:, 0] * output_size[0]),
-                 np.floor(job.texcoord[:, 1] * output_size[1])], axis=1
-            ).astype(np.float32)
-
-        # Fragment passes always carry explicit positions (texcoord
-        # derived), so a vector program runs its generic whole-array
-        # nodes rather than the layout-dependent slice plan.
+        # indexof: the shader computes floor(texcoord * output size), which
+        # is exactly the element's row-major position for every extent up
+        # to a device's max_texture_size, so an untiled pass hands over
+        # the domain's layout as a cpu launch does (enabling the vector
+        # program's padded-slice plan); tiled passes carry their global
+        # positions instead.
+        index = None if self.index_map is None else np.asarray(
+            self.index_map, dtype=np.float32)
+        layout = self.domain.layout_2d if index is None else None
         outputs, stats = evaluate(self.kernel, self.helpers, count,
                                   stream_values, self.gathers,
-                                  self.scalar_args, index=index)
+                                  self.scalar_args, index=index, layout=layout)
         self.last_flops = stats.flops
         self.last_gather_fetches = stats.gather_fetches
         result = outputs[self.out_name]

@@ -10,8 +10,9 @@ model consumes - the simulation itself is functional, not timed.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -35,6 +36,16 @@ class DrawStats:
 
 
 @dataclass
+class DrawTotals:
+    """Cumulative work counters of every draw call."""
+
+    draw_calls: int = 0
+    fragments: int = 0
+    texture_fetches: int = 0
+    flops: int = 0
+
+
+@dataclass
 class TransferStats:
     """Cumulative host <-> device traffic."""
 
@@ -42,6 +53,40 @@ class TransferStats:
     bytes_downloaded: int = 0
     upload_calls: int = 0
     download_calls: int = 0
+
+
+#: Largest viewport, in fragments, whose grid is cached.  The two
+#: float64 grids take 32 B per fragment, so a cached 3000 x 3000 grid
+#: would keep about 290 MB alive after its draw; 256 x 256 (2 MB an
+#: entry) covers every frame the serving workloads draw.
+_CACHED_GRID_FRAGMENTS = 256 * 256
+
+
+def _build_fragment_grid(width: int,
+                         height: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(texcoord, frag_coord)`` of a ``width x height`` viewport.
+
+    x is the fastest axis, matching row-major storage.
+    """
+    ys, xs = np.mgrid[0:height, 0:width]
+    xs = xs.reshape(-1).astype(np.float64)
+    ys = ys.reshape(-1).astype(np.float64)
+    frag_coord = np.stack([xs + 0.5, ys + 0.5], axis=1)
+    texcoord = np.stack([(xs + 0.5) / width, (ys + 0.5) / height], axis=1)
+    texcoord.flags.writeable = False
+    frag_coord.flags.writeable = False
+    return texcoord, frag_coord
+
+
+_cached_fragment_grid = lru_cache(maxsize=8)(_build_fragment_grid)
+
+
+def _fragment_grid(width: int, height: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The viewport's grid; draws of one small viewport share the arrays,
+    so shaders must not write to them."""
+    if width * height > _CACHED_GRID_FRAGMENTS:
+        return _build_fragment_grid(width, height)
+    return _cached_fragment_grid(width, height)
 
 
 class GLES2Context:
@@ -53,9 +98,9 @@ class GLES2Context:
         self.framebuffers: List[Framebuffer] = []
         self._bound_framebuffer: Optional[Framebuffer] = None
         self._bound_program: Optional[ShaderProgram] = None
-        self.draw_calls: List[DrawStats] = []
+        self.draws = DrawTotals()
         self.transfers = TransferStats()
-        # Guards the texture/framebuffer lists and the traffic counters:
+        # Guards the texture/framebuffer lists and the work counters:
         # streams are created, transferred and freed from arbitrary
         # threads (including GC finalizer threads), and check-then-remove
         # or ``+=`` on shared counters is not atomic.  Draw-call state
@@ -142,13 +187,7 @@ class GLES2Context:
             if width <= 0 or height <= 0:
                 raise GLES2Error(f"invalid viewport {viewport}")
 
-        # Fragment grid: x is the fastest axis, matching row-major storage.
-        ys, xs = np.mgrid[0:height, 0:width]
-        xs = xs.reshape(-1).astype(np.float64)
-        ys = ys.reshape(-1).astype(np.float64)
-        frag_coord = np.stack([xs + 0.5, ys + 0.5], axis=1)
-        texcoord = np.stack([(xs + 0.5) / width, (ys + 0.5) / height], axis=1)
-
+        texcoord, frag_coord = _fragment_grid(width, height)
         fetches_before = sum(t.sample_count for t in program.samplers.values())
         job = FragmentJob(
             texcoord=texcoord,
@@ -178,7 +217,11 @@ class GLES2Context:
             flops=int(flops),
         )
         with self._lock:
-            self.draw_calls.append(stats)
+            totals = self.draws
+            totals.draw_calls += 1
+            totals.fragments += stats.fragments
+            totals.texture_fetches += stats.texture_fetches
+            totals.flops += stats.flops
         return stats
 
     # ------------------------------------------------------------------ #
@@ -186,16 +229,16 @@ class GLES2Context:
     # ------------------------------------------------------------------ #
     @property
     def total_fragments(self) -> int:
-        return sum(d.fragments for d in self.draw_calls)
+        return self.draws.fragments
 
     @property
     def total_draw_calls(self) -> int:
-        return len(self.draw_calls)
+        return self.draws.draw_calls
 
     def reset_statistics(self) -> None:
         """Clear draw/transfer counters (texture contents are preserved)."""
         with self._lock:
-            self.draw_calls = []
+            self.draws = DrawTotals()
             self.transfers = TransferStats()
 
     def device_memory_in_use(self) -> int:

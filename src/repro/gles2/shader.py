@@ -35,6 +35,8 @@ class FragmentJob:
             (x fastest); the analogue of the interpolated ``varying vec2``
             the full-screen quad produces.
         frag_coord: ``(N, 2)`` window-space pixel centres (``gl_FragCoord``).
+            Both grids are read-only: every draw of the same viewport
+            shares them.
         width / height: Render target extent in pixels.
         uniforms: Uniform values set on the program.
         samplers: Bound textures by sampler name.

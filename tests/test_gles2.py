@@ -1,8 +1,12 @@
 """Unit tests for the simulated OpenGL ES 2.0 substrate."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.apps.handwritten_sgemm import HandwrittenSgemm
+from repro.core.exec.evaluator import layout_positions
 from repro.errors import GLES2Error
 from repro.gles2 import (
     DEVICE_PROFILES,
@@ -14,6 +18,7 @@ from repro.gles2 import (
     Texture2D,
     get_device_profile,
 )
+from repro.gles2 import context as gles2_context
 from repro.gles2.shader import FragmentJob
 from repro.runtime.numerics import decode_float_rgba8, encode_float_rgba8
 
@@ -217,3 +222,172 @@ class TestContext:
         assert context.device_memory_in_use() == 32 * 32 * 4
         context.delete_texture(texture)
         assert context.device_memory_in_use() == 0
+
+
+def _draw_setup(width=8, height=8, shader=None):
+    context = GLES2Context()
+    target = context.create_texture(width, height)
+    framebuffer = context.create_framebuffer()
+    framebuffer.attach_color(target)
+    context.use_program(ShaderProgram(shader or _ConstantShader(1.0),
+                                      name="draw"))
+    context.bind_framebuffer(framebuffer)
+    return context
+
+
+class _GridRecorder(FragmentShader):
+    """Keeps every job's fragment grid."""
+
+    def __init__(self):
+        self.grids = []
+
+    def run(self, job: FragmentJob):
+        self.grids.append((job.texcoord, job.frag_coord))
+        return np.zeros((job.fragment_count, 4), dtype=np.uint8)
+
+
+class _TexcoordWriter(FragmentShader):
+    def run(self, job: FragmentJob):
+        job.texcoord[0, 0] = 0.0
+        return np.zeros((job.fragment_count, 4), dtype=np.uint8)
+
+
+def _fresh_grid(width, height):
+    ys, xs = np.mgrid[0:height, 0:width]
+    xs = xs.reshape(-1).astype(np.float64)
+    ys = ys.reshape(-1).astype(np.float64)
+    return (np.stack([(xs + 0.5) / width, (ys + 0.5) / height], axis=1),
+            np.stack([xs + 0.5, ys + 0.5], axis=1))
+
+
+class TestFragmentPositions:
+    def test_texcoord_positions_are_the_layout_grid(self):
+        # A Brook fragment pass derives indexof as floor(texcoord * size);
+        # with the viewport equal to the output size that is exactly the
+        # row-major layout grid, for every extent any device allows.
+        # This identity is what lets an untiled pass hand evaluate() its
+        # layout instead of explicit positions.
+        limit = max(profile.limits.max_texture_size
+                    for profile in DEVICE_PROFILES.values())
+        for w in range(1, limit + 1):
+            xs = np.arange(w, dtype=np.float64)
+            along = np.floor(((xs + 0.5) / w) * float(w)).astype(np.float32)
+            across = np.zeros(w, dtype=np.float32)   # extent 1: always 0
+            for shader, layout in (
+                    (np.stack([along, across], axis=1), (1, w)),
+                    (np.stack([across, along], axis=1), (w, 1))):
+                want = layout_positions(*layout)
+                assert np.array_equal(shader.view(np.uint32),
+                                      want.view(np.uint32)), (w, layout)
+
+
+class TestFragmentGridCache:
+    def test_draws_of_one_viewport_share_the_grid(self):
+        recorder = _GridRecorder()
+        context = _draw_setup(shader=recorder)
+        context.draw_fullscreen_quad(viewport=(8, 4))
+        context.draw_fullscreen_quad(viewport=(8, 4))
+        (tex_a, frag_a), (tex_b, frag_b) = recorder.grids
+        assert tex_a is tex_b and frag_a is frag_b
+
+    def test_grid_is_read_only(self):
+        context = _draw_setup(shader=_TexcoordWriter())
+        with pytest.raises(ValueError):
+            context.draw_fullscreen_quad()
+
+    def test_alternating_viewports_match_a_fresh_build(self):
+        recorder = _GridRecorder()
+        context = _draw_setup(shader=recorder)
+        viewports = [(4, 2), (8, 8), (4, 2), (8, 8), (3, 5)]
+        for viewport in viewports:
+            context.draw_fullscreen_quad(viewport=viewport)
+        for (width, height), (texcoord, frag_coord) in zip(viewports,
+                                                           recorder.grids):
+            want_tex, want_frag = _fresh_grid(width, height)
+            assert np.array_equal(texcoord.view(np.uint64),
+                                  want_tex.view(np.uint64))
+            assert np.array_equal(frag_coord.view(np.uint64),
+                                  want_frag.view(np.uint64))
+
+    def test_cache_is_bounded(self):
+        context = _draw_setup(16, 16)
+        capacity = gles2_context._cached_fragment_grid.cache_info().maxsize
+        assert capacity == 8
+        for width in range(1, 17):
+            context.draw_fullscreen_quad(viewport=(width, 16))
+            assert gles2_context._cached_fragment_grid.cache_info().currsize \
+                <= capacity
+
+    def test_large_viewports_are_not_cached(self):
+        # Above the fragment limit each draw builds (and frees) its own
+        # grid, so a large draw keeps no grid memory alive.
+        width = 257
+        height = gles2_context._CACHED_GRID_FRAGMENTS // 256
+        recorder = _GridRecorder()
+        context = _draw_setup(512, 512, shader=recorder)
+        gles2_context._cached_fragment_grid.cache_clear()
+        context.draw_fullscreen_quad(viewport=(width, height))
+        context.draw_fullscreen_quad(viewport=(width, height))
+        assert gles2_context._cached_fragment_grid.cache_info().currsize == 0
+        (tex_a, frag_a), (tex_b, frag_b) = recorder.grids
+        assert tex_a is not tex_b and frag_a is not frag_b
+        assert not tex_a.flags.writeable and not frag_a.flags.writeable
+        want_tex, want_frag = _fresh_grid(width, height)
+        assert np.array_equal(tex_a.view(np.uint64), want_tex.view(np.uint64))
+        assert np.array_equal(frag_a.view(np.uint64),
+                              want_frag.view(np.uint64))
+
+    def test_handwritten_sgemm_is_unchanged(self, monkeypatch):
+        # Cold and warm cache against a fresh grid on every draw.
+        sgemm = HandwrittenSgemm()
+        gles2_context._cached_fragment_grid.cache_clear()
+        cold = sgemm.run(16, seed=3)
+        warm = sgemm.run(16, seed=3)
+        monkeypatch.setattr(gles2_context, "_fragment_grid", _fresh_grid)
+        fresh = sgemm.run(16, seed=3)
+        for result in (cold, warm):
+            assert np.array_equal(result.c.view(np.uint32),
+                                  fresh.c.view(np.uint32))
+            assert (result.fragments, result.texture_fetches) == \
+                (fresh.fragments, fresh.texture_fetches)
+        np.testing.assert_allclose(fresh.c, sgemm.reference(16, seed=3),
+                                   rtol=1e-2, atol=1e-2)
+
+
+class TestDrawStatistics:
+    def test_running_totals_and_reset(self):
+        context = _draw_setup(shader=_CopyShader())
+        source = context.create_texture(8, 8, name="source")
+        context.bound_program.bind_texture("source", source)
+        for viewport in ((8, 8), (4, 2), (8, 8)):
+            context.draw_fullscreen_quad(viewport=viewport)
+        assert context.total_draw_calls == 3
+        assert context.total_fragments == 64 + 8 + 64
+        assert context.draws.texture_fetches == 64 + 8 + 64
+        context.reset_statistics()
+        assert context.total_draw_calls == 0
+        assert context.total_fragments == 0
+        assert context.draws.texture_fetches == 0
+
+    def test_draws_retain_no_memory(self):
+        # A long-lived context must keep no per-draw record: 1000 draws
+        # leave the memory allocated by the context module flat.
+        context = _draw_setup(4, 4)
+        for _ in range(10):
+            context.draw_fullscreen_quad()
+        only_context = [tracemalloc.Filter(True, gles2_context.__file__)]
+
+        def retained():
+            snapshot = tracemalloc.take_snapshot().filter_traces(only_context)
+            return sum(stat.size for stat in snapshot.statistics("filename"))
+
+        tracemalloc.start()
+        try:
+            before = retained()
+            for _ in range(1000):
+                context.draw_fullscreen_quad()
+            after = retained()
+        finally:
+            tracemalloc.stop()
+        assert after - before < 1000
+        assert context.total_draw_calls == 1010

@@ -10,10 +10,13 @@ back with zero behavior change.
 Coverage here mirrors the acceptance criteria: all reference-application
 kernels, seeded random kernels, divergent-branch NaN propagation,
 integer division, gather edge-clamp semantics, the loop and branch
-matrix (uniform loops run unmasked), the composition matrix and the
-reduction folds (scalar, block-wise, tiled and sharded).
+matrix (uniform loops run unmasked), the composition matrix, the
+reduction folds (scalar, block-wise, tiled and sharded) and the ADAS
+pipeline across the GLES2 device matrix (untiled fragment passes run
+the padded-slice stencil plan).
 """
 
+import dataclasses
 import random
 
 import numpy as np
@@ -38,7 +41,7 @@ from repro.gles2.limits import GLES2Limits
 from repro.runtime import BrookRuntime, quantize_roundtrip
 from repro.runtime import reduction
 from repro.runtime.launch import FusedPlan
-from repro.service import prepare_request
+from repro.service import KernelCall, prepare_request
 from repro.service.bench import build_adas_request
 
 INTERP = CompilerOptions(enable_fast_path=False)
@@ -1036,3 +1039,103 @@ class TestReductions:
             KernelEvaluator(compiled.definition, {}).run(
                 4, stream_inputs=values)
         assert str(vector_error.value) == str(interp_error.value)
+
+
+# --------------------------------------------------------------------------- #
+# ADAS on the GLES2 device matrix
+# --------------------------------------------------------------------------- #
+GLES2_DEVICES = ["videocore-iv", "mali-400", "constrained-es2"]
+#: Power-of-two, non-power-of-two, single-row and single-column frames.
+UNTILED_SHAPES = [(32, 32), (33, 17), (1, 7), (7, 1)]
+#: Wider than constrained-es2's 512-texel limit, so every pass tiles.
+TILED_SHAPE = (3, 520)
+
+
+def _adas_request(shape, frame):
+    """``build_adas_request`` for a ``rows x cols`` frame."""
+    rows, cols = shape
+    square = build_adas_request(1, frame)
+    calls = []
+    for call in square.calls:
+        args = list(call.args)
+        if call.kernel in ("filter3x3", "vignette"):
+            args[1:3] = [float(cols), float(rows)]    # width, height
+        calls.append(KernelCall(call.kernel, tuple(args)))
+    return dataclasses.replace(
+        square, calls=tuple(calls), outputs={"out": shape},
+        scratch={name: shape for name in square.scratch})
+
+
+def _run_adas(device, shape, options, fuse, frame, recorded, sanitize=None):
+    """Output, launch records, per-launch stats and sanitizer findings."""
+    recorded.clear()
+    with BrookRuntime(backend="gles2", device=device, compiler_options=options,
+                      sanitize=sanitize) as rt:
+        _, streams, plans = prepare_request(rt, _adas_request(shape, frame))
+        streams["image"].write(frame)
+        if fuse:
+            rt.fuse(plans).launch()
+        else:
+            for plan in plans:
+                plan.launch()
+        findings = list(rt.sanitizer.findings) if rt.sanitizer else []
+        return (streams["out"].read(), list(rt.statistics.launches),
+                list(recorded), findings)
+
+
+@pytest.fixture
+def slice_plans(monkeypatch):
+    """Whether each vector launch carrying slice plans took them."""
+    taken = []
+    validate = vector_tier.VectorizedKernelProgram._validate_slices
+
+    def spy(self, env, ctx):
+        result = validate(self, env, ctx)
+        if self._slice_plans:
+            taken.append((self.kernel.name, result))
+        return result
+
+    monkeypatch.setattr(vector_tier.VectorizedKernelProgram,
+                        "_validate_slices", spy)
+    return taken
+
+
+class TestGLES2DeviceMatrix:
+    """Untiled fragment passes hand ``evaluate`` their layout, so the
+    ADAS stencil runs the slice plan; outputs, launch records and
+    per-launch stats equal the interpreter's on every device."""
+
+    @pytest.mark.parametrize("fuse", [False, True], ids=["unfused", "fused"])
+    @pytest.mark.parametrize(
+        "device,shape",
+        [(device, shape) for device in GLES2_DEVICES
+         for shape in UNTILED_SHAPES] + [("constrained-es2", TILED_SHAPE)])
+    def test_adas_bitwise_and_slice_plan(self, device, shape, fuse, rng,
+                                         launch_stats, slice_plans):
+        frame = rng.uniform(0.0, 255.0, shape).astype(np.float32)
+        label = f"{device} {shape} fuse={fuse}"
+        want, want_records, want_stats, _ = _run_adas(
+            device, shape, INTERP, fuse, frame, launch_stats)
+        got, records, stats, _ = _run_adas(
+            device, shape, VECTOR, fuse, frame, launch_stats)
+        assert_bitwise(got, want, label)
+        assert records == want_records, label
+        assert stats == want_stats, label
+        tiled = shape == TILED_SHAPE
+        assert all((record.tiles > 1) == tiled for record in records), label
+        assert slice_plans, f"{label}: no launch carried a slice plan"
+        assert all(taken != tiled for _, taken in slice_plans), \
+            f"{label}: {slice_plans}"
+
+    def test_sanitized_run_is_clean_and_unchanged(self, rng, launch_stats,
+                                                  slice_plans):
+        shape = (33, 17)
+        frame = rng.uniform(0.0, 255.0, shape).astype(np.float32)
+        plain = _run_adas("videocore-iv", shape, VECTOR, True, frame,
+                          launch_stats, sanitize=False)
+        checked = _run_adas("videocore-iv", shape, VECTOR, True, frame,
+                            launch_stats, sanitize=True)
+        assert checked[3] == []
+        assert_bitwise(checked[0], plain[0], "sanitized")
+        assert checked[1:3] == plain[1:3]
+        assert slice_plans and all(taken for _, taken in slice_plans)
