@@ -10,8 +10,8 @@ prepared, fused single-pass pipeline per request signature, so steady
 state only pays input upload + one fused launch + output read (plus, on
 multi-core hosts, overlap across pool workers).
 
-Publishes ``BENCH_service.json`` at the repository root (uploaded as a
-CI artefact) and a human-readable table under ``benchmarks/reports/``.
+Publishes ``benchmarks/out/BENCH_service.json`` (uploaded as a CI
+artefact) and a human-readable table, ``benchmarks/out/service.txt``.
 
 Acceptance: ``BrookService(pool_size=4)`` reaches at least 2x the serial
 baseline's requests/sec on the CPU backend, with every response bitwise
@@ -27,12 +27,8 @@ reliably reach, so the file name keeps it out of the default
 and 4 in the default suite.
 """
 
-import json
-import pathlib
-
 from repro.service.bench import render_service_report, run_service_bench
 
-BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_service.json"
 
 SIZE = 32
 REQUESTS = 96
@@ -40,7 +36,7 @@ POOL_SIZES = (1, 2, 4)
 REPEATS = 3
 
 
-def test_service_throughput(publish):
+def test_service_throughput(publish_run):
     best = None
     for _ in range(REPEATS):
         payload = run_service_bench(
@@ -64,8 +60,7 @@ def test_service_throughput(publish):
         row["device_totals"] = report["device_totals"]
         row["fuse"] = report["fuse"]
 
-    BENCH_PATH.write_text(json.dumps(best, indent=2, default=str) + "\n")
-    publish("service", render_service_report(best))
+    publish_run("service", render_service_report(best), best)
 
     speedup = best["pools"]["4"]["speedup_vs_serial"]
     assert speedup >= 2.0, (

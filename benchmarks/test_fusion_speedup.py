@@ -16,13 +16,11 @@ pipeline:
 
 Outputs must be bitwise identical across all variants on the CPU
 backend, and the combined path must be at least 2x faster than the seed
-path on at least one size.  The results are published as
-``BENCH_fusion.json`` at the repository root (uploaded as a CI artefact)
-plus a human-readable table under ``benchmarks/reports/``.
+path on at least one size.  The wall-clock results are written to
+``benchmarks/out/BENCH_fusion.json`` (uploaded as a CI artefact) plus a
+human-readable table, ``benchmarks/out/fusion.txt``.
 """
 
-import json
-import pathlib
 import time
 
 import numpy as np
@@ -34,7 +32,6 @@ from repro.core.compiler import CompilerOptions, compile_source
 from repro.core.exec.evaluator import KernelEvaluator
 from repro.runtime import BrookRuntime
 
-BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_fusion.json"
 
 #: Straight-line post-processing stages chained after the 3x3 filter.
 ADAS_POST_SOURCE = """
@@ -200,7 +197,7 @@ def fast_path_micro():
     }
 
 
-def test_fusion_speedup(publish, fast_path_micro):
+def test_fusion_speedup(publish_run, fast_path_micro):
     results = {}
     bitwise_all = True
     for size in SIZES:
@@ -240,8 +237,8 @@ def test_fusion_speedup(publish, fast_path_micro):
         "timing": {"iterations": ITERATIONS, "repeats": REPEATS,
                    "statistic": "best-of-repeats mean"},
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    publish("fusion", _render_table(results, best_size, best_speedup))
+    publish_run("fusion", _render_table(results, best_size, best_speedup),
+                payload)
 
     # Acceptance: outputs are bitwise identical on the CPU backend and the
     # combined vector tier + fusion beats the seed interpreter path >= 2x.

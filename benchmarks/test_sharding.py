@@ -21,13 +21,11 @@ devices=N)`` for ``N`` in 1/2/4 and records, per device count:
 
 Acceptance: outputs stay bitwise identical across device counts, and
 the modelled 4-device execution is at least 2x faster than the
-1-device baseline.  Results land in ``BENCH_sharding.json`` at the
-repository root (uploaded as a CI artefact) plus a rendered table under
-``benchmarks/reports/``.
+1-device baseline.  Results land in ``benchmarks/out/BENCH_sharding.json``
+(uploaded as a CI artefact) plus a rendered table,
+``benchmarks/out/sharding.txt``.
 """
 
-import json
-import pathlib
 import time
 
 import numpy as np
@@ -38,8 +36,6 @@ from repro.service.bench import ADAS_SERVICE_SOURCE, STAGES
 from repro.apps.image_filter import FILTER_3X3
 from repro.timing.gpu_model import GPUCostParameters, GPUModel, GPUWorkload
 
-BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent \
-    / "BENCH_sharding.json"
 
 #: Production ADAS resolution: large enough that the scalable work
 #: (texture fetches, ALU, RGBA8 codec, transfers) dominates the fixed
@@ -131,7 +127,7 @@ def _render_table(rows, speedups) -> str:
     return "\n".join(lines)
 
 
-def test_sharded_scaling(publish):
+def test_sharded_scaling(publish_run):
     rng = np.random.default_rng(12)
     frame = rng.uniform(0.0, 255.0, (SIZE, SIZE)).astype(np.float32)
 
@@ -172,5 +168,4 @@ def test_sharded_scaling(publish):
             "purposes only"),
         "bitwise_identical": bitwise,
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2, default=str) + "\n")
-    publish("sharding", _render_table(rows, speedups))
+    publish_run("sharding", _render_table(rows, speedups), payload)

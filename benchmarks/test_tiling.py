@@ -14,12 +14,10 @@ For every configuration the smoke records the simulator's own wall-clock
 per launch, the tile counts from the launch records, and the modelled
 GPU time (including the ``GPUModel`` tiling-overhead term), and checks
 the outputs stay bitwise identical to the CPU backend.  Results land in
-``BENCH_tiling.json`` at the repository root (uploaded as a CI artefact)
-plus a table under ``benchmarks/reports/``.
+``benchmarks/out/BENCH_tiling.json`` (uploaded as a CI artefact) plus a
+table, ``benchmarks/out/tiling.txt``.
 """
 
-import json
-import pathlib
 import time
 
 import numpy as np
@@ -28,7 +26,6 @@ from repro.gles2.device import get_device_profile
 from repro.runtime import BrookRuntime
 from repro.timing.gpu_model import GPUCostParameters, GPUModel, GPUWorkload
 
-BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_tiling.json"
 
 SOURCE = """
 kernel void shade(float gain, float bias, float x<>, out float r<>) {
@@ -99,7 +96,7 @@ def _render_table(results) -> str:
     return "\n".join(lines)
 
 
-def test_tiling_large_domains(publish):
+def test_tiling_large_domains(publish_run):
     rng = np.random.default_rng(42)
     results = {}
     for shape_name, shape in SHAPES.items():
@@ -135,5 +132,4 @@ def test_tiling_large_domains(publish):
                    "note": "wall-clock of the functional simulator, "
                            "not of real hardware"},
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    publish("tiling", _render_table(results))
+    publish_run("tiling", _render_table(results), payload)

@@ -15,13 +15,11 @@ A divergent micro-benchmark rides along: a branchy per-pixel kernel
 ``np.where`` lane-merge path the pipeline numbers do not exercise.
 
 Outputs must be bitwise identical in every variant, and the vector path
-must beat the interpreter by >= 11x at 1024x1024.  Results are published as ``BENCH_vectorize.json`` at the
-repository root plus a human-readable table under
-``benchmarks/reports/``.
+must beat the interpreter by >= 11x at 1024x1024.  Results are published
+as ``benchmarks/out/BENCH_vectorize.json`` plus a human-readable table,
+``benchmarks/out/vectorize.txt``.
 """
 
-import json
-import pathlib
 import time
 
 import numpy as np
@@ -32,8 +30,6 @@ from repro.core.exec.evaluator import KernelEvaluator
 from repro.core.exec.vectorized import build_vector_path
 from repro.runtime import BrookRuntime
 
-BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent \
-    / "BENCH_vectorize.json"
 
 SIZES = (256, 512, 1024)
 GATE_SIZE = 1024
@@ -141,7 +137,7 @@ def _render_table(results, micro) -> str:
     return "\n".join(lines)
 
 
-def test_vectorize_speedup(publish):
+def test_vectorize_speedup(publish_run):
     results = {}
     bitwise_all = True
     for size in SIZES:
@@ -172,8 +168,7 @@ def test_vectorize_speedup(publish):
         "timing": {"iterations": ITERATIONS, "repeats": REPEATS,
                    "statistic": "best-of-repeats mean"},
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    publish("vectorize", _render_table(results, micro))
+    publish_run("vectorize", _render_table(results, micro), payload)
 
     # Acceptance: bitwise identity everywhere, >= 11x real wall-clock
     # at 1024x1024 over the masked interpreter.

@@ -12,7 +12,7 @@ from ..errors import CALError
 from .device import CALDeviceProfile, get_cal_device
 from .resource import CALResource
 
-__all__ = ["CALContext", "CALKernelStats"]
+__all__ = ["CALContext", "CALDispatchTotals", "CALKernelStats"]
 
 
 @dataclass
@@ -23,6 +23,16 @@ class CALKernelStats:
     domain_elements: int
     flops: int
     fetches: int
+
+
+@dataclass
+class CALDispatchTotals:
+    """Cumulative work counters of every kernel dispatch."""
+
+    calls: int = 0
+    domain_elements: int = 0
+    flops: int = 0
+    fetches: int = 0
 
 
 @dataclass
@@ -37,7 +47,7 @@ class CALContext:
     def __init__(self, device: Optional[CALDeviceProfile] = None):
         self.device = device or get_cal_device("radeon-hd3400")
         self.resources: List[CALResource] = []
-        self.dispatches: List[CALKernelStats] = []
+        self.dispatches = CALDispatchTotals()
         self.transfers = CALTransferStats()
         # Resources are allocated/freed and traffic counted from
         # arbitrary threads (stream finalizers included); list mutation
@@ -82,13 +92,17 @@ class CALContext:
             flops=flops, fetches=fetches,
         )
         with self._lock:
-            self.dispatches.append(stats)
+            totals = self.dispatches
+            totals.calls += 1
+            totals.domain_elements += domain_elements
+            totals.flops += flops
+            totals.fetches += fetches
         return stats
 
     # ------------------------------------------------------------------ #
     @property
     def total_dispatches(self) -> int:
-        return len(self.dispatches)
+        return self.dispatches.calls
 
     def device_memory_in_use(self) -> int:
         with self._lock:
@@ -96,5 +110,5 @@ class CALContext:
 
     def reset_statistics(self) -> None:
         with self._lock:
-            self.dispatches = []
+            self.dispatches = CALDispatchTotals()
             self.transfers = CALTransferStats()

@@ -342,7 +342,7 @@ def _snapshot_guaranteed(plan: object, stream: object) -> bool:
     storage = getattr(stream, "storage", None)
     if getattr(storage, "shards", None) or getattr(storage, "tiles", None):
         return True
-    return getattr(plan, "_tile_plan", None) is not None
+    return plan.tile_plan is not None
 
 
 def _halo_bounds(definition) -> Dict[str, Tuple[Optional[float],
@@ -378,54 +378,40 @@ def _tiled_names(streams: Dict[str, object]) -> Tuple[str, ...]:
 def _node_from_plan(index: int, plan: object,
                     fused_context: bool) -> Optional[DataflowNode]:
     """Model one plan as a dataflow node (``None``: cannot be modelled)."""
-    from ...runtime.launch import FusedPlan, LaunchPlan
+    from ...runtime.launch import LaunchPlan
 
-    if isinstance(plan, FusedPlan):
-        node = DataflowNode(
-            index=index, kind="fused", kernel=plan.kernel_name,
-            reads=dict(plan.stream_args), gathers=dict(plan.gather_args),
-            writes=dict(plan.out_args), plan=plan,
-            location=getattr(plan.kernel.definition, "location", None),
-            fused_context=True,
-            halo_reads=_halo_bounds(plan.kernel.definition),
-        )
-    elif isinstance(plan, LaunchPlan):
-        if plan.is_reduction:
-            reads = {"<reduce-input>": plan._reduce_input}
-            writes: Dict[str, object] = {}
-            accumulator = plan._accumulator
-            if accumulator is not None:
-                # The runtime reads partial accumulators back after
-                # writing them: both a read and a write.
-                reads["<accumulator>"] = accumulator
-                writes["<accumulator>"] = accumulator
-            node = DataflowNode(
-                index=index, kind="reduction", kernel=plan.kernel_name,
-                reads=reads, writes=writes, plan=plan,
-                location=getattr(plan._reduce_piece.definition,
-                                 "location", None),
-                fused_context=fused_context,
-            )
-        else:
-            reads, gathers, writes = {}, {}, {}
-            halo: Dict[str, Tuple[Optional[float], Optional[float]]] = {}
-            location = None
-            for piece, (stream_args, gather_args, _,
-                        out_args) in plan._pieces:
-                reads.update(stream_args)
-                gathers.update(gather_args)
-                writes.update(out_args)
-                halo.update(_halo_bounds(piece.definition))
-                if location is None:
-                    location = getattr(piece.definition, "location", None)
-            node = DataflowNode(
-                index=index, kind="map", kernel=plan.kernel_name,
-                reads=reads, gathers=gathers, writes=writes, plan=plan,
-                location=location, fused_context=fused_context,
-                halo_reads=halo,
-            )
-    else:
+    if not isinstance(plan, LaunchPlan):
         return None
+    location = getattr(plan.kernel.definition, "location", None)
+    if plan.is_reduction:
+        reads = {"<reduce-input>": plan.reduce_input}
+        writes: Dict[str, object] = {}
+        accumulator = plan.accumulator
+        if accumulator is not None:
+            # The runtime reads partial accumulators back after
+            # writing them: both a read and a write.
+            reads["<accumulator>"] = accumulator
+            writes["<accumulator>"] = accumulator
+        node = DataflowNode(
+            index=index, kind="reduction", kernel=plan.kernel_name,
+            reads=reads, writes=writes, plan=plan, location=location,
+            fused_context=fused_context,
+        )
+    else:
+        reads, gathers, writes = {}, {}, {}
+        halo: Dict[str, Tuple[Optional[float], Optional[float]]] = {}
+        for launch_pass in plan.passes:
+            reads.update(launch_pass.stream_args)
+            gathers.update(launch_pass.gather_args)
+            writes.update(launch_pass.out_args)
+            halo.update(_halo_bounds(launch_pass.kernel.definition))
+        fused = bool(plan.fused_kernel_names)
+        node = DataflowNode(
+            index=index, kind="fused" if fused else "map",
+            kernel=plan.kernel_name, reads=reads, gathers=gathers,
+            writes=writes, plan=plan, location=location,
+            fused_context=fused or fused_context, halo_reads=halo,
+        )
     node.tile_boundaries = _tiled_names(node.touched())
     for name, stream in node.gathers.items():
         if any(streams_alias(stream, out) for out in node.writes.values()):
@@ -450,8 +436,7 @@ def build_dataflow_graph(launchables: object,
     skipped: List[Tuple[int, object]] = []
     position = 0
     for container_plan in _iter_plans(launchables):
-        fused_context = isinstance(launchables, FusedPipeline) or \
-            getattr(container_plan, "fused_kernel_names", None) is not None
+        fused_context = isinstance(launchables, FusedPipeline)
         node = _node_from_plan(len(nodes), container_plan, fused_context)
         if node is None:
             skipped.append((position, container_plan))

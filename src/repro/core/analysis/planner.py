@@ -338,45 +338,43 @@ def _plan_infos(plans: Sequence[object]) -> List["_PlanInfo"]:
     from ...runtime.launch import LaunchPlan
     infos: List[_PlanInfo] = []
     for index, plan in enumerate(plans):
-        if not isinstance(plan, LaunchPlan):
+        if not isinstance(plan, LaunchPlan) or plan.handle is None:
             raise PlanningError(
                 f"the auto-planner expects prepared LaunchPlans (from "
                 f"kernel.bind(...)), got {type(plan).__name__}")
         program = plan.handle.program
         info = _PlanInfo()
         info.index = index
-        info.label = plan.handle.original_name
+        info.label = plan.kernel_name
         info.is_reduction = plan.is_reduction
+        info.gathers = []
+        info.in_streams, info.gather_streams, info.out_streams = {}, {}, {}
         if plan.is_reduction:
-            piece = plan._reduce_piece
-            info.domain = plan._reduce_input.shape
-            info.pieces = [kernel_wcet(program, piece.name)]
-            info.gathers = []
+            info.domain = plan.reduce_input.shape
+            info.pieces = [kernel_wcet(program, plan.kernel.name)]
             info.definition = None
-            info.piece_paths = [_host_path(piece)]
+            info.piece_paths = [_host_path(plan.kernel)]
             stream_param = plan.handle.original.stream_params[0]
-            info.in_streams = {stream_param.name: plan._reduce_input}
-            info.gather_streams = {}
-            info.out_streams = {}
+            info.in_streams[stream_param.name] = plan.reduce_input
         else:
-            info.domain = plan._domain
+            info.domain = plan.domain
             info.pieces = []
-            info.gathers = []
-            first_piece, first_args = plan._pieces[0]
-            for piece, (_s, gather_args, scalar_args, _o) in plan._pieces:
-                info.pieces.append(kernel_wcet(program, piece.name))
-                spec = classify_kernel(piece.definition)
-                for name, stream in gather_args.items():
-                    info.gathers.append(
-                        (spec.argument(name), stream.shape, scalar_args))
-            info.definition = (first_piece.definition
-                               if len(plan._pieces) == 1 else None)
-            info.piece_paths = [_host_path(piece)
-                                for piece, _args in plan._pieces]
-            stream_args, gather_args, _scalars, out_args = first_args
-            info.in_streams = dict(stream_args)
-            info.gather_streams = dict(gather_args)
-            info.out_streams = dict(out_args)
+            # A split kernel's passes together read and write the
+            # streams of the source kernel.
+            for launch_pass in plan.passes:
+                kernel = launch_pass.kernel
+                info.pieces.append(kernel_wcet(program, kernel.name))
+                spec = classify_kernel(kernel.definition)
+                for name, stream in launch_pass.gather_args.items():
+                    info.gathers.append((spec.argument(name), stream.shape,
+                                         launch_pass.scalar_args))
+                info.in_streams.update(launch_pass.stream_args)
+                info.gather_streams.update(launch_pass.gather_args)
+                info.out_streams.update(launch_pass.out_args)
+            info.definition = (plan.kernel.definition
+                               if len(plan.passes) == 1 else None)
+            info.piece_paths = [_host_path(launch_pass.kernel)
+                                for launch_pass in plan.passes]
         infos.append(info)
     return infos
 

@@ -468,55 +468,49 @@ def _price(work: _WorkBound, platform_name: str, devices: int,
 def _plan_into(work: _WorkBound, plan, devices: int,
                limits: Optional[TargetLimits]) -> List[str]:
     """Accumulate one plan's bounded kernel work; returns kernel names."""
+    from ...runtime.launch import FusedPipeline, LaunchPlan
+
     names: List[str] = []
-    segments = getattr(plan, "segments", None)
-    if segments is not None:                      # FusedPipeline
-        for segment, _ in segments:
+    if isinstance(plan, FusedPipeline):
+        for segment, _ in plan.segments:
             names.extend(_plan_into(work, segment, devices, limits))
         return names
-    program = plan.handle.program if hasattr(plan, "handle") else None
-    if getattr(plan, "is_reduction", False):      # reduction LaunchPlan
-        piece = plan._reduce_piece
-        kw = kernel_wcet(program, piece.name)
-        shape = plan._reduce_input.shape
+    if not isinstance(plan, LaunchPlan):
+        raise WCETError(
+            f"cannot derive a WCET bound for {type(plan).__name__}")
+    if plan.is_reduction:
+        kw = kernel_wcet(plan.handle.program, plan.kernel.name)
+        shape = plan.reduce_input.shape
         tiles = _tile_count(shape, limits)
         _add_reduction_launch(work, kw, shape.element_count,
                               max(shape.dims), tiles, devices)
-        names.append(piece.name)
+        names.append(plan.kernel.name)
         return names
-    if hasattr(plan, "_pieces"):                  # map LaunchPlan
-        domain = plan._domain
-        tiles = _tile_count(domain, limits)
-        if plan._tile_plan is not None:
-            tiles = max(tiles, plan._tile_plan.tile_count)
-        for piece, _args in plan._pieces:
-            kw = kernel_wcet(program, piece.name)
-            _add_map_launch(work, kw, domain.element_count, tiles, devices)
-            names.append(piece.name)
-        return names
-    if hasattr(plan, "kernel") and hasattr(plan, "domain"):   # FusedPlan
-        domain = plan.domain
-        tiles = _tile_count(domain, limits)
-        if plan._tile_plan is not None:
-            tiles = max(tiles, plan._tile_plan.tile_count)
-        kernel = plan.kernel
-        kw = analyze_kernel_wcet(kernel.definition, plan.helpers)
+    domain = plan.domain
+    tiles = _tile_count(domain, limits)
+    if plan.tile_plan is not None:
+        tiles = max(tiles, plan.tile_plan.tile_count)
+    for launch_pass in plan.passes:
+        kernel = launch_pass.kernel
+        if plan.handle is None:
+            # A merged kernel is in no program's certification report.
+            kw = analyze_kernel_wcet(kernel.definition, plan.helpers)
+        else:
+            kw = kernel_wcet(plan.handle.program, kernel.name)
         _add_map_launch(work, kw, domain.element_count, tiles, devices)
         names.append(kernel.name)
-        return names
-    raise WCETError(f"cannot derive a WCET bound for {type(plan).__name__}")
+    return names
 
 
 def plan_wcet(plan, platform: str = "target", devices: Optional[int] = None,
               limits: Optional[TargetLimits] = None) -> WCETBound:
     """Worst-case kernel time of a prepared launch plan.
 
-    Accepts a :class:`~repro.runtime.launch.LaunchPlan` (map or
-    reduction), :class:`~repro.runtime.launch.FusedPlan` or a whole
-    :class:`~repro.runtime.launch.FusedPipeline`.  The bound covers
-    kernel passes only (no host transfers - plans do not move data);
-    :func:`request_wcet` adds the transfer terms for a full service
-    request.
+    Accepts a :class:`~repro.runtime.launch.LaunchPlan` (map, fused or
+    reduction) or a whole :class:`~repro.runtime.launch.FusedPipeline`.
+    The bound covers kernel passes only (no host transfers - plans do
+    not move data); :func:`request_wcet` adds the transfer terms for a
+    full service request.
 
     Args:
         plan: The prepared plan.

@@ -12,8 +12,7 @@ and the OpenGL ES 2 hardware limits:
   generated shaders and helps the loop-bound analysis.
 * :mod:`fuse` - merge compatible producer -> consumer kernel pairs into
   a single kernel, turning the intermediate stream into a local variable
-  (driven by ``rt.fuse([...])`` and fusing command queues rather than by
-  the compiler driver).
+  (driven by ``rt.fuse([...])`` rather than by the compiler driver).
 """
 
 from .constant_fold import fold_constants

@@ -24,8 +24,7 @@ This module operates purely on the AST (:func:`fuse_definitions`) plus a
 convenience wrapper that packages the fused definition as a
 :class:`~repro.core.compiler.CompiledKernel` with generated shader text
 and a vector program (:func:`fuse_compiled`).  The runtime entry
-points - ``rt.fuse([...])`` and fusing command queues - live in
-:mod:`repro.runtime.launch`.
+point, ``rt.fuse([...])``, lives in :mod:`repro.runtime.launch`.
 """
 
 from __future__ import annotations

@@ -14,8 +14,7 @@ request pipelines target the same accelerator concurrently.  The
         result = f3.result()
 
 ``submit`` accepts anything the runtime can launch - a
-:class:`~repro.runtime.launch.LaunchPlan`, a
-:class:`~repro.runtime.launch.FusedPlan` or a whole
+:class:`~repro.runtime.launch.LaunchPlan` (fused or not) or a whole
 :class:`~repro.runtime.launch.FusedPipeline` - and returns a
 :class:`LaunchFuture` immediately.  A pool of worker threads executes the
 submissions; **stream-level hazard tracking** decides the order:
@@ -46,7 +45,7 @@ from queue import SimpleQueue
 from typing import Dict, List, Optional, Set
 
 from ..errors import KernelLaunchError, RuntimeBrookError
-from .launch import FusedPipeline, FusedPlan, LaunchPlan
+from .launch import FusedPipeline, LaunchPlan
 
 __all__ = ["AsyncExecutor", "LaunchFuture"]
 
@@ -155,31 +154,26 @@ def _collect_hazards(plan: object, reads: Set[int], writes: Set[int]) -> None:
         for segment, _ in plan.segments:
             _collect_hazards(segment, reads, writes)
         return
-    if isinstance(plan, FusedPlan):
-        for stream in (*plan.stream_args.values(), *plan.gather_args.values()):
-            reads.update(_hazard_ids(stream))
-        for stream in plan.out_args.values():
-            writes.update(_hazard_ids(stream))
-        return
     if isinstance(plan, LaunchPlan):
         if plan.is_reduction:
-            reads.update(_hazard_ids(plan._reduce_input))
-            accumulator = plan._accumulator
+            reads.update(_hazard_ids(plan.reduce_input))
+            accumulator = plan.accumulator
             if accumulator is not None:
                 # The runtime reads partial-reduction accumulators back
                 # after writing them, so they count as both.
                 reads.update(_hazard_ids(accumulator))
                 writes.update(_hazard_ids(accumulator))
             return
-        for _, (stream_args, gather_args, _, out_args) in plan._pieces:
-            for stream in (*stream_args.values(), *gather_args.values()):
+        for launch_pass in plan.passes:
+            for stream in (*launch_pass.stream_args.values(),
+                           *launch_pass.gather_args.values()):
                 reads.update(_hazard_ids(stream))
-            for stream in out_args.values():
+            for stream in launch_pass.out_args.values():
                 writes.update(_hazard_ids(stream))
         return
     # Unknown plan-like object: be conservative and treat every bound
     # stream as read *and* written (full serialization against overlaps).
-    for stream in getattr(plan, "_bound_streams", ()):
+    for stream in getattr(plan, "bound_streams", ()):
         reads.update(_hazard_ids(stream))
         writes.update(_hazard_ids(stream))
 
@@ -232,13 +226,13 @@ class AsyncExecutor:
     def submit(self, plan: object) -> LaunchFuture:
         """Schedule ``plan`` for asynchronous execution.
 
-        Accepts a :class:`LaunchPlan`, :class:`FusedPlan` or
+        Accepts a :class:`LaunchPlan` (fused or not) or a
         :class:`FusedPipeline` of this executor's runtime.  Returns a
         :class:`LaunchFuture` immediately; the launch runs as soon as a
         worker is free *and* every conflicting earlier submission has
         finished.
         """
-        if not isinstance(plan, (LaunchPlan, FusedPlan, FusedPipeline)) and \
+        if not isinstance(plan, (LaunchPlan, FusedPipeline)) and \
                 not hasattr(plan, "launch"):
             raise KernelLaunchError(
                 "AsyncExecutor.submit expects a prepared launch plan, fused "

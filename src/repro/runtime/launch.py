@@ -22,9 +22,9 @@ takes a list of plans forming a pipeline and merges compatible
 producer -> consumer pairs into single fused kernels (see
 :mod:`repro.core.transforms.fuse`), eliminating the intermediate
 streams' write/read traffic and the per-pass dispatch overhead.  A
-:class:`CommandQueue` created with ``rt.queue(fuse=True)`` applies the
-same merging to its batch at flush time.  Pairs that cannot be legally
-fused (reductions, gathers on the intermediate, mismatched domains, an
+fused pair becomes a :class:`FusedPlan`, a one-pass :class:`LaunchPlan`
+running the merged kernel.  Pairs that cannot be legally fused
+(reductions, gathers on the intermediate, mismatched domains, an
 intermediate that is still needed afterwards) simply stay separate
 passes - fusion never changes what a pipeline computes, only how many
 passes it takes.
@@ -32,7 +32,8 @@ passes it takes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import (Dict, List, NamedTuple, Optional, Sequence, Tuple,
+                    TYPE_CHECKING)
 
 import numpy as np
 
@@ -48,48 +49,86 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .profiling import KernelLaunchRecord
     from .runtime import BrookRuntime
     from .shape import StreamShape
+    from .tiling import TilePlan
 
-__all__ = ["LaunchPlan", "FusedPlan", "FusedPipeline", "QueuedLaunch",
+__all__ = ["LaunchPass", "LaunchPlan", "FusedPlan", "FusedPipeline", "QueuedLaunch",
            "CommandQueue", "build_fused_pipeline"]
 
 
+class LaunchPass(NamedTuple):
+    """One GPU pass of a plan: a compiled kernel and its classified arguments."""
+
+    kernel: CompiledKernel
+    stream_args: Dict[str, Stream]
+    gather_args: Dict[str, Stream]
+    scalar_args: Dict[str, float]
+    out_args: Dict[str, Stream]
+
+
 class LaunchPlan:
-    """One kernel launch with its arguments validated and classified.
+    """One logical launch with its arguments validated and classified.
 
     Created through :meth:`KernelHandle.bind`; the constructor expects
     *already validated* bindings.  The plan resolves the launch domain
     and splits the arguments by parameter kind once, so every subsequent
     :meth:`launch` goes straight to the backend.
+
+    Every plan has the same public shape, which the executor, the
+    sanitizer and the dataflow, WCET and planner analyses read:
+
+    * a **map** plan launches ``passes`` in order over ``domain`` (one
+      :class:`LaunchPass` per piece of a compiler-split kernel, a single
+      pass otherwise), tiled by ``tile_plan`` when the bound storages
+      need it;
+    * a **reduction** plan (``is_reduction``) folds ``reduce_input`` with
+      ``kernel`` into a value, or into ``accumulator`` when that is a
+      multi-element stream; its ``passes`` are empty.
+
+    ``kernel`` is the first pass's kernel of a map plan and
+    ``bound_streams`` every stream the plan touches.
     """
+
+    #: The kernel handle the plan was bound from (``None`` for a fused plan).
+    handle: Optional["KernelHandle"] = None
+    passes: Tuple[LaunchPass, ...] = ()
+    domain: Optional["StreamShape"] = None
+    tile_plan: Optional["TilePlan"] = None
+    reduce_input: Optional[Stream] = None
+    accumulator: Optional[Stream] = None
 
     def __init__(self, handle: "KernelHandle", bindings: Dict[str, object]):
         self.handle = handle
         self.runtime: "BrookRuntime" = handle.runtime
+        self.kernel_name = handle.original_name
         self.is_reduction = handle.is_reduction
-        self._bindings = bindings
-        self._bound_streams = [
+        self.helpers = handle._helpers
+        self.enable_fast_path = handle.program.options.enable_fast_path
+        self.bound_streams = tuple(
             value for value in bindings.values() if isinstance(value, Stream)
-        ]
+        )
         if self.is_reduction:
             self._prepare_reduction(bindings)
-        else:
-            self._domain = handle._output_domain(bindings)
-            self._pieces = [
-                (piece, handle._classify(piece.definition, bindings))
-                for piece in (handle.program.kernel(name)
-                              for name in handle.piece_names)
-            ]
-            # Tiled dispatch keys on the bound storages (the CPU backend
-            # never tiles, whatever the domain size); resolved once here
-            # so repeated launches skip the lookup.  Every piece of a
-            # split kernel shares the domain, hence the plan.
-            stream_args, _, _, out_args = self._pieces[0][1]
-            self._tile_plan = launch_tile_plan(stream_args, out_args)
+            return
+        self.domain = handle._output_domain(bindings)
+        self.passes = tuple(
+            LaunchPass(piece, *handle._classify(piece.definition, bindings))
+            for piece in (handle.program.kernel(name)
+                          for name in handle.piece_names)
+        )
+        self.kernel = self.passes[0].kernel
+        # Tiled dispatch keys on the bound storages (the CPU backend
+        # never tiles, whatever the domain size); resolved once here so
+        # repeated launches skip the lookup.  Every piece of a split
+        # kernel shares the domain, hence the plan.
+        self.tile_plan = launch_tile_plan(self.passes[0].stream_args,
+                                          self.passes[0].out_args)
 
     # ------------------------------------------------------------------ #
     @property
-    def kernel_name(self) -> str:
-        return self.handle.original_name
+    def fused_kernel_names(self) -> Tuple[str, ...]:
+        """Names of the source kernels merged into this launch (empty
+        unless the plan is fused)."""
+        return self.kernel.fused_from
 
     def launch(self):
         """Execute the plan and record its statistics with the runtime.
@@ -111,44 +150,40 @@ class LaunchPlan:
         """Run the backend work, appending launch records to ``records``.
 
         Does not register the records with the runtime's statistics -
-        :class:`CommandQueue` uses this to collect the records of a whole
-        batch and register them in one bulk call.  Records are appended
-        as each pass completes, so the caller sees the work that ran even
-        when a later pass raises.
+        :class:`CommandQueue` and :class:`FusedPipeline` use this to
+        collect the records of a whole batch and register them in one
+        bulk call.  Records are appended as each pass completes, so the
+        caller sees the work that ran even when a later pass raises.
         """
-        self._require_launchable()
-        sanitizer = getattr(self.runtime, "sanitizer", None)
+        runtime = self.runtime
+        runtime._require_open()
+        for stream in self.bound_streams:
+            stream._require_live()
+        sanitizer = getattr(runtime, "sanitizer", None)
         if sanitizer is not None:
             sanitizer.before_launch(self)
         if self.is_reduction:
             result = self._execute_reduction(records)
         else:
-            result = self._execute_map(records)
+            result = None
+            backend = runtime.backend
+            tile_plan = self.tile_plan
+            for kernel, stream_args, gather_args, scalar_args, out_args \
+                    in self.passes:
+                if tile_plan is None:
+                    records.append(backend.launch(
+                        kernel, self.helpers, self.domain,
+                        stream_args, gather_args, scalar_args, out_args,
+                    ))
+                else:
+                    records.append(launch_tiled(
+                        backend, kernel, self.helpers, self.domain,
+                        tile_plan, stream_args, gather_args, scalar_args,
+                        out_args,
+                    ))
         if sanitizer is not None:
             sanitizer.after_launch(self)
         return result
-
-    def _require_launchable(self) -> None:
-        self.runtime._require_open()
-        for stream in self._bound_streams:
-            stream._require_live()
-
-    # ------------------------------------------------------------------ #
-    def _execute_map(self, records):
-        backend = self.runtime.backend
-        helpers = self.handle._helpers
-        for piece, (stream_args, gather_args, scalar_args, out_args) in self._pieces:
-            if self._tile_plan is None:
-                records.append(backend.launch(
-                    piece, helpers, self._domain,
-                    stream_args, gather_args, scalar_args, out_args,
-                ))
-            else:
-                records.append(launch_tiled(
-                    backend, piece, helpers, self._domain, self._tile_plan,
-                    stream_args, gather_args, scalar_args, out_args,
-                ))
-        return None
 
     # ------------------------------------------------------------------ #
     def _prepare_reduction(self, bindings: Dict[str, object]) -> None:
@@ -160,31 +195,28 @@ class LaunchPlan:
                 f"reduction {handle.original_name!r} needs its input stream "
                 f"{stream_param.name!r}"
             )
-        self._reduce_input = input_stream
-        self._reduce_piece = handle.program.kernel(handle.piece_names[0])
+        self.reduce_input = input_stream
+        self.kernel = handle.program.kernel(handle.piece_names[0])
 
         # Brook distinguishes reductions to a scalar from reductions to a
         # smaller stream (every output element reduces one block of the
         # input); the latter is requested by passing a multi-element stream
         # as the accumulator argument.
-        accumulator: Optional[Stream] = None
         for param in handle.original.reduce_params:
             candidate = bindings.get(param.name)
             if isinstance(candidate, Stream):
-                accumulator = candidate
-        self._accumulator = accumulator
+                self.accumulator = candidate
 
     def _execute_reduction(self, records):
         backend = self.runtime.backend
-        helpers = self.handle._helpers
-        accumulator = self._accumulator
+        accumulator = self.accumulator
         if accumulator is not None and accumulator.element_count > 1:
             records.append(backend.reduce_into(
-                self._reduce_piece, helpers, self._reduce_input, accumulator
+                self.kernel, self.helpers, self.reduce_input, accumulator
             ))
             return accumulator.read()
         value, record = backend.reduce(
-            self._reduce_piece, helpers, self._reduce_input
+            self.kernel, self.helpers, self.reduce_input
         )
         records.append(record)
         # If the caller passed a 1-element stream for the accumulator, fill it.
@@ -194,94 +226,46 @@ class LaunchPlan:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "reduce" if self.is_reduction else "kernel"
-        return f"<LaunchPlan {kind} {self.kernel_name!r}>"
+        return f"<{type(self).__name__} {kind} {self.kernel_name!r}>"
 
 
-class FusedPlan:
-    """A single launch executing several producer -> consumer kernels.
+class FusedPlan(LaunchPlan):
+    """A one-pass map :class:`LaunchPlan` running a merged kernel.
 
-    Produced by :func:`build_fused_pipeline` (via ``rt.fuse`` or a fusing
-    command queue); never constructed directly by applications.  It
-    quacks like a map-kernel :class:`LaunchPlan`: ``launch()`` records
-    its statistics, ``execute(records)`` is used by command queues, and
-    it can itself serve as the producer of a further fusion step.
+    Produced by :func:`build_fused_pipeline` (via ``rt.fuse``); never
+    constructed directly by applications.  It launches, tiles and serves
+    as the producer of a further fusion step like any map plan.
     """
-
-    is_reduction = False
 
     def __init__(
         self,
         runtime: "BrookRuntime",
-        kernel: CompiledKernel,
         helpers: Dict[str, "ast.FunctionDef"],
         domain: "StreamShape",
-        stream_args: Dict[str, Stream],
-        gather_args: Dict[str, Stream],
-        scalar_args: Dict[str, float],
-        out_args: Dict[str, Stream],
+        launch_pass: LaunchPass,
         enable_fast_path: bool,
     ):
+        kernel = launch_pass.kernel
         self.runtime = runtime
-        self.kernel = kernel
+        self.kernel_name = kernel.name
+        self.is_reduction = False
         self.helpers = helpers
-        self.domain = domain
-        self.stream_args = stream_args
-        self.gather_args = gather_args
-        self.scalar_args = scalar_args
-        self.out_args = out_args
         self.enable_fast_path = enable_fast_path
-        self._bound_streams = list(
-            {id(s): s for s in (*stream_args.values(), *gather_args.values(),
-                                *out_args.values())}.values()
+        self.bound_streams = tuple(
+            {id(s): s for s in (*launch_pass.stream_args.values(),
+                                *launch_pass.gather_args.values(),
+                                *launch_pass.out_args.values())}.values()
         )
-        self._tile_plan = launch_tile_plan(stream_args, out_args)
+        self.domain = domain
+        self.passes = (launch_pass,)
+        self.kernel = kernel
+        self.tile_plan = launch_tile_plan(launch_pass.stream_args,
+                                          launch_pass.out_args)
 
-    # ------------------------------------------------------------------ #
-    @property
-    def kernel_name(self) -> str:
-        return self.kernel.name
-
-    @property
-    def fused_kernel_names(self) -> Tuple[str, ...]:
-        """Names of the source kernels merged into this launch."""
-        return self.kernel.fused_from
-
-    def launch(self):
-        records: List["KernelLaunchRecord"] = []
-        try:
-            return self.execute(records)
-        finally:
-            self.runtime.statistics.record_launches(records)
-
-    def execute(self, records: List["KernelLaunchRecord"]):
-        self.runtime._require_open()
-        for stream in self._bound_streams:
-            stream._require_live()
-        sanitizer = getattr(self.runtime, "sanitizer", None)
-        if sanitizer is not None:
-            sanitizer.before_launch(self)
-        backend = self.runtime.backend
-        if self._tile_plan is None:
-            records.append(backend.launch(
-                self.kernel, self.helpers, self.domain,
-                self.stream_args, self.gather_args, self.scalar_args,
-                self.out_args,
-            ))
-        else:
-            # Fused pipelines tile like ordinary launches: the merged
-            # kernel runs once per tile of the shared domain.
-            records.append(launch_tiled(
-                backend, self.kernel, self.helpers, self.domain,
-                self._tile_plan, self.stream_args, self.gather_args,
-                self.scalar_args, self.out_args,
-            ))
-        if sanitizer is not None:
-            sanitizer.after_launch(self)
-        return None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        chain = "+".join(self.fused_kernel_names)
-        return f"<FusedPlan {chain!r}>"
+    # Instrumentation wraps ``LaunchPlan.execute`` and ``FusedPlan.execute``
+    # by name and restores both; an inherited ``execute`` would be wrapped
+    # twice and stay patched after the restore.
+    execute = LaunchPlan.execute
 
 
 class FusedPipeline:
@@ -333,39 +317,18 @@ class FusedPipeline:
                 f"{self.source_count} kernels>")
 
 
-def _plan_fusion_view(plan):
-    """Uniform (kernel, helpers, domain, args...) view of a fusable plan.
-
-    Returns ``None`` when the plan cannot participate in fusion at all
-    (reductions, compiler-split multi-piece kernels).
-    """
-    if isinstance(plan, FusedPlan):
-        return (plan.kernel, plan.helpers, plan.domain, plan.stream_args,
-                plan.gather_args, plan.scalar_args, plan.out_args,
-                plan.enable_fast_path)
-    if isinstance(plan, LaunchPlan):
-        if plan.is_reduction or len(plan._pieces) != 1:
-            return None
-        piece, (stream_args, gather_args, scalar_args, out_args) = plan._pieces[0]
-        options = plan.handle.program.options
-        return (piece, plan.handle._helpers, plan._domain, stream_args,
-                gather_args, scalar_args, out_args,
-                options.enable_fast_path)
-    return None
-
-
-def _try_fuse_pair(runtime: "BrookRuntime", current, nxt,
-                   later_plans: Sequence[object]) -> Optional[FusedPlan]:
+def _try_fuse_pair(runtime: "BrookRuntime", current: LaunchPlan,
+                   nxt: LaunchPlan,
+                   later_plans: Sequence[LaunchPlan]) -> Optional[FusedPlan]:
     """Merge two adjacent plans, or return ``None`` when illegal."""
-    producer_view = _plan_fusion_view(current)
-    consumer_view = _plan_fusion_view(nxt)
-    if producer_view is None or consumer_view is None:
+    # Reductions (no pass) and compiler-split kernels never fuse.
+    if len(current.passes) != 1 or len(nxt.passes) != 1:
         return None
-    (prod_kernel, prod_helpers, prod_domain, prod_streams, prod_gathers,
-     prod_scalars, prod_outs, prod_fast) = producer_view
-    (cons_kernel, cons_helpers, cons_domain, cons_streams, cons_gathers,
-     cons_scalars, cons_outs, cons_fast) = consumer_view
-    if prod_domain.dims != cons_domain.dims:
+    prod_kernel, prod_streams, prod_gathers, prod_scalars, prod_outs = \
+        current.passes[0]
+    cons_kernel, cons_streams, cons_gathers, cons_scalars, cons_outs = \
+        nxt.passes[0]
+    if current.domain.dims != nxt.domain.dims:
         return None
 
     # Which consumer input-stream parameters read a producer output?
@@ -399,20 +362,21 @@ def _try_fuse_pair(runtime: "BrookRuntime", current, nxt,
                                      *prod_gathers.values())):
             return None
         for later in later_plans:
-            if any(stream is s for s in getattr(later, "_bound_streams", ())):
+            if any(stream is s for s in later.bound_streams):
                 return None
 
     # Helper collision across modules: same name must mean the same code.
-    helpers = dict(prod_helpers)
-    for helper_name, definition in cons_helpers.items():
+    helpers = dict(current.helpers)
+    for helper_name, definition in nxt.helpers.items():
         if helpers.get(helper_name, definition) is not definition:
             return None
         helpers[helper_name] = definition
 
+    enable_fast_path = current.enable_fast_path and nxt.enable_fast_path
     try:
         fused_kernel, result = fuse_compiled(
             prod_kernel, cons_kernel, connections, helpers,
-            enable_fast_path=prod_fast and cons_fast,
+            enable_fast_path=enable_fast_path,
         )
     except FusionError:
         return None
@@ -434,9 +398,10 @@ def _try_fuse_pair(runtime: "BrookRuntime", current, nxt,
                 if k not in eliminated}
     out_args.update(cons_outs)
     return FusedPlan(
-        runtime, fused_kernel, helpers, cons_domain,
-        stream_args, gather_args, scalar_args, out_args,
-        enable_fast_path=prod_fast and cons_fast,
+        runtime, helpers, nxt.domain,
+        LaunchPass(fused_kernel, stream_args, gather_args, scalar_args,
+                   out_args),
+        enable_fast_path,
     )
 
 
@@ -446,7 +411,7 @@ def build_fused_pipeline(runtime: "BrookRuntime",
     if not plans:
         raise KernelLaunchError("cannot fuse an empty pipeline")
     for plan in plans:
-        if not isinstance(plan, (LaunchPlan, FusedPlan)):
+        if not isinstance(plan, LaunchPlan):
             raise KernelLaunchError(
                 "rt.fuse expects prepared launch plans "
                 "(use kernel.bind(...) to create them)"
@@ -499,15 +464,6 @@ class CommandQueue:
     block exits without an exception - runs everything in submission
     order and records the launch statistics in one bulk operation.
 
-    A queue created with ``rt.queue(fuse=True)`` additionally merges
-    adjacent compatible producer -> consumer launches into fused kernels
-    at flush time.  Intermediate streams consumed inside a fused pair are
-    **not** materialised (their device contents stay unchanged); batches
-    that read an intermediate after the flush should keep fusion off or
-    use an explicit ``rt.fuse`` pipeline.  Fusion re-runs per flush -
-    long-lived services that launch the same pipeline repeatedly should
-    prepare it once with ``rt.fuse([...])`` instead.
-
     Command queues are **per-thread** objects: the runtime's
     active-queue stack is thread-local, so a queue only captures kernel
     calls made by the thread that activated it - launches issued
@@ -518,9 +474,8 @@ class CommandQueue:
     :class:`~repro.runtime.executor.AsyncExecutor`.
     """
 
-    def __init__(self, runtime: "BrookRuntime", fuse: bool = False):
+    def __init__(self, runtime: "BrookRuntime"):
         self.runtime = runtime
-        self.fuse_enabled = bool(fuse)
         self._pending: List[QueuedLaunch] = []
         self.flushed_launches = 0
         # Set while the context-manager exit performs its automatic
@@ -557,24 +512,10 @@ class CommandQueue:
         records: List["KernelLaunchRecord"] = []
         results: List[object] = []
         try:
-            if self.fuse_enabled and len(pending) > 1:
-                pipeline = build_fused_pipeline(
-                    self.runtime, [queued.plan for queued in pending])
-                for plan, indices in pipeline.segments:
-                    result = plan.execute(records)
-                    for index in indices:
-                        queued = pending[index]
-                        # A fused segment covers several submissions; all
-                        # of them were map kernels, whose result is None.
-                        queued.result = result if len(indices) == 1 else None
-                        queued.done = True
-                        results.append(queued.result)
-            else:
-                for queued in pending:
-                    result = queued.plan.execute(records)
-                    queued.result = result
-                    queued.done = True
-                    results.append(result)
+            for queued in pending:
+                queued.result = queued.plan.execute(records)
+                queued.done = True
+                results.append(queued.result)
         finally:
             self.flushed_launches += len(results)
             self.runtime.statistics.record_launches(records)

@@ -378,21 +378,17 @@ class BrookRuntime:
     # ------------------------------------------------------------------ #
     # Command queues
     # ------------------------------------------------------------------ #
-    def queue(self, fuse: bool = False) -> CommandQueue:
+    def queue(self) -> CommandQueue:
         """A deferred launch queue for this runtime.
 
         Used as a context manager: kernel calls inside the ``with`` block
         are batched and flushed in one pass when the block exits (or when
-        :meth:`~repro.runtime.launch.CommandQueue.flush` is called).
-
-        With ``fuse=True`` the flush first merges adjacent compatible
-        producer -> consumer launches into single fused kernels; the
-        intermediate streams consumed inside a merged pair are not
-        materialised (see :meth:`fuse` for the pipeline form that
-        amortises the fusion work across launches).
+        :meth:`~repro.runtime.launch.CommandQueue.flush` is called).  To
+        merge producer -> consumer launches, prepare them with
+        :meth:`fuse` instead.
         """
         self._require_open()
-        return CommandQueue(self, fuse=fuse)
+        return CommandQueue(self)
 
     # ------------------------------------------------------------------ #
     # Kernel fusion

@@ -39,11 +39,14 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import SanitizerError, SourceLocation
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .launch import LaunchPlan
 
 __all__ = ["BrookSanitizer", "SanitizerFinding"]
 
@@ -210,45 +213,29 @@ class BrookSanitizer:
     # ------------------------------------------------------------------ #
     # Launch hooks
     # ------------------------------------------------------------------ #
-    def _plan_accesses(self, plan: object):
+    def _plan_accesses(self, plan: "LaunchPlan"):
         """(reads, writes) name->stream dicts of one plan.
 
         Reduction accumulators are deliberately *not* treated as reads:
         the runtime overwrites them, so reading their creation zeros is
         part of the contract, not a defect.
         """
-        from .launch import FusedPlan, LaunchPlan
-
         reads: Dict[str, object] = {}
         writes: Dict[str, object] = {}
-        if isinstance(plan, FusedPlan):
-            reads.update(plan.stream_args)
-            reads.update(plan.gather_args)
-            writes.update(plan.out_args)
-        elif isinstance(plan, LaunchPlan):
-            if plan.is_reduction:
-                reads["<reduce-input>"] = plan._reduce_input
-                if plan._accumulator is not None:
-                    writes["<accumulator>"] = plan._accumulator
-            else:
-                for _, (stream_args, gather_args, _, out_args) in plan._pieces:
-                    reads.update(stream_args)
-                    reads.update(gather_args)
-                    writes.update(out_args)
+        if plan.is_reduction:
+            reads["<reduce-input>"] = plan.reduce_input
+            if plan.accumulator is not None:
+                writes["<accumulator>"] = plan.accumulator
+        for launch_pass in plan.passes:
+            reads.update(launch_pass.stream_args)
+            reads.update(launch_pass.gather_args)
+            writes.update(launch_pass.out_args)
         return reads, writes
 
-    def _plan_location(self, plan: object) -> Optional[SourceLocation]:
-        from .launch import FusedPlan, LaunchPlan
+    def _plan_location(self, plan: "LaunchPlan") -> Optional[SourceLocation]:
+        return getattr(plan.kernel.definition, "location", None)
 
-        if isinstance(plan, FusedPlan):
-            return getattr(plan.kernel.definition, "location", None)
-        if isinstance(plan, LaunchPlan):
-            if plan.is_reduction:
-                return getattr(plan._reduce_piece.definition, "location", None)
-            return getattr(plan._pieces[0][0].definition, "location", None)
-        return None
-
-    def before_launch(self, plan: object) -> None:
+    def before_launch(self, plan: "LaunchPlan") -> None:
         """Check initialization state of every input the launch reads."""
         from ..core.analysis.dataflow import storage_units
 
@@ -267,7 +254,7 @@ class BrookSanitizer:
                         kernel=kernel, stream=getattr(stream, "name", ""),
                         location=self._plan_location(plan)))
 
-    def after_launch(self, plan: object) -> None:
+    def after_launch(self, plan: "LaunchPlan") -> None:
         """Mark outputs initialized and track NaN/Inf origins."""
         from ..core.analysis.dataflow import storage_units
 

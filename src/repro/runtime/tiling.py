@@ -28,10 +28,10 @@ launched.  The engine makes oversized domains a first-class scenario:
   the same kernel, because a single reduction pass cannot sample across
   tile textures.
 
-Integration is transparent: :class:`~repro.runtime.launch.LaunchPlan`
-and :class:`~repro.runtime.launch.FusedPlan` consult the plan at launch
-time, so direct calls, prepared launches, command-queue flushes and
-fused pipelines all tile without application changes.
+Integration is transparent: every :class:`~repro.runtime.launch.LaunchPlan`
+(fused or not) consults the plan at launch time, so direct calls,
+prepared launches, command-queue flushes and fused pipelines all tile
+without application changes.
 """
 
 from __future__ import annotations

@@ -1,9 +1,12 @@
 """Unit tests for the simulated AMD CAL substrate (reference platform)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.cal import CAL_DEVICE_PROFILES, CALContext, CALResource, get_cal_device
+from repro.cal import context as cal_context
 from repro.errors import CALError
 
 
@@ -85,9 +88,37 @@ class TestContext:
 
     def test_dispatch_recording(self):
         context = CALContext()
-        context.record_dispatch("sgemm", 4096, flops=1000, fetches=200)
-        assert context.total_dispatches == 1
-        assert context.dispatches[0].kernel == "sgemm"
+        stats = context.record_dispatch("sgemm", 4096, flops=1000,
+                                        fetches=200)
+        assert stats.kernel == "sgemm"
+        context.record_dispatch("sgemm", 16, flops=10, fetches=2)
+        assert context.total_dispatches == 2
+        assert context.dispatches.domain_elements == 4096 + 16
+        assert context.dispatches.flops == 1000 + 10
+        assert context.dispatches.fetches == 200 + 2
+
+    def test_dispatches_retain_no_memory(self):
+        # A long-lived context must keep no per-dispatch record: 1000
+        # dispatches leave the memory allocated by the context module flat.
+        context = CALContext()
+        for _ in range(10):
+            context.record_dispatch("k", 16, flops=1, fetches=1)
+        only_context = [tracemalloc.Filter(True, cal_context.__file__)]
+
+        def retained():
+            snapshot = tracemalloc.take_snapshot().filter_traces(only_context)
+            return sum(stat.size for stat in snapshot.statistics("filename"))
+
+        tracemalloc.start()
+        try:
+            before = retained()
+            for _ in range(1000):
+                context.record_dispatch("k", 16, flops=1, fetches=1)
+            after = retained()
+        finally:
+            tracemalloc.stop()
+        assert after - before < 1000
+        assert context.total_dispatches == 1010
 
     def test_empty_dispatch_rejected(self):
         context = CALContext()
@@ -99,3 +130,4 @@ class TestContext:
         context.record_dispatch("k", 16, 1, 1)
         context.reset_statistics()
         assert context.total_dispatches == 0
+        assert context.dispatches.flops == 0

@@ -582,7 +582,7 @@ class _SlowPlan:
     def __init__(self, plan, delay):
         self._plan = plan
         self._delay = delay
-        self._bound_streams = plan._bound_streams
+        self.bound_streams = plan.bound_streams
 
     def launch(self):
         time.sleep(self._delay)

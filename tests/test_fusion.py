@@ -1,7 +1,7 @@
 """Tests for kernel fusion: legality, AST merging, runtime pipelines.
 
 Covers the AST transform (repro.core.transforms.fuse), the runtime entry
-points (``rt.fuse``, ``rt.queue(fuse=True)``), equivalence of fused and
+point (``rt.fuse``), equivalence of fused and
 unfused pipelines on the CPU and OpenGL ES 2 backends, fallback
 behaviour for illegal pairs and the statistics/timing accounting of the
 saved passes and stream traffic.
@@ -415,10 +415,10 @@ class TestScalableAppPipeline:
 
 
 # --------------------------------------------------------------------------- #
-# Fusing command queues
+# Fused pipelines against command queues
 # --------------------------------------------------------------------------- #
-class TestQueueFusion:
-    def test_fusing_queue_matches_plain_queue(self, pipeline_data):
+class TestPipelineVersusQueue:
+    def test_fused_pipeline_matches_plain_queue(self, pipeline_data):
         results = {}
         for fuse in (False, True):
             with BrookRuntime() as rt:
@@ -426,32 +426,38 @@ class TestQueueFusion:
                 x = rt.stream_from(pipeline_data)
                 y = rt.stream((SIZE, SIZE))
                 z = rt.stream((SIZE, SIZE))
-                with rt.queue(fuse=fuse) as queue:
-                    module.scale(x, 2.0, y)
-                    module.offset(y, 0.25, z)
+                if fuse:
+                    pipeline = rt.fuse([module.scale.bind(x, 2.0, y),
+                                        module.offset.bind(y, 0.25, z)])
+                    pipeline.launch()
+                    launched = pipeline.source_count
+                else:
+                    with rt.queue() as queue:
+                        module.scale(x, 2.0, y)
+                        module.offset(y, 0.25, z)
+                    launched = queue.flushed_launches
                 results[fuse] = (z.read(), rt.statistics.total_passes,
-                                 queue.flushed_launches)
-        fused_out, fused_passes, fused_flushed = results[True]
-        plain_out, plain_passes, plain_flushed = results[False]
+                                 launched)
+        fused_out, fused_passes, fused_launched = results[True]
+        plain_out, plain_passes, plain_launched = results[False]
         assert np.array_equal(fused_out.view(np.uint32),
                               plain_out.view(np.uint32))
         assert plain_passes == 2 and fused_passes == 1
-        assert fused_flushed == plain_flushed == 2
+        assert fused_launched == plain_launched == 2
 
-    def test_fusing_queue_keeps_reduction_results(self, pipeline_data):
+    def test_fused_pipeline_keeps_reduction_results(self, pipeline_data):
         with BrookRuntime() as rt:
             module = rt.compile(PIPELINE_SOURCE)
             x = rt.stream_from(pipeline_data)
             y = rt.stream((SIZE, SIZE))
             z = rt.stream((SIZE, SIZE))
-            with rt.queue(fuse=True) as queue:
-                module.scale(x, 2.0, y)
-                module.offset(y, 0.25, z)
-                queued = module.total(z)
-            assert queued.done
+            pipeline = rt.fuse([module.scale.bind(x, 2.0, y),
+                                module.offset.bind(y, 0.25, z),
+                                module.total.bind(z)])
+            assert pipeline.pass_count == 2
             expected = float(np.sum(2.0 * pipeline_data + 0.25,
                                     dtype=np.float64))
-            assert queued.result == pytest.approx(expected, rel=1e-3)
+            assert pipeline.launch() == pytest.approx(expected, rel=1e-3)
 
 
 # --------------------------------------------------------------------------- #

@@ -387,18 +387,21 @@ class TestTiledFusion:
         assert record.tiles == 3
         assert record.passes == 3
 
-    def test_fusing_queue_tiles(self):
+    def test_fused_pipeline_tiles_per_launch(self):
         rt = tiny_gles2_runtime()
         module = rt.compile(self.PIPELINE)
         shape = (41,)
         x = rt.stream_from(np.full(shape, 1.0, dtype=np.float32))
         mid = rt.stream(shape)
         out = rt.stream(shape)
-        with rt.queue(fuse=True):
-            module.saxpy(1.0, x, x, mid)
-            module.offset(mid, 5.0, out)
-        np.testing.assert_allclose(out.read(), 2.0 + 5.0)
-        assert rt.statistics.launches[-1].fused == 2
+        pipeline = rt.fuse([module.saxpy.bind(1.0, x, x, mid),
+                            module.offset.bind(mid, 5.0, out)])
+        # The fused plan resolves its tile plan once; every launch tiles.
+        for _ in range(2):
+            pipeline.launch()
+            np.testing.assert_allclose(out.read(), 2.0 + 5.0)
+            assert rt.statistics.launches[-1].fused == 2
+            assert rt.statistics.launches[-1].tiles == 3
 
 
 # --------------------------------------------------------------------------- #
