@@ -20,8 +20,8 @@ the identical stream:
 
 A separate soundness matrix checks the WCET bounds on every execution
 mode the runtime has: plain serial launches, fused pipelines, tiled
-launches on the constrained GLES2 device and sharded multi-device
-launches.
+launches on the constrained GLES2 device, sharded multi-device launches
+and the auto-planner's chosen configuration (plain and tiled).
 
 Publishes ``BENCH_deadline.json`` at the repository root (uploaded as a
 CI artefact) and a human-readable table under ``benchmarks/reports/``.
@@ -79,6 +79,11 @@ def soundness_matrix(publish):
         # square/power-of-two only) force the tiled execution engine.
         _soundness_case("tiled-gles2", backend="gles2",
                         device="constrained-es2", fuse=False, size=40),
+        # The auto-planner's chosen configuration, bounded by its own
+        # launch list (one merged pass per fused group).
+        _soundness_case("auto-gles2", backend="gles2", plan="auto"),
+        _soundness_case("auto-tiled", backend="gles2",
+                        device="constrained-es2", plan="auto", size=40),
     ]
     lines = ["WCET soundness matrix (modelled actual vs static bound):",
              f"{'case':>14} {'requests':>9} {'min margin':>11} {'sound':>6}"]

@@ -99,6 +99,15 @@ class Backend(abc.ABC):
         Called by :meth:`BrookRuntime.close`.
         """
 
+    def reset_statistics(self) -> None:
+        """Clear the backend's own work counters (draws, dispatches).
+
+        The default backend keeps none; backends with a device context
+        reset its counters.  Called by
+        :meth:`BrookRuntime.reset_statistics`, so both views of the same
+        work restart together.
+        """
+
     # ------------------------------------------------------------------ #
     # Thread-safe storage bookkeeping
     # ------------------------------------------------------------------ #

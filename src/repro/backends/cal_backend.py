@@ -149,6 +149,9 @@ class CALBackend(Backend):
     def device_memory_in_use(self) -> int:
         return self.context.device_memory_in_use()
 
+    def reset_statistics(self) -> None:
+        self.context.reset_statistics()
+
     # ------------------------------------------------------------------ #
     def launch(
         self,

@@ -245,6 +245,9 @@ class GLES2Backend(Backend):
     def device_memory_in_use(self) -> int:
         return self.context.device_memory_in_use()
 
+    def reset_statistics(self) -> None:
+        self.context.reset_statistics()
+
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #

@@ -79,6 +79,10 @@ class ShardedBackend(Backend):
         for device in self.devices:
             device.close()
 
+    def reset_statistics(self) -> None:
+        for device in self.devices:
+            device.reset_statistics()
+
     # ------------------------------------------------------------------ #
     # Capabilities (the group is homogeneous: device 0 answers)
     # ------------------------------------------------------------------ #

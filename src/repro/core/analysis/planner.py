@@ -45,12 +45,22 @@ groups of the candidate.  Because the un-fused configuration is always
 in the candidate set, the chosen config's modelled time is never worse
 than the unplanned baseline.
 
-Deadline interaction (the PR-6 follow-up): when a request carries a
-deadline, :meth:`PlanDecision.choose` first drops every candidate whose
-``request_wcet`` bound exceeds the deadline budget and takes the argmin
-of the survivors - a plan is only ever picked if it *provably* fits.
-When nothing fits, a typed :class:`~repro.errors.PlanningError` is
-raised instead of returning a hopeful guess.
+Every candidate also carries ``wcet_s``, the WCET bound of its own
+launch list: each fused group is one pass of its merged kernel, bounded
+by :func:`~repro.core.analysis.wcet.analyze_kernel_wcet` of the merged
+definition (or by its members' un-fused pieces when the merged kernel
+has no bound of its own), every other plan keeps its per-piece bound.
+:func:`plan_service_request` takes that bound from ``request_wcet`` of
+the candidate's launch list, with the request's exact transfers.
+
+Deadline interaction: when a request carries a deadline,
+:meth:`PlanDecision.choose` first drops every candidate whose WCET
+bound exceeds the deadline budget and takes the argmin of the survivors
+- a plan is only ever picked if it *provably* fits.  When nothing fits,
+a typed :class:`~repro.errors.PlanningError` is raised instead of
+returning a hopeful guess.  A deadline-aware service admits a request
+against the bound of the candidate it picks, so admission, deadline
+filtering and execution agree on one configuration.
 """
 
 from __future__ import annotations
@@ -59,12 +69,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ...errors import PlanningError
+from ...errors import PlanningError, WCETError
 from ..transforms.fuse import check_fusable
 from .resources import TargetLimits
 from .sharding import ArgumentClass, classify_kernel
-from .wcet import (_WorkBound, _add_map_launch, _add_reduction_launch,
-                   _tile_count, kernel_wcet)
+from .wcet import (KernelWCET, _WorkBound, _add_map_launch,
+                   _add_reduction_launch, _tile_count, analyze_kernel_wcet,
+                   kernel_wcet)
 
 __all__ = [
     "DEFAULT_DEVICE_COUNTS",
@@ -169,8 +180,9 @@ class PlanCandidate:
     config: CandidateConfig
     #: Modelled seconds of the configuration (fusion savings applied).
     modelled_s: float
-    #: WCET bound in modelled seconds (the un-fused bound; deadline
-    #: filtering compares this against the request's budget).
+    #: WCET bound in modelled seconds of this candidate's own launch
+    #: list (one merged pass per fused group); deadline filtering
+    #: compares it against the request's budget.
     wcet_s: float
     #: Whether the configuration can be built at all (the non-natural
     #: shard axis, for example, cannot).
@@ -414,12 +426,28 @@ def _transfer_streams(infos: Sequence[_PlanInfo]):
     return uploads, downloads
 
 
-def _legal_fuse_groups(runtime, plans) -> Tuple[Tuple[int, ...], ...]:
-    """Dry-run the greedy fusion pass; groups are its merged segments."""
+def _legal_fuse_groups(runtime, plans
+                       ) -> Dict[Tuple[int, ...], Optional[KernelWCET]]:
+    """Dry-run the greedy fusion pass; groups are its merged segments.
+
+    Maps each group to the work bound of its merged kernel, or ``None``
+    when the merged kernel cannot be bounded on its own (a member loop
+    bounded only through declared parameter bounds or range specs, which
+    the merged kernel does not carry); such a group is bounded by its
+    members' un-fused pieces instead.
+    """
     from ...runtime.launch import build_fused_pipeline
     pipeline = build_fused_pipeline(runtime, list(plans))
-    return tuple(tuple(indices) for _, indices in pipeline.segments
-                 if len(indices) > 1)
+    groups: Dict[Tuple[int, ...], Optional[KernelWCET]] = {}
+    for plan, indices in pipeline.segments:
+        if len(indices) < 2:
+            continue
+        try:
+            bound = analyze_kernel_wcet(plan.kernel.definition, plan.helpers)
+        except WCETError:
+            bound = None
+        groups[tuple(indices)] = bound
+    return groups
 
 
 def _boundary_reason(prev: _PlanInfo, nxt: _PlanInfo) -> str:
@@ -513,16 +541,17 @@ def _gather_exchange_bytes(arg_class: Optional[ArgumentClass], shape,
     return (shards - 1) * shape.element_count * 4
 
 
-def _price_configuration(infos, uploads, downloads, model,
-                         limits: Optional[TargetLimits], devices: int,
-                         fused_groups) -> Tuple[float, float]:
-    """(unfused_s, modelled_s) of the pipeline at one device count.
+def _bounded_work(infos, uploads, downloads, limits: Optional[TargetLimits],
+                  devices: int, fused) -> _WorkBound:
+    """Bounded counters of one launch list at one device count.
 
-    ``unfused_s`` prices the bounded un-fused counters (the WCET-style
-    composition plus transfers and predicted halo traffic);
-    ``modelled_s`` subtracts the :meth:`GPUModel.fusion_savings` of the
-    candidate's fused groups, floored at zero.
+    The WCET-style composition plus transfers and predicted halo
+    traffic.  ``fused`` maps groups of plan indices to their merged
+    kernel's work bound: each such group runs as one pass of the merged
+    kernel, every other plan as its own pieces.
     """
+    merged_at = {group[0]: kw for group, kw in fused.items()}
+    folded = {index for group in fused for index in group[1:]}
     work = _WorkBound()
     for info in infos:
         tiles = _tile_count(info.domain, limits)
@@ -531,26 +560,52 @@ def _price_configuration(infos, uploads, downloads, model,
             _add_reduction_launch(work, info.pieces[0],
                                   info.domain.element_count,
                                   max(info.domain.dims), tiles, shards)
-        else:
+            continue
+        if info.index in merged_at:
+            _add_map_launch(work, merged_at[info.index],
+                            info.domain.element_count, tiles, shards)
+        elif info.index not in folded:
             for kw in info.pieces:
                 _add_map_launch(work, kw, info.domain.element_count,
                                 tiles, shards)
-            if devices > 1:
-                for arg_class, shape, scalar_args in info.gathers:
-                    work.halo_bytes += _gather_exchange_bytes(
-                        arg_class, shape, scalar_args, devices)
+        if devices > 1:
+            for arg_class, shape, scalar_args in info.gathers:
+                work.halo_bytes += _gather_exchange_bytes(
+                    arg_class, shape, scalar_args, devices)
     for stream in uploads:
         work.bytes_up += stream.shape.element_count * 4
         work.transfer_calls += _tile_count(stream.shape, limits) * devices
     for stream in downloads:
         work.bytes_down += stream.shape.element_count * 4
         work.transfer_calls += _tile_count(stream.shape, limits) * devices
+    return work
 
-    workload = work.workload()
-    if devices > 1:
-        unfused_s = model.sharded_time_seconds(workload, devices)
-    else:
-        unfused_s = model.time_seconds(workload)
+
+def _price_configuration(infos, uploads, downloads, model,
+                         limits: Optional[TargetLimits], devices: int,
+                         fused_groups, merged) -> Tuple[float, float]:
+    """(bound_s, modelled_s) of one candidate at one device count.
+
+    ``bound_s`` prices the bounded counters of the candidate's own
+    launch list, in which each group of ``merged`` (the fused groups
+    whose merged kernel has a bound) runs as one pass; see
+    :func:`_bounded_work`.  ``modelled_s`` prices the un-fused counters
+    and subtracts the :meth:`GPUModel.fusion_savings` of the candidate's
+    ``fused_groups``, floored at zero.
+    """
+    def price(work: _WorkBound) -> float:
+        if devices > 1:
+            return model.sharded_time_seconds(work.workload(), devices)
+        return model.time_seconds(work.workload())
+
+    unfused_s = price(_bounded_work(infos, uploads, downloads, limits,
+                                    devices, {}))
+    if not fused_groups:
+        return unfused_s, unfused_s
+    bound_s = unfused_s
+    if merged:
+        bound_s = price(_bounded_work(infos, uploads, downloads, limits,
+                                      devices, merged))
 
     passes_saved = 0
     intermediate_bytes = 0.0
@@ -562,10 +617,8 @@ def _price_configuration(infos, uploads, downloads, model,
         # write and the consumer's read of it - per device, its band.
         intermediate_bytes += pairs * 2.0 * 4.0 \
             * (domain.element_count / max(1, devices))
-    if passes_saved:
-        saved_s = model.fusion_savings(passes_saved, intermediate_bytes)
-        return unfused_s, max(unfused_s - saved_s, 0.0)
-    return unfused_s, unfused_s
+    saved_s = model.fusion_savings(passes_saved, intermediate_bytes)
+    return bound_s, max(unfused_s - saved_s, 0.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -579,9 +632,13 @@ def plan_pipeline(
     executable_devices: Optional[int] = None,
     limits: Optional[TargetLimits] = None,
     label: Optional[str] = None,
-    wcet_by_devices: Optional[Dict[int, float]] = None,
 ) -> PlanDecision:
     """Enumerate, price and argmin the candidate configs of a pipeline.
+
+    Every candidate's ``wcet_s`` prices the bounded counters of its own
+    launch list: one pass of the merged kernel per fused group, the
+    un-fused pieces elsewhere, plus pipeline transfers and predicted
+    halo traffic.
 
     Args:
         runtime: The :class:`~repro.runtime.runtime.BrookRuntime` the
@@ -597,16 +654,25 @@ def plan_pipeline(
         limits: Target limits bounding the tile decomposition (defaults
             to the runtime backend's).
         label: Decision label (defaults to the kernel chain).
-        wcet_by_devices: Per-device-count WCET bounds in seconds (the
-            ``request_wcet`` figures for a service request).  Defaults
-            to each candidate's un-fused priced time, which bounds every
-            fused variant by construction.
 
     Raises:
         PlanningError: Empty/non-plan input.
         WCETError: A kernel in the pipeline cannot be statically priced
             (unbounded loop, certification violation) - the planner
             refuses to guess, exactly like the deadline machinery.
+    """
+    return _decide(runtime, plans, platform, device_counts,
+                   executable_devices, limits, label, request_bound=None)
+
+
+def _decide(runtime, plans, platform, device_counts, executable_devices,
+            limits, label, request_bound) -> PlanDecision:
+    """:func:`plan_pipeline`, optionally bounding candidates per request.
+
+    ``request_bound(merged, devices)`` returns the WCET seconds of the
+    candidate whose groups in ``merged`` (group -> merged-kernel work
+    bound) each run as one pass; ``None`` uses the candidate's priced
+    bounded counters.
     """
     from ...timing.platforms import get_platform
     if not plans:
@@ -619,7 +685,6 @@ def plan_pipeline(
     infos = _plan_infos(plans)
     uploads, downloads = _transfer_streams(infos)
     groups = _legal_fuse_groups(runtime, plans)
-    grouped = {index for group in groups for index in group}
     boundaries = []
     for position in range(len(infos) - 1):
         same_group = any(position in group and position + 1 in group
@@ -639,14 +704,17 @@ def plan_pipeline(
     other_axis = "cols" if natural == "rows" else "rows"
 
     candidates: List[PlanCandidate] = []
-    for subset in _fuse_subsets(groups):
+    for subset in _fuse_subsets(tuple(groups)):
         host_eval_s = _host_eval_seconds(infos, subset)
+        # Groups whose merged kernel has no bound keep their members'.
+        merged = {group: groups[group] for group in subset
+                  if groups[group] is not None}
         for devices in counts:
-            unfused_s, modelled_s = _price_configuration(
-                infos, uploads, downloads, model, limits, devices, subset)
-            wcet_s = unfused_s
-            if wcet_by_devices is not None and devices in wcet_by_devices:
-                wcet_s = wcet_by_devices[devices]
+            wcet_s, modelled_s = _price_configuration(
+                infos, uploads, downloads, model, limits, devices, subset,
+                merged)
+            if request_bound is not None:
+                wcet_s = request_bound(merged, devices)
             executable = (executable_devices is None
                           or devices == int(executable_devices))
             exec_reason = (None if executable else
@@ -713,26 +781,27 @@ def plan_service_request(
     executable_devices: Optional[int] = None,
     limits: Optional[TargetLimits] = None,
 ) -> PlanDecision:
-    """:func:`plan_pipeline` with the request's ``request_wcet`` bounds.
+    """:func:`plan_pipeline` with per-candidate ``request_wcet`` bounds.
 
-    The per-device-count WCET bounds are the same figures the admission
-    controller projects, so deadline-constrained selection and admission
-    control agree about what provably fits.
+    ``plans`` are the request's calls bound in order (see
+    :func:`~repro.service.service.prepare_request`).  Each candidate's
+    ``wcet_s`` is ``request_wcet`` of the launch list it executes - its
+    fused groups as one merged pass each, with the request's exact
+    transfers - so deadline-constrained selection, admission control and
+    execution all agree on one configuration and its bound.
     """
-    from .wcet import request_wcet
-    counts = sorted({max(1, int(count)) for count in device_counts})
-    if executable_devices is not None and executable_devices not in counts:
-        counts = sorted(set(counts) | {int(executable_devices)})
-    wcet_by_devices = {
-        devices: request_wcet(request, program, platform=platform,
-                              devices=devices, limits=limits).seconds
-        for devices in counts
-    }
+    from . import wcet
+
+    def request_bound(merged, devices: int) -> float:
+        # Resolved through the module, so a wrapper installed on
+        # ``wcet.request_wcet`` sees every call.
+        return wcet.request_wcet(request, program, platform=platform,
+                                 devices=devices, limits=limits,
+                                 fused=merged).seconds
+
     label = "+".join(one_call.kernel for one_call in request.calls)
-    return plan_pipeline(
-        runtime, plans, platform=platform, device_counts=counts,
-        executable_devices=executable_devices, limits=limits, label=label,
-        wcet_by_devices=wcet_by_devices)
+    return _decide(runtime, plans, platform, device_counts,
+                   executable_devices, limits, label, request_bound)
 
 
 def build_launchables(runtime, plans: Sequence[object],

@@ -11,6 +11,12 @@ by pricing the bounded work through the same analytic
 :class:`~repro.timing.gpu_model.GPUModel` that prices recorded work,
 including the tiling and sharding overhead terms.
 
+Composition follows the structure that executes: a fused launch is one
+pass of its merged kernel, bounded by that kernel's own walk, and a
+request's host transfers are counted exactly (one per stream write or
+read the request makes), so a planner candidate's bound is the bound of
+its own launch list rather than of the un-fused chain.
+
 Soundness contract
 ------------------
 
@@ -532,14 +538,24 @@ def plan_wcet(plan, platform: str = "target", devices: Optional[int] = None,
 
 def request_wcet(request, program, platform: str = "target",
                  devices: int = 1,
-                 limits: Optional[TargetLimits] = None) -> WCETBound:
+                 limits: Optional[TargetLimits] = None,
+                 fused: Optional[Dict[Tuple[int, ...], KernelWCET]] = None,
+                 ) -> WCETBound:
     """Worst-case end-to-end time of a service request.
 
-    Composes the per-call kernel bounds (un-fused - fusion only ever
-    removes passes and traffic, so the un-fused chain bounds every
-    execution mode) with the request's host transfer traffic: every
-    input stream uploaded once, every output stream read back once,
-    priced per tile and per device the way the runtime records them.
+    Composes the per-call kernel bounds with the request's host transfer
+    traffic, priced per tile and per device the way the runtime records
+    them.  By default every call runs as its own pass(es): the un-fused
+    chain, which bounds every execution mode because fusion only ever
+    removes passes and traffic.  ``fused`` bounds one planner candidate
+    instead: each listed group of call indices runs as one pass of its
+    merged kernel, priced with the given merged-kernel bound.
+
+    Transfers are counted exactly, one per ``Stream.write`` or
+    ``Stream.read`` a served request makes: every input is uploaded
+    once, every output read back once, and a reduction into a stream
+    transfers its accumulator (a multi-element accumulator is read back,
+    a one-element one is written with the reduced value).
 
     Args:
         request: A :class:`~repro.service.request.ServiceRequest`.
@@ -549,12 +565,17 @@ def request_wcet(request, program, platform: str = "target",
         devices: Devices the executing runtime shards across.
         limits: Executing backend's target limits (bounds the tile
             decomposition); defaults to platform-derived limits.
+        fused: Merged-kernel work bounds keyed by contiguous groups of
+            call indices (one pass per group).
     """
     from ...runtime.shape import StreamShape
     from ...timing.platforms import get_platform
     if limits is None:
         limits = platform_limits(get_platform(platform))
     devices = max(1, int(devices))
+    fused = fused or {}
+    merged_at = {group[0]: kw for group, kw in fused.items()}
+    folded = {index for group in fused for index in group[1:]}
 
     shapes: Dict[str, Tuple[int, ...]] = {}
     for name, array in request.inputs.items():
@@ -565,7 +586,9 @@ def request_wcet(request, program, platform: str = "target",
     work = _WorkBound()
     names: List[str] = []
     gather_halo_bytes = 0
-    for one_call in request.calls:
+    uploads = list(request.inputs)
+    downloads = list(request.outputs)
+    for index, one_call in enumerate(request.calls):
         definition = program.original_definitions.get(one_call.kernel)
         if definition is None:
             raise WCETError(
@@ -597,6 +620,20 @@ def request_wcet(request, program, platform: str = "target",
                     for extent in shapes[arg]:
                         count *= int(extent)
                     gather_halo_bytes += 4 * count * (devices - 1)
+        for param in definition.reduce_params:
+            arg = bindings.get(param.name)
+            if isinstance(arg, str) and arg in shapes:
+                if StreamShape.of(shapes[arg]).element_count > 1:
+                    downloads.append(arg)
+                else:
+                    uploads.append(arg)
+        if index in merged_at:
+            kw = merged_at[index]
+            _add_map_launch(work, kw, domain.element_count, tiles, devices)
+            names.append(kw.kernel_name)
+            continue
+        if index in folded:
+            continue
         for piece_name in program.kernel_groups.get(one_call.kernel,
                                                     [one_call.kernel]):
             kw = kernel_wcet(program, piece_name)
@@ -609,16 +646,15 @@ def request_wcet(request, program, platform: str = "target",
             names.append(piece_name)
     work.halo_bytes += gather_halo_bytes
 
-    # Host transfers: inputs written per request, outputs read back.
-    for name in request.inputs:
+    # Host transfers, one per recorded Stream.write / Stream.read.
+    for name in uploads:
         shape = StreamShape.of(shapes[name])
         work.bytes_up += shape.element_count * 4
         work.transfer_calls += _tile_count(shape, limits) * devices
-    for name in request.outputs:
+    for name in downloads:
         shape = StreamShape.of(shapes[name])
         work.bytes_down += shape.element_count * 4
         work.transfer_calls += _tile_count(shape, limits) * devices
-    work.transfer_calls += 4                      # reduction/readback slack
 
     label = request.name or "+".join(names)
     return _price(work, platform, devices, label)

@@ -38,7 +38,6 @@ from typing import (Dict, List, NamedTuple, Optional, Sequence, Tuple,
 import numpy as np
 
 from ..core.compiler import CompiledKernel
-from ..core.transforms.fuse import fuse_compiled
 from ..errors import FusionError, KernelLaunchError
 from .stream import Stream
 from .tiling import launch_tile_plan, launch_tiled
@@ -374,10 +373,8 @@ def _try_fuse_pair(runtime: "BrookRuntime", current: LaunchPlan,
 
     enable_fast_path = current.enable_fast_path and nxt.enable_fast_path
     try:
-        fused_kernel, result = fuse_compiled(
-            prod_kernel, cons_kernel, connections, helpers,
-            enable_fast_path=enable_fast_path,
-        )
+        fused_kernel, result = runtime._fuse_compiled(
+            prod_kernel, cons_kernel, connections, helpers, enable_fast_path)
     except FusionError:
         return None
     if fused_kernel.resources.fits(runtime.backend.target_limits()):

@@ -47,6 +47,7 @@ import numpy as np
 from ..backends.base import Backend, create_backend
 from ..core.analysis.memory_usage import StreamDeclaration, estimate_memory_usage
 from ..core.compiler import BrookAutoCompiler, CompiledProgram, CompilerOptions
+from ..core.transforms.fuse import fuse_compiled
 from ..core.types import FLOAT, BrookType
 from ..errors import RuntimeBrookError
 from .kernel import KernelHandle
@@ -97,6 +98,10 @@ class BrookModule:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<BrookModule kernels={self.kernel_names}>"
+
+
+#: Fusion steps remembered per runtime (least recently used evicted).
+FUSION_MEMO_SIZE = 64
 
 
 class BrookRuntime:
@@ -200,6 +205,10 @@ class BrookRuntime:
         self._compile_cache_size = max(0, int(compile_cache_size))
         self._compile_cache_hits = 0
         self._compile_cache_misses = 0
+        # Merged kernels of fusion steps already made, keyed by the
+        # identity of their inputs (see _fuse_compiled); guarded by the
+        # compile cache lock and cleared with the compile cache.
+        self._fusion_memo: "OrderedDict[Tuple, tuple]" = OrderedDict()
         # Command queues are *per-thread* state: a ``with rt.queue():``
         # block must only capture kernel launches issued by the thread
         # that opened it, never launches other threads issue concurrently.
@@ -232,6 +241,7 @@ class BrookRuntime:
         self._streams.clear()
         with self._compile_cache_lock:
             self._compile_cache.clear()
+            self._fusion_memo.clear()
         self.backend.close()
 
     def __enter__(self) -> "BrookRuntime":
@@ -321,6 +331,36 @@ class BrookRuntime:
         """Drop every cached compilation (counters keep accumulating)."""
         with self._compile_cache_lock:
             self._compile_cache.clear()
+            self._fusion_memo.clear()
+
+    def _fuse_compiled(self, producer, consumer, connections: Dict[str, str],
+                       helpers, enable_fast_path: bool):
+        """:func:`~repro.core.transforms.fuse.fuse_compiled`, memoised.
+
+        Compiling the same source returns the same compiled kernels, so
+        fusing freshly bound plans of a cached program repeats fusion
+        steps already made; those return the stored merged kernel.  The
+        key holds the identities of the producer, consumer and helper
+        definitions, and each entry keeps them alive, so an identity
+        cannot be reused while its entry exists.
+        """
+        key = (id(producer), id(consumer), tuple(sorted(connections.items())),
+               tuple(sorted((name, id(definition))
+                            for name, definition in helpers.items())),
+               enable_fast_path)
+        with self._compile_cache_lock:
+            entry = self._fusion_memo.get(key)
+            if entry is not None:
+                self._fusion_memo.move_to_end(key)
+                return entry[0]
+        merged = fuse_compiled(producer, consumer, connections, helpers,
+                               enable_fast_path=enable_fast_path)
+        with self._compile_cache_lock:
+            self._fusion_memo[key] = (merged, producer, consumer,
+                                      tuple(helpers.values()))
+            while len(self._fusion_memo) > FUSION_MEMO_SIZE:
+                self._fusion_memo.popitem(last=False)
+        return merged
 
     # ------------------------------------------------------------------ #
     # Streams
@@ -516,7 +556,9 @@ class BrookRuntime:
         return getattr(self.backend, "device_count", 1)
 
     def reset_statistics(self) -> None:
+        """Clear the run statistics and the backend's own work counters."""
         self.statistics.clear()
+        self.backend.reset_statistics()
 
     def device_memory_in_use(self) -> int:
         return self.backend.device_memory_in_use()

@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.compiler import CompilerOptions
-from ..errors import RuntimeBrookError
+from ..errors import PlanningError, RuntimeBrookError
 from ..runtime.profiling import WCETMarginRecord
 from ..runtime.runtime import BrookRuntime
 from .deadline import DeadlineRejected, DeadlineStats, EDFQueue
@@ -101,6 +101,13 @@ def _signature_label(request: ServiceRequest) -> str:
         repr(request.signature()).encode("utf-8")).hexdigest()[:8]
     return "+".join(one_call.kernel for one_call in request.calls) \
         + "@" + digest
+
+
+def _budget(request: ServiceRequest) -> Optional[float]:
+    """The deadline budget the planner filters candidates against."""
+    if request.deadline is None:
+        return None
+    return request.deadline - request.release
 
 
 class _PendingItem:
@@ -213,11 +220,8 @@ class _ServiceWorker:
             # request's future); the chosen config joins the cache key,
             # so the same signature under a different deadline budget
             # can legitimately map to a differently-built entry.
-            decision = self.service._decision_for(self, request)
-            budget = None
-            if request.deadline is not None:
-                budget = request.deadline - request.release
-            chosen = decision.choose(budget)
+            decision = self.service._decision_for(request)
+            chosen = decision.choose(_budget(request))
             key = (key, chosen.config.key())
         entry = self._cache.get(key)
         if entry is not None:
@@ -379,7 +383,10 @@ class BrookService:
             bound stacked on the worker's committed backlog lands past
             the deadline - resolves immediately with a typed
             :class:`~repro.service.deadline.DeadlineRejected` response
-            instead of being queued.
+            instead of being queued.  Under ``plan="auto"`` the bound is
+            that of the configuration the planner picks for the
+            request's deadline budget; otherwise it is the un-fused
+            bound, sound for every ``fuse`` setting.
         platform: Timing platform pricing the WCET bounds and the
             modelled per-request execution times (deadline accounting
             runs on this modelled timeline).  Defaults to ``"target"``
@@ -594,16 +601,17 @@ class BrookService:
     # ------------------------------------------------------------------ #
     # Auto-planning
     # ------------------------------------------------------------------ #
-    def _decision_for(self, worker: _ServiceWorker,
-                      request: ServiceRequest):
+    def _decision_for(self, request: ServiceRequest):
         """The planner's decision for ``request`` (cached service-wide).
 
         Keyed ``(signature, platform, devices)``: the decision depends
         on exactly those three - never the input data - so every worker
         shares it, and a different platform or device count can never
         see a stale decision.  First derivation per signature prepares a
-        throwaway plan set on ``worker``'s runtime to enumerate and
-        price the candidates; the streams are released immediately.
+        throwaway plan set on the first worker's runtime to enumerate and
+        price the candidates; the streams are released immediately.  It
+        creates streams and dry-run fuses only, so it adds no record to
+        any worker's statistics.
         """
         key = (request.signature(), self.platform, self.devices)
         with self._plan_lock:
@@ -614,7 +622,7 @@ class BrookService:
                 return decision
             self._autoplan_misses += 1
         from ..core.analysis.planner import plan_service_request
-        rt = worker.runtime
+        rt = self.workers[0].runtime
         module, streams, plans = prepare_request(rt, request)
         try:
             decision = plan_service_request(
@@ -639,28 +647,47 @@ class BrookService:
     def _request_wcet_seconds(self, request: ServiceRequest) -> float:
         """WCET bound of ``request`` in modelled seconds (cached).
 
+        Under ``plan="auto"`` this is the bound of the candidate the
+        worker will execute, ``decision.choose(budget).wcet_s``; when no
+        candidate fits the budget it is the tightest candidate bound (the
+        worker then fails the request with
+        :class:`~repro.errors.PlanningError`).  Otherwise it is the
+        un-fused ``request_wcet`` bound, sound for every serve mode.
+
         The bound depends only on the request signature (source, calls,
-        shapes) - never the input data - so it is derived once per
-        signature and reused, exactly like the workers' prepared plans.
+        shapes) and, under ``plan="auto"``, its deadline budget - never
+        the input data - so it is derived once per key and reused,
+        exactly like the workers' prepared plans.
         """
-        key = request.signature()
+        budget = _budget(request) if self.plan_mode == "auto" else None
+        key = (request.signature(), budget)
         with self._wcet_lock:
             cached = self._wcet_cache.get(key)
             if cached is not None:
                 self._wcet_cache.move_to_end(key)
                 return cached
-        from ..core.analysis.wcet import request_wcet
-        runtime = self.workers[0].runtime
-        module = runtime.compile(request.source)
-        bound = request_wcet(
-            request, module.program, platform=self.platform,
-            devices=self.devices, limits=runtime.backend.target_limits(),
-        )
+        if self.plan_mode == "auto":
+            decision = self._decision_for(request)
+            try:
+                seconds = decision.choose(budget).wcet_s
+            except PlanningError:
+                seconds = min(candidate.wcet_s
+                              for candidate in decision.candidates
+                              if candidate.selectable)
+        else:
+            from ..core.analysis.wcet import request_wcet
+            runtime = self.workers[0].runtime
+            module = runtime.compile(request.source)
+            seconds = request_wcet(
+                request, module.program, platform=self.platform,
+                devices=self.devices,
+                limits=runtime.backend.target_limits(),
+            ).seconds
         with self._wcet_lock:
-            self._wcet_cache[key] = bound.seconds
+            self._wcet_cache[key] = seconds
             while len(self._wcet_cache) > max(64, 4 * self.plan_cache_size):
                 self._wcet_cache.popitem(last=False)
-        return bound.seconds
+        return seconds
 
     def _modelled_seconds(self, aggregate: Dict[str, float]) -> float:
         """Price one request's recorded work on the service platform."""

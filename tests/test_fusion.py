@@ -415,6 +415,91 @@ class TestScalableAppPipeline:
 
 
 # --------------------------------------------------------------------------- #
+# The per-runtime fusion memo
+# --------------------------------------------------------------------------- #
+class TestFusionMemo:
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Count the fusion steps actually performed."""
+        import repro.runtime.runtime as runtime_module
+
+        calls = []
+        original = runtime_module.fuse_compiled
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(runtime_module, "fuse_compiled", counting)
+        return calls
+
+    @staticmethod
+    def _fuse_and_run(rt, data):
+        """Freshly bound three-stage chain: (output, launch records)."""
+        module = rt.compile(PIPELINE_SOURCE)
+        x = rt.stream_from(data)
+        y, z, w = (rt.stream((SIZE, SIZE)) for _ in range(3))
+        pipeline = rt.fuse([module.scale.bind(x, 2.0, y),
+                            module.offset.bind(y, 0.25, z),
+                            module.scale.bind(z, 0.5, w)])
+        marker = rt.statistics.marker()
+        pipeline.launch()
+        return w.read(), rt.statistics.records_since(marker)[1]
+
+    @pytest.mark.parametrize("backend", ["cpu", "gles2"])
+    def test_second_fuse_of_fresh_plans_reuses_the_merges(
+            self, backend, counted, pipeline_data):
+        with BrookRuntime(backend=backend) as rt:
+            first, first_records = self._fuse_and_run(rt, pipeline_data)
+            assert len(counted) == 2
+            second, second_records = self._fuse_and_run(rt, pipeline_data)
+            assert len(counted) == 2            # no new fusion step
+        assert np.array_equal(first.view(np.uint32), second.view(np.uint32))
+        assert first_records == second_records
+
+    def test_a_different_connection_map_misses(self, counted, pipeline_data):
+        with BrookRuntime() as rt:
+            module = rt.compile(PIPELINE_SOURCE)
+            x = rt.stream_from(pipeline_data)
+            other = rt.stream_from(pipeline_data + 1.0)
+            y = rt.stream((SIZE, SIZE))
+            r = rt.stream((SIZE, SIZE))
+            rt.fuse([module.scale.bind(x, 2.0, y),
+                     module.blend.bind(y, other, r)]).launch()
+            p_feed = r.read()
+            rt.fuse([module.scale.bind(x, 2.0, y),
+                     module.blend.bind(other, y, r)]).launch()
+            q_feed = r.read()
+        assert counted == [{"p": "y"}, {"q": "y"}]
+        assert np.array_equal(p_feed.view(np.uint32), q_feed.view(np.uint32))
+
+    def test_clear_compile_cache_clears_the_memo(self, counted,
+                                                 pipeline_data):
+        with BrookRuntime() as rt:
+            self._fuse_and_run(rt, pipeline_data)
+            rt.clear_compile_cache()
+            self._fuse_and_run(rt, pipeline_data)
+        assert len(counted) == 4
+
+    def test_legality_is_checked_on_every_call(self, counted, pipeline_data):
+        """A memoised pair still stays separate where a later plan reads
+        the intermediate."""
+        with BrookRuntime() as rt:
+            module = rt.compile(PIPELINE_SOURCE)
+            x = rt.stream_from(pipeline_data)
+            y = rt.stream((SIZE, SIZE))
+            z = rt.stream((SIZE, SIZE))
+            r = rt.stream((SIZE, SIZE))
+            assert rt.fuse([module.scale.bind(x, 2.0, y),
+                            module.offset.bind(y, 0.25, z)]).pass_count == 1
+            pipeline = rt.fuse([module.scale.bind(x, 2.0, y),
+                                module.offset.bind(y, 0.25, z),
+                                module.blend.bind(y, z, r)])
+        assert pipeline.pass_count == 2
+        assert pipeline.kernel_names[0] == "scale"
+
+
+# --------------------------------------------------------------------------- #
 # Fused pipelines against command queues
 # --------------------------------------------------------------------------- #
 class TestPipelineVersusQueue:

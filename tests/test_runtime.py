@@ -243,6 +243,39 @@ class TestKernelLaunches:
         cpu_runtime.reset_statistics()
         assert cpu_runtime.statistics.total_passes == 0
 
+    @pytest.mark.parametrize("backend,devices", [
+        ("cal", 1), ("gles2", 1), ("cal", 2), ("gles2", 2),
+    ], ids=["cal", "gles2", "cal-2dev", "gles2-2dev"])
+    def test_reset_statistics_reaches_the_device_counters(self, backend,
+                                                          devices):
+        """Run statistics and the device contexts' own counters describe
+        the same work, so a reset clears both."""
+        counter = {"cal": "total_dispatches",
+                   "gles2": "total_draw_calls"}[backend]
+
+        with BrookRuntime(backend=backend, devices=devices) as rt:
+            contexts = [device.context for device in
+                        getattr(rt.backend, "devices", [rt.backend])]
+
+            def dispatches():
+                return sum(getattr(context, counter) for context in contexts)
+
+            module = rt.compile(SAXPY)
+            x = rt.stream_from(np.ones((8, 8), dtype=np.float32))
+            out = rt.stream((8, 8))
+            for _ in range(3):
+                module.saxpy(1.0, x, x, out)
+            out.read()
+            assert dispatches() == 3 * devices
+            rt.reset_statistics()
+            assert rt.statistics.total_passes == 0
+            assert dispatches() == 0
+            for context in contexts:
+                assert context.transfers.bytes_uploaded == 0
+                assert context.transfers.bytes_downloaded == 0
+            module.saxpy(1.0, x, x, out)
+            assert dispatches() == rt.statistics.total_passes == devices
+
     def test_per_kernel_aggregation(self, cpu_runtime):
         module = cpu_runtime.compile(SAXPY)
         x = cpu_runtime.stream_from(np.ones((4, 4), dtype=np.float32))
