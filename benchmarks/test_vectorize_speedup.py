@@ -12,11 +12,14 @@ variants launch the identical pipeline:
 
 A divergent micro-benchmark rides along: a branchy per-pixel kernel
 (BV-301) runs masked-vector vs. the masked interpreter, covering the
-``np.where`` lane-merge path the pipeline numbers do not exercise.
+``np.where`` lane-merge path the pipeline numbers do not exercise.  A
+report-only ``sgemm`` row at 128x128 covers the line reads
+(``a[row][k]``, ``b[k][col]`` at a uniform loop counter).
 
 Outputs must be bitwise identical in every variant, and the vector path
-must beat the interpreter by >= 11x at 1024x1024.  Results are published
-as ``benchmarks/out/BENCH_vectorize.json`` plus a human-readable table,
+must beat the interpreter by >= 11x at 1024x1024; the ``sgemm`` row
+has no speed gate.  Results are published as
+``benchmarks/out/BENCH_vectorize.json`` plus a human-readable table,
 ``benchmarks/out/vectorize.txt``.
 """
 
@@ -24,6 +27,7 @@ import time
 
 import numpy as np
 
+from repro.apps.base import get_application
 from repro.apps.image_filter import BROOK_SOURCE as FILTER_SOURCE, FILTER_3X3
 from repro.core.compiler import CompilerOptions, compile_source
 from repro.core.exec.evaluator import KernelEvaluator
@@ -34,6 +38,7 @@ from repro.runtime import BrookRuntime
 SIZES = (256, 512, 1024)
 GATE_SIZE = 1024
 GATE_SPEEDUP = 11.0
+SGEMM_SIZE = 128
 ITERATIONS = 5
 REPEATS = 5
 
@@ -78,6 +83,32 @@ def _run_filter_variant(size: int, vector: bool):
         return seconds, dst.read()
 
 
+def _sgemm_row():
+    """Seconds per ``sgemm`` run at ``SGEMM_SIZE``, vector vs. interpreter."""
+    app = get_application("sgemm")
+    inputs = app.generate_inputs(SGEMM_SIZE, seed=0)
+    row, outputs = {"size": SGEMM_SIZE}, {}
+    for label, vector in (("interpreter", False), ("vector", True)):
+        options = CompilerOptions(enable_fast_path=vector)
+        with BrookRuntime(backend="cpu", compiler_options=options) as rt:
+            module = app.compile(rt)
+            assert (module.program.kernel("sgemm").vector_path
+                    is not None) is vector
+
+            def run():
+                return app.run_brook(rt, module, SGEMM_SIZE, inputs)["c"]
+
+            outputs[label] = run()
+            seconds = _time_best(run, iterations=1, repeats=3) if not vector \
+                else _time_best(run)
+        row[f"{label}_ms"] = seconds * 1e3
+    row["speedup"] = row["interpreter_ms"] / row["vector_ms"]
+    row["bitwise_identical"] = bool(np.array_equal(
+        outputs["interpreter"].view(np.uint32),
+        outputs["vector"].view(np.uint32)))
+    return row
+
+
 def _divergent_micro():
     """Masked interpreter vs. masked vector program on a BV-301 kernel."""
     program = compile_source(DIVERGENT_SOURCE)
@@ -116,7 +147,7 @@ def _divergent_micro():
     }
 
 
-def _render_table(results, micro) -> str:
+def _render_table(results, micro, sgemm) -> str:
     lines = [
         "brookvec vector path: wall-clock per frame (CPU backend)",
         "pipeline: image_filter 3x3 convolution, vector vs. masked "
@@ -134,6 +165,10 @@ def _render_table(results, micro) -> str:
         f"{micro['elements']} elements): interpreter "
         f"{micro['interpreter_ms']:.2f}ms -> masked vector "
         f"{micro['vector_ms']:.3f}ms ({micro['speedup']:.1f}x)")
+    lines.append(
+        f"sgemm {sgemm['size']}x{sgemm['size']} (line reads, report only): "
+        f"interpreter {sgemm['interpreter_ms']:.2f}ms -> vector "
+        f"{sgemm['vector_ms']:.2f}ms ({sgemm['speedup']:.1f}x)")
     return "\n".join(lines)
 
 
@@ -151,6 +186,7 @@ def test_vectorize_speedup(publish_run):
             "speedup": interp_s / vector_s,
         }
     micro = _divergent_micro()
+    sgemm = _sgemm_row()
 
     payload = {
         "benchmark": "vectorize",
@@ -165,16 +201,19 @@ def test_vectorize_speedup(publish_run):
             "bitwise_identical": bitwise_all,
         },
         "divergent_micro": micro,
+        "sgemm": sgemm,
         "timing": {"iterations": ITERATIONS, "repeats": REPEATS,
                    "statistic": "best-of-repeats mean"},
     }
-    publish_run("vectorize", _render_table(results, micro), payload)
+    publish_run("vectorize", _render_table(results, micro, sgemm), payload)
 
     # Acceptance: bitwise identity everywhere, >= 11x real wall-clock
     # at 1024x1024 over the masked interpreter.
     assert bitwise_all, "vector path output differs from the interpreter"
     assert micro["bitwise_identical"], \
         "masked vector output differs from the interpreter"
+    assert sgemm["bitwise_identical"], \
+        "sgemm vector output differs from the interpreter"
     gate = results[GATE_SIZE]["speedup"]
     assert gate >= GATE_SPEEDUP, (
         f"expected >= {GATE_SPEEDUP:.0f}x at {GATE_SIZE}x{GATE_SIZE}, "

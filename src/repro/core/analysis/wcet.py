@@ -478,8 +478,20 @@ def _plan_into(work: _WorkBound, plan, devices: int,
 
     names: List[str] = []
     if isinstance(plan, FusedPipeline):
-        for segment, _ in plan.segments:
-            names.extend(_plan_into(work, segment, devices, limits))
+        for segment, indices in plan.segments:
+            try:
+                names.extend(_plan_into(work, segment, devices, limits))
+            except WCETError:
+                if len(indices) < 2:
+                    raise
+                # A merged kernel has no bound of its own when a member
+                # loop is bounded only by declared parameter bounds; its
+                # members' un-fused passes bound it (fusion only removes
+                # passes and traffic).  The one-pass segment raised
+                # before adding any work.
+                for index in indices:
+                    names.extend(_plan_into(work, plan.plans[index],
+                                            devices, limits))
         return names
     if not isinstance(plan, LaunchPlan):
         raise WCETError(

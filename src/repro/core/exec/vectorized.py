@@ -179,13 +179,13 @@ class _VCtx:
 
     @property
     def index_x(self) -> np.ndarray:
-        if self._index is not None:
+        if self.explicit_index:
             return self._index[:, 0]
         return _index_columns(*self._layout())[0]
 
     @property
     def index_y(self) -> np.ndarray:
-        if self._index is not None:
+        if self.explicit_index:
             return self._index[:, 1]
         return _index_columns(*self._layout())[1]
 
@@ -462,6 +462,7 @@ class _VCompiler:
 
     def __init__(self, kernel: ast.FunctionDef,
                  helpers: Dict[str, ast.FunctionDef],
+                 fixed: Dict[str, ast.DeclStatement],
                  slice_mode: bool = False):
         self.helpers = helpers
         self._helper_cache: Dict[str, Tuple[Callable, int]] = {}
@@ -470,9 +471,11 @@ class _VCompiler:
         self.slice_mode = slice_mode
         self.slice_plans: List[_SlicePlan] = []
         self._affine: Dict[str, _Affine] = {}
-        #: Locals bound to ``indexof(...)`` (``float2 idx = indexof(o)``),
-        #: so ``idx.x`` resolves to an affine index column.
-        self._index_locals: Set[str] = set()
+        #: :func:`_fixed_locals` of the kernel: an ``indexof`` binding
+        #: there (``float2 idx = indexof(o)``) holds for the whole
+        #: launch, so ``idx.x`` is the launch's index column (see
+        #: :meth:`_index_axis`).
+        self._fixed = fixed
         #: Names each compiled fast-mode statement actually reads at
         #: runtime (slice-served index locals excluded) - feeds the
         #: dead-decl sweep.
@@ -637,7 +640,6 @@ class _VCompiler:
                         and stmt.init is not None:
                     affine = self._extract_affine(stmt.init, defined)
                 step, cost = self._compile_decl(stmt, defined)
-                self._index_locals.discard(stmt.name)
                 self._uniform_scalars.discard(stmt.name)
                 if stmt.decl_type.width == 1 \
                         and stmt.decl_type.kind is ScalarKind.FLOAT:
@@ -648,9 +650,6 @@ class _VCompiler:
                     self._affine[stmt.name] = affine
                 else:
                     self._affine.pop(stmt.name, None)
-                if self.slice_mode \
-                        and isinstance(stmt.init, ast.IndexOfExpr):
-                    self._index_locals.add(stmt.name)
                 pure = stmt.init is None or not any(
                     isinstance(node, (ast.Assignment, ast.IndexExpr))
                     for node in stmt.init.walk())
@@ -662,13 +661,12 @@ class _VCompiler:
                         continue
                     target = node.target
                     # A member store (``p.y = ...``) mutates the base
-                    # vector, so the indexof-derived binding dies too.
+                    # vector, so its bindings die too.
                     if isinstance(target, ast.MemberExpr) \
                             and isinstance(target.base, ast.Identifier):
                         target = target.base
                     if isinstance(target, ast.Identifier):
                         self._affine.pop(target.name, None)
-                        self._index_locals.discard(target.name)
                         self._uniform_scalars.discard(target.name)
                 match = self._match_stencil(stmt.expr) if self.slice_mode \
                     else None
@@ -741,12 +739,9 @@ class _VCompiler:
 
     def _extract_affine(self, expr: ast.Expression, defined: Set[str]
                         ) -> Optional[_Affine]:
-        if isinstance(expr, ast.MemberExpr) and expr.member in ("x", "y"):
-            if isinstance(expr.base, ast.IndexOfExpr):
-                return _Affine(expr.member)
-            if isinstance(expr.base, ast.Identifier) \
-                    and expr.base.name in self._index_locals:
-                return _Affine(expr.member)
+        if isinstance(expr, ast.MemberExpr):
+            axis = self._index_axis(expr)
+            return None if axis is None else _Affine(axis)
         if isinstance(expr, ast.Identifier):
             return self._affine.get(expr.name)
         if isinstance(expr, ast.BinaryOp) and expr.op in ("+", "-"):
@@ -991,14 +986,35 @@ class _VCompiler:
 
         return construct, cost
 
+    def _index_axis(self, expr: ast.Expression) -> Optional[str]:
+        """The ``indexof`` column (``"x"``/``"y"``) ``expr`` reads whole,
+        if any: ``indexof(o).y``, or ``idx.y`` / ``row`` through fixed
+        kernel locals (helper bodies have their own names)."""
+        if self._compiling:
+            return None
+        if isinstance(expr, ast.Identifier):
+            decl = self._fixed.get(expr.name)
+            if decl is None or decl.decl_type.width != 1:
+                return None
+            expr = decl.init
+        if not isinstance(expr, ast.MemberExpr) \
+                or expr.member not in ("x", "y"):
+            return None
+        base = expr.base
+        if isinstance(base, ast.Identifier) and base.name in self._fixed \
+                and self._fixed[base.name].decl_type.width == 2:
+            base = self._fixed[base.name].init
+        return expr.member if isinstance(base, ast.IndexOfExpr) else None
+
     def _compile_member(self, expr: ast.MemberExpr, defined: Set[str]):
         # Lazy indexof columns: idx.x / idx.y never build the stacked
-        # (n, 2) positions array.
-        if isinstance(expr.base, ast.IndexOfExpr):
-            if expr.member == "x":
-                return (lambda env, ctx: ctx.index_x), 0
-            if expr.member == "y":
-                return (lambda env, ctx: ctx.index_y), 0
+        # (n, 2) positions array, and return the launch's shared column,
+        # which a line read recognises by identity.
+        axis = self._index_axis(expr)
+        if axis == "x":
+            return (lambda env, ctx: ctx.index_x), 0
+        if axis == "y":
+            return (lambda env, ctx: ctx.index_y), 0
         base_fn, cost = self.compile_expr(expr.base, defined)
         indices = swizzle_indices(expr.member)
         member = expr.member
@@ -1177,6 +1193,10 @@ class _VCompiler:
             fn, index_cost = self.compile_expr(index_expr, defined)
             index_fns.append(fn)
             cost += index_cost
+        # Line-read candidates: a[idx.y][k] or b[k][idx.x], with exactly
+        # one index a whole indexof column in its own position.
+        line = {("y", None): "y", (None, "x"): "x"}.get(
+            tuple(self._index_axis(index) for index in index_exprs))
 
         def gather(env, ctx):
             source = ctx.gathers.get(name)
@@ -1195,6 +1215,10 @@ class _VCompiler:
             else:
                 rows = np.asarray(index_fns[0](env, ctx))
                 cols = np.asarray(index_fns[1](env, ctx))
+                if line is not None:
+                    values = _line_read(source, ctx, line, rows, cols)
+                    if values is not None:
+                        return values
             rows = np.broadcast_to(np.asarray(rows, dtype=np.float32), (ctx.size,))
             cols = np.broadcast_to(np.asarray(cols, dtype=np.float32), (ctx.size,))
             return source.fetch(rows, cols)
@@ -1252,6 +1276,68 @@ class _VCompiler:
             return view.reshape(-1)
 
         return gather, cost
+
+
+def _fixed_locals(kernel: ast.FunctionDef) -> Dict[str, ast.DeclStatement]:
+    """Float locals declared once, never assigned (member stores
+    included) and named unlike every parameter, by name."""
+    decls: Dict[str, Optional[ast.DeclStatement]] = {}
+    assigned = {param.name for param in kernel.params}
+    pending: List[ast.Node] = [kernel.body]
+    while pending:      # an explicit stack: ``walk()`` nests generators
+        node = pending.pop()
+        if isinstance(node, ast.DeclStatement):
+            decls[node.name] = None if node.name in decls else node
+        elif isinstance(node, ast.Assignment):
+            target = node.target
+            if isinstance(target, ast.MemberExpr):
+                target = target.base
+            if isinstance(target, ast.Identifier):
+                assigned.add(target.name)
+        pending.extend(node.children())
+    return {name: decl for name, decl in decls.items()
+            if decl is not None and name not in assigned
+            and decl.decl_type.kind is ScalarKind.FLOAT}
+
+
+def _line_read(source: GatherSource, ctx: _VCtx, line: str,
+               rows: np.ndarray, cols: np.ndarray) -> Optional[np.ndarray]:
+    """Serve ``a[idx.y][k]`` (``line == "y"``) or ``b[k][idx.x]`` as one
+    column or row of the array, when ``k`` is uniform over all lanes.
+
+    The lane index must be the launch's shared read-only ``indexof``
+    column itself, which proves its values; ``k`` must be finite, in range
+    and equal on every lane.  The result equals the per-lane fetch
+    bitwise (same float32 -> floor -> int64 index arithmetic, a fresh
+    array, the same fetch count).  Returns ``None`` to take the per-lane
+    fetch, which keeps its errors and clamping.
+    """
+    lanes, k = (rows, cols) if line == "y" else (cols, rows)
+    if ctx.layout is None or ctx.explicit_index or not ctx.size \
+            or lanes is not (ctx.index_y if line == "y" else ctx.index_x) \
+            or k.ndim > 1 or (k.ndim == 1 and (k.shape[0] != ctx.size
+                                               or k.min() != k.max())):
+        return None
+    k = np.floor(np.asarray(k.reshape(-1)[0], dtype=np.float32))
+    dense = source.dense()
+    layout_rows, layout_cols = ctx.layout
+    if not np.isfinite(k) or dense is None or dense.ndim != 2 \
+            or layout_rows * layout_cols != ctx.size:
+        return None
+    # Row reads repeat a column of ``a`` along each layout row; column
+    # reads tile a row of ``b`` (a column of ``b.T``) down the layout.
+    lines = dense if line == "y" else dense.T
+    extent = layout_rows if line == "y" else layout_cols
+    if not (extent <= min(lines.shape[0], _MAX_EXACT_EXTENT)
+            and 0 <= k < lines.shape[1]):
+        return None
+    values = np.empty(ctx.size, dtype=dense.dtype)
+    if line == "y":
+        values.reshape(extent, -1)[:] = lines[:extent, int(k), None]
+    else:
+        values.reshape(-1, extent)[:] = lines[:extent, int(k)]
+    source.add_fetches(ctx.size)
+    return values
 
 
 def _make_stencil_step(acc_name: str, terms: List[tuple]) -> Callable:
@@ -1516,14 +1602,15 @@ def _compile_program(kernel: ast.FunctionDef,
         param.name for param in kernel.params
         if param.kind is not ParamKind.GATHER
     }
-    compiler = _VCompiler(kernel, helpers)
+    fixed = _fixed_locals(kernel)
+    compiler = _VCompiler(kernel, helpers, fixed)
     nodes = compiler.compile_nodes(kernel.body, set(defined))
     flops = sum(node.cost for node in nodes if isinstance(node, _Seq))
 
     fast_steps = None
     slice_plans: List[_SlicePlan] = []
     if is_straight_line(kernel.body):
-        fast_compiler = _VCompiler(kernel, helpers, slice_mode=True)
+        fast_compiler = _VCompiler(kernel, helpers, fixed, slice_mode=True)
         try:
             steps, decl_names, read_sets, removable, fast_flops, stencils = \
                 fast_compiler.compile_fast_body(kernel.body, set(defined))

@@ -279,12 +279,19 @@ class FusedPipeline:
     """
 
     def __init__(self, runtime: "BrookRuntime",
-                 segments: List[Tuple[object, List[int]]], source_count: int):
+                 segments: List[Tuple[object, List[int]]],
+                 plans: Sequence[LaunchPlan]):
         self.runtime = runtime
-        #: ``(plan, source_indices)`` pairs; the indices point into the
-        #: original plan list handed to ``rt.fuse``.
+        #: ``(plan, source_indices)`` pairs; the indices point into
+        #: :attr:`plans`.
         self.segments = segments
-        self.source_count = source_count
+        #: The source plans handed to ``rt.fuse``, in order.
+        self.plans = list(plans)
+
+    @property
+    def source_count(self) -> int:
+        """How many source plans the pipeline was built from."""
+        return len(self.plans)
 
     # ------------------------------------------------------------------ #
     @property
@@ -430,7 +437,7 @@ def build_fused_pipeline(runtime: "BrookRuntime",
             current = nxt
             current_indices = [position]
     segments.append((current, current_indices))
-    return FusedPipeline(runtime, segments, len(plans))
+    return FusedPipeline(runtime, segments, plans)
 
 
 class QueuedLaunch:

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.apps.base import get_application, list_applications
+from repro.apps.sgemm import BROOK_SOURCE as SGEMM_SOURCE
 from repro.backends import base as backend_base
 from repro.backends import gles2_backend
 from repro.backends.gles2_backend import GLES2Backend
@@ -30,12 +31,13 @@ from repro.backends.sharded import ShardedBackend
 from repro.core import ast_nodes as ast
 from repro.core import parse
 from repro.core.compiler import CompilerOptions, compile_source
-from repro.core.exec import evaluate
+from repro.core.exec import evaluate, layout_positions
 from repro.core.exec import vectorized as vector_tier
 from repro.core.exec.evaluator import KernelEvaluator
-from repro.core.exec.gather import NumpyGatherSource
+from repro.core.exec.gather import ClampingGatherSource, NumpyGatherSource
 from repro.core.exec.vectorized import build_vector_path
-from repro.errors import KernelLaunchError, RuntimeBrookError
+from repro.errors import (GatherBoundsError, KernelLaunchError,
+                          RuntimeBrookError)
 from repro.gles2.device import GPUDeviceProfile
 from repro.gles2.limits import GLES2Limits
 from repro.runtime import BrookRuntime, quantize_roundtrip
@@ -57,8 +59,13 @@ def assert_bitwise(got, want, label=""):
 
 
 def run_differential(source, kernel, size, stream_inputs, scalar_args=None,
-                     gathers=None):
-    """Interpreter vs. vector path on one kernel; asserts bitwise + stats."""
+                     gathers=None, layout=None):
+    """Interpreter vs. vector path on one kernel; asserts bitwise + stats.
+
+    ``layout=(rows, cols)`` launches the vector program with the domain
+    layout a backend hands it (so slice plans and line reads can run)
+    and the interpreter with the positions of that layout.
+    """
     program = compile_source(source, options=CompilerOptions(strict=False))
     handle = program.kernel(kernel)
     helpers = program.helpers()
@@ -66,14 +73,16 @@ def run_differential(source, kernel, size, stream_inputs, scalar_args=None,
     interpreted = evaluator.run(
         size, stream_inputs=stream_inputs, scalar_args=scalar_args,
         gathers={k: NumpyGatherSource(v._data) for k, v in
-                 (gathers or {}).items()})
+                 (gathers or {}).items()},
+        index=None if layout is None else layout_positions(*layout))
     vec, report = build_vector_path(handle.definition, helpers)
     assert vec is not None, \
         f"{kernel}: expected a vector program, got {report.verdict}"
     vectorized, stats = vec.run(
         size, stream_inputs=stream_inputs, scalar_args=scalar_args,
         gathers={k: NumpyGatherSource(v._data) for k, v in
-                 (gathers or {}).items()})
+                 (gathers or {}).items()},
+        layout=layout)
     assert interpreted.keys() == vectorized.keys()
     for key in interpreted:
         assert_bitwise(vectorized[key], interpreted[key], f"{kernel}.{key}")
@@ -1139,3 +1148,256 @@ class TestGLES2DeviceMatrix:
         assert_bitwise(checked[0], plain[0], "sanitized")
         assert checked[1:3] == plain[1:3]
         assert slice_plans and all(taken for _, taken in slice_plans)
+
+
+# --------------------------------------------------------------------------- #
+# Line reads: a row or column gathered at a uniform index
+# --------------------------------------------------------------------------- #
+LINES = """
+kernel void row_k(float a[][], float k, out float r<>) {
+    float2 idx = indexof(r);
+    r = a[idx.y][k];
+}
+
+kernel void col_k(float b[][], float k, out float r<>) {
+    float2 idx = indexof(r);
+    r = b[k][idx.x] * 2.0;
+}
+
+kernel void row_loop(float a[][], float n, out float r<>) {
+    float2 idx = indexof(r);
+    float acc = 0.0;
+    for (int k = 0; k < n; k = k + 1) {
+        acc = acc * 0.5 + a[idx.y][k];
+    }
+    r = acc;
+}
+
+kernel void relax(float d<>, float dist[][], float k, out float r<>) {
+    float2 idx = indexof(d);
+    r = min(d, dist[idx.y][k] + dist[k][idx.x]);
+}
+
+kernel void lane_k(float ks<>, float a[][], out float r<>) {
+    float2 idx = indexof(r);
+    r = a[idx.y][ks];
+}
+
+kernel void reassigned(float a[][], float k, out float r<>) {
+    float2 idx = indexof(r);
+    if (k > 1.0) {
+        idx.y = 0.0;
+    }
+    r = a[idx.y][k];
+}
+""" + SGEMM_SOURCE
+
+
+def _matrix(rng, rows, cols):
+    return rng.uniform(-1.0, 1.0, (rows, cols)).astype(np.float32)
+
+
+def _line_cases(rng):
+    """``(id, kernel, args, out shape, served)``; ``served`` is True when
+    every candidate gather must be a line read, False when candidates
+    exist but must all take the per-lane fetch, None when the kernel
+    has no candidate at all."""
+    a = _matrix(rng, 6, 5)           # m x inner
+    b = _matrix(rng, 5, 7)           # inner x n
+    dist = rng.uniform(0.0, 4.0, (8, 8)).astype(np.float32)
+    lanes = rng.integers(0, 5, (6, 7)).astype(np.float32)
+    return [
+        ("row-scalar", "row_k", [a, 3.0], (6, 7), True),
+        ("row-fractional", "row_k", [a, 2.75], (6, 7), True),
+        ("row-nan", "row_k", [a, float("nan")], (6, 7), False),
+        ("row-out-of-range", "row_k", [a, 5.0], (6, 7), False),
+        ("row-negative", "row_k", [a, -0.5], (6, 7), False),
+        ("row-taller-than-array", "row_k", [a, 1.0], (8, 7), False),
+        ("col-scalar", "col_k", [b, 4.0], (6, 7), True),
+        ("col-wider-than-array", "col_k", [b, 1.0], (6, 9), False),
+        ("row-loop-counter", "row_loop", [a, 5.0], (6, 7), True),
+        ("sgemm-non-square", "sgemm", [a, b, 5.0], (6, 7), True),
+        ("floyd", "relax", [dist, dist, 3.0], (8, 8), True),
+        ("lane-k-per-lane", "lane_k", [lanes, a], (6, 7), False),
+        ("lane-k-uniform", "lane_k", [np.full((6, 7), 2.0, np.float32), a],
+         (6, 7), True),
+        ("reassigned-idx", "reassigned", [a, 2.0], (6, 7), None),
+        ("reassigned-idx-untaken", "reassigned", [a, 0.5], (6, 7), None),
+    ]
+
+
+LINE_CASE_IDS = [case[0] for case in _line_cases(np.random.default_rng(0))]
+
+
+@pytest.fixture
+def line_reads(monkeypatch):
+    """``(line, served)`` for every line-read candidate the vector tier met."""
+    seen = []
+    real = vector_tier._line_read
+
+    def spy(source, ctx, line, rows, cols):
+        values = real(source, ctx, line, rows, cols)
+        seen.append((line, values is not None))
+        return values
+
+    monkeypatch.setattr(vector_tier, "_line_read", spy)
+    return seen
+
+
+def _launch_lines(runtime, options, kernel, args, shape, recorded):
+    """Output (or the error) and the launch records and per-launch stats."""
+    recorded.clear()
+    with runtime as rt:
+        module = rt.compile(LINES, strict=False)
+        handle = module.program.kernel(kernel)
+        assert (handle.vector_path is None) == (options is INTERP), \
+            handle.vector_report and handle.vector_report.reason
+        bound = [rt.stream_from(arg) if isinstance(arg, np.ndarray) else arg
+                 for arg in args]
+        out = rt.stream(shape)
+        try:
+            module.kernel(kernel)(*bound, out)
+        except Exception as error:          # compared, not hidden
+            result = (type(error), str(error))
+        else:
+            result = out.read()
+        return result, list(rt.statistics.launches), list(recorded)
+
+
+def _assert_same_launch(got, want, label):
+    if isinstance(want[0], tuple):
+        assert got[0] == want[0], label
+    else:
+        assert_bitwise(got[0], want[0], label)
+    assert got[1] == want[1], label
+    assert got[2] == want[2], label
+
+
+class TestLineReads:
+    """``a[idx.y][k]`` / ``b[k][idx.x]`` with ``k`` uniform are served as one
+    row or column read; outputs, errors, launch records and every stats
+    field equal the interpreter's, and every other case falls back."""
+
+    @pytest.mark.parametrize("backend", ["cpu", "gles2"])
+    @pytest.mark.parametrize("case", LINE_CASE_IDS)
+    def test_runtime_bitwise_and_stats(self, backend, case, launch_stats,
+                                       line_reads):
+        cases = {c[0]: c for c in _line_cases(np.random.default_rng(5))}
+        _, kernel, args, shape, served = cases[case]
+        label = f"{case} on {backend}"
+        want = _launch_lines(BrookRuntime(backend=backend,
+                                          compiler_options=INTERP),
+                             INTERP, kernel, args, shape, launch_stats)
+        line_reads.clear()
+        got = _launch_lines(BrookRuntime(backend=backend,
+                                         compiler_options=VECTOR),
+                            VECTOR, kernel, args, shape, launch_stats)
+        _assert_same_launch(got, want, label)
+        if served is None:
+            assert line_reads == [], label
+        else:
+            assert line_reads, f"{label}: no line-read candidate"
+            assert all(taken == served for _, taken in line_reads), \
+                f"{label}: {line_reads}"
+
+    def test_out_of_range_error_text_is_unchanged(self, launch_stats):
+        a = _matrix(np.random.default_rng(1), 6, 5)
+        want = _launch_lines(BrookRuntime(backend="cpu",
+                                          compiler_options=INTERP),
+                             INTERP, "row_k", [a, 5.0], (6, 7), launch_stats)
+        got = _launch_lines(BrookRuntime(backend="cpu",
+                                         compiler_options=VECTOR),
+                            VECTOR, "row_k", [a, 5.0], (6, 7), launch_stats)
+        assert want[0][0] is GatherBoundsError
+        assert got[0] == want[0]
+
+    @pytest.mark.parametrize("kernel,args", [
+        ("row_k", "a"), ("col_k", "b"), ("sgemm", "ab"), ("relax", "dd")])
+    @pytest.mark.parametrize("runtime", ["tiled", "two-devices"])
+    def test_explicit_index_launches_fall_back(self, kernel, args, runtime,
+                                               launch_stats, line_reads):
+        rng = np.random.default_rng(7)
+        arrays = {"a": _matrix(rng, 16, 16), "b": _matrix(rng, 16, 16),
+                  "d": rng.uniform(0.0, 4.0, (16, 16)).astype(np.float32)}
+        bound = [arrays[name] for name in args] + [3.0]
+
+        def make(options):
+            if runtime == "tiled":
+                return tiny_gles2_runtime(options, max_texture_size=8)
+            return BrookRuntime(backend="cpu", compiler_options=options,
+                                devices=2)
+
+        want = _launch_lines(make(INTERP), INTERP, kernel, bound, (16, 16),
+                             launch_stats)
+        line_reads.clear()
+        got = _launch_lines(make(VECTOR), VECTOR, kernel, bound, (16, 16),
+                            launch_stats)
+        _assert_same_launch(got, want, f"{kernel} {runtime}")
+        assert not isinstance(got[0], tuple), got[0]
+        if runtime == "tiled":
+            assert all(record.tiles > 1 for record in got[1])
+        else:
+            assert all(record.shards == 2 for record in got[1])
+        assert line_reads and not any(taken for _, taken in line_reads)
+
+    @pytest.mark.parametrize("kernel,arrays,scalars,layout", [
+        ("row_k", {"a": (6, 5)}, {"k": 2.0}, (6, 7)),
+        ("col_k", {"b": (5, 7)}, {"k": 4.5}, (6, 7)),
+        ("row_loop", {"a": (6, 5)}, {"n": 5.0}, (6, 7)),
+        ("sgemm", {"a": (6, 5), "b": (5, 7)}, {"inner": 5.0}, (6, 7)),
+        ("row_k", {"a": (6, 5)}, {"k": 2.0}, None),
+    ])
+    def test_direct_program_with_layout(self, kernel, arrays, scalars, layout,
+                                        line_reads):
+        rng = np.random.default_rng(3)
+        gathers = {name: NumpyGatherSource(_matrix(rng, *shape))
+                   for name, shape in arrays.items()}
+        run_differential(LINES, kernel, 42, {}, scalars, gathers,
+                         layout=layout)
+        assert line_reads
+        assert all(taken == (layout is not None) for _, taken in line_reads)
+
+    def test_transformed_source_keeps_the_per_lane_fetch(self, line_reads):
+        # A value transform (the RGBA8 round-trip) has no dense array.
+        data = _matrix(np.random.default_rng(4), 6, 5)
+        program = compile_source(LINES, options=CompilerOptions(strict=False))
+        handle = program.kernel("row_k")
+
+        def sources():
+            return {"a": ClampingGatherSource(data,
+                                              transform=quantize_roundtrip)}
+
+        evaluator = KernelEvaluator(handle.definition, program.helpers())
+        want = evaluator.run(42, scalar_args={"k": 2.0}, gathers=sources(),
+                             index=layout_positions(6, 7))
+        got, stats = handle.vector_path.run(
+            42, scalar_args={"k": 2.0}, gathers=sources(), layout=(6, 7))
+        assert_bitwise(got["r"], want["r"], "transformed")
+        assert stats == evaluator.stats
+        assert line_reads == [("y", False)]
+
+
+class TestLineReadGuard:
+    """The paper's row/column apps make no per-lane fetch on the vector
+    tier, and count the same fetches as the interpreter."""
+
+    @pytest.mark.parametrize("app_name", ["sgemm", "floyd_warshall"])
+    def test_no_per_lane_fetch(self, app_name, monkeypatch, launch_stats):
+        fetched = []
+        real = NumpyGatherSource.fetch
+
+        def counting(self, rows, cols):
+            fetched.append(np.size(rows))
+            return real(self, rows, cols)
+
+        monkeypatch.setattr(NumpyGatherSource, "fetch", counting)
+        counts = {}
+        for label, options in (("interp", INTERP), ("vector", VECTOR)):
+            fetched.clear()
+            launch_stats.clear()
+            run_app(app_name, "cpu", options)
+            counts[label] = (len(fetched), sum(
+                stats.gather_fetches for _, stats in launch_stats))
+        assert counts["interp"][0] > 0
+        assert counts["vector"][0] == 0, counts
+        assert counts["vector"][1] == counts["interp"][1] > 0

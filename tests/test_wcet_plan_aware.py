@@ -19,7 +19,8 @@ import pytest
 
 from repro.core.analysis.planner import (build_launchables,
                                          plan_service_request)
-from repro.core.analysis.wcet import analyze_kernel_wcet, request_wcet
+from repro.core.analysis.wcet import (analyze_kernel_wcet, plan_wcet,
+                                      request_wcet)
 from repro.errors import WCETError
 from repro.runtime import BrookRuntime
 from repro.service import (BrookService, DeadlineRejected, ServiceRequest,
@@ -241,6 +242,33 @@ def test_unbounded_merged_kernel_falls_back_to_member_bounds():
     assert_dominates(bound, recorded, "fallback")
     np.testing.assert_allclose(outputs["z"], data * 2.0, rtol=0.02,
                                atol=0.01)
+
+
+def test_plan_wcet_bounds_an_unbounded_merged_kernel_by_its_members():
+    """``plan_wcet`` of the same fused pipeline takes the members' un-fused
+    bounds instead of raising, and the bound dominates the fused pass."""
+    data = np.linspace(0.0, 1.0, 64, dtype=np.float32).reshape(8, 8)
+    with BrookRuntime(backend="gles2") as rt:
+        module = rt.compile(LOOP_SOURCE,
+                            param_bounds={"accumulate": {"n": 8}})
+        limits = rt.backend.target_limits()
+        x = rt.stream_from(data)
+        y, z = rt.stream(data.shape), rt.stream(data.shape)
+        plans = [module.accumulate.bind(x, 4.0, y),
+                 module.scale.bind(y, 0.5, z)]
+        members = [plan_wcet(plan, limits=limits) for plan in plans]
+        pipeline = rt.fuse(plans)
+        assert pipeline.pass_count == 1
+        assert pipeline.plans == plans
+        bound = plan_wcet(pipeline, limits=limits)
+        marker = rt.statistics.marker()
+        pipeline.launch()
+        recorded = rt.statistics.workload_since(marker)
+    assert bound.name == "accumulate+scale"
+    for field in COUNTERS:
+        assert getattr(bound.workload, field) == sum(
+            getattr(member.workload, field) for member in members), field
+    assert_dominates(bound, recorded, "plan_wcet fallback")
 
 
 # --------------------------------------------------------------------------- #
