@@ -41,9 +41,10 @@ halo/replication traffic predicted from the per-kernel access
 classification (:func:`~repro.core.analysis.sharding.classify_kernel`),
 then prices through ``GPUModel.time_seconds`` /
 ``sharded_time_seconds`` and subtracts ``fusion_savings`` for the fused
-groups of the candidate.  Because the un-fused configuration is always
-in the candidate set, the chosen config's modelled time is never worse
-than the unplanned baseline.
+groups of the candidate (on several devices, the launches a group folds
+away also stop paying their shard dispatch hand-offs).  Because the
+un-fused configuration is always in the candidate set, the chosen
+config's modelled time is never worse than the unplanned baseline.
 
 Every candidate also carries ``wcet_s``, the WCET bound of its own
 launch list: each fused group is one pass of its merged kernel, bounded
@@ -589,17 +590,18 @@ def _price_configuration(infos, uploads, downloads, model,
     ``bound_s`` prices the bounded counters of the candidate's own
     launch list, in which each group of ``merged`` (the fused groups
     whose merged kernel has a bound) runs as one pass; see
-    :func:`_bounded_work`.  ``modelled_s`` prices the un-fused counters
-    and subtracts the :meth:`GPUModel.fusion_savings` of the candidate's
-    ``fused_groups``, floored at zero.
+    :func:`_bounded_work`.  ``modelled_s`` prices the candidate's launch
+    list as the un-fused counters without the cross-device dispatch
+    hand-offs of the launches its ``fused_groups`` fold away, minus the
+    :meth:`GPUModel.fusion_savings` of those groups, floored at zero.
     """
     def price(work: _WorkBound) -> float:
         if devices > 1:
             return model.sharded_time_seconds(work.workload(), devices)
         return model.time_seconds(work.workload())
 
-    unfused_s = price(_bounded_work(infos, uploads, downloads, limits,
-                                    devices, {}))
+    work = _bounded_work(infos, uploads, downloads, limits, devices, {})
+    unfused_s = price(work)
     if not fused_groups:
         return unfused_s, unfused_s
     bound_s = unfused_s
@@ -617,8 +619,11 @@ def _price_configuration(infos, uploads, downloads, model,
         # write and the consumer's read of it - per device, its band.
         intermediate_bytes += pairs * 2.0 * 4.0 \
             * (domain.element_count / max(1, devices))
+        # A folded launch no longer hands its shards to the other devices.
+        work.shard_dispatches -= pairs * (
+            _effective_shards(domain.layout_2d, devices) - 1)
     saved_s = model.fusion_savings(passes_saved, intermediate_bytes)
-    return bound_s, max(unfused_s - saved_s, 0.0)
+    return bound_s, max(price(work) - saved_s, 0.0)
 
 
 # --------------------------------------------------------------------------- #

@@ -12,12 +12,14 @@ Nodes provide:
 * ``to_source()`` - a pretty-printer that regenerates compilable Brook
   source (used for round-trip tests and for the compliance report, which
   quotes the offending code).
+
+:func:`clone` makes the structural copy every transform pass rewrites.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import SourceLocation
 from .types import BrookType, ParamKind
@@ -52,6 +54,7 @@ __all__ = [
     "KernelParam",
     "FunctionDef",
     "TranslationUnit",
+    "clone",
 ]
 
 
@@ -69,10 +72,19 @@ class Node:
         return ()
 
     def walk(self) -> Iterable["Node"]:
-        """Yield this node and every descendant, pre-order."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        """Yield this node and every descendant, pre-order.
+
+        A node's ``children()`` are read when the walk resumes after
+        yielding it, so a caller may rewrite the node it was handed.
+        """
+        stack: List[Node] = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            children = list(node.children())
+            if children:
+                children.reverse()
+                stack.extend(children)
 
     def to_source(self, indent: int = 0) -> str:
         raise NotImplementedError
@@ -531,3 +543,51 @@ class TranslationUnit(Node):
 
     def to_source(self, indent: int = 0) -> str:
         return "\n\n".join(f.to_source(indent) for f in self.functions) + "\n"
+
+
+# --------------------------------------------------------------------------- #
+# Structural copy
+# --------------------------------------------------------------------------- #
+#: The attribute holding the symbol name that :func:`clone` renames.
+_SYMBOL_ATTRIBUTE = {
+    Identifier: "name",
+    DeclStatement: "name",
+    KernelParam: "name",
+    # indexof() lowers to the implicit element position on every code
+    # generator, so retargeting its operand is purely cosmetic.
+    IndexOfExpr: "stream",
+}
+
+
+def clone(node: Node, renames: Optional[Dict[str, str]] = None) -> Node:
+    """A structural copy of ``node`` with ``renames`` applied.
+
+    Every node and every list of nodes is new, so the copy can be
+    rewritten without touching the original; the immutable leaves
+    (source locations, types, strings, numbers, enums) are shared.
+    Instance attributes set after parsing, such as the semantic
+    analyzer's ``type``, are copied too.  ``renames`` maps old
+    to new symbol names of parameters, locals, references and
+    ``indexof`` operands.
+    """
+    renames = renames or {}
+
+    def copy_value(value):
+        if isinstance(value, Node):
+            return copy_node(value)
+        if type(value) is list:
+            return [copy_value(item) for item in value]
+        return value
+
+    def copy_node(original: Node) -> Node:
+        cls = type(original)
+        attributes = {key: copy_value(value)
+                      for key, value in original.__dict__.items()}
+        symbol = _SYMBOL_ATTRIBUTE.get(cls)
+        if symbol is not None and attributes[symbol] in renames:
+            attributes[symbol] = renames[attributes[symbol]]
+        copy = cls.__new__(cls)
+        copy.__dict__.update(attributes)
+        return copy
+
+    return copy_node(node)

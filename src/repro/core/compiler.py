@@ -139,6 +139,11 @@ class CompiledKernel:
     #: component is 4 bytes of stream traffic avoided twice per element
     #: (one write by the producer pass, one read by the consumer pass).
     fused_saved_components: int = 0
+    #: True for a fusion intermediate that carries only its definition,
+    #: resources, loop bound and GLSL ES text; such a kernel is only ever
+    #: the producer of a further merge and is never launched (see
+    #: :func:`~repro.core.transforms.fuse.merge_compiled`).
+    bare: bool = field(default=False, compare=False, repr=False)
 
     @property
     def is_reduction(self) -> bool:

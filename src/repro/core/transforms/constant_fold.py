@@ -8,7 +8,6 @@ the programmer wrote it.
 
 from __future__ import annotations
 
-import copy
 import math
 from typing import Optional
 
@@ -143,6 +142,6 @@ def fold_constants(func: ast.FunctionDef, in_place: bool = False) -> ast.Functio
     Folding invalidates any type annotations previously attached by the
     semantic analyzer, so callers should re-analyze afterwards.
     """
-    target = func if in_place else copy.deepcopy(func)
+    target = func if in_place else ast.clone(func)
     _fold_statement(target.body)
     return target

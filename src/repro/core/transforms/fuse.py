@@ -20,27 +20,32 @@ intermediate (``a[j]``) may read arbitrary elements and therefore needs
 the whole intermediate materialised first; such pairs are rejected and
 keep running as two passes.  Reductions are likewise never fused.
 
-This module operates purely on the AST (:func:`fuse_definitions`) plus a
-convenience wrapper that packages the fused definition as a
-:class:`~repro.core.compiler.CompiledKernel` with generated shader text
-and a vector program (:func:`fuse_compiled`).  The runtime entry
-point, ``rt.fuse([...])``, lives in :mod:`repro.runtime.launch`.
+This module operates purely on the AST (:func:`fuse_definitions`) plus
+the steps that package the fused definition as a
+:class:`~repro.core.compiler.CompiledKernel`.  :func:`merge_compiled`
+builds what the runtime's legality test reads (the definition, its
+resources and loop bound, and the GLSL ES text); :func:`complete_compiled`
+adds the desktop GLSL and C text and the vector program.  A chain of N
+kernels is merged pair by pair, so only the last of its N-1 merged
+kernels is ever launched and completed.  :func:`fuse_compiled` runs both
+steps.  The runtime entry point, ``rt.fuse([...])``, lives in
+:mod:`repro.runtime.launch`.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from ...errors import FusionError
+from ...errors import CodegenError, FusionError
 from .. import ast_nodes as ast
 from ..types import ParamKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..compiler import CompiledKernel
 
-__all__ = ["FusionResult", "check_fusable", "fuse_definitions", "fuse_compiled"]
+__all__ = ["FusionResult", "check_fusable", "fuse_definitions",
+           "merge_compiled", "complete_compiled", "fuse_compiled"]
 
 
 @dataclass
@@ -60,14 +65,16 @@ class FusionResult:
     eliminated_widths: Tuple[int, ...] = ()
 
 
-def _collect_names(kernel: ast.FunctionDef) -> List[str]:
+def _collect_names(kernel: ast.FunctionDef) -> Tuple[List[str], List[str]]:
+    """(every symbol name of ``kernel``, the locals its body declares)."""
     names = [param.name for param in kernel.params]
+    declared = []
     for node in kernel.body.walk():
         if isinstance(node, ast.DeclStatement):
-            names.append(node.name)
+            declared.append(node.name)
         elif isinstance(node, ast.Identifier):
             names.append(node.name)
-    return names
+    return names + declared, declared
 
 
 def _fresh_prefix(names) -> str:
@@ -78,21 +85,6 @@ def _fresh_prefix(names) -> str:
         if not any(name.startswith(prefix) for name in taken):
             return prefix
         counter += 1
-
-
-def _rename_symbols(kernel: ast.FunctionDef, renames: Dict[str, str]) -> None:
-    """Apply ``renames`` in place to parameters, locals and references."""
-    for node in kernel.walk():
-        if isinstance(node, ast.Identifier) and node.name in renames:
-            node.name = renames[node.name]
-        elif isinstance(node, ast.DeclStatement) and node.name in renames:
-            node.name = renames[node.name]
-        elif isinstance(node, ast.KernelParam) and node.name in renames:
-            node.name = renames[node.name]
-        elif isinstance(node, ast.IndexOfExpr) and node.stream in renames:
-            # indexof() lowers to the implicit element position on every
-            # code generator, so retargeting the name is purely cosmetic.
-            node.stream = renames[node.stream]
 
 
 def check_fusable(
@@ -166,16 +158,11 @@ def fuse_definitions(
         raise FusionError(
             f"cannot fuse {producer.name!r} -> {consumer.name!r}: {reason}")
 
-    prefix = _fresh_prefix(_collect_names(producer) + _collect_names(consumer))
+    producer_names, producer_locals = _collect_names(producer)
+    prefix = _fresh_prefix(producer_names + _collect_names(consumer)[0])
     producer_renames = {n: prefix + n for n in {
         param.name for param in producer.params
-    } | {
-        node.name for node in producer.body.walk()
-        if isinstance(node, ast.DeclStatement)
-    }}
-
-    producer_copy = copy.deepcopy(producer)
-    _rename_symbols(producer_copy, producer_renames)
+    } | set(producer_locals)}
 
     eliminated_outs = sorted(set(connections.values()),
                              key=[p.name for p in producer.params].index)
@@ -183,7 +170,8 @@ def fuse_definitions(
     intermediate_decls: List[ast.Statement] = []
     eliminated_widths: List[int] = []
     producer_params: List[ast.KernelParam] = []
-    for param in producer_copy.params:
+    for param in producer.params:
+        param = ast.clone(param, producer_renames)
         if param.name in eliminated_renamed:
             intermediate_decls.append(ast.DeclStatement(
                 location=param.location, decl_type=param.type,
@@ -198,18 +186,17 @@ def fuse_definitions(
         consumer_param: producer_renames[producer_out]
         for consumer_param, producer_out in connections.items()
     }
-    consumer_copy = copy.deepcopy(consumer)
-    consumer_params = [param for param in consumer_copy.params
+    consumer_params = [ast.clone(param) for param in consumer.params
                        if param.name not in consumer_renames]
-    consumer_copy.params = consumer_params
-    _rename_symbols(consumer_copy, consumer_renames)
 
     fused_name = name or f"{producer.name}__{consumer.name}"
     body = ast.Block(
         location=producer.body.location,
         statements=(intermediate_decls
-                    + list(producer_copy.body.statements)
-                    + list(consumer_copy.body.statements)),
+                    + [ast.clone(statement, producer_renames)
+                       for statement in producer.body.statements]
+                    + [ast.clone(statement, consumer_renames)
+                       for statement in consumer.body.statements]),
     )
     fused = ast.FunctionDef(
         location=producer.location,
@@ -228,30 +215,28 @@ def fuse_definitions(
     )
 
 
-def fuse_compiled(
+def merge_compiled(
     producer: "CompiledKernel",
     consumer: "CompiledKernel",
     connections: Dict[str, str],
     helpers: Dict[str, ast.FunctionDef],
-    enable_fast_path: bool = True,
 ) -> Tuple["CompiledKernel", FusionResult]:
-    """Fuse two compiled kernels into a launchable :class:`CompiledKernel`.
+    """Merge two compiled kernels into a *bare* :class:`CompiledKernel`.
 
-    Runs the AST fusion, re-estimates resources, regenerates the shader
-    artefacts (best effort, like the compiler driver) and, when
-    ``enable_fast_path`` is set, compiles the vector program for the
-    merged body.  ``fused_from`` records the flattened
-    source kernel names so launch statistics can attribute saved passes.
+    Runs the AST fusion and builds what deciding whether the merged
+    kernel can launch needs: its resources, loop bound and GLSL ES text
+    (best effort, like the compiler driver).  ``fused_from`` records the
+    flattened source kernel names so launch statistics can attribute
+    saved passes.  The result is ``bare`` until :func:`complete_compiled`
+    runs on it; a bare kernel can be the producer of a further merge but
+    must not be launched.
     """
     # Imported lazily: the compiler driver imports this package for its
     # other passes, so a module-level import would be circular.
     from ..analysis.loop_bounds import analyze_loop_bounds
     from ..analysis.resources import estimate_resources
-    from ..codegen.c_backend import generate_c
-    from ..codegen.glsl_desktop import generate_desktop_glsl
     from ..codegen.glsl_es import generate_glsl_es
     from ..compiler import CompiledKernel
-    from ...errors import CodegenError
 
     result = fuse_definitions(producer.definition, consumer.definition,
                               connections)
@@ -262,24 +247,58 @@ def fuse_compiled(
         definition=fused_def,
         original_name=fused_def.name,
         resources=estimate_resources(fused_def, loop_analysis),
+        glsl_es=_generate(generate_glsl_es, fused_def, helpers),
         max_loop_iterations=loop_analysis.max_total_iterations,
         fused_from=((producer.fused_from or (producer.name,))
                     + (consumer.fused_from or (consumer.name,))),
         fused_saved_components=(producer.fused_saved_components
                                 + consumer.fused_saved_components
                                 + sum(result.eliminated_widths)),
+        bare=True,
     )
-    helper_defs = list(helpers.values())
-    for attribute, generate in (("glsl_es", generate_glsl_es),
-                                ("desktop_glsl", generate_desktop_glsl),
-                                ("c_source", generate_c)):
-        try:
-            setattr(fused, attribute, generate(fused_def, helper_defs))
-        except CodegenError:
-            setattr(fused, attribute, None)
+    return fused, result
+
+
+def complete_compiled(kernel: "CompiledKernel",
+                      helpers: Dict[str, ast.FunctionDef],
+                      enable_fast_path: bool) -> None:
+    """Finish a bare merged kernel in place so it can launch.
+
+    Generates the desktop GLSL and C text and, when ``enable_fast_path``
+    is set, builds the vector program and its brookvec report.
+    """
+    from ..codegen.c_backend import generate_c
+    from ..codegen.glsl_desktop import generate_desktop_glsl
+
+    kernel.desktop_glsl = _generate(generate_desktop_glsl, kernel.definition,
+                                    helpers)
+    kernel.c_source = _generate(generate_c, kernel.definition, helpers)
     if enable_fast_path:
         from ..exec.vectorized import build_vector_path
 
-        fused.vector_path, fused.vector_report = build_vector_path(
-            fused_def, helpers)
+        kernel.vector_path, kernel.vector_report = build_vector_path(
+            kernel.definition, helpers)
+    kernel.bare = False
+
+
+def fuse_compiled(
+    producer: "CompiledKernel",
+    consumer: "CompiledKernel",
+    connections: Dict[str, str],
+    helpers: Dict[str, ast.FunctionDef],
+    enable_fast_path: bool = True,
+) -> Tuple["CompiledKernel", FusionResult]:
+    """Fuse two compiled kernels into a launchable :class:`CompiledKernel`:
+    :func:`merge_compiled`, then :func:`complete_compiled`."""
+    fused, result = merge_compiled(producer, consumer, connections, helpers)
+    complete_compiled(fused, helpers, enable_fast_path)
     return fused, result
+
+
+def _generate(generate, definition: ast.FunctionDef,
+              helpers: Dict[str, ast.FunctionDef]) -> Optional[str]:
+    """Shader or C text of ``definition``, ``None`` when codegen refuses."""
+    try:
+        return generate(definition, list(helpers.values()))
+    except CodegenError:
+        return None

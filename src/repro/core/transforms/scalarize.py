@@ -21,7 +21,6 @@ paper's position that such kernels are modified by hand.
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, List
 
 from ...errors import CodegenError
@@ -125,10 +124,10 @@ def scalarize_kernel(kernel: ast.FunctionDef) -> ast.FunctionDef:
     """Return a scalarized copy of ``kernel``.
 
     Vector stream/output parameters are split into one scalar stream per
-    component; kernels without vector stream parameters are returned as a
-    deep copy unchanged.
+    component; kernels without vector stream parameters are returned as an
+    unchanged copy.
     """
-    clone = copy.deepcopy(kernel)
+    clone = ast.clone(kernel)
     split: Dict[str, List[str]] = {}
     new_params: List[ast.KernelParam] = []
     for param in clone.params:

@@ -20,7 +20,6 @@ outputs").
 
 from __future__ import annotations
 
-import copy
 from typing import List
 
 from ...errors import CodegenError
@@ -47,7 +46,7 @@ def split_kernel_outputs(kernel: ast.FunctionDef,
 
     split_kernels: List[ast.FunctionDef] = []
     for keep in outputs:
-        clone = copy.deepcopy(kernel)
+        clone = ast.clone(kernel)
         clone.name = f"{kernel.name}{name_separator}{keep.name}"
         demoted: List[ast.KernelParam] = []
         new_params: List[ast.KernelParam] = []

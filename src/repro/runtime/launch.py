@@ -233,7 +233,9 @@ class FusedPlan(LaunchPlan):
 
     Produced by :func:`build_fused_pipeline` (via ``rt.fuse``); never
     constructed directly by applications.  It launches, tiles and serves
-    as the producer of a further fusion step like any map plan.
+    as the producer of a further fusion step like any map plan.  Its
+    kernel is bare while it is only a producer; the pipeline completes
+    the kernel of every segment it returns.
     """
 
     def __init__(
@@ -437,6 +439,12 @@ def build_fused_pipeline(runtime: "BrookRuntime",
             current = nxt
             current_indices = [position]
     segments.append((current, current_indices))
+    # Only a segment's last merge is launched; the merges before it stay
+    # bare producers of the next one.
+    for plan, _ in segments:
+        if isinstance(plan, FusedPlan):
+            runtime._complete_fused(plan.kernel, plan.helpers,
+                                    plan.enable_fast_path)
     return FusedPipeline(runtime, segments, plans)
 
 

@@ -47,7 +47,7 @@ import numpy as np
 from ..backends.base import Backend, create_backend
 from ..core.analysis.memory_usage import StreamDeclaration, estimate_memory_usage
 from ..core.compiler import BrookAutoCompiler, CompiledProgram, CompilerOptions
-from ..core.transforms.fuse import fuse_compiled
+from ..core.transforms.fuse import complete_compiled, merge_compiled
 from ..core.types import FLOAT, BrookType
 from ..errors import RuntimeBrookError
 from .kernel import KernelHandle
@@ -335,14 +335,15 @@ class BrookRuntime:
 
     def _fuse_compiled(self, producer, consumer, connections: Dict[str, str],
                        helpers, enable_fast_path: bool):
-        """:func:`~repro.core.transforms.fuse.fuse_compiled`, memoised.
+        """:func:`~repro.core.transforms.fuse.merge_compiled`, memoised.
 
         Compiling the same source returns the same compiled kernels, so
         fusing freshly bound plans of a cached program repeats fusion
-        steps already made; those return the stored merged kernel.  The
-        key holds the identities of the producer, consumer and helper
-        definitions, and each entry keeps them alive, so an identity
-        cannot be reused while its entry exists.
+        steps already made; those return the stored merged kernel, bare
+        or completed by :meth:`_complete_fused`.  The key holds the
+        identities of the producer, consumer and helper definitions, and
+        each entry keeps them alive, so an identity cannot be reused
+        while its entry exists.
         """
         key = (id(producer), id(consumer), tuple(sorted(connections.items())),
                tuple(sorted((name, id(definition))
@@ -353,14 +354,25 @@ class BrookRuntime:
             if entry is not None:
                 self._fusion_memo.move_to_end(key)
                 return entry[0]
-        merged = fuse_compiled(producer, consumer, connections, helpers,
-                               enable_fast_path=enable_fast_path)
+        merged = merge_compiled(producer, consumer, connections, helpers)
         with self._compile_cache_lock:
             self._fusion_memo[key] = (merged, producer, consumer,
                                       tuple(helpers.values()))
             while len(self._fusion_memo) > FUSION_MEMO_SIZE:
                 self._fusion_memo.popitem(last=False)
         return merged
+
+    def _complete_fused(self, kernel, helpers, enable_fast_path: bool) -> None:
+        """Complete a merged kernel from :meth:`_fuse_compiled` once.
+
+        Runs :func:`~repro.core.transforms.fuse.complete_compiled` under
+        the compile cache lock, so a kernel that two threads launch is
+        completed by one of them and a completed memo entry is never
+        rebuilt.
+        """
+        with self._compile_cache_lock:
+            if kernel.bare:
+                complete_compiled(kernel, helpers, enable_fast_path)
 
     # ------------------------------------------------------------------ #
     # Streams

@@ -153,6 +153,58 @@ class TestCompileCacheConcurrency:
             assert module.program is warm.program
 
 
+class TestFusionConcurrency:
+    def test_every_pipeline_launches_completed_kernels(self):
+        """Threads fusing the same chain on one runtime share the fusion
+        memo: each gets a pipeline whose kernels are complete, and its
+        output equals a serial run's."""
+        import sys
+
+        from repro.service.bench import build_adas_request, make_frames
+        from repro.service.service import prepare_request
+
+        frame = make_frames(16, 1, seed=6)[0]
+        request = build_adas_request(16, frame)
+        outputs, errors = [], []
+        with BrookRuntime(backend="cpu") as rt:
+            _, streams, plans = prepare_request(rt, request)
+            streams["image"].write(frame)
+            for plan in plans:
+                plan.launch()
+            reference = streams["out"].read()
+
+            def worker():
+                try:
+                    for _ in range(3):
+                        _, streams, plans = prepare_request(rt, request)
+                        streams["image"].write(frame)
+                        pipeline = rt.fuse(plans)
+                        assert not any(plan.kernel.bare
+                                       for plan, _ in pipeline.segments)
+                        pipeline.launch()
+                        outputs.append(streams["out"].read())
+                except BaseException as exc:  # noqa: BLE001 - surfaced below
+                    errors.append(exc)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [threading.Thread(target=worker) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+        if errors:
+            raise errors[0]
+        assert len(outputs) == 12
+        for output in outputs:
+            assert np.array_equal(output.view(np.uint32),
+                                  reference.view(np.uint32))
+
+
 # --------------------------------------------------------------------------- #
 # Satellite: thread-safe statistics
 # --------------------------------------------------------------------------- #

@@ -420,17 +420,17 @@ class TestScalableAppPipeline:
 class TestFusionMemo:
     @pytest.fixture
     def counted(self, monkeypatch):
-        """Count the fusion steps actually performed."""
+        """Count the merge steps actually performed."""
         import repro.runtime.runtime as runtime_module
 
         calls = []
-        original = runtime_module.fuse_compiled
+        original = runtime_module.merge_compiled
 
         def counting(*args, **kwargs):
             calls.append(args[2])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(runtime_module, "fuse_compiled", counting)
+        monkeypatch.setattr(runtime_module, "merge_compiled", counting)
         return calls
 
     @staticmethod
@@ -572,3 +572,207 @@ class TestFusionTiming:
         saved = model.fusion_savings(stats.kernels_fused,
                                      stats.saved_intermediate_bytes)
         assert saved > 0.0
+
+
+# --------------------------------------------------------------------------- #
+# Cold-start fusion: bare merges, one completion per launched kernel
+# --------------------------------------------------------------------------- #
+def _oracle_fuse_definitions(producer, consumer, connections):
+    """The merge as ``fuse_definitions`` made it before the structural
+    clone: ``copy.deepcopy`` of both kernels, then a rename walk."""
+    import copy
+
+    from repro.core import ast_nodes as ast
+
+    def names(kernel):
+        return [param.name for param in kernel.params] + [
+            node.name for node in kernel.body.walk()
+            if isinstance(node, (ast.DeclStatement, ast.Identifier))]
+
+    counter = 0
+    taken = set(names(producer) + names(consumer))
+    while any(name.startswith(f"f{counter}_") for name in taken):
+        counter += 1
+    prefix = f"f{counter}_"
+
+    def rename(kernel, renames):
+        for node in kernel.walk():
+            if isinstance(node, (ast.Identifier, ast.DeclStatement,
+                                 ast.KernelParam)) and node.name in renames:
+                node.name = renames[node.name]
+            elif isinstance(node, ast.IndexOfExpr) \
+                    and node.stream in renames:
+                node.stream = renames[node.stream]
+
+    producer_renames = {n: prefix + n for n in {
+        param.name for param in producer.params
+    } | {node.name for node in producer.body.walk()
+         if isinstance(node, ast.DeclStatement)}}
+    producer_copy = copy.deepcopy(producer)
+    rename(producer_copy, producer_renames)
+    eliminated = {producer_renames[n] for n in connections.values()}
+    decls, producer_params = [], []
+    for param in producer_copy.params:
+        if param.name in eliminated:
+            decls.append(ast.DeclStatement(location=param.location,
+                                           decl_type=param.type,
+                                           name=param.name, init=None))
+        else:
+            producer_params.append(param)
+    consumer_renames = {c: producer_renames[p] for c, p in connections.items()}
+    consumer_copy = copy.deepcopy(consumer)
+    consumer_copy.params = [param for param in consumer_copy.params
+                            if param.name not in consumer_renames]
+    rename(consumer_copy, consumer_renames)
+    return ast.FunctionDef(
+        location=producer.location,
+        name=f"{producer.name}__{consumer.name}",
+        return_type=producer.return_type,
+        params=producer_params + consumer_copy.params,
+        body=ast.Block(location=producer.body.location,
+                       statements=(decls + producer_copy.body.statements
+                                   + consumer_copy.body.statements)),
+        is_kernel=True, is_reduction=False)
+
+
+def _adas_plans(rt, stages, size=16):
+    """The first ``stages`` calls of the ADAS request, bound on ``rt``."""
+    from repro.service.bench import build_adas_request, make_frames
+    from repro.service.service import prepare_request
+
+    frame = make_frames(size, 1, seed=11)[0]
+    request = build_adas_request(size, frame)
+    _, streams, plans = prepare_request(rt, request)
+    streams["image"].write(frame)
+    output = "out" if stages == 8 else f"s{stages - 1}"
+    return plans[:stages], streams[output]
+
+
+@pytest.fixture
+def fusion_counts(monkeypatch):
+    """Count merge steps and vector-program builds made by ``rt.fuse``."""
+    import repro.core.exec.vectorized as vectorized
+    import repro.runtime.runtime as runtime_module
+
+    counts = {"merges": 0, "vector_builds": 0}
+    merge = runtime_module.merge_compiled
+    build = vectorized.build_vector_path
+
+    def counting_merge(*args, **kwargs):
+        counts["merges"] += 1
+        return merge(*args, **kwargs)
+
+    def counting_build(*args, **kwargs):
+        counts["vector_builds"] += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(runtime_module, "merge_compiled", counting_merge)
+    monkeypatch.setattr(vectorized, "build_vector_path", counting_build)
+    return counts
+
+
+class TestColdStartFusion:
+    @pytest.mark.parametrize("stages", [3, 8])
+    def test_merged_kernel_matches_the_deepcopy_oracle(self, stages):
+        from repro.core.codegen.c_backend import generate_c
+        from repro.core.codegen.glsl_desktop import generate_desktop_glsl
+        from repro.core.codegen.glsl_es import generate_glsl_es
+        from repro.core.exec.vectorized import build_vector_path
+
+        with BrookRuntime(backend="gles2") as rt:
+            plans, _ = _adas_plans(rt, stages)
+            pipeline = rt.fuse(plans)
+            assert pipeline.pass_count == 1
+            fused = pipeline.segments[0][0]
+            helpers = fused.helpers
+            expected = plans[0].kernel.definition
+            for producer, consumer in zip(plans, plans[1:]):
+                out_name, out = next(iter(producer.passes[0].out_args.items()))
+                connections = {name: out_name for name, stream in
+                               consumer.passes[0].stream_args.items()
+                               if stream is out}
+                expected = _oracle_fuse_definitions(
+                    expected, consumer.kernel.definition, connections)
+        kernel = fused.kernel
+        assert not kernel.bare
+        assert kernel.definition == expected
+        assert kernel.definition.to_source() == expected.to_source()
+        helper_defs = list(helpers.values())
+        assert kernel.glsl_es == generate_glsl_es(expected, helper_defs)
+        assert kernel.desktop_glsl == generate_desktop_glsl(expected,
+                                                            helper_defs)
+        assert kernel.c_source == generate_c(expected, helper_defs)
+        _, report = build_vector_path(expected, helpers)
+        assert kernel.vector_report == report
+        assert kernel.vector_path is not None
+
+    def test_cold_fuse_builds_one_vector_program(self, fusion_counts):
+        with BrookRuntime(backend="gles2") as rt:
+            plans, _ = _adas_plans(rt, 8)
+            fusion_counts.update(merges=0, vector_builds=0)
+            assert rt.fuse(plans).pass_count == 1
+            assert fusion_counts == {"merges": 7, "vector_builds": 1}
+            fresh, _ = _adas_plans(rt, 8)
+            fusion_counts.update(merges=0, vector_builds=0)
+            assert rt.fuse(fresh).pass_count == 1
+            assert fusion_counts == {"merges": 0, "vector_builds": 0}
+
+    def test_intermediates_stay_bare(self):
+        with BrookRuntime(backend="gles2") as rt:
+            plans, _ = _adas_plans(rt, 8)
+            launched = rt.fuse(plans).segments[0][0].kernel
+            merged = [entry[0][0] for entry in rt._fusion_memo.values()]
+        assert len(merged) == 7 and merged[-1] is launched
+        for kernel in merged[:-1]:
+            assert kernel.bare
+            assert kernel.glsl_es is not None
+            assert kernel.vector_path is None
+            assert kernel.vector_report is None
+            assert kernel.desktop_glsl is None and kernel.c_source is None
+        assert not launched.bare
+        assert launched.vector_path is not None
+        assert launched.c_source is not None
+
+    def test_an_intermediate_completes_when_a_pipeline_launches_it(
+            self, fusion_counts):
+        with BrookRuntime() as rt:
+            plans, _ = _adas_plans(rt, 8)
+            rt.fuse(plans)
+            shorter, _ = _adas_plans(rt, 3)
+            fusion_counts.update(merges=0, vector_builds=0)
+            kernel = rt.fuse(shorter).segments[0][0].kernel
+        assert fusion_counts == {"merges": 0, "vector_builds": 1}
+        assert not kernel.bare and kernel.vector_path is not None
+
+    def test_completion_without_fast_path_builds_no_vector_program(
+            self, fusion_counts):
+        options = CompilerOptions(enable_fast_path=False)
+        with BrookRuntime(compiler_options=options) as rt:
+            plans, _ = _adas_plans(rt, 8)
+            fusion_counts.update(merges=0, vector_builds=0)
+            kernel = rt.fuse(plans).segments[0][0].kernel
+        assert fusion_counts == {"merges": 7, "vector_builds": 0}
+        assert not kernel.bare
+        assert kernel.vector_path is None and kernel.vector_report is None
+        assert kernel.c_source is not None
+
+    @pytest.mark.parametrize("backend", ["cpu", "gles2", "cal"])
+    def test_outputs_match_unfused_and_records_match_a_refuse(self, backend):
+        with BrookRuntime(backend=backend) as rt:
+            plans, out = _adas_plans(rt, 8)
+            for plan in plans:
+                plan.launch()
+            plain = out.read()
+            runs = []
+            for _ in range(2):
+                fresh, out = _adas_plans(rt, 8)
+                pipeline = rt.fuse(fresh)
+                marker = rt.statistics.marker()
+                pipeline.launch()
+                runs.append((out.read(),
+                             rt.statistics.records_since(marker)[1]))
+        (cold, cold_records), (warm, warm_records) = runs
+        assert np.array_equal(cold.view(np.uint32), plain.view(np.uint32))
+        assert np.array_equal(warm.view(np.uint32), plain.view(np.uint32))
+        assert len(cold_records) == 1
+        assert cold_records == warm_records

@@ -199,3 +199,92 @@ class TestConstantFolding:
         )
         fold_constants(kernel)
         assert isinstance(kernel.body.statements[0].expr.value, ast.BinaryOp)
+
+
+class TestClone:
+    SOURCE = """
+    float twice(float v) { return v + v; }
+    kernel void f(float a<>, float t[][], float k, out float o<>) {
+        float2 pos = indexof(o);
+        float acc = 1.0 + 2.0;
+        for (int i = 0; i < 4; i = i + 1) {
+            acc += twice(a) * t[pos.y][i] + (k > 0.0 ? -k : 2.0 * 3.0);
+        }
+        if (acc > 1.0) { o = acc; } else { o = float2(acc, a).y; }
+    }
+    """
+
+    @staticmethod
+    def analyzed_kernel(source):
+        return analyze(parse(source)).unit.kernel("f")
+
+    def test_copy_is_equal_with_new_nodes_and_shared_leaves(self):
+        kernel = self.analyzed_kernel(self.SOURCE)
+        copy = ast.clone(kernel)
+        assert copy == kernel
+        assert copy.to_source() == kernel.to_source()
+        originals = list(kernel.walk())
+        copies = list(copy.walk())
+        assert len(copies) == len(originals)
+        assert not {id(node) for node in originals} \
+            & {id(node) for node in copies}
+        for original, copied in zip(originals, copies):
+            assert type(copied) is type(original)
+            assert copied.location is original.location
+            # The semantic analyzer's annotations travel with the copy.
+            assert getattr(copied, "type", None) \
+                is getattr(original, "type", None)
+        assert copy.params is not kernel.params
+        assert copy.body.statements is not kernel.body.statements
+
+    def test_renames_apply_to_every_symbol_kind(self):
+        kernel = parse(self.SOURCE).kernel("f")
+        renames = {"a": "p_a", "o": "p_o", "acc": "p_acc", "pos": "p_pos"}
+        copy = ast.clone(kernel, renames)
+        assert [p.name for p in copy.params] == ["p_a", "t", "k", "p_o"]
+        names = {node.name for node in copy.walk()
+                 if isinstance(node, (ast.Identifier, ast.DeclStatement))}
+        assert {"p_a", "p_o", "p_acc", "p_pos", "t", "k", "i"} <= names
+        assert not names & set(renames)
+        assert [node.stream for node in copy.walk()
+                if isinstance(node, ast.IndexOfExpr)] == ["p_o"]
+        # Callee names are not symbols.
+        assert any(isinstance(node, ast.CallExpr) and node.callee == "twice"
+                   for node in copy.walk())
+        assert "p_" not in kernel.to_source()
+
+    def test_folding_a_clone_leaves_the_original_untouched(self):
+        kernel = self.analyzed_kernel(self.SOURCE)
+        before = kernel.to_source()
+        nodes = list(kernel.walk())
+        identities = [id(node) for node in nodes]
+        folded = fold_constants(kernel)
+        assert folded.to_source() != before
+        assert "3.0" in folded.to_source() and "6.0" in folded.to_source()
+        assert kernel.to_source() == before
+        assert [id(node) for node in kernel.walk()] == identities
+
+
+class TestWalk:
+    def test_pre_order_matches_the_recursive_definition(self):
+        kernel = parse(TestClone.SOURCE).kernel("f")
+
+        def recursive(node):
+            yield node
+            for child in node.children():
+                yield from recursive(child)
+
+        assert [id(n) for n in kernel.walk()] == \
+            [id(n) for n in recursive(kernel)]
+
+    def test_children_are_read_when_the_node_is_reached(self):
+        kernel = first_kernel(
+            "kernel void f(float a<>, out float o<>) { o = a + 1.0; }")
+        replacement = ast.Identifier(name="b")
+        seen = []
+        for node in kernel.walk():
+            seen.append(node)
+            if isinstance(node, ast.BinaryOp):
+                node.right = replacement
+        assert seen[-1] is replacement
+        assert not any(isinstance(node, ast.NumberLiteral) for node in seen)

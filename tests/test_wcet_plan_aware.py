@@ -308,3 +308,37 @@ def test_submit_side_decision_records_nothing(backend):
     assert markers == [(0, 0), (0, 0)]
     assert report["device_totals"]["passes"] == 0
     assert report["device_totals"]["bytes_uploaded"] == 0
+
+
+# --------------------------------------------------------------------------- #
+# Modelled time of the candidate the planner picks
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("kwargs,size", [(kw, size)
+                                         for _, kw, size in RUNTIMES],
+                         ids=[label for label, _, _ in RUNTIMES])
+def test_chosen_candidate_models_what_serving_records(kwargs, size):
+    """The chosen candidate's ``modelled_s`` is the modelled time of what
+    serving it records, also for a fused candidate on two devices, and
+    no candidate is modelled above its own bound."""
+    frame = make_frames(size, 1, seed=4)[0]
+    request = build_adas_request(size, frame, name="modelled")
+    with BrookRuntime(**kwargs) as rt:
+        module, _streams, plans = prepare_request(rt, request)
+        decision = plan_service_request(
+            request, module.program, rt, plans,
+            executable_devices=rt.device_count,
+            limits=rt.backend.target_limits())
+    for candidate in decision.candidates:
+        assert candidate.modelled_s <= candidate.wcet_s, \
+            candidate.config.describe()
+    service_kwargs = dict(kwargs)
+    devices = service_kwargs.pop("devices", 1)
+    with BrookService(pool_size=1, scheduler="edf", plan="auto",
+                      devices=devices, **service_kwargs) as service:
+        response = service.process(request)
+    assert decision.chosen.config.fused_groups
+    # The planner prices the un-fused kernels' bounded work minus the
+    # fusion savings; the merged kernel's recorded work differs from
+    # that by well under 0.1%.
+    assert response.modelled_s == pytest.approx(decision.chosen.modelled_s,
+                                                rel=1e-3)
