@@ -17,7 +17,7 @@ from .. import ast_nodes as ast
 from ..semantic import AnalyzedProgram
 from .call_graph import CallGraph, build_call_graph
 
-__all__ = ["StackDepthReport", "estimate_stack_depth"]
+__all__ = ["StackDepthReport", "estimate_stack_depth", "frame_sizes"]
 
 #: Fixed per-call overhead charged for the return address / saved registers.
 FRAME_OVERHEAD_BYTES = 16
@@ -52,18 +52,28 @@ def _frame_size(func: ast.FunctionDef) -> int:
     return size
 
 
+def frame_sizes(program: AnalyzedProgram) -> Dict[str, int]:
+    """The estimated stack frame of every function of ``program``."""
+    return {name: _frame_size(info.definition)
+            for name, info in program.functions.items()}
+
+
 def estimate_stack_depth(
     program: AnalyzedProgram,
     kernel_name: str,
     call_graph: Optional[CallGraph] = None,
+    frames: Optional[Dict[str, int]] = None,
 ) -> StackDepthReport:
-    """Compute the worst-case stack usage of ``kernel_name``."""
+    """Compute the worst-case stack usage of ``kernel_name``.
+
+    ``call_graph`` and ``frames`` (:func:`frame_sizes`) are the program's;
+    a caller estimating every kernel builds them once and passes them in.
+    """
     graph = call_graph or build_call_graph(program)
+    if frames is None:
+        frames = frame_sizes(program)
     report = StackDepthReport(kernel_name=kernel_name)
-    frames = {
-        name: _frame_size(info.definition) for name, info in program.functions.items()
-    }
-    report.frame_bytes = frames
+    report.frame_bytes = dict(frames)
 
     if kernel_name in graph.recursive_functions() or graph.max_depth_from(kernel_name) is None:
         report.max_stack_bytes = None

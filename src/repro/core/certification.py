@@ -52,7 +52,7 @@ from . import ast_nodes as ast
 from .analysis.call_graph import build_call_graph
 from .analysis.loop_bounds import analyze_loop_bounds
 from .analysis.resources import TargetLimits, estimate_resources
-from .analysis.stack_depth import estimate_stack_depth
+from .analysis.stack_depth import estimate_stack_depth, frame_sizes
 from .semantic import AnalyzedProgram
 from .types import ParamKind, ScalarKind
 
@@ -222,6 +222,7 @@ class CertificationChecker:
         report = CertificationReport(target=self.target)
         call_graph = build_call_graph(self.program)
         recursive = call_graph.recursive_functions()
+        frames = frame_sizes(self.program)
 
         for info in self.program.kernels:
             kernel = info.definition
@@ -236,7 +237,7 @@ class CertificationChecker:
             self._check_streams(kernel, cert)
             self._check_resources(kernel, cert)
             self._check_language_subset(kernel, cert)
-            self._check_stack(kernel, cert)
+            self._check_stack(kernel, cert, call_graph, frames)
             self._check_side_effects(kernel, cert)
         return report
 
@@ -367,8 +368,10 @@ class CertificationChecker:
                     self._add(cert, "BA-010",
                               f"void-typed parameter {param.name!r}", param.location)
 
-    def _check_stack(self, kernel: ast.FunctionDef, cert: KernelCertification) -> None:
-        report = estimate_stack_depth(self.program, kernel.name)
+    def _check_stack(self, kernel: ast.FunctionDef, cert: KernelCertification,
+                     call_graph, frames: Dict[str, int]) -> None:
+        report = estimate_stack_depth(self.program, kernel.name, call_graph,
+                                      frames)
         cert.max_stack_bytes = report.max_stack_bytes
         if report.max_stack_bytes is None:
             self._add(cert, "BA-011",

@@ -39,7 +39,16 @@ __all__ = [
     "where_select",
     "materialize",
     "apply_builtin",
+    "construct_vector",
+    "divide",
+    "gather",
+    "int_value",
     "layout_positions",
+    "modulo",
+    "return_zeros",
+    "store_local",
+    "store_member",
+    "swizzle",
 ]
 
 
@@ -157,6 +166,15 @@ def where_select(cond: np.ndarray, then, other):
     return np.where(cond, then_arr, other_arr)
 
 
+#: Builtins that are one NumPy function of their float32 argument.
+UNARY_BUILTINS = {
+    "sqrt": np.sqrt, "exp": np.exp, "exp2": np.exp2, "log": np.log,
+    "log2": np.log2, "sin": np.sin, "cos": np.cos, "tan": np.tan,
+    "asin": np.arcsin, "acos": np.arccos, "atan": np.arctan,
+    "floor": np.floor, "ceil": np.ceil, "round": np.round, "abs": np.abs,
+}
+
+
 def apply_builtin(name: str, args: List, size: int):
     """Apply a Brook builtin to evaluated arguments.
 
@@ -224,15 +242,143 @@ def apply_builtin(name: str, args: List, size: int):
     if name in ("any", "all"):
         reducer = np.any if name == "any" else np.all
         return reducer(as_bool_array(arrays[0], size), axis=-1)
-    simple = {
-        "sqrt": np.sqrt, "exp": np.exp, "exp2": np.exp2, "log": np.log,
-        "log2": np.log2, "sin": np.sin, "cos": np.cos, "tan": np.tan,
-        "asin": np.arcsin, "acos": np.arccos, "atan": np.arctan,
-        "floor": np.floor, "ceil": np.ceil, "round": np.round, "abs": np.abs,
-    }
-    if name in simple:
-        return simple[name](arrays[0])
+    if name in UNARY_BUILTINS:
+        return UNARY_BUILTINS[name](arrays[0])
     raise RuntimeBrookError(f"builtin {name!r} has no evaluator implementation")
+
+
+def store_local(env: Dict[str, np.ndarray], name: str, value,
+                mask: Optional[np.ndarray], size: int):
+    """``name = value`` on the lanes of ``mask`` (``None``: every lane);
+    an int local truncates a non-int value.  Returns ``value``."""
+    old = env.get(name)
+    if old is None:
+        env[name] = materialize(value, size)
+        return value
+    value_arr = np.asarray(value)
+    if _is_int_dtype(old) and not _is_int_dtype(value_arr):
+        value_arr = np.asarray(np.trunc(value_arr), dtype=np.int32)
+    if mask is None:
+        # Full-mask merge elision: np.where(all-true, new, old) is ``new``
+        # promoted against ``old``'s dtype.  A 0-d ``old`` materializes to
+        # an (n,) broadcast of the same dtype, so the promotion rule is
+        # identical.
+        old_arr = np.asarray(old)
+        if value_arr.shape == (size,) and old_arr.shape in ((), (size,)):
+            if value_arr.dtype != old_arr.dtype:
+                value_arr = value_arr.astype(np.result_type(
+                    value_arr.dtype, old_arr.dtype), copy=False)
+            env[name] = value_arr
+            return value
+        mask = np.ones(size, dtype=bool)
+    env[name] = _merge_masked(materialize(old, size),
+                              materialize(value_arr, size), mask)
+    return value
+
+
+def int_value(value) -> np.ndarray:
+    """What an ``int`` declaration stores: ints stay, bools cast, the
+    rest floors."""
+    if not _is_int_dtype(value):
+        value = np.asarray(np.floor(value), dtype=np.int32) \
+            if np.asarray(value).dtype.kind != "b" \
+            else np.asarray(value, dtype=np.int32)
+    return np.asarray(value)
+
+
+def divide(left, right):
+    """``left / right`` of aligned operands: ints divide like C (0 by 0)."""
+    if _is_int_dtype(left) and _is_int_dtype(right):
+        return np.where(right != 0, left // np.where(right == 0, 1, right), 0)
+    return left / np.asarray(right, dtype=np.float32)
+
+
+def modulo(left, right):
+    """``left % right`` of aligned operands: ints like C (0 by 0), floats
+    by ``fmod``."""
+    if _is_int_dtype(left) and _is_int_dtype(right):
+        return np.where(right != 0, left % np.where(right == 0, 1, right), 0)
+    return np.fmod(left, right)
+
+
+def swizzle(base, indices: Sequence[int], member: str, size: int):
+    """``base.member`` over ``size`` threads (``indices`` of ``member``)."""
+    base = np.asarray(base)
+    if base.ndim == 0:
+        raise RuntimeBrookError(f"cannot swizzle scalar value with .{member}")
+    if base.ndim == 1 and base.shape[0] in (2, 3, 4) and base.shape[0] != size:
+        # A uniform vector (shape (width,)).
+        selected = base[list(indices)]
+        return selected[0] if len(indices) == 1 else selected
+    if base.ndim == 1:
+        raise RuntimeBrookError(
+            f"cannot swizzle scalar per-thread value with .{member}")
+    if len(indices) == 1:
+        return base[:, indices[0]]
+    return base[:, list(indices)]
+
+
+def construct_vector(width: int, size: int, args: Sequence) -> np.ndarray:
+    """A ``floatN(...)`` constructor: one float32 column per component."""
+    columns: List[np.ndarray] = []
+    for arg in args:
+        arg = np.asarray(arg, dtype=np.float32)
+        if arg.ndim == 2:
+            columns.extend(arg[:, component]
+                           for component in range(arg.shape[1]))
+        else:
+            columns.append(arg)
+    if len(columns) == 1:
+        columns = columns * width
+    return np.stack([np.broadcast_to(np.asarray(c, dtype=np.float32), (size,))
+                     for c in columns], axis=1)
+
+
+def store_member(env: Dict[str, np.ndarray], name: str,
+                 indices: Sequence[int], member: str, value,
+                 mask: np.ndarray, size: int):
+    """``name.member = value`` on the lanes of ``mask``; returns ``value``."""
+    old = env.get(name)
+    if old is None:
+        raise RuntimeBrookError(f"assignment to undeclared vector {name!r}")
+    old = materialize(old, size)
+    if old.ndim != 2:
+        raise RuntimeBrookError(
+            f"cannot assign component .{member} of non-vector {name!r}")
+    new = old.copy()
+    value_arr = materialize(value, size)
+    for position, component in enumerate(indices):
+        component_value = value_arr[:, position] if value_arr.ndim == 2 \
+            else value_arr
+        new[:, component] = np.where(mask, component_value, old[:, component])
+    env[name] = new
+    return value
+
+
+def gather(source: GatherSource, indices: Sequence, size: int) -> np.ndarray:
+    """Fetch a gather's evaluated ``indices``: ``a[i]`` reads row 0 at
+    column ``i`` (or the (x, y) of a vector index), ``a[r][c]`` row
+    ``r``, column ``c``."""
+    if len(indices) == 1:
+        index_value = np.asarray(indices[0])
+        if index_value.ndim == 2 and index_value.shape[1] >= 2:
+            cols = index_value[:, 0]
+            rows = index_value[:, 1]
+        else:
+            cols = index_value
+            rows = np.zeros_like(np.asarray(cols, dtype=np.float32))
+    else:
+        rows = np.asarray(indices[0])
+        cols = np.asarray(indices[1])
+    rows = np.broadcast_to(np.asarray(rows, dtype=np.float32), (size,))
+    cols = np.broadcast_to(np.asarray(cols, dtype=np.float32), (size,))
+    return source.fetch(rows, cols)
+
+
+def return_zeros(value, size: int) -> np.ndarray:
+    """The float32 zeros a function's first ``return`` merges into."""
+    shape = (size,) if np.ndim(value) <= 1 else (size, np.shape(value)[-1])
+    return np.zeros(shape, dtype=np.float32)
 
 
 class KernelEvaluator:
@@ -377,10 +523,8 @@ class KernelEvaluator:
                 shape = (self._size,) if width == 1 else (self._size, width)
                 dtype = np.int32 if stmt.decl_type.kind is ScalarKind.INT else np.float32
                 value = np.zeros(shape, dtype=dtype)
-            if stmt.decl_type.kind is ScalarKind.INT and not _is_int_dtype(value):
-                value = np.asarray(np.floor(value), dtype=np.int32) \
-                    if np.asarray(value).dtype.kind != "b" \
-                    else np.asarray(value, dtype=np.int32)
+            if stmt.decl_type.kind is ScalarKind.INT:
+                value = int_value(value)
             frame.env[stmt.name] = np.asarray(value)
             return mask
         if isinstance(stmt, ast.ExprStatement):
@@ -398,9 +542,7 @@ class KernelEvaluator:
             if stmt.value is not None:
                 value = self._eval(stmt.value, mask, frame)
                 if frame.return_value is None:
-                    frame.return_value = np.zeros(self._size, dtype=np.float32) \
-                        if np.asarray(value).ndim <= 1 else \
-                        np.zeros((self._size, np.asarray(value).shape[-1]), dtype=np.float32)
+                    frame.return_value = return_zeros(value, self._size)
                 frame.return_value = _merge_masked(frame.return_value, value, mask)
             frame.returned = frame.returned | mask
             return np.zeros_like(mask)
@@ -420,7 +562,7 @@ class KernelEvaluator:
 
     def _exec_if(self, stmt: ast.IfStatement, mask: np.ndarray,
                  frame: _Frame) -> np.ndarray:
-        cond = self._as_bool(self._eval(stmt.cond, mask, frame))
+        cond = as_bool_array(self._eval(stmt.cond, mask, frame), self._size)
         then_mask = mask & cond
         else_mask = mask & ~cond
         if then_mask.any() and else_mask.any():
@@ -444,7 +586,7 @@ class KernelEvaluator:
             while True:
                 if check_before or steps > 0:
                     if cond_expr is not None:
-                        cond = self._as_bool(self._eval(cond_expr, iter_mask, frame))
+                        cond = as_bool_array(self._eval(cond_expr, iter_mask, frame), self._size)
                         iter_mask = iter_mask & cond
                 if not iter_mask.any():
                     break
@@ -464,7 +606,7 @@ class KernelEvaluator:
                     self._eval(update_expr, alive, frame)
                 iter_mask = alive
                 if not check_before and cond_expr is not None:
-                    cond = self._as_bool(self._eval(cond_expr, iter_mask, frame))
+                    cond = as_bool_array(self._eval(cond_expr, iter_mask, frame), self._size)
                     iter_mask = iter_mask & cond
         finally:
             frame.loops.pop()
@@ -505,11 +647,11 @@ class KernelEvaluator:
         if isinstance(expr, ast.Assignment):
             return self._eval_assignment(expr, mask, frame)
         if isinstance(expr, ast.Conditional):
-            cond = self._as_bool(self._eval(expr.cond, mask, frame))
+            cond = as_bool_array(self._eval(expr.cond, mask, frame), self._size)
             then = self._eval(expr.then, mask, frame)
             other = self._eval(expr.otherwise, mask, frame)
             self._count_flops(mask, 1)
-            return self._where(cond, then, other)
+            return where_select(cond, then, other)
         if isinstance(expr, ast.CallExpr):
             return self._eval_call(expr, mask, frame)
         if isinstance(expr, ast.ConstructorExpr):
@@ -517,24 +659,9 @@ class KernelEvaluator:
         if isinstance(expr, ast.IndexExpr):
             return self._eval_gather(expr, mask, frame)
         if isinstance(expr, ast.MemberExpr):
-            base = self._eval(expr.base, mask, frame)
-            indices = swizzle_indices(expr.member)
-            base = np.asarray(base)
-            if base.ndim == 0:
-                raise RuntimeBrookError(
-                    f"cannot swizzle scalar value with .{expr.member}"
-                )
-            if base.ndim == 1 and base.shape[0] in (2, 3, 4) and base.shape[0] != self._size:
-                # A uniform vector (shape (width,)).
-                selected = base[list(indices)]
-                return selected[0] if len(indices) == 1 else selected
-            if base.ndim == 1:
-                raise RuntimeBrookError(
-                    f"cannot swizzle scalar per-thread value with .{expr.member}"
-                )
-            if len(indices) == 1:
-                return base[:, indices[0]]
-            return base[:, list(indices)]
+            return swizzle(self._eval(expr.base, mask, frame),
+                           swizzle_indices(expr.member), expr.member,
+                           self._size)
         if isinstance(expr, ast.IndexOfExpr):
             return self._index
         raise RuntimeBrookError(f"cannot evaluate expression {type(expr).__name__}")
@@ -546,7 +673,7 @@ class KernelEvaluator:
         if expr.op == "-":
             return -np.asarray(value)
         if expr.op == "!":
-            return ~self._as_bool(value)
+            return ~as_bool_array(value, self._size)
         if expr.op == "~":
             return ~np.asarray(value, dtype=np.int32)
         if expr.op in ("*", "&"):
@@ -559,7 +686,7 @@ class KernelEvaluator:
     def _eval_binary(self, expr: ast.BinaryOp, mask: np.ndarray, frame: _Frame):
         left = np.asarray(self._eval(expr.left, mask, frame))
         right = np.asarray(self._eval(expr.right, mask, frame))
-        left, right = self._align(left, right)
+        left, right = align_pair(left, right)
         op = expr.op
         self._count_flops(mask, 1)
         if op == "+":
@@ -569,13 +696,9 @@ class KernelEvaluator:
         if op == "*":
             return left * right
         if op == "/":
-            if _is_int_dtype(left) and _is_int_dtype(right):
-                return np.where(right != 0, left // np.where(right == 0, 1, right), 0)
-            return left / np.asarray(right, dtype=np.float32)
+            return divide(left, right)
         if op == "%":
-            if _is_int_dtype(left) and _is_int_dtype(right):
-                return np.where(right != 0, left % np.where(right == 0, 1, right), 0)
-            return np.fmod(left, right)
+            return modulo(left, right)
         if op == "<":
             return left < right
         if op == ">":
@@ -589,9 +712,9 @@ class KernelEvaluator:
         if op == "!=":
             return left != right
         if op == "&&":
-            return self._as_bool(left) & self._as_bool(right)
+            return as_bool_array(left, self._size) & as_bool_array(right, self._size)
         if op == "||":
-            return self._as_bool(left) | self._as_bool(right)
+            return as_bool_array(left, self._size) | as_bool_array(right, self._size)
         raise RuntimeBrookError(f"unknown binary operator {op!r}")
 
     def _eval_assignment(self, expr: ast.Assignment, mask: np.ndarray, frame: _Frame):
@@ -608,36 +731,12 @@ class KernelEvaluator:
     def _store(self, target: ast.Expression, value, mask: np.ndarray,
                frame: _Frame) -> None:
         if isinstance(target, ast.Identifier):
-            name = target.name
-            old = frame.env.get(name)
-            if old is None:
-                frame.env[name] = self._materialize(value)
-                return
-            if _is_int_dtype(old) and not _is_int_dtype(np.asarray(value)):
-                value = np.asarray(np.trunc(np.asarray(value)), dtype=np.int32)
-            frame.env[name] = _merge_masked(self._materialize(old),
-                                            self._materialize(value), mask)
+            store_local(frame.env, target.name, value, mask, self._size)
             return
         if isinstance(target, ast.MemberExpr) and isinstance(target.base, ast.Identifier):
-            name = target.base.name
-            old = frame.env.get(name)
-            if old is None:
-                raise RuntimeBrookError(f"assignment to undeclared vector {name!r}")
-            old = self._materialize(old)
-            if old.ndim != 2:
-                raise RuntimeBrookError(
-                    f"cannot assign component .{target.member} of non-vector {name!r}"
-                )
-            new = old.copy()
-            indices = swizzle_indices(target.member)
-            value_arr = self._materialize(value)
-            for position, component in enumerate(indices):
-                if value_arr.ndim == 2:
-                    component_value = value_arr[:, position]
-                else:
-                    component_value = value_arr
-                new[:, component] = np.where(mask, component_value, old[:, component])
-            frame.env[name] = new
+            store_member(frame.env, target.base.name,
+                         swizzle_indices(target.member), target.member,
+                         value, mask, self._size)
             return
         raise RuntimeBrookError(
             "assignment target must be a variable or a component of a vector "
@@ -650,7 +749,7 @@ class KernelEvaluator:
         builtin = lookup_builtin(expr.callee)
         if builtin is not None:
             self._count_flops(mask, builtin.flop_cost)
-            return self._apply_builtin(expr.callee, args)
+            return apply_builtin(expr.callee, args, self._size)
         helper = self.helpers.get(expr.callee)
         if helper is None:
             raise RuntimeBrookError(f"call to unknown function {expr.callee!r}")
@@ -659,7 +758,7 @@ class KernelEvaluator:
     def _call_helper(self, helper: ast.FunctionDef, args: Sequence, mask: np.ndarray):
         frame = _Frame(self._size)
         for param, value in zip(helper.params, args):
-            frame.env[param.name] = self._materialize(value).copy()
+            frame.env[param.name] = materialize(value, self._size).copy()
         with np.errstate(all="ignore"):
             self._exec_statement(helper.body, mask.copy(), frame)
         if frame.return_value is None:
@@ -679,20 +778,8 @@ class KernelEvaluator:
                 return np.asarray(np.trunc(value), dtype=np.int32)
             if target.kind is ScalarKind.FLOAT:
                 return np.asarray(value, dtype=np.float32)
-            return self._as_bool(value)
-        columns: List[np.ndarray] = []
-        for arg in args:
-            arg = np.asarray(arg, dtype=np.float32)
-            if arg.ndim == 2:
-                for component in range(arg.shape[1]):
-                    columns.append(arg[:, component])
-            else:
-                columns.append(arg)
-        if len(columns) == 1:
-            columns = columns * target.width
-        columns = [np.broadcast_to(np.asarray(c, dtype=np.float32), (self._size,))
-                   for c in columns]
-        return np.stack(columns, axis=1)
+            return as_bool_array(value, self._size)
+        return construct_vector(target.width, self._size, args)
 
     def _eval_gather(self, expr: ast.IndexExpr, mask: np.ndarray, frame: _Frame):
         indices: List[ast.Expression] = []
@@ -707,38 +794,10 @@ class KernelEvaluator:
             )
         source = self._gathers[node.name]
         before = source.fetch_count
-        if len(indices) == 1:
-            index_value = np.asarray(self._eval(indices[0], mask, frame))
-            if index_value.ndim == 2 and index_value.shape[1] >= 2:
-                cols = index_value[:, 0]
-                rows = index_value[:, 1]
-            else:
-                cols = index_value
-                rows = np.zeros_like(np.asarray(cols, dtype=np.float32))
-        else:
-            rows = np.asarray(self._eval(indices[0], mask, frame))
-            cols = np.asarray(self._eval(indices[1], mask, frame))
-        rows = np.broadcast_to(np.asarray(rows, dtype=np.float32), (self._size,))
-        cols = np.broadcast_to(np.asarray(cols, dtype=np.float32), (self._size,))
-        values = source.fetch(rows, cols)
+        values = gather(source, [self._eval(index, mask, frame)
+                                 for index in indices[:2]], self._size)
         self.stats.gather_fetches += source.fetch_count - before
         return values
-
-    # ------------------------------------------------------------------ #
-    # Small helpers
-    # ------------------------------------------------------------------ #
-    def _materialize(self, value) -> np.ndarray:
-        return materialize(value, self._size)
-
-    def _as_bool(self, value) -> np.ndarray:
-        return as_bool_array(value, self._size)
-
-    @staticmethod
-    def _align(left: np.ndarray, right: np.ndarray):
-        return align_pair(left, right)
-
-    def _where(self, cond: np.ndarray, then, other):
-        return where_select(cond, then, other)
 
     def _count_flops(self, mask: np.ndarray, cost: int) -> None:
         self.stats.flops += cost * int(mask.sum())

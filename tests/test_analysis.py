@@ -11,7 +11,9 @@ from repro.core.analysis.memory_usage import (
     padded_texture_extent,
 )
 from repro.core.analysis.resources import TargetLimits, estimate_resources
+from repro.core.analysis import stack_depth
 from repro.core.analysis.stack_depth import estimate_stack_depth
+from repro.core.compiler import compile_source
 from repro.core.parser import parse
 from repro.core.semantic import analyze
 from repro.core.types import FLOAT, FLOAT4
@@ -187,6 +189,38 @@ class TestStackDepth:
         ))
         report = estimate_stack_depth(program, "f")
         assert not report.is_bounded
+
+    def test_certification_sizes_each_frame_once(self, monkeypatch):
+        # Every kernel's stack check shares the program's call graph and
+        # frame sizes, so a compile sizes each function exactly once.
+        source = (
+            "float leaf(float x) { float y = x; return y; }\n"
+            "float mid(float x) { float2 p = float2(x, x); "
+            "return leaf(p.x) + 1.0; }\n"
+            "kernel void f(float a<>, out float o<>) { o = mid(a); }\n"
+            "kernel void g(float a<>, out float o<>) { o = leaf(a); }\n"
+            "kernel void h(float a<>, out float o<>) { float t = a; o = t; }"
+        )
+        sized = []
+        real = stack_depth._frame_size
+
+        def counting(func):
+            sized.append(func.name)
+            return real(func)
+
+        monkeypatch.setattr(stack_depth, "_frame_size", counting)
+        compiled = compile_source(source)
+        assert sorted(sized) == ["f", "g", "h", "leaf", "mid"]
+        program = compiled.program
+        graph = build_call_graph(program)
+        frames = stack_depth.frame_sizes(program)
+        for name in ("f", "g", "h"):
+            shared = estimate_stack_depth(program, name, graph, frames)
+            assert shared == estimate_stack_depth(program, name)
+            assert compiled.certification.kernels[name].max_stack_bytes \
+                == shared.max_stack_bytes
+        assert estimate_stack_depth(program, "f").worst_chain \
+            == ["f", "mid", "leaf"]
 
 
 class TestResources:

@@ -8,6 +8,8 @@ masked interpreter, and (c) leave the kernels brookvec rejects, and
 every kernel when the switch is off, on the interpreter.
 """
 
+import builtins
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,9 @@ from repro.core.exec.evaluator import KernelEvaluator
 from repro.core.exec.gather import NumpyGatherSource
 from repro.errors import KernelLaunchError
 from repro.runtime import BrookRuntime
+from repro.runtime.launch import FusedPlan
+from repro.service import prepare_request
+from repro.service.bench import build_adas_request
 
 STRAIGHT_SOURCE = """
 float weight(float d) {
@@ -250,3 +255,59 @@ class TestBackendIntegration:
                 results[enabled] = r.read()
         assert np.array_equal(results[True].view(np.uint32),
                               results[False].view(np.uint32))
+
+
+# --------------------------------------------------------------------------- #
+# Generated regions
+# --------------------------------------------------------------------------- #
+def _straight_line_kernels():
+    """``(label, compiled kernel)`` of every straight-line app kernel and
+    of the fused ADAS kernel."""
+    kernels = []
+    for app_name in sorted(list_applications()):
+        with BrookRuntime(backend="cpu") as rt:
+            module = get_application(app_name).compile(rt)
+            kernels += [(app_name, kernel)
+                        for kernel in module.program.kernels.values()
+                        if is_straight_line(kernel.definition.body)]
+    frame = np.zeros((16, 16), dtype=np.float32)
+    with BrookRuntime(backend="cpu") as rt:
+        _, _, plans = prepare_request(rt, build_adas_request(16, frame))
+        kernels += [("adas-fused", plan.kernel)
+                    for plan, _ in rt.fuse(plans).segments
+                    if isinstance(plan, FusedPlan)]
+    return kernels
+
+
+class TestGeneratedRegions:
+    def test_straight_line_kernels_run_one_generated_launch(self):
+        kernels = _straight_line_kernels()
+        assert any(label == "adas-fused" for label, _ in kernels)
+        for label, kernel in kernels:
+            program = kernel.vector_path
+            assert program is not None, f"{label}:{kernel.name}"
+            launch = program.source.split("def launch(", 1)[1]
+            # The whole body is inline in the launch: no region tree.
+            assert "_run_nodes(" not in launch, f"{label}:{kernel.name}"
+            with pytest.raises(AttributeError):
+                program.source = ""
+
+    def test_second_launch_compiles_nothing(self, monkeypatch):
+        frame = np.random.default_rng(3).uniform(0.0, 255.0, (16, 16))
+        with BrookRuntime(backend="cpu") as rt:
+            _, streams, plans = prepare_request(
+                rt, build_adas_request(16, frame.astype(np.float32)))
+            fused = rt.fuse(plans)
+            fused.launch()
+            first = streams["out"].read()
+            compiled = []
+            real = builtins.compile
+
+            def counting(*args, **kwargs):
+                compiled.append(args[1] if len(args) > 1 else None)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(builtins, "compile", counting)
+            fused.launch()
+            assert compiled == []
+            assert np.array_equal(streams["out"].read(), first)

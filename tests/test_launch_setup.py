@@ -204,11 +204,13 @@ class TestStraightLineHelpers:
         assert dataclasses.asdict(got_stats) == dataclasses.asdict(want_stats)
         assert got_stats.flops > 0 and got_stats.gather_fetches == size
 
-    @pytest.mark.parametrize("divergent,frames", [(False, 1), (True, 2)])
+    @pytest.mark.parametrize("divergent,frames", [(False, 0), (True, 2)])
     def test_full_mask_call_builds_no_frame(self, divergent, frames,
                                             monkeypatch, rng):
-        # The kernel's own frame is the only one a full-mask call needs;
-        # inside a divergent ``if`` the helper takes the masked path.
+        # A straight-line kernel is one generated launch that needs no
+        # frame, and neither does a full-mask call; inside a divergent
+        # ``if`` the kernel's region tree has one and the helper takes
+        # the masked path.
         built = []
 
         class CountingFrame(vectorized._Frame):
