@@ -17,11 +17,18 @@ through the same :func:`~repro.core.exec.evaluate`.  Backends differ in
 where stream data lives, how much precision survives storage, how
 gather accesses behave at the edges and which hardware limits apply.
 
-Streams whose 2-D layout exceeds ``TargetLimits.max_texture_size`` are
-backed by a :class:`~repro.runtime.tiling.TiledStorage` (one device
-texture/resource per tile); the launch plans drive one backend pass per
-tile through :mod:`repro.runtime.tiling`, passing ``index_map`` so
-``indexof`` still reports global positions.
+A backend implements storage for one single texture/resource/array
+(``_create_storage``, ``_upload``, ``_download``, ``_device_view``,
+``_free``).  The public methods wrap those hooks.  A stream that
+:meth:`Backend._partition` splits - by default one whose 2-D layout
+exceeds ``TargetLimits.max_texture_size`` - gets a partitioned storage
+(:mod:`repro.runtime.partition`): a
+:class:`~repro.runtime.tiling.TiledStorage` here, a
+:class:`~repro.runtime.sharding.ShardedStorage` on the sharded backend.
+Its transfers are written once, over the owning backends' public
+methods.  The launch plans drive one backend pass per tile through
+:mod:`repro.runtime.tiling`, passing ``index_map`` so ``indexof``
+still reports global positions.
 """
 
 from __future__ import annotations
@@ -38,8 +45,10 @@ from ..core import ast_nodes as ast
 from ..core.exec import KernelExecutionStats, evaluate
 from ..core.exec.gather import ClampingGatherSource, GatherSource
 from ..errors import KernelLaunchError
+from ..runtime.partition import PartitionedStorage
 from ..runtime.profiling import KernelLaunchRecord, TransferRecord
 from ..runtime.shape import StreamShape
+from ..runtime.tiling import TiledStorage, TilePlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.reduction import ReductionResult
@@ -154,22 +163,32 @@ class Backend(abc.ABC):
         return True
 
     # ------------------------------------------------------------------ #
-    # Storage and transfers
+    # Storage and transfers.  The public methods serve any storage of
+    # this backend: a partitioned one goes through its parts' owners
+    # (runtime/partition.py), anything else through the backend's own
+    # single-storage method.
     # ------------------------------------------------------------------ #
-    @abc.abstractmethod
     def create_storage(self, shape: StreamShape, element_width: int,
                        name: str = "") -> StreamStorage:
         """Allocate statically sized storage for a stream."""
+        storage = self._partition(shape, element_width, name)
+        if storage is None:
+            return self._create_storage(shape, element_width, name)
+        self._track_storage(storage)
+        return storage
 
-    @abc.abstractmethod
     def upload(self, storage: StreamStorage, data: np.ndarray) -> TransferRecord:
         """Copy host data (2-D flattened layout) into device storage."""
+        if isinstance(storage, PartitionedStorage):
+            return storage.upload(self, data)
+        return self._upload(storage, data)
 
-    @abc.abstractmethod
     def download(self, storage: StreamStorage) -> "tuple[np.ndarray, TransferRecord]":
         """Copy device storage back to the host (2-D flattened layout)."""
+        if isinstance(storage, PartitionedStorage):
+            return storage.download(self)
+        return self._download(storage)
 
-    @abc.abstractmethod
     def device_view(self, storage: StreamStorage) -> np.ndarray:
         """Device-resident values as a kernel would observe them.
 
@@ -177,10 +196,52 @@ class Backend(abc.ABC):
         used to bind kernel arguments.  On the OpenGL ES 2 backend the
         returned values already carry the RGBA8 quantization.
         """
+        if isinstance(storage, PartitionedStorage):
+            return storage.device_view(self)
+        return self._device_view(storage)
+
+    def free(self, storage: StreamStorage) -> None:
+        """Release device storage (idempotent)."""
+        if not isinstance(storage, PartitionedStorage):
+            self._free(storage)
+        elif self._untrack_storage(storage):
+            # Atomic check-and-remove: a release racing the GC finalizer
+            # frees the parts exactly once.
+            storage.free(self)
+
+    def _partition(self, shape: StreamShape, element_width: int,
+                   name: str) -> Optional[PartitionedStorage]:
+        """Split a stream one single storage cannot hold, else ``None``.
+
+        The default tiles by the target's texture limit; a folded 1-D
+        stream is split too, since its texture layout differs from the
+        logical one.
+        """
+        plan = TilePlan(shape, self.target_limits())
+        if plan.is_trivial:
+            return None
+        return TiledStorage.allocate(self, plan, shape, element_width, name)
 
     @abc.abstractmethod
-    def free(self, storage: StreamStorage) -> None:
-        """Release device storage."""
+    def _create_storage(self, shape: StreamShape, element_width: int,
+                        name: str) -> StreamStorage:
+        """Allocate one single storage (and track it)."""
+
+    @abc.abstractmethod
+    def _upload(self, storage: StreamStorage, data: np.ndarray) -> TransferRecord:
+        """:meth:`upload` into one single storage."""
+
+    @abc.abstractmethod
+    def _download(self, storage: StreamStorage) -> "tuple[np.ndarray, TransferRecord]":
+        """:meth:`download` of one single storage."""
+
+    @abc.abstractmethod
+    def _device_view(self, storage: StreamStorage) -> np.ndarray:
+        """:meth:`device_view` of one single storage."""
+
+    @abc.abstractmethod
+    def _free(self, storage: StreamStorage) -> None:
+        """:meth:`free` of one single storage (idempotent)."""
 
     @abc.abstractmethod
     def device_memory_in_use(self) -> int:
@@ -277,7 +338,6 @@ class Backend(abc.ABC):
         pass of both stages, exactly as for an untiled reduction.
         """
         from ..runtime.reduction import combine_partials, multipass_reduce
-        from ..runtime.tiling import TiledStorage
 
         quantize = self._reduction_quantize()
         if not isinstance(storage, TiledStorage):
@@ -285,7 +345,7 @@ class Backend(abc.ABC):
                                     self.device_view(storage), quantize)
         return combine_partials(kernel, helpers, [
             multipass_reduce(kernel, helpers, self.device_view(tile), quantize)
-            for tile in storage.tiles
+            for tile in storage.parts
         ], quantize)
 
     def _reduction_quantize(self):
@@ -317,12 +377,11 @@ class Backend(abc.ABC):
         """
         from ..runtime.reduction import partial_reduce
         from ..runtime.sharding import ShardedStorage
-        from ..runtime.tiling import TiledStorage
 
         storage = output_stream.storage
-        pieces = storage.shards if isinstance(storage, ShardedStorage) \
+        parts = storage.parts if isinstance(storage, ShardedStorage) \
             else [storage]
-        if any(isinstance(piece, TiledStorage) for piece in pieces):
+        if any(isinstance(part, TiledStorage) for part in parts):
             raise KernelLaunchError(
                 f"reduction output stream {output_stream.name!r} of shape "
                 f"{tuple(output_stream.shape.dims)} exceeds the device "

@@ -28,7 +28,6 @@ from ..core.exec.gather import ClampingGatherSource
 from ..errors import BackendError, KernelLaunchError
 from ..runtime.profiling import KernelLaunchRecord, TransferRecord
 from ..runtime.shape import StreamShape
-from ..runtime.tiling import TilePlan, TiledStorage
 from .base import Backend, StreamStorage
 from .registry import register_backend
 
@@ -67,30 +66,16 @@ class CALBackend(Backend):
         return self.device.to_target_limits()
 
     # ------------------------------------------------------------------ #
-    def create_storage(self, shape: StreamShape, element_width: int,
-                       name: str = "") -> StreamStorage:
-        plan = TilePlan.for_shape(shape, self.target_limits())
-        if plan.is_trivial:
-            rows, cols = shape.layout_2d
-            resource = self.context.alloc_resource(cols, rows, element_width,
-                                                   name=name)
-            storage = CALStreamStorage(shape, element_width, name, resource)
-            self._track_storage(storage)
-            return storage
-        # Oversized (or folded) stream: one float32 resource per tile.
-        tiles = []
-        for tile in plan.tiles:
-            tile_shape = plan.tile_shape(tile)
-            tile_name = f"{name}/tile{tile.index}"
-            resource = self.context.alloc_resource(
-                tile.cols, tile.rows, element_width, name=tile_name)
-            tiles.append(CALStreamStorage(tile_shape, element_width,
-                                          tile_name, resource))
-        storage = TiledStorage(shape, element_width, name, plan, tiles)
+    def _create_storage(self, shape: StreamShape, element_width: int,
+                        name: str) -> StreamStorage:
+        rows, cols = shape.layout_2d
+        resource = self.context.alloc_resource(cols, rows, element_width,
+                                               name=name)
+        storage = CALStreamStorage(shape, element_width, name, resource)
         self._track_storage(storage)
         return storage
 
-    def upload(self, storage: StreamStorage, data: np.ndarray) -> TransferRecord:
+    def _upload(self, storage: StreamStorage, data: np.ndarray) -> TransferRecord:
         rows, cols = storage.shape.layout_2d
         data = np.asarray(data, dtype=np.float32)
         expected = (rows, cols) if storage.element_width == 1 \
@@ -100,51 +85,26 @@ class CALBackend(Backend):
                 f"stream {storage.name!r}: cannot write data of shape {data.shape} "
                 f"into a stream of layout {expected}"
             )
-        if isinstance(storage, TiledStorage):
-            folded = storage.plan.fold(data)
-            for tile, tile_storage in zip(storage.plan.tiles, storage.tiles):
-                self.upload(tile_storage, storage.plan.slice(folded, tile))
-            storage.invalidate_view()
-            return TransferRecord(stream=storage.name, direction="upload",
-                                  bytes=int(data.nbytes),
-                                  elements=storage.shape.element_count,
-                                  calls=storage.tile_count)
         self.context.upload(storage.resource, data)
         return TransferRecord(stream=storage.name, direction="upload",
                               bytes=int(data.nbytes),
                               elements=storage.shape.element_count)
 
-    def download(self, storage: StreamStorage):
-        if isinstance(storage, TiledStorage):
-            blocks = [self.context.download(tile_storage.resource)
-                      for tile_storage in storage.tiles]
-            data = storage.plan.unfold(storage.plan.stitch(blocks))
-            calls = storage.tile_count
-        else:
-            data = self.context.download(storage.resource)
-            calls = 1
+    def _download(self, storage: StreamStorage):
+        data = self.context.download(storage.resource)
         record = TransferRecord(stream=storage.name, direction="download",
                                 bytes=int(np.asarray(data).nbytes),
-                                elements=storage.shape.element_count,
-                                calls=calls)
+                                elements=storage.shape.element_count)
         return np.asarray(data, dtype=np.float32), record
 
-    def device_view(self, storage: StreamStorage) -> np.ndarray:
-        if isinstance(storage, TiledStorage):
-            return storage.cached_view(lambda: storage.plan.unfold(
-                storage.plan.stitch([self.device_view(tile_storage)
-                                     for tile_storage in storage.tiles])))
+    def _device_view(self, storage: StreamStorage) -> np.ndarray:
         return storage.resource.read()
 
-    def free(self, storage: StreamStorage) -> None:
+    def _free(self, storage: StreamStorage) -> None:
         # Atomic check-and-remove: a release racing the GC finalizer
         # frees each CAL resource exactly once.
         if self._untrack_storage(storage):
-            if isinstance(storage, TiledStorage):
-                for tile_storage in storage.tiles:
-                    self.context.free_resource(tile_storage.resource)
-            else:
-                self.context.free_resource(storage.resource)
+            self.context.free_resource(storage.resource)
 
     def device_memory_in_use(self) -> int:
         return self.context.device_memory_in_use()

@@ -81,13 +81,17 @@ class CPUBackend(Backend):
         """Direct (bounds-checked) host-memory access, no clamping."""
         return NumpyGatherSource(data)
 
-    def create_storage(self, shape: StreamShape, element_width: int,
-                       name: str = "") -> CPUStreamStorage:
+    def _partition(self, shape, element_width, name):
+        """Host memory has no texture limit: the CPU backend never tiles."""
+        return None
+
+    def _create_storage(self, shape: StreamShape, element_width: int,
+                        name: str) -> CPUStreamStorage:
         storage = CPUStreamStorage(shape, element_width, name)
         self._track_storage(storage)
         return storage
 
-    def upload(self, storage: CPUStreamStorage, data: np.ndarray) -> TransferRecord:
+    def _upload(self, storage: CPUStreamStorage, data: np.ndarray) -> TransferRecord:
         data = np.asarray(data, dtype=np.float32)
         if data.shape != storage.data.shape:
             raise KernelLaunchError(
@@ -99,16 +103,16 @@ class CPUBackend(Backend):
                               bytes=int(data.nbytes),
                               elements=storage.shape.element_count)
 
-    def download(self, storage: CPUStreamStorage):
+    def _download(self, storage: CPUStreamStorage):
         record = TransferRecord(stream=storage.name, direction="download",
                                 bytes=int(storage.data.nbytes),
                                 elements=storage.shape.element_count)
         return storage.data.copy(), record
 
-    def device_view(self, storage: CPUStreamStorage) -> np.ndarray:
+    def _device_view(self, storage: CPUStreamStorage) -> np.ndarray:
         return storage.data
 
-    def free(self, storage: CPUStreamStorage) -> None:
+    def _free(self, storage: CPUStreamStorage) -> None:
         self._untrack_storage(storage)
 
     def device_memory_in_use(self) -> int:

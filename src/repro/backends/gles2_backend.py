@@ -36,7 +36,6 @@ from ..gles2.texture import Texture2D
 from ..runtime.numerics import decode_float_rgba8, encode_float_rgba8, quantize_roundtrip
 from ..runtime.profiling import KernelLaunchRecord, TransferRecord
 from ..runtime.shape import StreamShape
-from ..runtime.tiling import TilePlan, TiledStorage
 from .base import Backend, StreamStorage
 from .registry import register_backend
 
@@ -153,30 +152,15 @@ class GLES2Backend(Backend):
     # ------------------------------------------------------------------ #
     # Storage
     # ------------------------------------------------------------------ #
-    def create_storage(self, shape: StreamShape, element_width: int,
-                       name: str = "") -> StreamStorage:
-        limits = self.target_limits()
-        plan = TilePlan.for_shape(shape, limits)
-        if plan.is_trivial:
-            tex_w, tex_h = shape.texture_extent(limits)
-            texture = self.context.create_texture(tex_w, tex_h, name=name)
-            storage = GLES2StreamStorage(shape, element_width, name, texture)
-            self._track_storage(storage)
-            return storage
-        # Oversized (or folded) stream: one RGBA8 texture per tile.
-        tiles = []
-        for tile in plan.tiles:
-            tile_shape = plan.tile_shape(tile)
-            tex_w, tex_h = tile_shape.texture_extent(limits)
-            tile_name = f"{name}/tile{tile.index}"
-            texture = self.context.create_texture(tex_w, tex_h, name=tile_name)
-            tiles.append(GLES2StreamStorage(tile_shape, element_width,
-                                            tile_name, texture))
-        storage = TiledStorage(shape, element_width, name, plan, tiles)
+    def _create_storage(self, shape: StreamShape, element_width: int,
+                        name: str) -> StreamStorage:
+        tex_w, tex_h = shape.texture_extent(self.target_limits())
+        texture = self.context.create_texture(tex_w, tex_h, name=name)
+        storage = GLES2StreamStorage(shape, element_width, name, texture)
         self._track_storage(storage)
         return storage
 
-    def upload(self, storage: StreamStorage, data: np.ndarray) -> TransferRecord:
+    def _upload(self, storage: StreamStorage, data: np.ndarray) -> TransferRecord:
         rows, cols = storage.shape.layout_2d
         data = np.asarray(data, dtype=np.float32)
         if data.shape != (rows, cols):
@@ -184,18 +168,6 @@ class GLES2Backend(Backend):
                 f"stream {storage.name!r}: cannot write data of shape {data.shape} "
                 f"into a stream of layout {(rows, cols)}"
             )
-        if isinstance(storage, TiledStorage):
-            folded = storage.plan.fold(data)
-            for tile, tile_storage in zip(storage.plan.tiles, storage.tiles):
-                self.upload(tile_storage, storage.plan.slice(folded, tile))
-            storage.invalidate_view()
-            # The per-tile uploads above already counted the device
-            # traffic texture by texture; report one logical transfer
-            # that carries the per-tile driver call count.
-            return TransferRecord(stream=storage.name, direction="upload",
-                                  bytes=rows * cols * 4,
-                                  elements=storage.shape.element_count,
-                                  calls=storage.tile_count)
         texture = storage.texture
         rgba = np.zeros((texture.height, texture.width, 4), dtype=np.uint8)
         rgba[:rows, :cols] = encode_float_rgba8(data)
@@ -204,43 +176,24 @@ class GLES2Backend(Backend):
                               bytes=rows * cols * 4,
                               elements=storage.shape.element_count)
 
-    def download(self, storage: StreamStorage):
+    def _download(self, storage: StreamStorage):
         rows, cols = storage.shape.layout_2d
-        if isinstance(storage, TiledStorage):
-            blocks = [self.download(tile_storage)[0]
-                      for tile_storage in storage.tiles]
-            values = storage.plan.unfold(storage.plan.stitch(blocks))
-            calls = storage.tile_count
-        else:
-            rgba = self.context.download(storage.texture)
-            values = decode_float_rgba8(rgba[:rows, :cols])
-            calls = 1
+        rgba = self.context.download(storage.texture)
         record = TransferRecord(stream=storage.name, direction="download",
                                 bytes=rows * cols * 4,
-                                elements=storage.shape.element_count,
-                                calls=calls)
-        return values, record
+                                elements=storage.shape.element_count)
+        return decode_float_rgba8(rgba[:rows, :cols]), record
 
-    def device_view(self, storage: StreamStorage) -> np.ndarray:
-        if isinstance(storage, TiledStorage):
-            # Memoised: stitching decodes every tile, and a tiled launch
-            # gathering from this stream would otherwise redo it per tile.
-            return storage.cached_view(lambda: storage.plan.unfold(
-                storage.plan.stitch([self.device_view(tile_storage)
-                                     for tile_storage in storage.tiles])))
+    def _device_view(self, storage: StreamStorage) -> np.ndarray:
         rows, cols = storage.shape.layout_2d
         return decode_float_rgba8(storage.texture.data[:rows, :cols])
 
-    def free(self, storage: StreamStorage) -> None:
+    def _free(self, storage: StreamStorage) -> None:
         # _untrack_storage is an atomic check-and-remove: when an
         # explicit release races the GC finalizer only one caller gets
         # True, so each texture is deleted exactly once.
         if self._untrack_storage(storage):
-            if isinstance(storage, TiledStorage):
-                for tile_storage in storage.tiles:
-                    self.context.delete_texture(tile_storage.texture)
-            else:
-                self.context.delete_texture(storage.texture)
+            self.context.delete_texture(storage.texture)
 
     def device_memory_in_use(self) -> int:
         return self.context.device_memory_in_use()

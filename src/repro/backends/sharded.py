@@ -10,9 +10,8 @@ layer all talk to "the backend" exactly as before, and the wrapper
 
 * backs every stream whose :class:`~repro.core.analysis.sharding.ShardPlan`
   is non-trivial with a :class:`~repro.runtime.sharding.ShardedStorage`
-  (one per-device storage per band; small streams stay whole on device 0),
-* scatters uploads / gathers downloads band-by-band, reporting one
-  logical transfer with the per-device driver call count,
+  (one per-device storage per band; small streams stay whole on device
+  0), whose partitioned transfers scatter and gather band by band,
 * dispatches kernel launches through
   :func:`~repro.runtime.sharding.launch_sharded` (one concurrent pass
   per device); reductions fold per-device partials with
@@ -34,16 +33,11 @@ from ..core import ast_nodes as ast
 from ..core.analysis.resources import TargetLimits
 from ..core.analysis.sharding import ShardPlan
 from ..core.compiler import CompiledKernel
-from ..errors import KernelLaunchError, RuntimeBrookError
+from ..errors import RuntimeBrookError
 from ..runtime.profiling import KernelLaunchRecord, TransferRecord
 from ..runtime.reduction import combine_partials
 from ..runtime.shape import StreamShape
-from ..runtime.sharding import (
-    DeviceGroup,
-    ShardedStorage,
-    launch_sharded,
-    shard_stream_shape,
-)
+from ..runtime.sharding import DeviceGroup, ShardedStorage, launch_sharded
 from .base import Backend, StreamStorage
 
 __all__ = ["ShardedBackend"]
@@ -105,99 +99,30 @@ class ShardedBackend(Backend):
         return self.group.run(tasks)
 
     # ------------------------------------------------------------------ #
-    # Storage and transfers
+    # Storage and transfers: a stream too small to split lives whole on
+    # device 0, whose methods serve it.
     # ------------------------------------------------------------------ #
-    def create_storage(self, shape: StreamShape, element_width: int,
-                       name: str = "") -> StreamStorage:
+    def _partition(self, shape: StreamShape, element_width: int,
+                   name: str) -> Optional[ShardedStorage]:
         plan = ShardPlan(shape.layout_2d, self.device_count)
         if plan.is_trivial:
-            # Too small to split: the whole stream lives on device 0.
-            return self.devices[0].create_storage(shape, element_width, name)
-        shards = []
-        for shard in plan.shards:
-            shards.append(self.devices[shard.index].create_storage(
-                shard_stream_shape(plan, shard), element_width,
-                f"{name}/shard{shard.index}"))
-        storage = ShardedStorage(shape, element_width, name, plan, shards)
-        self._track_storage(storage)
-        return storage
+            return None
+        return ShardedStorage.allocate(self, plan, shape, element_width, name)
 
-    def upload(self, storage: StreamStorage, data: np.ndarray) -> TransferRecord:
-        if not isinstance(storage, ShardedStorage):
-            return self.devices[0].upload(storage, data)
-        rows, cols = storage.shape.layout_2d
-        data = np.asarray(data, dtype=np.float32)
-        expected = (rows, cols) if storage.element_width == 1 \
-            else (rows, cols, storage.element_width)
-        if data.shape != expected:
-            raise KernelLaunchError(
-                f"stream {storage.name!r}: cannot write data of shape "
-                f"{data.shape} into a stream of layout {expected}"
-            )
-        plan = storage.plan
-        total_bytes = 0
-        calls = 0
-        for shard, shard_storage in zip(plan.shards, storage.shards):
-            band = plan.slice(data, shard)
-            shard_rows, shard_cols = shard_storage.shape.layout_2d
-            record = self.devices[shard.index].upload(
-                shard_storage,
-                band.reshape((shard_rows, shard_cols) + band.shape[2:]))
-            total_bytes += record.bytes
-            calls += record.calls
-        storage.invalidate_view()
-        return TransferRecord(stream=storage.name, direction="upload",
-                              bytes=total_bytes,
-                              elements=storage.shape.element_count,
-                              calls=calls)
+    def _create_storage(self, shape: StreamShape, element_width: int,
+                        name: str) -> StreamStorage:
+        return self.devices[0].create_storage(shape, element_width, name)
 
-    def download(self, storage: StreamStorage):
-        if not isinstance(storage, ShardedStorage):
-            return self.devices[0].download(storage)
-        plan = storage.plan
-        blocks = []
-        total_bytes = 0
-        calls = 0
-        for shard, shard_storage in zip(plan.shards, storage.shards):
-            band, record = self.devices[shard.index].download(shard_storage)
-            band = np.asarray(band, dtype=np.float32)
-            blocks.append(band.reshape(plan.shard_layout(shard)
-                                       + band.shape[2:]))
-            total_bytes += record.bytes
-            calls += record.calls
-        values = plan.stitch(blocks)
-        record = TransferRecord(stream=storage.name, direction="download",
-                                bytes=total_bytes,
-                                elements=storage.shape.element_count,
-                                calls=calls)
-        return values, record
+    def _upload(self, storage: StreamStorage, data: np.ndarray) -> TransferRecord:
+        return self.devices[0].upload(storage, data)
 
-    def device_view(self, storage: StreamStorage) -> np.ndarray:
-        if not isinstance(storage, ShardedStorage):
-            return self.devices[0].device_view(storage)
-        plan = storage.plan
+    def _download(self, storage: StreamStorage):
+        return self.devices[0].download(storage)
 
-        def band_view(shard, shard_storage):
-            view = np.asarray(
-                self.devices[shard.index].device_view(shard_storage),
-                dtype=np.float32)
-            return view.reshape(plan.shard_layout(shard) + view.shape[2:])
+    def _device_view(self, storage: StreamStorage) -> np.ndarray:
+        return self.devices[0].device_view(storage)
 
-        return storage.cached_view(lambda: plan.stitch([
-            band_view(shard, shard_storage)
-            for shard, shard_storage in zip(plan.shards, storage.shards)
-        ]))
-
-    def free(self, storage: StreamStorage) -> None:
-        if isinstance(storage, ShardedStorage):
-            # Atomic check-and-remove, like the member backends' own
-            # free: a release racing the GC finalizer scatters the
-            # per-device frees exactly once.
-            if self._untrack_storage(storage):
-                for shard, shard_storage in zip(storage.plan.shards,
-                                                storage.shards):
-                    self.devices[shard.index].free(shard_storage)
-            return
+    def _free(self, storage: StreamStorage) -> None:
         self.devices[0].free(storage)
 
     def device_memory_in_use(self) -> int:
@@ -222,12 +147,7 @@ class ShardedBackend(Backend):
         index_map: Optional[np.ndarray] = None,
         gathers=None,
     ) -> KernelLaunchRecord:
-        plan = None
-        for stream in (*out_args.values(), *stream_args.values()):
-            storage = getattr(stream, "storage", None)
-            if isinstance(storage, ShardedStorage):
-                plan = storage.plan
-                break
+        plan = ShardedStorage.launch_plan(stream_args, out_args)
         if plan is None:
             # The whole domain lives on device 0 (small streams);
             # prepare the gathers here so sharded gather arrays still
@@ -261,19 +181,19 @@ class ShardedBackend(Backend):
         storage = input_stream.storage
         if not isinstance(storage, ShardedStorage):
             return self.devices[0].reduce(kernel, helpers, input_stream)
-        plan = storage.plan
+        shards = len(storage.parts)
         partials = self.run([
-            (lambda s=shard: self.devices[s.index]._reduce_storage(
-                kernel, helpers, storage.shards[s.index]))
-            for shard in plan.shards
+            (lambda k=index, part=part: self.devices[k]._reduce_storage(
+                kernel, helpers, part))
+            for index, part in enumerate(storage.parts)
         ])
         result = combine_partials(kernel, helpers, partials,
                                   self._reduction_quantize())
         # ``tiles``: one plus every shard's tiles beyond its first.
         record = replace(result.record(kernel.name),
-                         tiles=result.tiles - (plan.shard_count - 1),
-                         shards=plan.shard_count,
-                         halo_bytes=(plan.shard_count - 1) * 4)
+                         tiles=result.tiles - (shards - 1),
+                         shards=shards,
+                         halo_bytes=(shards - 1) * 4)
         return result.value, record
 
     def _store_reduction_output(self, storage: StreamStorage,
@@ -282,13 +202,10 @@ class ShardedBackend(Backend):
             self.devices[0]._store_reduction_output(storage, values)
             return
         plan = storage.plan
-        rows, cols = storage.shape.layout_2d
-        shaped = np.asarray(values, dtype=np.float32).reshape(rows, cols)
-        for shard, shard_storage in zip(plan.shards, storage.shards):
-            band = plan.slice(shaped, shard)
-            shard_rows, shard_cols = shard_storage.shape.layout_2d
+        shaped = np.asarray(values, dtype=np.float32).reshape(plan.logical)
+        for shard, shard_storage in zip(plan.pieces, storage.parts):
             self.devices[shard.index]._store_reduction_output(
-                shard_storage, band.reshape(shard_rows, shard_cols))
+                shard_storage, plan.slice(shaped, shard))
         storage.invalidate_view()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

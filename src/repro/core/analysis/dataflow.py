@@ -84,18 +84,17 @@ def leaf_storages(stream: object) -> Tuple[object, ...]:
     of tiled bands by the per-tile storages of every band.  This is the
     ground-truth aliasing unit: two launches conflict exactly when their
     leaf storage sets (or the NumPy buffers inside them) intersect.
+    ``stream`` may also be a storage itself.
     """
+    from ...runtime.partition import PartitionedStorage
+
     storage = getattr(stream, "storage", None)
     if storage is None:
-        # Already a storage object (shard/tile recursion).
         storage = stream
-    parts = getattr(storage, "shards", None) or getattr(storage, "tiles", None)
-    if not parts:
+    if not isinstance(storage, PartitionedStorage):
         return (storage,)
-    leaves: List[object] = []
-    for part in parts:
-        leaves.extend(leaf_storages(part))
-    return tuple(leaves)
+    return tuple(leaf for part in storage.parts
+                 for leaf in leaf_storages(part))
 
 
 def storage_units(stream: object) -> Tuple[int, ...]:
@@ -251,17 +250,15 @@ class StreamDependencyGraph:
     # ------------------------------------------------------------------ #
     def _tracker_blind_pairs(self) -> List[Tuple[DependencyEdge, str]]:
         """Conflicting pairs the executor's hazard keying cannot see."""
-        from ...runtime.executor import _hazard_ids
-
         blind: List[Tuple[DependencyEdge, str]] = []
         tracker_keys: List[Tuple[Set[int], Set[int]]] = []
         for node in self.nodes:
             reads: Set[int] = set()
             writes: Set[int] = set()
             for stream in (*node.reads.values(), *node.gathers.values()):
-                reads.update(_hazard_ids(stream))
+                reads.update(storage_units(stream))
             for stream in node.writes.values():
-                writes.update(_hazard_ids(stream))
+                writes.update(storage_units(stream))
             tracker_keys.append((reads, writes))
         seen: Set[Tuple[int, int]] = set()
         for edge in self.edges:
@@ -339,10 +336,10 @@ def _snapshot_guaranteed(plan: object, stream: object) -> bool:
     plain single-device storage has neither guarantee - the backend may
     or may not buffer its outputs before storing them.
     """
-    storage = getattr(stream, "storage", None)
-    if getattr(storage, "shards", None) or getattr(storage, "tiles", None):
-        return True
-    return plan.tile_plan is not None
+    from ...runtime.partition import PartitionedStorage
+
+    return isinstance(getattr(stream, "storage", None), PartitionedStorage) \
+        or plan.tile_plan is not None
 
 
 def _halo_bounds(definition) -> Dict[str, Tuple[Optional[float],
@@ -363,15 +360,17 @@ def _halo_bounds(definition) -> Dict[str, Tuple[Optional[float],
 
 
 def _tiled_names(streams: Dict[str, object]) -> Tuple[str, ...]:
+    """Names of the streams tiled themselves or in one of their bands."""
+    from ...runtime.sharding import ShardedStorage
+    from ...runtime.tiling import TiledStorage
+
     names = []
     for stream in streams.values():
         storage = getattr(stream, "storage", None)
-        if getattr(storage, "tiles", None):
+        parts = storage.parts if isinstance(storage, ShardedStorage) \
+            else (storage,)
+        if any(isinstance(part, TiledStorage) for part in parts):
             names.append(stream_name(stream))
-        for shard in getattr(storage, "shards", None) or ():
-            if getattr(shard, "tiles", None):
-                names.append(stream_name(stream))
-                break
     return tuple(dict.fromkeys(names))
 
 

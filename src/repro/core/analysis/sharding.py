@@ -7,11 +7,13 @@ possible without changing what the kernel computes:
 
 1. **Geometry** - how is the layout partitioned?  :class:`ShardPlan`
    cuts multi-row layouts into row bands and single-row (1-D) layouts
-   into column bands, balanced to within one row/column.  Like the tile
-   geometry next door (:mod:`repro.core.analysis.tiling`) the plan is a
-   pure function of ``(layout, device_count)``, so every stream of the
-   same shape on the same device group shares one decomposition and
-   per-shard launches can pair the n-th shard of every argument.
+   into column bands, balanced to within one row/column.  It is a
+   :class:`~repro.core.analysis.tiling.PiecePlan` like the tile plan,
+   so slicing, stitching and ``indexof`` positions are the tile ones,
+   and it is a pure function of ``(layout, device_count)``: every
+   stream of the same shape on the same device group shares one
+   decomposition and per-shard launches pair the n-th shard of every
+   argument.
 
 2. **Access patterns** - what does each kernel argument need on each
    device?  :func:`classify_kernel` inspects a kernel definition and
@@ -54,35 +56,16 @@ import numpy as np
 
 from .. import ast_nodes as ast
 from ..types import ParamKind
+from .tiling import PiecePlan, PieceRect
 
-__all__ = ["ShardSlice", "ShardPlan", "ClampGuard", "GatherAxisAccess",
+__all__ = ["ShardPlan", "ClampGuard", "GatherAxisAccess",
            "ArgumentClass", "KernelShardSpec", "classify_kernel"]
 
 
 # --------------------------------------------------------------------------- #
 # Geometry
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ShardSlice:
-    """One device's contiguous band of a 2-D layout.
-
-    ``row0``/``col0`` locate the band inside the layout; ``rows``/``cols``
-    are its extent.  Row-band plans keep ``col0 == 0`` and full-width
-    ``cols``; column-band plans (1-D streams) keep ``row0 == 0``.
-    """
-
-    index: int
-    row0: int
-    col0: int
-    rows: int
-    cols: int
-
-    @property
-    def element_count(self) -> int:
-        return self.rows * self.cols
-
-
-class ShardPlan:
+class ShardPlan(PiecePlan):
     """Balanced band decomposition of one layout across a device group.
 
     Multi-row layouts shard along rows (each device gets a contiguous,
@@ -90,90 +73,46 @@ class ShardPlan:
     along columns.  Bands are balanced to within one row/column: the
     first ``extent % devices`` bands are one unit larger.  A layout
     with fewer rows (columns) than devices produces fewer shards than
-    devices; the surplus devices simply receive no band.
+    devices; the surplus devices simply receive no band.  Piece ``k``
+    is device ``k``'s band, and the folded layout is the logical one.
     """
 
     def __init__(self, layout: Tuple[int, int], device_count: int):
         rows, cols = int(layout[0]), int(layout[1])
-        self.layout: Tuple[int, int] = (rows, cols)
         self.device_count = int(device_count)
-        if rows > 1:
-            self.axis = "rows"
-            extent = rows
-        else:
-            self.axis = "cols"
-            extent = cols
+        self.axis = "rows" if rows > 1 else "cols"
+        extent = rows if self.axis == "rows" else cols
         count = max(1, min(self.device_count, extent))
         base, extra = divmod(extent, count)
-        self.shards: List[ShardSlice] = []
+        pieces: List[PieceRect] = []
         offset = 0
         for index in range(count):
             size = base + (1 if index < extra else 0)
             if self.axis == "rows":
-                self.shards.append(ShardSlice(index, offset, 0, size, cols))
+                pieces.append(PieceRect(index, offset, 0, size, cols))
             else:
-                self.shards.append(ShardSlice(index, 0, offset, 1, size))
+                pieces.append(PieceRect(index, 0, offset, 1, size))
             offset += size
+        super().__init__((rows, cols), (rows, cols), pieces)
 
-    # ------------------------------------------------------------------ #
-    @property
-    def shard_count(self) -> int:
-        return len(self.shards)
+    def piece_dims(self, piece: PieceRect) -> Tuple[int, ...]:
+        """Column bands of a 1-D stream stay 1-D, so the owning device
+        may fold or tile them exactly as it would a standalone stream of
+        that size."""
+        if self.axis == "cols":
+            return (piece.cols,)
+        return (piece.rows, piece.cols)
 
-    @property
-    def is_trivial(self) -> bool:
-        """Whether the whole layout lives on a single device."""
-        return self.shard_count == 1
-
-    @property
-    def geometry(self) -> tuple:
-        """Hashable identity of the decomposition (for plan matching)."""
-        return (self.layout, self.axis, tuple(self.shards))
-
-    def shard_layout(self, shard: ShardSlice) -> Tuple[int, int]:
-        """The 2-D layout of one shard's band."""
-        return (shard.rows, shard.cols)
-
-    # ------------------------------------------------------------------ #
-    # ndarray helpers (layouts are row-major)
-    # ------------------------------------------------------------------ #
-    def slice(self, data: np.ndarray, shard: ShardSlice) -> np.ndarray:
-        """Extract one shard's band from a full-layout array."""
-        return data[shard.row0:shard.row0 + shard.rows,
-                    shard.col0:shard.col0 + shard.cols]
-
-    def stitch(self, shard_arrays) -> np.ndarray:
-        """Reassemble per-shard bands into the full-layout array."""
-        blocks = [np.asarray(block) for block in shard_arrays]
-        trailing = blocks[0].shape[2:]
-        full = np.zeros(self.layout + trailing, dtype=np.float32)
-        for shard, block in zip(self.shards, blocks):
-            full[shard.row0:shard.row0 + shard.rows,
-                 shard.col0:shard.col0 + shard.cols] = block
-        return full
-
-    def shard_index_positions(self, shard: ShardSlice) -> np.ndarray:
-        """Global ``indexof`` positions of one shard's elements.
-
-        Kernels observe positions in the full logical layout, exactly as
-        the tile engine's ``index_map`` does, so a sharded launch is
-        indistinguishable from a single-device one inside the kernel.
-        """
-        ys, xs = np.mgrid[0:shard.rows, 0:shard.cols]
-        gx = (xs + shard.col0).reshape(-1)
-        gy = (ys + shard.row0).reshape(-1)
-        return np.stack([gx, gy], axis=1).astype(np.float32)
-
-    def halo_band(self, shard: ShardSlice, halo: int) -> Tuple[int, int]:
+    def halo_band(self, piece: PieceRect, halo: int) -> Tuple[int, int]:
         """Band ``[lo, hi)`` along the sharding axis including the halo."""
-        extent = self.layout[0] if self.axis == "rows" else self.layout[1]
-        lo = shard.row0 if self.axis == "rows" else shard.col0
-        hi = lo + (shard.rows if self.axis == "rows" else shard.cols)
+        extent = self.logical[0] if self.axis == "rows" else self.logical[1]
+        lo = piece.row0 if self.axis == "rows" else piece.col0
+        hi = lo + (piece.rows if self.axis == "rows" else piece.cols)
         return (max(0, lo - halo), min(extent, hi + halo))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<ShardPlan layout={self.layout} axis={self.axis} "
-                f"shards={self.shard_count}>")
+        return (f"<ShardPlan layout={self.logical} axis={self.axis} "
+                f"shards={len(self.pieces)}>")
 
 
 # --------------------------------------------------------------------------- #

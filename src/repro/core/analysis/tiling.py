@@ -21,6 +21,14 @@ This module is pure geometry - it knows nothing about streams, textures
 or backends - so both the static memory-usage analysis and the runtime's
 tiled execution engine (:mod:`repro.runtime.tiling`) share one
 decomposition and always agree on the allocation.
+
+:class:`PiecePlan` is the geometry every partitioned stream shares: a
+logical layout, the (possibly folded) layout its pieces cut, and the
+row-major :class:`PieceRect` pieces.  The tile plan
+(:class:`~repro.runtime.tiling.TilePlan`) and the device-band plan
+(:class:`~repro.core.analysis.sharding.ShardPlan`, whose folded layout
+is always the logical one) both derive from it, so slicing, stitching
+and the global ``indexof`` positions of a piece are written once.
 """
 
 from __future__ import annotations
@@ -28,19 +36,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+import numpy as np
+
 from .memory_usage import padded_texture_extent
 from .resources import TargetLimits
 
-__all__ = ["TileRect", "folded_layout", "tile_grid", "tiled_texture_bytes"]
+__all__ = ["PieceRect", "PiecePlan", "folded_layout", "tile_grid",
+           "tiled_texture_bytes"]
 
 
 @dataclass(frozen=True)
-class TileRect:
-    """One rectangular tile of a folded 2-D layout.
+class PieceRect:
+    """One rectangular piece of a 2-D layout: a tile or a device band.
 
-    ``row0``/``col0`` locate the tile inside the folded layout;
-    ``rows``/``cols`` are its live extent (edge tiles are smaller than
-    the interior ones).
+    ``row0``/``col0`` locate the piece inside the layout it cuts (the
+    folded layout of a tiled stream); ``rows``/``cols`` are its live
+    extent (edge tiles are smaller than the interior ones).
     """
 
     index: int
@@ -52,6 +63,86 @@ class TileRect:
     @property
     def element_count(self) -> int:
         return self.rows * self.cols
+
+
+class PiecePlan:
+    """A logical 2-D layout cut into rectangular pieces.
+
+    ``folded`` is the layout the ``pieces`` cut.  It differs from
+    ``logical`` only for a folded 1-D stream; both are row-major, so
+    folding is a reshape.  A plan is a pure function of its inputs, so
+    two streams of the same shape on the same target share one geometry,
+    which is what lets a partitioned launch pair the n-th piece of every
+    argument.
+    """
+
+    def __init__(self, logical: Tuple[int, int], folded: Tuple[int, int],
+                 pieces: List[PieceRect]):
+        self.logical = logical
+        self.folded = folded
+        self.pieces = pieces
+
+    @property
+    def is_trivial(self) -> bool:
+        """Whether one ordinary storage holds the stream.
+
+        A folded-but-single-piece plan is *not* trivial: the data layout
+        in the texture differs from the logical one, so uploads and
+        ``indexof`` still need the plan's bookkeeping.
+        """
+        return len(self.pieces) == 1 and self.folded == self.logical
+
+    @property
+    def geometry(self) -> tuple:
+        """Hashable identity of the decomposition (for plan matching)."""
+        return (self.logical, self.folded, tuple(self.pieces))
+
+    def piece_dims(self, piece: PieceRect) -> Tuple[int, ...]:
+        """Stream dimensions of one piece (its launch domain)."""
+        return (piece.rows, piece.cols)
+
+    # ------------------------------------------------------------------ #
+    # ndarray helpers.  A trailing component axis (vector element types)
+    # is carried through unchanged.
+    # ------------------------------------------------------------------ #
+    def fold(self, data: np.ndarray) -> np.ndarray:
+        """Logical 2-D layout -> folded layout."""
+        data = np.asarray(data)
+        return data.reshape(self.folded + data.shape[2:])
+
+    def unfold(self, data: np.ndarray) -> np.ndarray:
+        """Folded layout -> logical 2-D layout."""
+        data = np.asarray(data)
+        return data.reshape(self.logical + data.shape[2:])
+
+    def slice(self, folded: np.ndarray, piece: PieceRect) -> np.ndarray:
+        """Extract one piece's block from a folded-layout array."""
+        return folded[piece.row0:piece.row0 + piece.rows,
+                      piece.col0:piece.col0 + piece.cols]
+
+    def stitch(self, blocks) -> np.ndarray:
+        """Reassemble per-piece blocks into the folded-layout array."""
+        blocks = [np.asarray(block) for block in blocks]
+        folded = np.zeros(self.folded + blocks[0].shape[2:], dtype=np.float32)
+        for piece, block in zip(self.pieces, blocks):
+            folded[piece.row0:piece.row0 + piece.rows,
+                   piece.col0:piece.col0 + piece.cols] = block
+        return folded
+
+    def index_positions(self, piece: PieceRect) -> np.ndarray:
+        """Global ``indexof`` positions of one piece's elements.
+
+        Kernels observe positions in the *logical* 2-D layout (a 1-D
+        stream yields ``(i, 0)`` regardless of folding), so a partitioned
+        launch is bit-identical to a single-storage one.
+        """
+        ys, xs = np.mgrid[0:piece.rows, 0:piece.cols]
+        linear = (piece.row0 + ys).astype(np.int64) * self.folded[1] \
+            + (piece.col0 + xs)
+        lcols = self.logical[1]
+        gx = (linear % lcols).reshape(-1)
+        gy = (linear // lcols).reshape(-1)
+        return np.stack([gx, gy], axis=1).astype(np.float32)
 
 
 def _largest_divisor_up_to(value: int, bound: int) -> int:
@@ -89,7 +180,7 @@ def folded_layout(layout: Tuple[int, int], limits: TargetLimits) -> Tuple[int, i
     return (cols // width, width)
 
 
-def tile_grid(layout: Tuple[int, int], limits: TargetLimits) -> List[TileRect]:
+def tile_grid(layout: Tuple[int, int], limits: TargetLimits) -> List[PieceRect]:
     """Partition a (folded) layout into device-sized tiles, row-major.
 
     Returns a single full-extent tile when the layout already fits the
@@ -99,11 +190,11 @@ def tile_grid(layout: Tuple[int, int], limits: TargetLimits) -> List[TileRect]:
     """
     rows, cols = layout
     step = int(limits.max_texture_size)
-    tiles: List[TileRect] = []
+    tiles: List[PieceRect] = []
     index = 0
     for row0 in range(0, rows, step):
         for col0 in range(0, cols, step):
-            tiles.append(TileRect(
+            tiles.append(PieceRect(
                 index=index,
                 row0=row0,
                 col0=col0,

@@ -55,6 +55,7 @@ from .. import ast_nodes as ast
 from ..builtins import lookup_builtin
 from .loop_bounds import _for_bound
 from .resources import TargetLimits
+from .tiling import folded_layout, tile_grid
 
 __all__ = [
     "KernelWCET",
@@ -398,8 +399,7 @@ def platform_limits(platform) -> TargetLimits:
 def _tile_count(shape, limits: Optional[TargetLimits]) -> int:
     if limits is None:
         return 1
-    from ...runtime.tiling import TilePlan
-    return TilePlan.for_shape(shape, limits).tile_count
+    return len(tile_grid(folded_layout(shape.layout_2d, limits), limits))
 
 
 def _add_map_launch(work: _WorkBound, kw: KernelWCET, elements: int,
@@ -507,7 +507,7 @@ def _plan_into(work: _WorkBound, plan, devices: int,
     domain = plan.domain
     tiles = _tile_count(domain, limits)
     if plan.tile_plan is not None:
-        tiles = max(tiles, plan.tile_plan.tile_count)
+        tiles = max(tiles, len(plan.tile_plan.pieces))
     for launch_pass in plan.passes:
         kernel = launch_pass.kernel
         if plan.handle is None:

@@ -44,6 +44,7 @@ import threading
 from queue import SimpleQueue
 from typing import Dict, List, Optional, Set
 
+from ..core.analysis.dataflow import storage_units
 from ..errors import KernelLaunchError, RuntimeBrookError
 from .launch import FusedPipeline, LaunchPlan
 
@@ -118,64 +119,41 @@ class _Task:
         self.audit_index = -1
 
 
-def _hazard_ids(stream: object) -> "tuple[int, ...]":
-    """Hazard-table keys of one stream: its *leaf* device storages.
-
-    On a sharded runtime a stream is backed by one storage per device
-    (each of which may itself be tiled); tracking each leaf storage as
-    its own hazard unit keeps the tables at shard/tile granularity, so
-    future partial-stream work (per-band reductions, shard-local
-    pipelines) serializes only against the storages it actually touches.
-    Whole-stream launches conflict on every leaf, which degenerates to
-    exactly the stream-level behaviour.
-
-    The keys are storage identities, never wrapper identities: two
-    ``Stream`` handles over the same device storage - or a plain stream
-    aliasing one band of a ``ShardedStorage`` - must collide in the
-    hazard tables, otherwise conflicting launches through the two
-    wrappers would legally overlap and race.
-    """
-    storage = getattr(stream, "storage", None)
-    if storage is None:
-        # Shard/tile recursion: already a storage object.
-        storage = stream
-    parts = getattr(storage, "shards", None) or getattr(storage, "tiles", None)
-    if parts:
-        ids: List[int] = []
-        for part in parts:
-            ids.extend(_hazard_ids(part))
-        return tuple(ids)
-    return (id(storage),)
-
-
 def _collect_hazards(plan: object, reads: Set[int], writes: Set[int]) -> None:
-    """Fill ``reads``/``writes`` with the hazard units ``plan`` touches."""
+    """Fill ``reads``/``writes`` with the hazard units ``plan`` touches.
+
+    The units are the leaf device storages of every bound stream
+    (:func:`~repro.core.analysis.dataflow.storage_units`): one per
+    tile and per device band, so the tables work at shard/tile
+    granularity, and storage identities rather than wrapper identities,
+    so two ``Stream`` handles over the same storage collide.
+    """
     if isinstance(plan, FusedPipeline):
         for segment, _ in plan.segments:
             _collect_hazards(segment, reads, writes)
         return
     if isinstance(plan, LaunchPlan):
         if plan.is_reduction:
-            reads.update(_hazard_ids(plan.reduce_input))
+            reads.update(storage_units(plan.reduce_input))
             accumulator = plan.accumulator
             if accumulator is not None:
                 # The runtime reads partial-reduction accumulators back
                 # after writing them, so they count as both.
-                reads.update(_hazard_ids(accumulator))
-                writes.update(_hazard_ids(accumulator))
+                reads.update(storage_units(accumulator))
+                writes.update(storage_units(accumulator))
             return
         for launch_pass in plan.passes:
             for stream in (*launch_pass.stream_args.values(),
                            *launch_pass.gather_args.values()):
-                reads.update(_hazard_ids(stream))
+                reads.update(storage_units(stream))
             for stream in launch_pass.out_args.values():
-                writes.update(_hazard_ids(stream))
+                writes.update(storage_units(stream))
         return
     # Unknown plan-like object: be conservative and treat every bound
     # stream as read *and* written (full serialization against overlaps).
     for stream in getattr(plan, "bound_streams", ()):
-        reads.update(_hazard_ids(stream))
-        writes.update(_hazard_ids(stream))
+        reads.update(storage_units(stream))
+        writes.update(storage_units(stream))
 
 
 class AsyncExecutor:

@@ -40,7 +40,7 @@ import numpy as np
 from ..core.compiler import CompiledKernel
 from ..errors import FusionError, KernelLaunchError
 from .stream import Stream
-from .tiling import launch_tile_plan, launch_tiled
+from .tiling import TiledStorage, launch_tiled
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core import ast_nodes as ast
@@ -119,8 +119,8 @@ class LaunchPlan:
         # never tiles, whatever the domain size); resolved once here so
         # repeated launches skip the lookup.  Every piece of a split
         # kernel shares the domain, hence the plan.
-        self.tile_plan = launch_tile_plan(self.passes[0].stream_args,
-                                          self.passes[0].out_args)
+        self.tile_plan = TiledStorage.launch_plan(self.passes[0].stream_args,
+                                                  self.passes[0].out_args)
 
     # ------------------------------------------------------------------ #
     @property
@@ -260,8 +260,8 @@ class FusedPlan(LaunchPlan):
         self.domain = domain
         self.passes = (launch_pass,)
         self.kernel = kernel
-        self.tile_plan = launch_tile_plan(launch_pass.stream_args,
-                                          launch_pass.out_args)
+        self.tile_plan = TiledStorage.launch_plan(launch_pass.stream_args,
+                                                  launch_pass.out_args)
 
     # Instrumentation wraps ``LaunchPlan.execute`` and ``FusedPlan.execute``
     # by name and restores both; an inherited ``execute`` would be wrapped

@@ -3,8 +3,10 @@
 The tiled engine (:mod:`repro.runtime.tiling`) lets a stream exceed one
 device's texture limit; this module lets a *launch* exceed one device.
 A runtime opened as ``BrookRuntime(backend=..., devices=N)`` backs every
-stream with a :class:`ShardedStorage` - one per-device storage per band
-of the :class:`~repro.core.analysis.sharding.ShardPlan` - and executes
+stream with a :class:`ShardedStorage` - the partitioned storage
+(:mod:`repro.runtime.partition`) whose band ``k`` of the
+:class:`~repro.core.analysis.sharding.ShardPlan` belongs to device
+``k``, so its transfers are the shared partitioned ones - and executes
 each kernel as ``N`` concurrent per-shard passes, one per device,
 through a :class:`DeviceGroup` worker pool:
 
@@ -31,10 +33,10 @@ through a :class:`DeviceGroup` worker pool:
   through :func:`~repro.runtime.tiling.launch_tiled` with the shard's
   origin folded into the global index map (shard+tile composition).
 
-The per-shard launch records are aggregated into a single record
-carrying ``shards=N`` and the halo/replication traffic in bytes, which
-:class:`~repro.timing.gpu_model.GPUModel` prices with its sharding
-overhead terms.
+The per-shard launch records merge (the same merge as the tile engine's)
+into a single record carrying ``shards=N`` and the halo/replication
+traffic in bytes, which :class:`~repro.timing.gpu_model.GPUModel`
+prices with its sharding overhead terms.
 """
 
 from __future__ import annotations
@@ -45,105 +47,38 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.analysis.sharding import (
-    ArgumentClass,
-    ShardPlan,
-    ShardSlice,
-    classify_kernel,
-)
+from ..core.analysis.sharding import ArgumentClass, ShardPlan, classify_kernel
+from ..core.analysis.tiling import PieceRect
 from ..core.exec.gather import GatherSource
-from ..errors import KernelLaunchError, StreamError
+from ..errors import GatherBoundsError, StreamError
+from .partition import (
+    PartitionedStorage,
+    invalidate_outputs,
+    merge_launch_records,
+    piece_views,
+)
 from .profiling import KernelLaunchRecord
 from .shape import StreamShape
 from .tiling import TiledStorage, launch_tiled
 
 __all__ = ["ShardedStorage", "HaloGatherSource", "DeviceGroup",
-           "launch_sharded", "shard_stream_shape"]
+           "launch_sharded"]
 
 
-def shard_stream_shape(plan: ShardPlan, shard: ShardSlice) -> StreamShape:
-    """The logical stream shape of one shard's band.
+class ShardedStorage(PartitionedStorage):
+    """A stream split into device bands, band ``k`` held by device ``k``.
 
-    Column bands of a 1-D stream stay 1-D so the owning device may fold
-    or tile them exactly as it would a standalone stream of that size.
-    """
-    if plan.axis == "cols":
-        return StreamShape((shard.cols,))
-    return StreamShape((shard.rows, shard.cols))
-
-
-class ShardedStorage:
-    """One logical stream backed by one storage per device.
-
-    Implements the :class:`~repro.backends.base.StreamStorage` protocol
-    (``shape`` / ``element_width`` / ``name``) without inheriting from
-    it, like :class:`~repro.runtime.tiling.TiledStorage` does.
-    ``shards[k]`` is an ordinary storage owned by device ``k`` - a
-    single texture/resource/array, or a :class:`TiledStorage` when the
-    band exceeds that device's own limit.
+    ``parts[k]`` is an ordinary storage of device ``k`` - a single
+    texture/resource/array, or a :class:`TiledStorage` when the band
+    exceeds that device's own limit.
     """
 
-    def __init__(self, shape: StreamShape, element_width: int, name: str,
-                 plan: ShardPlan, shards: List[object]):
-        self.shape = shape
-        self.element_width = element_width
-        self.name = name
-        self.plan = plan
-        self.shards = shards
-        self._stitched_view: Optional[np.ndarray] = None
-        self._view_lock = threading.Lock()
+    label = "shard"
+    layout_name = "sharded"
 
-    @property
-    def shard_count(self) -> int:
-        return len(self.shards)
-
-    # ------------------------------------------------------------------ #
-    def cached_view(self, build) -> np.ndarray:
-        """Memoised stitched logical view (see ``Backend.device_view``).
-
-        Stitching reads every device; gathers during a sharded launch
-        would otherwise redo that once per shard pass.  Every write path
-        (upload, shard launch outputs, reduction stores) calls
-        :meth:`invalidate_view`; the memo is built under a lock so
-        concurrent readers share one stitch.
-        """
-        with self._view_lock:
-            if self._stitched_view is None:
-                self._stitched_view = build()
-            return self._stitched_view
-
-    def invalidate_view(self) -> None:
-        with self._view_lock:
-            self._stitched_view = None
-
-    @property
-    def size_bytes(self) -> int:
-        return sum(shard.size_bytes for shard in self.shards)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<ShardedStorage {self.name!r} {self.shape} "
-                f"shards={self.shard_count}>")
-
-
-class _ShardStreamView:
-    """Stream-shaped view of one shard, handed to the device backend.
-
-    Quacks like :class:`~repro.runtime.stream.Stream` as far as the
-    backends care (``storage`` / ``shape`` / ``element_width`` /
-    ``name``), with the shard's own storage and band shape.
-    """
-
-    __slots__ = ("storage", "shape", "element_width", "name")
-
-    def __init__(self, stream, storage, shape: StreamShape, shard_index: int):
-        self.storage = storage
-        self.shape = shape
-        self.element_width = stream.element_width
-        self.name = f"{stream.name}[shard {shard_index}]"
-
-    @property
-    def element_count(self) -> int:
-        return self.shape.element_count
+    @staticmethod
+    def owner(backend, index: int):
+        return backend.devices[index]
 
 
 class HaloGatherSource(GatherSource):
@@ -154,7 +89,8 @@ class HaloGatherSource(GatherSource):
     coordinates; edge behaviour matches the owning backend: texture-unit
     backends clamp to the full array's edge (then map into the band),
     the CPU backend treats an index outside the full array as a hard
-    :class:`~repro.errors.StreamError`, exactly like its direct gather.
+    :class:`~repro.errors.GatherBoundsError`, exactly like its direct
+    gather.
     An in-band violation - only possible if the halo analysis were
     unsound - clamps on GPU-style backends and raises on the CPU one,
     so it can never silently corrupt a result on the validation path.
@@ -181,7 +117,7 @@ class HaloGatherSource(GatherSource):
             cols = np.clip(cols, 0, width - 1)
         elif rows.size and (rows.min() < 0 or rows.max() >= height
                             or cols.min() < 0 or cols.max() >= width):
-            raise StreamError(
+            raise GatherBoundsError(
                 "gather access out of bounds on the CPU backend: "
                 f"rows in [{rows.min()}, {rows.max()}], cols in "
                 f"[{cols.min()}, {cols.max()}] for array of shape {self.shape}"
@@ -266,21 +202,6 @@ class DeviceGroup:
 # --------------------------------------------------------------------------- #
 # Launch
 # --------------------------------------------------------------------------- #
-def _shard_view(stream, plan: ShardPlan, shard: ShardSlice,
-                shard_shape: StreamShape, what: str) -> _ShardStreamView:
-    storage = getattr(stream, "storage", None)
-    if not isinstance(storage, ShardedStorage) or \
-            storage.plan.geometry != plan.geometry:
-        raise KernelLaunchError(
-            f"{what} stream {stream.name!r} of shape "
-            f"{tuple(stream.shape.dims)} does not share the shard layout of "
-            f"the launch domain {plan.layout}; sharded launches need every "
-            "positional stream argument to have the domain's shape"
-        )
-    return _ShardStreamView(stream, storage.shards[shard.index], shard_shape,
-                            shard.index)
-
-
 def _gather_mode(arg: Optional[ArgumentClass], plan: ShardPlan,
                  storage: object,
                  scalar_args: Dict[str, float]) -> Tuple[str, int]:
@@ -299,7 +220,7 @@ def _gather_mode(arg: Optional[ArgumentClass], plan: ShardPlan,
     access = arg.axis_access(plan.axis)
     if access is None:
         return ("whole", 0)
-    extent = plan.layout[0] if plan.axis == "rows" else plan.layout[1]
+    extent = plan.logical[0] if plan.axis == "rows" else plan.logical[1]
     for guard in access.guards:
         value = guard.value(scalar_args)
         if value is None or value < extent - 1 - access.bound:
@@ -316,9 +237,8 @@ def _band_slice(group, storage: ShardedStorage, lo: int, hi: int,
     thin halo; ``np.concatenate`` always allocates, so the returned
     band is a private snapshot of the pre-launch data.
     """
-    plan = storage.plan
-    pieces = []
-    for shard, shard_storage in zip(plan.shards, storage.shards):
+    bands = []
+    for shard, shard_storage in zip(storage.plan.pieces, storage.parts):
         start = shard.row0 if axis == "rows" else shard.col0
         stop = start + (shard.rows if axis == "rows" else shard.cols)
         overlap_lo, overlap_hi = max(lo, start), min(hi, stop)
@@ -327,12 +247,11 @@ def _band_slice(group, storage: ShardedStorage, lo: int, hi: int,
         view = np.asarray(
             group.devices[shard.index].device_view(shard_storage),
             dtype=np.float32)
-        view = view.reshape(plan.shard_layout(shard) + view.shape[2:])
         if axis == "rows":
-            pieces.append(view[overlap_lo - start:overlap_hi - start])
+            bands.append(view[overlap_lo - start:overlap_hi - start])
         else:
-            pieces.append(view[:, overlap_lo - start:overlap_hi - start])
-    return np.concatenate(pieces, axis=0 if axis == "rows" else 1)
+            bands.append(view[:, overlap_lo - start:overlap_hi - start])
+    return np.concatenate(bands, axis=0 if axis == "rows" else 1)
 
 
 def _prepare_shard_gathers(group, plan: ShardPlan, kernel,
@@ -350,7 +269,7 @@ def _prepare_shard_gathers(group, plan: ShardPlan, kernel,
     spec = classify_kernel(kernel.definition)
     out_storages = {id(getattr(stream, "storage", None))
                     for stream in out_args.values()}
-    sources: List[Dict[str, GatherSource]] = [dict() for _ in plan.shards]
+    sources: List[Dict[str, GatherSource]] = [dict() for _ in plan.pieces]
     halo_bytes = 0
     for name, stream in gather_args.items():
         storage = stream.storage
@@ -363,7 +282,7 @@ def _prepare_shard_gathers(group, plan: ShardPlan, kernel,
             # straight from the owning shards' device views - never the
             # full stitched array.  The concatenated band is a private
             # pre-launch snapshot, so in-place launches stay correct.
-            for shard in plan.shards:
+            for shard in plan.pieces:
                 lo, hi = plan.halo_band(shard, halo)
                 band = _band_slice(group, storage, lo, hi, plan.axis)
                 if plan.axis == "rows":
@@ -391,46 +310,20 @@ def _prepare_shard_gathers(group, plan: ShardPlan, kernel,
             data = data.copy()
         if data.ndim == 1:
             data = data.reshape(1, -1)
-        for shard in plan.shards:
+        for shard in plan.pieces:
             # Replicated in full: every device fetches the bands it
             # does not own.  A sharded array leaves each device its
             # own band; an unsharded one already lives on device 0.
             local = 0
             if isinstance(storage, ShardedStorage):
-                if shard.index < storage.plan.shard_count:
-                    local = storage.plan.shards[shard.index].element_count
+                if shard.index < len(storage.plan.pieces):
+                    local = storage.plan.pieces[shard.index].element_count
             elif shard.index == 0:
                 local = data.shape[0] * data.shape[1]
             halo_bytes += (data.shape[0] * data.shape[1] - local) \
                 * element_bytes
             sources[shard.index][name] = group.make_gather_source(data)
     return sources, halo_bytes
-
-
-def aggregate_shard_records(records: List[KernelLaunchRecord],
-                            shard_count: int,
-                            halo_bytes: int) -> KernelLaunchRecord:
-    """Merge per-shard launch records into one record with ``shards=N``.
-
-    ``tiles`` is folded so that the aggregate's ``tiles - 1`` equals the
-    total number of *within-device* tile switches (``sum(tiles_k - 1)``)
-    - crossing from one shard to the next is priced by the sharding
-    overhead, not the tiling one.
-    """
-    return KernelLaunchRecord(
-        kernel=records[0].kernel,
-        elements=sum(r.elements for r in records),
-        flops=sum(r.flops for r in records),
-        texture_fetches=sum(r.texture_fetches for r in records),
-        passes=sum(r.passes for r in records),
-        reduction=any(r.reduction for r in records),
-        fused=max(r.fused for r in records),
-        saved_intermediate_bytes=sum(r.saved_intermediate_bytes
-                                     for r in records),
-        tiles=sum(r.tiles for r in records) - (shard_count - 1),
-        shards=shard_count,
-        halo_bytes=halo_bytes,
-    )
 
 
 def launch_sharded(
@@ -454,48 +347,43 @@ def launch_sharded(
     gather_sources, halo_bytes = _prepare_shard_gathers(
         group, plan, kernel, gather_args, scalar_args, out_args)
 
-    def run_shard(shard: ShardSlice):
+    def run_shard(shard: PieceRect):
         device = group.devices[shard.index]
-        shard_shape = shard_stream_shape(plan, shard)
-        shard_streams = {
-            name: _shard_view(stream, plan, shard, shard_shape, "input")
-            for name, stream in stream_args.items()
-        }
-        shard_outs = {
-            name: _shard_view(stream, plan, shard, shard_shape, "output")
-            for name, stream in out_args.items()
-        }
+        shard_shape = StreamShape(plan.piece_dims(shard))
+        shard_streams = piece_views(ShardedStorage, stream_args, plan, shard,
+                                    shard_shape, "input")
+        shard_outs = piece_views(ShardedStorage, out_args, plan, shard,
+                                 shard_shape, "output")
         gathers = gather_sources[shard.index]
-        tiled = next(
-            (view.storage for view in (*shard_outs.values(),
-                                       *shard_streams.values())
-             if isinstance(view.storage, TiledStorage)), None)
-        if tiled is not None:
+        tile_plan = TiledStorage.launch_plan(shard_streams, shard_outs)
+        if tile_plan is not None:
             # The shard's band exceeds its own device's texture limit:
             # run the normal tile engine inside the shard, shifting the
             # tile index map by the shard's origin so ``indexof`` stays
             # global (shard+tile composition).
             return launch_tiled(
-                device, kernel, helpers, shard_shape, tiled.plan,
+                device, kernel, helpers, shard_shape, tile_plan,
                 shard_streams, gather_args, scalar_args, shard_outs,
                 gathers=gathers, origin=(shard.col0, shard.row0),
             )
         return device.launch(
             kernel, helpers, shard_shape,
             shard_streams, gather_args, scalar_args, shard_outs,
-            index_map=plan.shard_index_positions(shard),
+            index_map=plan.index_positions(shard),
             gathers=gathers,
         )
 
     try:
         records = group.run([
-            (lambda s=shard: run_shard(s)) for shard in plan.shards
+            (lambda s=shard: run_shard(s)) for shard in plan.pieces
         ])
     finally:
-        # The shard passes wrote the per-device storages behind the
-        # logical storages' backs; drop any memoised stitched views.
-        for stream in out_args.values():
-            storage = getattr(stream, "storage", None)
-            if isinstance(storage, ShardedStorage):
-                storage.invalidate_view()
-    return aggregate_shard_records(records, plan.shard_count, halo_bytes)
+        invalidate_outputs(out_args)
+    # ``tiles`` is folded so that the aggregate's ``tiles - 1`` equals
+    # the total number of within-device tile switches
+    # (``sum(tiles_k - 1)``) - crossing from one shard to the next is
+    # priced by the sharding overhead, not the tiling one.
+    shards = len(plan.pieces)
+    return merge_launch_records(
+        records, tiles=sum(r.tiles for r in records) - (shards - 1),
+        shards=shards, halo_bytes=halo_bytes)

@@ -69,8 +69,8 @@ class TestGLES2BackendEdges:
         from repro.runtime.tiling import TiledStorage
         stream = gles2_runtime.stream((4096, 4096))
         assert isinstance(stream.storage, TiledStorage)
-        assert stream.storage.tile_count == 4
-        for tile_storage in stream.storage.tiles:
+        assert len(stream.storage.parts) == 4
+        for tile_storage in stream.storage.parts:
             assert tile_storage.texture.width <= 2048
             assert tile_storage.texture.height <= 2048
 

@@ -648,32 +648,32 @@ class TestHazardStorageKeying:
     never collided and conflicting launches could legally overlap."""
 
     def test_two_wrappers_over_one_storage_collide(self, cpu_runtime):
-        from repro.runtime.executor import _hazard_ids
+        from repro.core.analysis.dataflow import storage_units
         s1 = cpu_runtime.stream((8,))
         s2 = cpu_runtime.stream((8,))
         s2.storage = s1.storage       # second handle to the same storage
-        assert set(_hazard_ids(s1)) == set(_hazard_ids(s2))
+        assert set(storage_units(s1)) == set(storage_units(s2))
 
     def test_plain_stream_aliasing_a_shard_band_collides(self):
-        from repro.runtime.executor import _hazard_ids
+        from repro.core.analysis.dataflow import storage_units
         with BrookRuntime(backend="cpu", devices=2) as rt:
             sharded = rt.stream((8, 4))
             band = rt.stream((4, 4))
-            band.storage = sharded.storage.shards[0]
-            keys = set(_hazard_ids(band))
-            assert keys and keys <= set(_hazard_ids(sharded))
+            band.storage = sharded.storage.parts[0]
+            keys = set(storage_units(band))
+            assert keys and keys <= set(storage_units(sharded))
 
     def test_tiled_storage_keys_descend_to_tiles(self):
-        from repro.runtime.executor import _hazard_ids
+        from repro.core.analysis.dataflow import storage_units
         with tiny_gles2_runtime(8) as rt:
             big = rt.stream((16, 16))       # tiles at the 8-px limit
-            tiles = big.storage.tiles
+            tiles = big.storage.parts
             assert len(tiles) > 1
-            assert set(_hazard_ids(big)) == {id(tile) for tile in tiles}
+            assert set(storage_units(big)) == {id(tile) for tile in tiles}
             one = rt.stream((4, 4))
             one.storage = tiles[0]
-            keys = set(_hazard_ids(one))
-            assert keys and keys <= set(_hazard_ids(big))
+            keys = set(storage_units(one))
+            assert keys and keys <= set(storage_units(big))
 
     def test_conflicting_launches_through_aliased_wrappers_serialize(
             self, cpu_runtime):

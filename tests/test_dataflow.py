@@ -103,9 +103,9 @@ class TestStorageResolution:
         try:
             stream = runtime.stream((8, 8))
             leaves = leaf_storages(stream)
-            assert len(leaves) == len(stream.storage.shards)
+            assert len(leaves) == len(stream.storage.parts)
             band = runtime.stream((4, 8))
-            band.storage = stream.storage.shards[0]
+            band.storage = stream.storage.parts[0]
             assert streams_alias(band, stream)
         finally:
             runtime.close()

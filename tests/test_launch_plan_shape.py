@@ -16,12 +16,12 @@ import pytest
 
 from repro import BrookRuntime
 from repro.backends.gles2_backend import GLES2Backend
-from repro.core.analysis.dataflow import build_dataflow_graph
+from repro.core.analysis.dataflow import build_dataflow_graph, storage_units
 from repro.core.analysis.planner import _plan_infos, _transfer_streams
 from repro.core.analysis.wcet import plan_wcet
 from repro.gles2 import GLES2Limits
 from repro.gles2.device import GPUDeviceProfile
-from repro.runtime.executor import _collect_hazards, _hazard_ids
+from repro.runtime.executor import _collect_hazards
 from repro.runtime.launch import FusedPlan, LaunchPlan
 from repro.runtime.sanitizer import BrookSanitizer
 from repro.timing.platforms import get_platform
@@ -136,7 +136,7 @@ def _names(streams):
 
 
 def _ids(streams):
-    return {unit for stream in streams for unit in _hazard_ids(stream)}
+    return {unit for stream in streams for unit in storage_units(stream)}
 
 
 @pytest.fixture(params=KINDS, ids=[kind for kind, _, _ in KINDS])
@@ -227,7 +227,7 @@ def test_tiled_fused_pair_carries_its_tile_plan():
         assert plan.tile_plan is not None
         plan.launch()
         record = rt.statistics.launches[-1]
-        assert record.fused == 2 and record.tiles == plan.tile_plan.tile_count
+        assert record.fused == 2 and record.tiles == len(plan.tile_plan.pieces)
     finally:
         rt.close()
 

@@ -22,7 +22,8 @@ from repro.core.analysis.sharding import (
     classify_kernel,
 )
 from repro.core.compiler import BrookAutoCompiler, CompilerOptions
-from repro.errors import RuntimeBrookError, StreamError
+from repro.errors import (GatherBoundsError, KernelLaunchError,
+                          RuntimeBrookError, StreamError)
 from repro.gles2.device import GPUDeviceProfile
 from repro.gles2.limits import GLES2Limits
 from repro.runtime import BrookRuntime, HaloGatherSource, ShardedStorage
@@ -83,20 +84,20 @@ class TestShardGeometry:
     def test_row_bands_balanced_to_one_row(self):
         plan = ShardPlan((10, 7), 4)
         assert plan.axis == "rows"
-        assert [(s.row0, s.rows) for s in plan.shards] == \
+        assert [(s.row0, s.rows) for s in plan.pieces] == \
             [(0, 3), (3, 3), (6, 2), (8, 2)]
-        assert all(s.cols == 7 and s.col0 == 0 for s in plan.shards)
-        assert sum(s.element_count for s in plan.shards) == 70
+        assert all(s.cols == 7 and s.col0 == 0 for s in plan.pieces)
+        assert sum(s.element_count for s in plan.pieces) == 70
 
     def test_one_row_layouts_shard_along_columns(self):
         plan = ShardPlan((1, 10), 4)
         assert plan.axis == "cols"
-        assert [(s.col0, s.cols) for s in plan.shards] == \
+        assert [(s.col0, s.cols) for s in plan.pieces] == \
             [(0, 3), (3, 3), (6, 2), (8, 2)]
 
     def test_fewer_bands_than_devices(self):
-        assert ShardPlan((2, 5), 4).shard_count == 2
-        assert ShardPlan((1, 3), 8).shard_count == 3
+        assert len(ShardPlan((2, 5), 4).pieces) == 2
+        assert len(ShardPlan((1, 3), 8).pieces) == 3
         assert ShardPlan((1, 1), 4).is_trivial
 
     def test_geometry_is_a_pure_function_of_layout_and_count(self):
@@ -107,20 +108,20 @@ class TestShardGeometry:
         plan = ShardPlan((11, 6), 4)
         data = np.arange(66, dtype=np.float32).reshape(11, 6)
         np.testing.assert_array_equal(
-            plan.stitch([plan.slice(data, s) for s in plan.shards]), data)
+            plan.stitch([plan.slice(data, s) for s in plan.pieces]), data)
 
     def test_index_positions_are_global(self):
         plan = ShardPlan((6, 3), 3)
-        positions = plan.shard_index_positions(plan.shards[1])
+        positions = plan.index_positions(plan.pieces[1])
         assert positions.shape == (6, 2)
         assert positions[0].tolist() == [0.0, 2.0]   # (x, y) of row 2, col 0
         assert positions[-1].tolist() == [2.0, 3.0]
 
     def test_halo_band_clips_at_the_edges(self):
         plan = ShardPlan((12, 4), 3)
-        assert plan.halo_band(plan.shards[0], 2) == (0, 6)
-        assert plan.halo_band(plan.shards[1], 2) == (2, 10)
-        assert plan.halo_band(plan.shards[2], 2) == (6, 12)
+        assert plan.halo_band(plan.pieces[0], 2) == (0, 6)
+        assert plan.halo_band(plan.pieces[1], 2) == (2, 10)
+        assert plan.halo_band(plan.pieces[2], 2) == (6, 12)
 
 
 # --------------------------------------------------------------------------- #
@@ -215,7 +216,7 @@ class TestShardedStorage:
             big = rt.stream((8, 8))
             tiny = rt.stream((1, 1))
             assert isinstance(big.storage, ShardedStorage)
-            assert big.storage.shard_count == 4
+            assert len(big.storage.parts) == 4
             assert not isinstance(tiny.storage, ShardedStorage)
 
     def test_upload_download_roundtrip(self):
@@ -546,9 +547,9 @@ class TestShardedExecutor:
             plan = module.saxpy.bind(1.0, x, y, out)
             reads, writes = set(), set()
             _collect_hazards(plan, reads, writes)
-            assert writes == {id(s) for s in out.storage.shards}
-            assert reads == {id(s) for s in x.storage.shards} | \
-                {id(s) for s in y.storage.shards}
+            assert writes == {id(s) for s in out.storage.parts}
+            assert reads == {id(s) for s in x.storage.parts} | \
+                {id(s) for s in y.storage.parts}
 
     def test_executor_pipeline_bitwise_identical(self):
         data = (np.arange(14 * 6, dtype=np.float32).reshape(14, 6) % 19)
@@ -658,6 +659,22 @@ class TestShardStatistics:
 # Halo gather source semantics
 # --------------------------------------------------------------------------- #
 class TestHaloGatherSource:
+    @pytest.mark.parametrize("devices", [1, 2, 3])
+    def test_cpu_out_of_bounds_gather_raises_gather_bounds_error(
+            self, devices):
+        # A halo-classified stencil read one row past the array: the
+        # sharded CPU runtime must fail like the single-device one.
+        source = ("kernel void down(float a[][], out float r<>) {"
+                  " float2 idx = indexof(r); r = a[idx.y + 1.0][idx.x]; }")
+        with BrookRuntime(backend="cpu", devices=devices) as rt:
+            module = rt.compile(source)
+            a = rt.stream_from(np.arange(64, dtype=np.float32).reshape(8, 8))
+            out = rt.stream((8, 8))
+            with pytest.raises(GatherBoundsError, match="out of bounds") \
+                    as caught:
+                module.down(a, out)
+        assert isinstance(caught.value, KernelLaunchError)
+
     def test_clamping_matches_full_array_edges(self):
         full = np.arange(40, dtype=np.float32).reshape(8, 5)
         band = full[2:8]   # the last shard's band: rows 2..7 inclusive

@@ -15,7 +15,9 @@ on VideoCore IV limits - are exercised once at the end.
 import numpy as np
 import pytest
 
+from repro.backends.cal_backend import CALBackend
 from repro.backends.gles2_backend import GLES2Backend
+from repro.cal.device import CALDeviceProfile
 from repro.core.analysis.memory_usage import StreamDeclaration, estimate_memory_usage
 from repro.core.analysis.resources import TargetLimits
 from repro.core.analysis.tiling import folded_layout, tile_grid, tiled_texture_bytes
@@ -33,6 +35,8 @@ INDEXED = ("kernel void indexed(float x<>, out float r<>) {"
 GATHERING = ("kernel void smear(float a<>, float lut[], out float o<>) {"
              " o = a + lut[indexof(a).x]; }")
 TOTAL = "reduce void total(float v<>, reduce float acc) { acc += v; }"
+VMIX = ("kernel void vmix(float2 a<>, float2 b<>, out float2 r<>) {"
+        " float2 p = indexof(r); r = a * 2.0 + b + p; }")
 SCALE = "kernel void scale(float g, float x<>, out float r<>) { r = g * x; }"
 SHIFT = ("kernel void shift(float x<>, int n, out float r<>) {"
          " r = x + float(n); }")
@@ -51,6 +55,20 @@ def tiny_gles2_runtime(max_texture_size: int = 16) -> BrookRuntime:
         fill_rate_mpixels=100.0,
     )
     return BrookRuntime(backend=GLES2Backend(profile))
+
+
+def tiny_cal_runtime(max_resource_size: int = 16) -> BrookRuntime:
+    """A CAL runtime whose device tiles at a toy resource limit."""
+    return BrookRuntime(backend=CALBackend(CALDeviceProfile(
+        name=f"cal-{max_resource_size}",
+        max_resource_size=max_resource_size,
+        max_outputs=4,
+        effective_gflops=38.0,
+        transfer_gib_per_s=1.6,
+        pass_overhead_us=180.0,
+        fetch_ns=0.9,
+        fill_rate_mpixels=3400.0,
+    )))
 
 
 def cpu_reference(source, kernel, inputs, scalars, shape):
@@ -106,31 +124,31 @@ class TestTileGeometry:
 
 class TestTilePlan:
     def test_trivial_plan(self):
-        plan = TilePlan.for_shape(StreamShape.of((8, 8)), LIMITS_2048)
+        plan = TilePlan(StreamShape.of((8, 8)), LIMITS_2048)
         assert plan.is_trivial
-        assert plan.tile_count == 1
+        assert len(plan.pieces) == 1
 
     def test_folded_single_tile_plan_is_not_trivial(self):
-        plan = TilePlan.for_shape(StreamShape.of((4096,)), LIMITS_2048)
+        plan = TilePlan(StreamShape.of((4096,)), LIMITS_2048)
         assert not plan.is_trivial
-        assert plan.tile_count == 1
+        assert len(plan.pieces) == 1
         assert plan.folded == (2, 2048)
 
     def test_fold_slice_stitch_roundtrip(self):
         limits = TargetLimits(max_texture_size=16)
-        plan = TilePlan.for_shape(StreamShape.of((20, 37)), limits)
+        plan = TilePlan(StreamShape.of((20, 37)), limits)
         data = np.arange(20 * 37, dtype=np.float32).reshape(20, 37)
         folded = plan.fold(data)
-        blocks = [plan.slice(folded, tile) for tile in plan.tiles]
+        blocks = [plan.slice(folded, tile) for tile in plan.pieces]
         restored = plan.unfold(plan.stitch(blocks))
         np.testing.assert_array_equal(restored, data)
 
     def test_tile_index_positions_are_global(self):
         limits = TargetLimits(max_texture_size=16)
         shape = StreamShape.of((40,))
-        plan = TilePlan.for_shape(shape, limits)
+        plan = TilePlan(shape, limits)
         collected = np.concatenate(
-            [plan.tile_index_positions(tile) for tile in plan.tiles])
+            [plan.index_positions(tile) for tile in plan.pieces])
         # Folding maps elements row-major, so concatenating the per-tile
         # positions in tile order recovers every logical position once.
         reference = shape.element_positions()
@@ -145,14 +163,14 @@ class TestTiledStorage:
         stream = gles2_runtime.stream((4096,))
         storage = stream.storage
         assert isinstance(storage, TiledStorage)
-        assert storage.tile_count == 1
-        assert storage.tiles[0].texture.width == 2048
-        assert storage.tiles[0].texture.height == 2
+        assert len(storage.parts) == 1
+        assert storage.parts[0].texture.width == 2048
+        assert storage.parts[0].texture.height == 2
 
     def test_2d_stream_tiles_on_gles2(self, gles2_runtime):
         stream = gles2_runtime.stream((3000, 3000))
         assert isinstance(stream.storage, TiledStorage)
-        assert stream.storage.tile_count == 4
+        assert len(stream.storage.parts) == 4
 
     def test_write_read_roundtrip_tiled(self):
         rt = tiny_gles2_runtime()
@@ -316,6 +334,48 @@ class TestTiledLaunch:
         assert q.flushed_launches == 2
         np.testing.assert_allclose(out.read(), 0.5 * 4.0 + 2.0)
         assert all(r.tiles == 3 for r in rt.statistics.launches)
+
+
+class TestTiledVectorStreams:
+    """A ``float2`` stream tiled on a 16-element CAL device: every part
+    carries the trailing component axis through write, launch and read."""
+
+    def test_float2_tiles_match_cpu_bitwise(self):
+        shape = (40, 37)
+        rng = np.random.default_rng(7)
+        a, b = ((rng.integers(0, 50, shape + (2,)) / 4.0).astype(np.float32)
+                for _ in range(2))
+
+        def run(rt):
+            module = rt.compile(VMIX)
+            streams = [rt.stream_from(a, element_width=2),
+                       rt.stream_from(b, element_width=2),
+                       rt.stream(shape, element_width=2)]
+            module.vmix(*streams)
+            return streams[2].read(), streams
+
+        with BrookRuntime(backend="cpu") as cpu:
+            reference, _ = run(cpu)
+        rt = tiny_cal_runtime(16)
+        result, streams = run(rt)
+        assert isinstance(streams[2].storage, TiledStorage)
+        assert len(streams[2].storage.parts) == 9     # 3 x 3 tiles
+        assert result.shape == shape + (2,)
+        assert result.tobytes() == reference.tobytes()
+
+        nbytes = 40 * 37 * 2 * 4
+        assert [(t.direction, t.bytes, t.elements, t.calls)
+                for t in rt.statistics.transfers] == [
+            ("upload", nbytes, 1480, 9), ("upload", nbytes, 1480, 9),
+            ("download", nbytes, 1480, 9)]
+        (record,) = rt.statistics.launches
+        assert (record.kernel, record.elements, record.passes,
+                record.tiles) == ("vmix", 1480, 9, 9)
+        assert rt.device_memory_in_use() == 3 * nbytes
+        for stream in streams:
+            stream.release()
+        assert rt.device_memory_in_use() == 0
+        rt.close()
 
 
 # --------------------------------------------------------------------------- #
