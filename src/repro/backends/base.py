@@ -410,6 +410,24 @@ class Backend(abc.ABC):
     # ------------------------------------------------------------------ #
     # Shared execution helper
     # ------------------------------------------------------------------ #
+    def _stream_inputs(self, domain: StreamShape,
+                       stream_args: Dict[str, "Stream"]) -> Dict[str, np.ndarray]:
+        """Each input stream's device values, one row per domain element;
+        an input whose element count differs from the domain's is
+        rejected before anything runs (only GL ES 2 stretches it)."""
+        values = {}
+        for name, stream in stream_args.items():
+            if stream.shape.element_count != domain.element_count:
+                raise KernelLaunchError(
+                    f"input stream {name!r} has {stream.shape.element_count} "
+                    f"elements but the output domain has {domain.element_count}"
+                )
+            data = self.device_view(stream.storage)
+            width = stream.element_width
+            values[name] = data.reshape(-1) if width == 1 \
+                else data.reshape(-1, width)
+        return values
+
     def _evaluate(
         self,
         kernel: CompiledKernel,

@@ -60,10 +60,11 @@ class CALBackend(Backend):
         else:
             self.device = get_cal_device(device)
         self.context = CALContext(self.device)
+        self._target_limits = self.device.to_target_limits()
 
     # ------------------------------------------------------------------ #
     def target_limits(self) -> TargetLimits:
-        return self.device.to_target_limits()
+        return self._target_limits
 
     # ------------------------------------------------------------------ #
     def _create_storage(self, shape: StreamShape, element_width: int,
@@ -130,12 +131,7 @@ class CALBackend(Backend):
                 f"kernel {kernel.name!r} writes {len(out_args)} outputs but the "
                 f"CAL device supports {self.device.max_outputs}"
             )
-        stream_values = {}
-        for name, stream in stream_args.items():
-            values = self.device_view(stream.storage)
-            width = stream.element_width
-            stream_values[name] = values.reshape(-1) if width == 1 \
-                else values.reshape(-1, width)
+        stream_values = self._stream_inputs(domain, stream_args)
         if gathers is None:
             gathers = self.prepare_gathers(gather_args)
         outputs, stats = self._evaluate(kernel, helpers, domain, stream_values,

@@ -131,18 +131,7 @@ class CPUBackend(Backend):
         index_map=None,
         gathers=None,
     ) -> KernelLaunchRecord:
-        stream_values = {}
-        for name, stream in stream_args.items():
-            values = stream.storage.data
-            if values.size // max(1, stream.element_width) != domain.element_count \
-                    and stream.shape.element_count != domain.element_count:
-                raise KernelLaunchError(
-                    f"input stream {name!r} has {stream.shape.element_count} elements "
-                    f"but the output domain has {domain.element_count}"
-                )
-            width = stream.element_width
-            stream_values[name] = values.reshape(-1) if width == 1 \
-                else values.reshape(-1, width)
+        stream_values = self._stream_inputs(domain, stream_args)
         if gathers is None:
             gathers = self.prepare_gathers(gather_args)
         outputs, stats = self._evaluate(kernel, helpers, domain, stream_values,

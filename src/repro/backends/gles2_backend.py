@@ -47,12 +47,6 @@ class GLES2StreamStorage(StreamStorage):
 
     def __init__(self, shape: StreamShape, element_width: int, name: str,
                  texture: Texture2D):
-        if element_width != 1:
-            raise BackendError(
-                "the OpenGL ES 2 backend stores one float per RGBA8 texel; "
-                f"vector element width {element_width} is not supported - "
-                "scalarize the stream (see repro.core.transforms.scalarize)"
-            )
         self.shape = shape
         self.element_width = element_width
         self.name = name
@@ -92,18 +86,12 @@ class BrookKernelShader(FragmentShader):
         count = job.fragment_count
         stream_values: Dict[str, np.ndarray] = {}
         for param in self.kernel.definition.params:
-            sampler_name = f"__stream_{param.name}"
-            if sampler_name in job.samplers:
-                texture = job.samplers[sampler_name]
-                # Normalised coordinates are relative to the *allocated*
-                # texture extent, which may be padded beyond the logical
-                # stream size (power-of-two devices); the runtime therefore
-                # rescales the element position by each texture's own
-                # dimensions - the bookkeeping of paper section 5.3.
-                u = job.frag_coord[:, 0] / texture.width
-                v = job.frag_coord[:, 1] / texture.height
-                texels = texture.sample_normalized(u, v)
-                stream_values[param.name] = decode_float_rgba8(texels)
+            texture = job.samplers.get(f"__stream_{param.name}")
+            if texture is not None:
+                # Coordinates scaled to each texture's own (padded)
+                # extent - paper section 5.3 - land on texel (x, y).
+                texels = texture.sample_viewport(job.width, job.height)
+                stream_values[param.name] = decode_float_rgba8(texels).reshape(-1)
         # indexof: the shader computes floor(texcoord * output size), which
         # is exactly the element's row-major position for every extent up
         # to a device's max_texture_size, so an untiled pass hands over
@@ -134,6 +122,7 @@ class GLES2Backend(Backend):
         else:
             self.device = get_device_profile(device)
         self.context = GLES2Context(self.device.limits)
+        self._target_limits = self.device.limits.to_target_limits()
         self._framebuffer: Framebuffer = self.context.create_framebuffer("brook-fbo")
         # A GL context is single-threaded: program/framebuffer binding is
         # shared mutable state, so kernel passes serialize on this lock
@@ -143,7 +132,7 @@ class GLES2Backend(Backend):
 
     # ------------------------------------------------------------------ #
     def target_limits(self) -> TargetLimits:
-        return self.device.limits.to_target_limits()
+        return self._target_limits
 
     def can_execute(self, kernel: CompiledKernel) -> bool:
         """A kernel needs GLSL ES 1.0 text to run as a fragment pass."""
@@ -154,6 +143,14 @@ class GLES2Backend(Backend):
     # ------------------------------------------------------------------ #
     def _create_storage(self, shape: StreamShape, element_width: int,
                         name: str) -> StreamStorage:
+        # Checked before the texture exists, so a rejected stream
+        # leaves no device memory behind.
+        if element_width != 1:
+            raise BackendError(
+                "the OpenGL ES 2 backend stores one float per RGBA8 texel; "
+                f"vector element width {element_width} is not supported - "
+                "scalarize the stream (see repro.core.transforms.scalarize)"
+            )
         tex_w, tex_h = shape.texture_extent(self.target_limits())
         texture = self.context.create_texture(tex_w, tex_h, name=name)
         storage = GLES2StreamStorage(shape, element_width, name, texture)
@@ -168,21 +165,18 @@ class GLES2Backend(Backend):
                 f"stream {storage.name!r}: cannot write data of shape {data.shape} "
                 f"into a stream of layout {(rows, cols)}"
             )
-        texture = storage.texture
-        rgba = np.zeros((texture.height, texture.width, 4), dtype=np.uint8)
-        rgba[:rows, :cols] = encode_float_rgba8(data)
-        self.context.upload(texture, rgba)
+        self.context.upload(storage.texture, encode_float_rgba8(data))
         return TransferRecord(stream=storage.name, direction="upload",
                               bytes=rows * cols * 4,
                               elements=storage.shape.element_count)
 
     def _download(self, storage: StreamStorage):
         rows, cols = storage.shape.layout_2d
-        rgba = self.context.download(storage.texture)
+        texels = self.context.download(storage.texture)[:rows, :cols]
         record = TransferRecord(stream=storage.name, direction="download",
                                 bytes=rows * cols * 4,
                                 elements=storage.shape.element_count)
-        return decode_float_rgba8(rgba[:rows, :cols]), record
+        return decode_float_rgba8(texels), record
 
     def _device_view(self, storage: StreamStorage) -> np.ndarray:
         rows, cols = storage.shape.layout_2d

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -53,40 +52,6 @@ class TransferStats:
     bytes_downloaded: int = 0
     upload_calls: int = 0
     download_calls: int = 0
-
-
-#: Largest viewport, in fragments, whose grid is cached.  The two
-#: float64 grids take 32 B per fragment, so a cached 3000 x 3000 grid
-#: would keep about 290 MB alive after its draw; 256 x 256 (2 MB an
-#: entry) covers every frame the serving workloads draw.
-_CACHED_GRID_FRAGMENTS = 256 * 256
-
-
-def _build_fragment_grid(width: int,
-                         height: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Read-only ``(texcoord, frag_coord)`` of a ``width x height`` viewport.
-
-    x is the fastest axis, matching row-major storage.
-    """
-    ys, xs = np.mgrid[0:height, 0:width]
-    xs = xs.reshape(-1).astype(np.float64)
-    ys = ys.reshape(-1).astype(np.float64)
-    frag_coord = np.stack([xs + 0.5, ys + 0.5], axis=1)
-    texcoord = np.stack([(xs + 0.5) / width, (ys + 0.5) / height], axis=1)
-    texcoord.flags.writeable = False
-    frag_coord.flags.writeable = False
-    return texcoord, frag_coord
-
-
-_cached_fragment_grid = lru_cache(maxsize=8)(_build_fragment_grid)
-
-
-def _fragment_grid(width: int, height: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The viewport's grid; draws of one small viewport share the arrays,
-    so shaders must not write to them."""
-    if width * height > _CACHED_GRID_FRAGMENTS:
-        return _build_fragment_grid(width, height)
-    return _cached_fragment_grid(width, height)
 
 
 class GLES2Context:
@@ -132,14 +97,19 @@ class GLES2Context:
     # Data transfer (counted: this is the expensive host<->GPU path)
     # ------------------------------------------------------------------ #
     def upload(self, texture: Texture2D, rgba: np.ndarray) -> None:
-        """Upload RGBA8 data into ``texture`` and count the traffic."""
-        texture.tex_image_2d(rgba)
+        """Upload an RGBA8 image to the texture's origin; count the traffic.
+
+        A stream writes only its ``rows x cols`` texels (the padding is
+        never written and stays zero), but the whole texture is counted.
+        """
+        texture.tex_sub_image_2d(0, 0, rgba)
         with self._lock:
             self.transfers.bytes_uploaded += texture.size_bytes
             self.transfers.upload_calls += 1
 
     def download(self, texture: Texture2D) -> np.ndarray:
-        """Read back the texture contents and count the traffic."""
+        """Read back the texture contents (a read-only view, see
+        :meth:`Texture2D.read_pixels`) and count the traffic."""
         data = texture.read_pixels()
         with self._lock:
             self.transfers.bytes_downloaded += texture.size_bytes
@@ -187,11 +157,8 @@ class GLES2Context:
             if width <= 0 or height <= 0:
                 raise GLES2Error(f"invalid viewport {viewport}")
 
-        texcoord, frag_coord = _fragment_grid(width, height)
         fetches_before = sum(t.sample_count for t in program.samplers.values())
         job = FragmentJob(
-            texcoord=texcoord,
-            frag_coord=frag_coord,
             width=width,
             height=height,
             uniforms=dict(program.uniforms),

@@ -6,8 +6,8 @@ simulation runs for every fragment of a draw call.  Two kinds of
 fragment shaders exist in the repository:
 
 * the Brook Auto runtime backend wraps a compiled Brook kernel in a
-  fragment shader that samples the bound stream textures and runs the
-  kernel body through the vectorized evaluator, and
+  fragment shader that reads the bound stream textures texel by texel
+  and runs the kernel body through the execution engine, and
 * the hand-written GPGPU applications (the sgemm used in Figure 4)
   implement :class:`FragmentShader` directly against this API, exactly
   like a hand-written C + OpenGL ES 2 program would supply its own GLSL.
@@ -16,6 +16,7 @@ fragment shaders exist in the repository:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Optional
 
 import numpy as np
@@ -31,19 +32,15 @@ class FragmentJob:
     """Everything a fragment shader invocation can see.
 
     Attributes:
-        texcoord: ``(N, 2)`` normalized varying coordinate of each fragment
-            (x fastest); the analogue of the interpolated ``varying vec2``
-            the full-screen quad produces.
-        frag_coord: ``(N, 2)`` window-space pixel centres (``gl_FragCoord``).
-            Both grids are read-only: every draw of the same viewport
-            shares them.
-        width / height: Render target extent in pixels.
+        width / height: Render target extent in pixels; fragments run
+            row-major over it (x fastest).
         uniforms: Uniform values set on the program.
         samplers: Bound textures by sampler name.
+
+    The coordinate grids are built on first read (a Brook pass never
+    reads them).
     """
 
-    texcoord: np.ndarray
-    frag_coord: np.ndarray
     width: int
     height: int
     uniforms: Dict[str, object] = field(default_factory=dict)
@@ -51,7 +48,23 @@ class FragmentJob:
 
     @property
     def fragment_count(self) -> int:
-        return int(self.texcoord.shape[0])
+        return self.width * self.height
+
+    @cached_property
+    def frag_coord(self) -> np.ndarray:
+        """Read-only ``(N, 2)`` window-space pixel centres (``gl_FragCoord``)."""
+        ys, xs = np.mgrid[0:self.height, 0:self.width]
+        grid = np.stack([xs.reshape(-1) + 0.5, ys.reshape(-1) + 0.5], axis=1)
+        grid.flags.writeable = False
+        return grid
+
+    @cached_property
+    def texcoord(self) -> np.ndarray:
+        """Read-only ``(N, 2)`` normalized coordinates (the quad's
+        interpolated ``varying vec2``)."""
+        grid = self.frag_coord / (self.width, self.height)
+        grid.flags.writeable = False
+        return grid
 
     def sampler(self, name: str) -> Texture2D:
         try:

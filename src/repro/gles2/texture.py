@@ -83,7 +83,7 @@ class Texture2D:
                 f"tex_image_2d expects shape {(self.height, self.width, 4)}, "
                 f"got {rgba.shape}"
             )
-        self.data = rgba.copy()
+        self.data[...] = rgba
         self.upload_count += 1
 
     def tex_sub_image_2d(self, x: int, y: int, rgba: np.ndarray) -> None:
@@ -98,9 +98,12 @@ class Texture2D:
         self.upload_count += 1
 
     def read_pixels(self) -> np.ndarray:
-        """Download the full texture contents (``glReadPixels`` via an FBO)."""
+        """Download the full texture contents (``glReadPixels`` via an FBO)
+        as a read-only view; it follows later writes to the texture."""
         self.download_count += 1
-        return self.data.copy()
+        pixels = self.data.view()
+        pixels.flags.writeable = False
+        return pixels
 
     # ------------------------------------------------------------------ #
     def sample_normalized(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -116,6 +119,20 @@ class Texture2D:
         y = np.clip(np.floor(v * self.height), 0, self.height - 1).astype(np.int64)
         self.sample_count += int(np.asarray(x).size)
         return self.data[y, x]
+
+    def sample_viewport(self, width: int, height: int) -> np.ndarray:
+        """The ``(height, width, 4)`` texels :meth:`sample_normalized`
+        gives at each fragment centre over this texture's extent,
+        ``((x + 0.5) / self.width, (y + 0.5) / self.height)``: that is
+        texel ``(x, y)`` clamped to the edge, for every extent up to any
+        device's ``max_texture_size``.
+        """
+        self.sample_count += width * height
+        if width <= self.width and height <= self.height:
+            return self.data[:height, :width]
+        ys = np.minimum(np.arange(height), self.height - 1)
+        xs = np.minimum(np.arange(width), self.width - 1)
+        return self.data[ys[:, None], xs]
 
     def sample_texel(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Sample by (clamped) integer texel position; helper for the runtime."""

@@ -39,6 +39,10 @@ RELATIVE_PRECISION = 2.0 ** -23
 MIN_NORMAL = float(np.finfo(np.float32).tiny)
 
 
+#: Exponent field of a float32 bit pattern.
+_EXPONENT_BITS = 0x7F800000
+
+
 def encode_float_rgba8(values: np.ndarray) -> np.ndarray:
     """Pack float32 values into RGBA8 texels (bit-exact for normals).
 
@@ -49,41 +53,29 @@ def encode_float_rgba8(values: np.ndarray) -> np.ndarray:
     * G: the lowest exponent bit and the upper 7 bits of the mantissa,
     * B: the middle mantissa byte,
     * A: the low mantissa byte.
+
+    That is the big-endian byte order of the float32 bit pattern.
     """
-    values = np.asarray(values, dtype=np.float32)
-    original_shape = values.shape
-    flat = np.ascontiguousarray(values.reshape(-1))
+    bits = np.asarray(values, dtype=np.float32).view(np.uint32)
+    texels = bits.astype(">u4", order="C")
     # Flush denormals (and +/-0) to exactly zero, as the shader does.
-    flat = np.where(np.abs(flat) < MIN_NORMAL, np.float32(0.0), flat)
-    flat = np.ascontiguousarray(flat, dtype=np.float32)
-    bits = flat.view(np.uint32)
-    rgba = np.zeros((flat.size, 4), dtype=np.uint8)
-    rgba[:, 0] = (bits >> 24) & 0xFF
-    rgba[:, 1] = (bits >> 16) & 0xFF
-    rgba[:, 2] = (bits >> 8) & 0xFF
-    rgba[:, 3] = bits & 0xFF
-    return rgba.reshape(original_shape + (4,))
+    texels[(texels & _EXPONENT_BITS) == 0] = 0
+    return texels[..., None].view(np.uint8)
 
 
 def decode_float_rgba8(rgba: np.ndarray) -> np.ndarray:
-    """Unpack RGBA8 texels produced by :func:`encode_float_rgba8`."""
-    rgba = np.asarray(rgba)
+    """Unpack RGBA8 texels produced by :func:`encode_float_rgba8`; a
+    ``[:rows, :cols]`` region of a padded texture is read in place."""
+    rgba = np.asarray(rgba, dtype=np.uint8)
     if rgba.ndim == 0 or rgba.shape[-1] != 4:
         raise ValueError("decode_float_rgba8 expects a trailing axis of 4 channels")
-    original_shape = rgba.shape[:-1]
-    channels = rgba.reshape(-1, 4).astype(np.uint32)
-    bits = np.ascontiguousarray(
-        (channels[:, 0] << 24)
-        | (channels[:, 1] << 16)
-        | (channels[:, 2] << 8)
-        | channels[:, 3]
-    )
-    values = bits.view(np.float32).copy()
+    if rgba.strides[-1] != 1:
+        rgba = np.ascontiguousarray(rgba)
+    bits = rgba.view(">u4")[..., 0].astype(np.uint32, order="C")
     # Exponent == 0 encodes zero (denormals were flushed on encode); make
     # sure stray denormal bit patterns decode to exactly zero too.
-    exponent = (bits >> 23) & 0xFF
-    values[exponent == 0] = 0.0
-    return values.astype(np.float32).reshape(original_shape)
+    bits[(bits & _EXPONENT_BITS) == 0] = 0
+    return bits.view(np.float32)
 
 
 def quantize_roundtrip(values: np.ndarray) -> np.ndarray:

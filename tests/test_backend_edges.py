@@ -5,7 +5,7 @@ import pytest
 
 from repro.apps import get_application, list_applications
 from repro.core import compile_source
-from repro.errors import BackendError, CertificationError
+from repro.errors import BackendError, CertificationError, KernelLaunchError
 from repro.gles2.device import get_device_profile
 from repro.runtime import BrookRuntime
 from repro.runtime.shape import StreamShape
@@ -127,6 +127,51 @@ class TestGLES2BackendEdges:
         out = cpu_runtime.stream((4, 4))
         with pytest.raises(KernelLaunchError):
             module.copy(a, out)
+
+
+    @pytest.mark.parametrize("shape", [(4, 4), (3000, 3)])
+    def test_rejected_vector_stream_leaves_no_texture(self, shape):
+        # (3000, 3) exceeds the 2048-texel limit, so it would be tiled.
+        rt = BrookRuntime(backend="gles2", device="videocore-iv")
+        with pytest.raises(BackendError, match="element width 2"):
+            rt.stream(shape, element_width=2)
+        assert rt.device_memory_in_use() == 0
+        rt.close()
+        assert rt.device_memory_in_use() == 0
+
+
+@pytest.mark.parametrize("backend", ["gles2", "cal"])
+def test_target_limits_built_once(backend):
+    with BrookRuntime(backend=backend) as rt:
+        limits = rt.backend.target_limits()
+        rt.stream((4, 4))
+        assert rt.backend.target_limits() is limits
+
+
+class TestMismatchedInputStreams:
+    """cpu and CAL reject an input stream whose element count differs
+    from the output domain with a typed error, before anything runs."""
+
+    @pytest.mark.parametrize("backend", ["cpu", "cal"])
+    @pytest.mark.parametrize("shape", [(8, 8), (2, 2)])
+    def test_typed_error_before_evaluation(self, backend, shape,
+                                           monkeypatch):
+        with BrookRuntime(backend=backend) as rt:
+            module = rt.compile(
+                "kernel void copy(float a<>, out float o<>) { o = a; }")
+            a = rt.stream_from(np.ones(shape, dtype=np.float32))
+            out = rt.stream((4, 4))
+
+            def no_evaluation(*args, **kwargs):
+                raise AssertionError("the kernel was evaluated")
+
+            monkeypatch.setattr(rt.backend, "_evaluate", no_evaluation)
+            count = shape[0] * shape[1]
+            with pytest.raises(KernelLaunchError,
+                               match=f"input stream 'a' has {count} elements "
+                                     "but the output domain has 16"):
+                module.copy(a, out)
+            assert rt.statistics.launches == []
 
 
 class TestCALBackendEdges:

@@ -1,11 +1,13 @@
 """Unit tests for the simulated OpenGL ES 2.0 substrate."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.apps.handwritten_sgemm import HandwrittenSgemm
+from repro.backends.gles2_backend import BrookKernelShader
 from repro.core.exec.evaluator import layout_positions
 from repro.errors import GLES2Error
 from repro.gles2 import (
@@ -20,6 +22,7 @@ from repro.gles2 import (
 )
 from repro.gles2 import context as gles2_context
 from repro.gles2.shader import FragmentJob
+from repro.runtime import BrookRuntime
 from repro.runtime.numerics import decode_float_rgba8, encode_float_rgba8
 
 
@@ -281,14 +284,41 @@ class TestFragmentPositions:
                                       want.view(np.uint32)), (w, layout)
 
 
-class TestFragmentGridCache:
-    def test_draws_of_one_viewport_share_the_grid(self):
+class TestFragmentGrid:
+    def test_brook_pass_builds_no_grid(self, monkeypatch):
+        # A Brook pass reads its streams by texel, so the per-fragment
+        # coordinate grids are never built.
+        jobs = []
+        run = BrookKernelShader.run
+
+        def recording_run(shader, job):
+            jobs.append(job)
+            return run(shader, job)
+
+        monkeypatch.setattr(BrookKernelShader, "run", recording_run)
+        with BrookRuntime(backend="gles2", device="videocore-iv") as rt:
+            module = rt.compile(
+                "kernel void k(float a<>, out float r<>) {"
+                " float2 p = indexof(r); r = a + p.x; }")
+            out = rt.stream((5, 7))
+            module.k(rt.stream_from(np.ones((5, 7), dtype=np.float32)), out)
+        assert len(jobs) == 1
+        assert "texcoord" not in vars(jobs[0])
+        assert "frag_coord" not in vars(jobs[0])
+
+    def test_each_draw_builds_its_own_grid(self):
+        width, height = 9, 4
         recorder = _GridRecorder()
-        context = _draw_setup(shader=recorder)
-        context.draw_fullscreen_quad(viewport=(8, 4))
-        context.draw_fullscreen_quad(viewport=(8, 4))
+        context = _draw_setup(16, 16, shader=recorder)
+        context.draw_fullscreen_quad(viewport=(width, height))
+        context.draw_fullscreen_quad(viewport=(width, height))
         (tex_a, frag_a), (tex_b, frag_b) = recorder.grids
-        assert tex_a is tex_b and frag_a is frag_b
+        assert tex_a is not tex_b and frag_a is not frag_b
+        assert not tex_a.flags.writeable and not frag_a.flags.writeable
+        want_tex, want_frag = _fresh_grid(width, height)
+        assert np.array_equal(tex_a.view(np.uint64), want_tex.view(np.uint64))
+        assert np.array_equal(frag_a.view(np.uint64),
+                              want_frag.view(np.uint64))
 
     def test_grid_is_read_only(self):
         context = _draw_setup(shader=_TexcoordWriter())
@@ -309,48 +339,15 @@ class TestFragmentGridCache:
             assert np.array_equal(frag_coord.view(np.uint64),
                                   want_frag.view(np.uint64))
 
-    def test_cache_is_bounded(self):
-        context = _draw_setup(16, 16)
-        capacity = gles2_context._cached_fragment_grid.cache_info().maxsize
-        assert capacity == 8
-        for width in range(1, 17):
-            context.draw_fullscreen_quad(viewport=(width, 16))
-            assert gles2_context._cached_fragment_grid.cache_info().currsize \
-                <= capacity
-
-    def test_large_viewports_are_not_cached(self):
-        # Above the fragment limit each draw builds (and frees) its own
-        # grid, so a large draw keeps no grid memory alive.
-        width = 257
-        height = gles2_context._CACHED_GRID_FRAGMENTS // 256
-        recorder = _GridRecorder()
-        context = _draw_setup(512, 512, shader=recorder)
-        gles2_context._cached_fragment_grid.cache_clear()
-        context.draw_fullscreen_quad(viewport=(width, height))
-        context.draw_fullscreen_quad(viewport=(width, height))
-        assert gles2_context._cached_fragment_grid.cache_info().currsize == 0
-        (tex_a, frag_a), (tex_b, frag_b) = recorder.grids
-        assert tex_a is not tex_b and frag_a is not frag_b
-        assert not tex_a.flags.writeable and not frag_a.flags.writeable
-        want_tex, want_frag = _fresh_grid(width, height)
-        assert np.array_equal(tex_a.view(np.uint64), want_tex.view(np.uint64))
-        assert np.array_equal(frag_a.view(np.uint64),
-                              want_frag.view(np.uint64))
-
-    def test_handwritten_sgemm_is_unchanged(self, monkeypatch):
-        # Cold and warm cache against a fresh grid on every draw.
+    def test_handwritten_sgemm_is_unchanged(self):
+        # Values recorded when every draw shared a cached grid.
         sgemm = HandwrittenSgemm()
-        gles2_context._cached_fragment_grid.cache_clear()
-        cold = sgemm.run(16, seed=3)
-        warm = sgemm.run(16, seed=3)
-        monkeypatch.setattr(gles2_context, "_fragment_grid", _fresh_grid)
-        fresh = sgemm.run(16, seed=3)
-        for result in (cold, warm):
-            assert np.array_equal(result.c.view(np.uint32),
-                                  fresh.c.view(np.uint32))
-            assert (result.fragments, result.texture_fetches) == \
-                (fresh.fragments, fresh.texture_fetches)
-        np.testing.assert_allclose(fresh.c, sgemm.reference(16, seed=3),
+        result = sgemm.run(16, seed=3)
+        digest = hashlib.sha256(
+            np.ascontiguousarray(result.c, dtype=np.float32).tobytes())
+        assert digest.hexdigest()[:16] == "26a78179f3c61a96"
+        assert (result.fragments, result.texture_fetches) == (256, 8192)
+        np.testing.assert_allclose(result.c, sgemm.reference(16, seed=3),
                                    rtol=1e-2, atol=1e-2)
 
 
