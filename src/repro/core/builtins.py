@@ -118,7 +118,7 @@ BUILTINS: Dict[str, BuiltinFunction] = {
         _componentwise("saturate", 1, flop_cost=1, glsl="brook_saturate"),
         # Two-argument componentwise math.
         _componentwise("pow", 2, flop_cost=10, c_name="powf"),
-        _componentwise("fmod", 2, flop_cost=4, glsl="mod", c_name="fmodf"),
+        _componentwise("fmod", 2, flop_cost=4, glsl="brook_fmod", c_name="fmodf"),
         _componentwise("min", 2, flop_cost=1, c_name="fminf"),
         _componentwise("max", 2, flop_cost=1, c_name="fmaxf"),
         _componentwise("atan2", 2, flop_cost=12, glsl="atan", c_name="atan2f"),

@@ -49,6 +49,9 @@ class CodeEmitter:
     #: Operators that need a function-call spelling in the target language
     #: (e.g. ``%`` becomes ``mod(a, b)`` in GLSL).  Overridden by subclasses.
     MODULO_AS_CALL: Optional[str] = None
+    #: Spelling of a float-typed ``%`` when it differs from an integer one
+    #: (GLSL's ``mod`` floors, Brook's ``%`` is C ``fmod``).
+    FLOAT_MODULO_AS_CALL: Optional[str] = None
 
     def __init__(self, kernel: ast.FunctionDef):
         self.kernel = kernel
@@ -72,6 +75,14 @@ class CodeEmitter:
     def emit_indexof(self, expr: ast.IndexOfExpr) -> str:
         raise NotImplementedError
 
+    def modulo_call(self, expr: ast.Expression) -> Optional[str]:
+        """Function spelling of the ``%`` or ``%=`` ``expr`` (``None``:
+        the infix operator); untyped nodes count as float."""
+        if self.FLOAT_MODULO_AS_CALL \
+                and not (expr.type is not None and expr.type.is_integer):
+            return self.FLOAT_MODULO_AS_CALL
+        return self.MODULO_AS_CALL
+
     # ------------------------------------------------------------------ #
     # Expressions
     # ------------------------------------------------------------------ #
@@ -90,13 +101,17 @@ class CodeEmitter:
         if isinstance(expr, ast.UnaryOp):
             return f"{expr.op}({self.emit_expr(expr.operand)})"
         if isinstance(expr, ast.BinaryOp):
-            if expr.op == "%" and self.MODULO_AS_CALL:
-                return (f"{self.MODULO_AS_CALL}({self.emit_expr(expr.left)}, "
+            call = self.modulo_call(expr) if expr.op == "%" else None
+            if call:
+                return (f"{call}({self.emit_expr(expr.left)}, "
                         f"{self.emit_expr(expr.right)})")
             return f"({self.emit_expr(expr.left)} {expr.op} {self.emit_expr(expr.right)})"
         if isinstance(expr, ast.Assignment):
-            return (f"{self.emit_expr(expr.target)} {expr.op} "
-                    f"{self.emit_expr(expr.value)}")
+            target = self.emit_expr(expr.target)
+            call = self.modulo_call(expr) if expr.op == "%=" else None
+            if call:
+                return f"{target} = {call}({target}, {self.emit_expr(expr.value)})"
+            return f"{target} {expr.op} {self.emit_expr(expr.value)}"
         if isinstance(expr, ast.Conditional):
             return (f"(({self.emit_expr(expr.cond)}) ? ({self.emit_expr(expr.then)}) "
                     f": ({self.emit_expr(expr.otherwise)}))")

@@ -24,6 +24,7 @@ from .. import ast_nodes as ast
 from ..builtins import lookup_builtin
 from ..types import BrookType, ParamKind
 from .base import CodeEmitter
+from .glsl_es import GLSL_HELPERS
 
 __all__ = ["DesktopGLSLGenerator", "generate_desktop_glsl"]
 
@@ -43,13 +44,14 @@ _TYPE_NAMES = {
 _PRELUDE = """\
 #extension GL_ARB_texture_rectangle : enable
 /* Desktop backend: float textures, non-normalized addressing. */
-"""
+""" + GLSL_HELPERS
 
 
 class DesktopGLSLGenerator(CodeEmitter):
     """Generates desktop GLSL (texture-rectangle addressing, float storage)."""
 
     MODULO_AS_CALL = "mod"
+    FLOAT_MODULO_AS_CALL = "brook_fmod"
 
     def __init__(self, kernel: ast.FunctionDef,
                  helpers: Optional[Sequence[ast.FunctionDef]] = None):

@@ -35,9 +35,20 @@ from .base import CodeEmitter
 __all__ = ["GLSLES1Generator", "generate_glsl_es"]
 
 
+#: Builtins GLSL lacks, shared by the GLSL ES and desktop preludes:
+#: ``saturate``, and Brook's ``fmod`` / float ``%``, which are C ``fmod``
+#: (the sign of the dividend) where GLSL's ``mod`` is
+#: ``x - y * floor(x / y)`` (the sign of the divisor).
+GLSL_HELPERS = "float brook_saturate(float x) { return clamp(x, 0.0, 1.0); }\n" \
+    + "".join(
+        f"{t} brook_fmod({t} a, {u} b) {{ return sign(a) * mod(abs(a), abs(b)); }}\n"
+        for t, u in (("float", "float"), ("vec2", "vec2"), ("vec3", "vec3"),
+                     ("vec4", "vec4"), ("vec2", "float"), ("vec3", "float"),
+                     ("vec4", "float")))
+
 #: GLSL ES 1.0 helper functions shared by every generated shader: the
 #: float<->RGBA8 arithmetic packing (numerical transformations of [16])
-#: and a saturate() helper (not part of GLSL ES).
+#: and :data:`GLSL_HELPERS`.
 _PRELUDE = """\
 precision highp float;
 
@@ -90,8 +101,7 @@ float __brook_decode_float(vec4 rgba) {
     return sign_bit > 0.5 ? -value : value;
 }
 
-float brook_saturate(float x) { return clamp(x, 0.0, 1.0); }
-"""
+""" + GLSL_HELPERS
 
 _TYPE_NAMES = {
     "float": "float",
@@ -111,6 +121,7 @@ class GLSLES1Generator(CodeEmitter):
     """Generates a GLSL ES 1.0 fragment shader for one Brook kernel."""
 
     MODULO_AS_CALL = "mod"
+    FLOAT_MODULO_AS_CALL = "brook_fmod"
 
     def __init__(self, kernel: ast.FunctionDef,
                  helpers: Optional[Sequence[ast.FunctionDef]] = None):

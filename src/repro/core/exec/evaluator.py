@@ -41,6 +41,7 @@ __all__ = [
     "apply_builtin",
     "construct_vector",
     "divide",
+    "fmod",
     "gather",
     "int_value",
     "layout_positions",
@@ -238,7 +239,7 @@ def apply_builtin(name: str, args: List, size: int):
     if name == "pow":
         return np.power(*align_pair(arrays[0], arrays[1]))
     if name == "fmod":
-        return np.fmod(*align_pair(arrays[0], arrays[1]))
+        return fmod(*align_pair(arrays[0], arrays[1]))
     if name in ("any", "all"):
         reducer = np.any if name == "any" else np.all
         return reducer(as_bool_array(arrays[0], size), axis=-1)
@@ -252,6 +253,12 @@ def store_local(env: Dict[str, np.ndarray], name: str, value,
     """``name = value`` on the lanes of ``mask`` (``None``: every lane);
     an int local truncates a non-int value.  Returns ``value``."""
     old = env.get(name)
+    if mask is None and type(value) is np.ndarray and type(old) is np.ndarray \
+            and value.dtype == old.dtype and value.shape == (size,) \
+            and old.shape == (size,):
+        # The common full-mask store: the elision below, decided first.
+        env[name] = value
+        return value
     if old is None:
         env[name] = materialize(value, size)
         return value
@@ -278,27 +285,67 @@ def store_local(env: Dict[str, np.ndarray], name: str, value,
 
 def int_value(value) -> np.ndarray:
     """What an ``int`` declaration stores: ints stay, bools cast, the
-    rest floors."""
+    rest truncates toward zero (C's conversion)."""
     if not _is_int_dtype(value):
-        value = np.asarray(np.floor(value), dtype=np.int32) \
+        value = np.asarray(np.trunc(value), dtype=np.int32) \
             if np.asarray(value).dtype.kind != "b" \
             else np.asarray(value, dtype=np.int32)
     return np.asarray(value)
 
 
+#: Below this quotient magnitude a float32 remainder is exact in float64.
+_EXACT_QUOTIENT = float(1 << 24)
+
+
+def fmod(left, right):
+    """Brook's ``fmod`` and float ``%``: C ``fmod``, bitwise as ``np.fmod``.
+
+    For float32 operands the remainder is computed in float64 as
+    ``x - trunc(x / y) * y`` with the sign of ``x``.  That is exact for
+    finite ``x``, nonzero finite ``y`` and ``|trunc(x / y)| < 2**24``:
+    the float64 quotient cannot round across an integer, the product
+    fits in 48 bits and the remainder is a float32.  Other lanes (zero
+    or infinite divisor, NaN or infinite dividend, larger quotients)
+    take ``np.fmod``, which runs glibc's bit loop and is several times
+    slower; so does every other dtype mix, on the operands as given, so
+    NumPy's promotion is unchanged.
+    """
+    x = np.asarray(left)
+    y = np.asarray(right)
+    if x.dtype != np.float32 or y.dtype != np.float32 \
+            or (x.ndim == 0 and y.ndim == 0):
+        return np.fmod(left, right)
+    wide_x = x.astype(np.float64)
+    wide_y = y.astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quotient = np.trunc(wide_x / wide_y)
+        remainder = wide_x - quotient * wide_y
+        exact = (np.abs(quotient) < _EXACT_QUOTIENT) & np.isfinite(remainder)
+    result = np.copysign(remainder, wide_x).astype(np.float32)
+    if not exact.all():
+        inexact = ~exact
+        x, y = np.broadcast_arrays(x, y)
+        result[inexact] = np.fmod(x[inexact], y[inexact])
+    return result
+
+
 def divide(left, right):
-    """``left / right`` of aligned operands: ints divide like C (0 by 0)."""
+    """``left / right`` of aligned operands: ints divide like C, truncating
+    toward zero (0 by 0)."""
     if _is_int_dtype(left) and _is_int_dtype(right):
-        return np.where(right != 0, left // np.where(right == 0, 1, right), 0)
+        divisor = np.where(right == 0, 1, right)
+        quotient = (left - np.fmod(left, divisor)) // divisor
+        return np.where(right != 0, quotient, 0)
     return left / np.asarray(right, dtype=np.float32)
 
 
 def modulo(left, right):
-    """``left % right`` of aligned operands: ints like C (0 by 0), floats
-    by ``fmod``."""
+    """``left % right`` of aligned operands: C's remainder, with the sign
+    of ``left`` (ints give 0 by 0)."""
     if _is_int_dtype(left) and _is_int_dtype(right):
-        return np.where(right != 0, left % np.where(right == 0, 1, right), 0)
-    return np.fmod(left, right)
+        divisor = np.where(right == 0, 1, right)
+        return np.where(right != 0, np.fmod(left, divisor), 0)
+    return fmod(left, right)
 
 
 def swizzle(base, indices: Sequence[int], member: str, size: int):

@@ -65,7 +65,37 @@ class GatherSource:
         raise NotImplementedError
 
 
-class NumpyGatherSource(GatherSource):
+class _HostArraySource(GatherSource):
+    """A gather over a host array: the data, its fetch count, and the read
+    of in-bounds integer indices both flavours below share."""
+
+    def __init__(self, data: np.ndarray):
+        array = np.asarray(data)
+        if array.ndim == 1:
+            array = array.reshape(1, -1)
+        self._data = array
+        self.shape = (array.shape[0], array.shape[1])
+        self._flat: Optional[np.ndarray] = None
+        self._fetches = 0
+
+    def _take(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Count and read ``data[rows, cols]`` for in-bounds int64 indices,
+        as one take from the row-major flattening (built on first use; a
+        copy only when the data is not contiguous)."""
+        self._fetches += int(rows.size)
+        if self._flat is None:
+            self._flat = self._data.reshape((-1,) + self._data.shape[2:])
+        return self._flat.take(rows * self.shape[1] + cols, axis=0)
+
+    def add_fetches(self, count: int) -> None:
+        self._fetches += int(count)
+
+    @property
+    def fetch_count(self) -> int:
+        return self._fetches
+
+
+class NumpyGatherSource(_HostArraySource):
     """Direct host-memory gather used by the CPU backend.
 
     Out-of-bounds indices raise :class:`~repro.errors.GatherBoundsError`
@@ -74,40 +104,26 @@ class NumpyGatherSource(GatherSource):
     unprotected behaviour of CPU (and CUDA/OpenCL) code.
     """
 
-    def __init__(self, data: np.ndarray):
-        array = np.asarray(data)
-        if array.ndim == 1:
-            array = array.reshape(1, -1)
-        self._data = array
-        self.shape = (array.shape[0], array.shape[1])
-        self._fetches = 0
-
     def fetch(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        rows = np.asarray(np.floor(rows), dtype=np.int64)
-        cols = np.asarray(np.floor(cols), dtype=np.int64)
         height, width = self.shape
-        if rows.size and (rows.min() < 0 or rows.max() >= height
-                          or cols.min() < 0 or cols.max() >= width):
+        # Checked on the float indices, where NaN fails every comparison;
+        # in bounds they are non-negative, so truncation is the floor.
+        if rows.size and not (rows.min() >= 0 and rows.max() < height
+                              and cols.min() >= 0 and cols.max() < width):
+            rows = np.asarray(np.floor(rows), dtype=np.int64)
+            cols = np.asarray(np.floor(cols), dtype=np.int64)
             raise GatherBoundsError(
                 "gather access out of bounds on the CPU backend: "
                 f"rows in [{rows.min()}, {rows.max()}], cols in "
                 f"[{cols.min()}, {cols.max()}] for array of shape {self.shape}"
             )
-        self._fetches += int(rows.size)
-        return self._data[rows, cols]
+        return self._take(rows.astype(np.int64), cols.astype(np.int64))
 
     def dense(self) -> Optional[np.ndarray]:
         return self._data
 
-    def add_fetches(self, count: int) -> None:
-        self._fetches += int(count)
 
-    @property
-    def fetch_count(self) -> int:
-        return self._fetches
-
-
-class ClampingGatherSource(GatherSource):
+class ClampingGatherSource(_HostArraySource):
     """Texture-unit style gather: coordinates are clamped to the edge.
 
     ``transform`` optionally post-processes fetched values (the GL ES 2
@@ -116,20 +132,14 @@ class ClampingGatherSource(GatherSource):
 
     def __init__(self, data: np.ndarray,
                  transform: Optional[Callable[[np.ndarray], np.ndarray]] = None):
-        array = np.asarray(data)
-        if array.ndim == 1:
-            array = array.reshape(1, -1)
-        self._data = array
-        self.shape = (array.shape[0], array.shape[1])
+        super().__init__(data)
         self._transform = transform
-        self._fetches = 0
 
     def fetch(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         height, width = self.shape
         rows = np.clip(np.asarray(np.floor(rows), dtype=np.int64), 0, height - 1)
         cols = np.clip(np.asarray(np.floor(cols), dtype=np.int64), 0, width - 1)
-        self._fetches += int(rows.size)
-        values = self._data[rows, cols]
+        values = self._take(rows, cols)
         if self._transform is not None:
             values = self._transform(values)
         return values
@@ -138,10 +148,3 @@ class ClampingGatherSource(GatherSource):
         # A value transform must run per fetch; the slice path cannot
         # model it, so transformed sources keep the generic path.
         return self._data if self._transform is None else None
-
-    def add_fetches(self, count: int) -> None:
-        self._fetches += int(count)
-
-    @property
-    def fetch_count(self) -> int:
-        return self._fetches

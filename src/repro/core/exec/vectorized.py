@@ -75,6 +75,7 @@ from .evaluator import (  # noqa: F401 - the generated source calls them
     as_bool_array,
     construct_vector,
     divide,
+    fmod,
     gather,
     int_value,
     materialize,
@@ -531,7 +532,7 @@ _NUMERIC = ("f", "i", "n")
 _UFUNC_BUILTINS = {
     "min": ("np.minimum", 2), "max": ("np.maximum", 2),
     "pow": ("np.power", 2), "atan2": ("np.arctan2", 2),
-    "fmod": ("np.fmod", 2), "clamp": ("_clamp", 3), "lerp": ("_lerp", 3),
+    "fmod": ("fmod", 2), "clamp": ("_clamp", 3), "lerp": ("_lerp", 3),
     "mix": ("_lerp", 3), "mad": ("_mad", 3),
     **{name: (f"np.{ufunc.__name__}", 1)
        for name, ufunc in UNARY_BUILTINS.items()},
@@ -759,7 +760,7 @@ class _Gen:
             if not is_int or kind == "i":
                 code = f"np.asarray({init})"
             elif kind == "f":
-                code, kind = f"np.asarray(np.floor({init}), dtype=np.int32)", \
+                code, kind = f"np.asarray(np.trunc({init}), dtype=np.int32)", \
                     "i"
             else:
                 code, kind = f"int_value({init})", "n"
@@ -1071,7 +1072,7 @@ class _Gen:
         if op in ("/", "%"):
             if floats:
                 return (f"({left} / {right})" if op == "/"
-                        else f"np.fmod({left}, {right})"), "f"
+                        else f"fmod({left}, {right})"), "f"
             helper = "divide" if op == "/" else "modulo"
             return f"{helper}(*align_pair({left}, {right}))", "n"
         if op in ("&&", "||"):

@@ -32,6 +32,14 @@ def _literal(value: float, is_float: bool, location) -> ast.NumberLiteral:
     return ast.NumberLiteral(location=location, value=value, is_float=is_float)
 
 
+def _c_divmod(left: int, right: int):
+    """C's integer ``/`` and ``%``: the quotient truncates toward zero."""
+    quotient = abs(left) // abs(right)
+    if (left < 0) != (right < 0):
+        quotient = -quotient
+    return quotient, left - right * quotient
+
+
 def _fold_expr(expr: ast.Expression) -> ast.Expression:
     # Recurse into children first (post-order folding).
     if isinstance(expr, ast.BinaryOp):
@@ -52,11 +60,13 @@ def _fold_expr(expr: ast.Expression) -> ast.Expression:
                 elif expr.op == "/":
                     if right == 0:
                         return expr
-                    value = left / right if is_float else float(int(left) // int(right))
+                    value = left / right if is_float \
+                        else float(_c_divmod(int(left), int(right))[0])
                 else:  # "%"
                     if right == 0:
                         return expr
-                    value = math.fmod(left, right) if is_float else float(int(left) % int(right))
+                    value = math.fmod(left, right) if is_float \
+                        else float(_c_divmod(int(left), int(right))[1])
             except (ArithmeticError, ValueError):
                 return expr
             return _literal(value, is_float, expr.location)

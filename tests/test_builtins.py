@@ -25,7 +25,7 @@ class TestCatalogue:
         assert BUILTINS["rsqrt"].glsl_name == "inversesqrt"
         assert BUILTINS["frac"].glsl_name == "fract"
         assert BUILTINS["lerp"].glsl_name == "mix"
-        assert BUILTINS["fmod"].glsl_name == "mod"
+        assert BUILTINS["fmod"].glsl_name == "brook_fmod"
 
 
 class TestResultTypes:
