@@ -49,6 +49,8 @@ __all__ = [
     "return_zeros",
     "store_local",
     "store_member",
+    "stored",
+    "stored_member",
     "swizzle",
 ]
 
@@ -248,20 +250,17 @@ def apply_builtin(name: str, args: List, size: int):
     raise RuntimeBrookError(f"builtin {name!r} has no evaluator implementation")
 
 
-def store_local(env: Dict[str, np.ndarray], name: str, value,
-                mask: Optional[np.ndarray], size: int):
-    """``name = value`` on the lanes of ``mask`` (``None``: every lane);
-    an int local truncates a non-int value.  Returns ``value``."""
-    old = env.get(name)
+def stored(value, old, mask: Optional[np.ndarray], size: int) -> np.ndarray:
+    """What a local holding ``old`` (``None``: not yet stored) holds after
+    ``= value`` on the lanes of ``mask`` (``None``: every lane); an int
+    local truncates a non-int value."""
     if mask is None and type(value) is np.ndarray and type(old) is np.ndarray \
             and value.dtype == old.dtype and value.shape == (size,) \
             and old.shape == (size,):
         # The common full-mask store: the elision below, decided first.
-        env[name] = value
         return value
     if old is None:
-        env[name] = materialize(value, size)
-        return value
+        return materialize(value, size)
     value_arr = np.asarray(value)
     if _is_int_dtype(old) and not _is_int_dtype(value_arr):
         value_arr = np.asarray(np.trunc(value_arr), dtype=np.int32)
@@ -275,11 +274,17 @@ def store_local(env: Dict[str, np.ndarray], name: str, value,
             if value_arr.dtype != old_arr.dtype:
                 value_arr = value_arr.astype(np.result_type(
                     value_arr.dtype, old_arr.dtype), copy=False)
-            env[name] = value_arr
-            return value
+            return value_arr
         mask = np.ones(size, dtype=bool)
-    env[name] = _merge_masked(materialize(old, size),
-                              materialize(value_arr, size), mask)
+    return _merge_masked(materialize(old, size),
+                         materialize(value_arr, size), mask)
+
+
+def store_local(env: Dict[str, np.ndarray], name: str, value,
+                mask: Optional[np.ndarray], size: int):
+    """``name = value`` on the lanes of ``mask`` (``None``: every lane);
+    an int local truncates a non-int value.  Returns ``value``."""
+    env[name] = stored(value, env.get(name), mask, size)
     return value
 
 
@@ -381,11 +386,10 @@ def construct_vector(width: int, size: int, args: Sequence) -> np.ndarray:
                      for c in columns], axis=1)
 
 
-def store_member(env: Dict[str, np.ndarray], name: str,
-                 indices: Sequence[int], member: str, value,
-                 mask: np.ndarray, size: int):
-    """``name.member = value`` on the lanes of ``mask``; returns ``value``."""
-    old = env.get(name)
+def stored_member(value, old, name: str, indices: Sequence[int],
+                  member: str, mask: np.ndarray, size: int) -> np.ndarray:
+    """What vector ``name``, holding ``old`` (``None``: undeclared), holds
+    after ``.member = value`` on the lanes of ``mask``."""
     if old is None:
         raise RuntimeBrookError(f"assignment to undeclared vector {name!r}")
     old = materialize(old, size)
@@ -398,7 +402,15 @@ def store_member(env: Dict[str, np.ndarray], name: str,
         component_value = value_arr[:, position] if value_arr.ndim == 2 \
             else value_arr
         new[:, component] = np.where(mask, component_value, old[:, component])
-    env[name] = new
+    return new
+
+
+def store_member(env: Dict[str, np.ndarray], name: str,
+                 indices: Sequence[int], member: str, value,
+                 mask: np.ndarray, size: int):
+    """``name.member = value`` on the lanes of ``mask``; returns ``value``."""
+    env[name] = stored_member(value, env.get(name), name, indices, member,
+                              mask, size)
     return value
 
 
@@ -777,13 +789,16 @@ class KernelEvaluator:
 
     def _store(self, target: ast.Expression, value, mask: np.ndarray,
                frame: _Frame) -> None:
+        env = frame.env
         if isinstance(target, ast.Identifier):
-            store_local(frame.env, target.name, value, mask, self._size)
+            env[target.name] = stored(value, env.get(target.name), mask,
+                                      self._size)
             return
         if isinstance(target, ast.MemberExpr) and isinstance(target.base, ast.Identifier):
-            store_member(frame.env, target.base.name,
-                         swizzle_indices(target.member), target.member,
-                         value, mask, self._size)
+            name = target.base.name
+            env[name] = stored_member(value, env.get(name), name,
+                                      swizzle_indices(target.member),
+                                      target.member, mask, self._size)
             return
         raise RuntimeBrookError(
             "assignment target must be a variable or a component of a vector "

@@ -85,7 +85,7 @@ class _HostArraySource(GatherSource):
         self._fetches += int(rows.size)
         if self._flat is None:
             self._flat = self._data.reshape((-1,) + self._data.shape[2:])
-        return self._flat.take(rows * self.shape[1] + cols, axis=0)
+        return self._flat.take(rows * self._data.shape[1] + cols, axis=0)
 
     def add_fetches(self, count: int) -> None:
         self._fetches += int(count)

@@ -8,13 +8,15 @@ compiled **once** into generated NumPy source: the compiler emits Python
 text for every straight-line region and ``compile()``s it once per
 :class:`VectorizedKernelProgram`, whose read-only ``source`` holds it.
 
-* a straight-line kernel is one generated ``launch`` function: parameter
-  binding, the per-launch check of its padded-slice plan, then the whole
-  body - gathers whose indices are affine in ``indexof`` and clamped to
-  the array edge read **padded-array slices** (one strided read instead
-  of a random fetch per lane), runs of ``acc = acc + w * gather`` fuse
-  into one 2-d accumulation, a row or column gathered at a uniform index
-  is one line read, and pure declarations nothing reads are swept;
+* a straight-line kernel is one generated ``launch`` function on Python
+  locals: one binding per parameter, the per-launch check of its
+  padded-slice plan, then the whole body - gathers whose indices are
+  affine in ``indexof`` and clamped to the array edge read **padded-array
+  slices** (one strided read instead of a random fetch per lane), runs
+  of ``acc = acc + w * gather`` fuse into one 2-d accumulation, a row or
+  column gathered at a uniform index is one line read, straight-line
+  helper calls are inlined, and pure declarations nothing reads are
+  swept.  The slice body and the per-lane body share their common tail;
 * a kernel with control flow runs a small region tree: each maximal
   straight-line run is one generated function and each condition one
   generated expression, and the ``if``/loop/``return`` drivers replay
@@ -83,6 +85,8 @@ from .evaluator import (  # noqa: F401 - the generated source calls them
     return_zeros,
     store_local,
     store_member,
+    stored,
+    stored_member,
     swizzle,
     where_select,
 )
@@ -131,6 +135,29 @@ def _flatten(body: ast.Statement):
             yield from _flatten(stmt)
     else:
         yield body
+
+
+def _straight_helper(helper: ast.FunctionDef) -> bool:
+    """Whether a helper body is declarations and expression statements
+    ending in ``return value`` (so it has a frame-free full-mask path)."""
+    stmts = list(_flatten(helper.body))
+    return bool(stmts) and isinstance(stmts[-1], ast.ReturnStatement) \
+        and stmts[-1].value is not None \
+        and all(isinstance(stmt, (ast.DeclStatement, ast.ExprStatement))
+                for stmt in stmts[:-1])
+
+
+def _local_ref(prefix: Optional[str]):
+    """How generated source names a local: an ``env`` entry, or the Python
+    local ``prefix + name``."""
+    return (lambda name: f"env[{name!r}]") if prefix is None \
+        else prefix.__add__
+
+
+def _indented(lines: List[str], prefix: str) -> List[str]:
+    """``lines`` (each one statement, maybe spanning several lines) with
+    every line indented by ``prefix``."""
+    return [prefix + line for chunk in lines for line in chunk.split("\n")]
 
 
 # --------------------------------------------------------------------------- #
@@ -402,20 +429,11 @@ def _logical(combine, left, right, size):
     return combine(as_bool_array(left, size), as_bool_array(right, size))
 
 
-def _clamp(x, low, high):
-    return np.minimum(np.maximum(x, low), high)
-
-
 def _lerp(a, b, t):
     return a + t * (b - a)
 
 
-def _mad(a, b, c):
-    return a * b + c
-
-
-def _gather(ctx, name, indices, line):
-    source = ctx.gathers.get(name)
+def _gather(ctx, source, indices, line):
     if source is None:
         raise RuntimeBrookError(
             "only gather-array parameters can be indexed during execution")
@@ -481,13 +499,6 @@ def _at_edge(bound, extent) -> bool:
     return bound.ndim == 0 and float(bound) == float(extent - 1)
 
 
-def _fresh(value, size):
-    """A frame-free helper's float32 width-1 result merged into float32
-    zeros on every lane: a fresh per-lane copy."""
-    return value.copy() if value.shape == (size,) \
-        else materialize(value, size)
-
-
 def _call_nodes(nodes, env, ctx):
     """A helper's masked path: a fresh frame under a copy of the caller's
     mask, exactly like KernelEvaluator._call_helper."""
@@ -526,15 +537,19 @@ def _owned(value, inputs):
 #: widths, as for ``_scalar_pair``.
 _NUMERIC = ("f", "i", "n")
 
-#: Builtins emitted as a bare ufunc when every argument is a proved
+#: Builtins emitted as bare ufuncs when every argument is a proved
 #: numeric of width 1 - exactly ``apply_builtin`` once its float32 casts
-#: and ``align_pair`` are no-ops: name -> (callable, arity).
+#: and ``align_pair`` are no-ops: name -> (source template over the
+#: arguments, arity).  Each template evaluates its arguments once, in
+#: order.
 _UFUNC_BUILTINS = {
-    "min": ("np.minimum", 2), "max": ("np.maximum", 2),
-    "pow": ("np.power", 2), "atan2": ("np.arctan2", 2),
-    "fmod": ("fmod", 2), "clamp": ("_clamp", 3), "lerp": ("_lerp", 3),
-    "mix": ("_lerp", 3), "mad": ("_mad", 3),
-    **{name: (f"np.{ufunc.__name__}", 1)
+    "min": ("np.minimum({0}, {1})", 2), "max": ("np.maximum({0}, {1})", 2),
+    "pow": ("np.power({0}, {1})", 2), "atan2": ("np.arctan2({0}, {1})", 2),
+    "fmod": ("fmod({0}, {1})", 2),
+    "clamp": ("np.minimum(np.maximum({0}, {1}), {2})", 3),
+    "lerp": ("_lerp({0}, {1}, {2})", 3), "mix": ("_lerp({0}, {1}, {2})", 3),
+    "mad": ("(({0} * {1}) + {2})", 3),
+    **{name: (f"np.{ufunc.__name__}({{0}})", 1)
        for name, ufunc in UNARY_BUILTINS.items()},
 }
 
@@ -631,7 +646,7 @@ class _Source:
         name = self.name(prefix)
         self.defs.append("\n".join([f"def {name}({params}):",
                                     "    n = ctx.size",
-                                    *("    " + line for line in lines)]))
+                                    *_indented(lines, "    ")]))
         return name
 
     def assign(self, prefix: str, code: str) -> str:
@@ -658,17 +673,43 @@ class _Gen:
     kernel's :func:`_fixed_locals` (``None`` in helper bodies, which have
     their own names): an ``indexof`` binding there holds for the whole
     launch, so ``idx.x`` is the launch's index column.
+
+    ``prefix`` selects where locals live: ``None`` is the region tree's
+    ``env`` dict; otherwise every local ``x`` is the Python local
+    ``prefix + x`` of a straight-line launch (``v_``) or of an inlined
+    helper body, which runs under the full mask.  There ``lanes`` holds
+    the width-1 locals proved to hold an ndarray with one entry per lane.
     """
 
     def __init__(self, src: _Source, function: ast.FunctionDef,
                  kinds: Dict[str, str], track: bool,
                  fixed: Optional[Dict[str, ast.DeclStatement]] = None,
-                 slice_mode: bool = False):
+                 slice_mode: bool = False, prefix: Optional[str] = None,
+                 lanes: Set[str] = frozenset()):
         self.src = src
         self.kinds = dict(kinds)
         self.track = track
         self._fixed = fixed
         self.slice_mode = slice_mode
+        self.prefix = prefix
+        #: The source that reads or writes a local, by name.
+        self.ref = _local_ref(prefix)
+        self.lanes = set(lanes)
+        #: Lines hoisted before the statement being generated (the bodies
+        #: of inlined helper calls); ``None`` where nothing may be hoisted.
+        self._pre: Optional[List[str]] = None
+        #: Whether the statement so far evaluates something with an effect
+        #: (a fetch, a store, a call that may raise) that a hoisted helper
+        #: body must not overtake.
+        self._effects = False
+        #: Name stem of the statement's inline sites, and their count.
+        self._site = ""
+        self._sites = 0
+        #: Static flop cost of every inlined helper body, per lane.
+        self.inline_cost = 0
+        #: Per-lane gather sites emitted (fetches the launch cannot count
+        #: statically).
+        self.fetch_sites = 0
         self.slice_plans: List[_SlicePlan] = []
         self._affine: Dict[str, _Affine] = {}
         #: Names each fast-body statement actually reads at runtime
@@ -692,11 +733,38 @@ class _Gen:
         else:
             self.kinds.pop(name, None)
 
+    def _read_old(self, name: str) -> None:
+        """A store that merges into ``name``'s old value reads it, so the
+        declaration that bound it is not swept."""
+        if self._reads is not None:
+            self._reads.add(name)
+
     # -- statements ------------------------------------------------------ #
     def statement(self, stmt: ast.Statement, defined: Set[str],
-                  masked: bool) -> Tuple[List[str], int]:
+                  masked: bool, index: int = 0) -> Tuple[List[str], int]:
         """Lines and static cost of one declaration or expression
-        statement; ``masked`` says ``ctx.mask`` may be a lane mask."""
+        statement; ``masked`` says ``ctx.mask`` may be a lane mask.  On
+        locals, helper calls may be inlined: their bodies are lines of
+        their own before the statement's, named after ``index``."""
+        if self.prefix is None:
+            return self._statement(stmt, defined, masked)
+        pre, (lines, cost) = self._hoisting(
+            index, lambda: self._statement(stmt, defined, masked))
+        return pre + lines, cost
+
+    def _hoisting(self, index: int, generate):
+        """``(hoisted lines, generate())``, generating statement ``index``
+        with helper-call inlining on."""
+        self._pre, self._effects = [], False
+        self._site, self._sites = f"{self.prefix}{index}_", 0
+        try:
+            result = generate()
+            return self._pre, result
+        finally:
+            self._pre = None
+
+    def _statement(self, stmt: ast.Statement, defined: Set[str],
+                   masked: bool) -> Tuple[List[str], int]:
         if isinstance(stmt, ast.DeclStatement):
             return self._decl(stmt, defined)
         if not isinstance(stmt, ast.ExprStatement):
@@ -704,7 +772,9 @@ class _Gen:
         expr = stmt.expr
         for node in expr.walk():    # a nested store's value is unknown
             if node is not expr:
-                self.kinds.pop(_assigned_target(node), None)
+                target = _assigned_target(node)
+                self.kinds.pop(target, None)
+                self.lanes.discard(target)
         if not isinstance(expr, ast.Assignment) \
                 or not isinstance(expr.target, ast.Identifier):
             code, cost, _ = self.expr(expr, defined)
@@ -713,18 +783,31 @@ class _Gen:
         value, cost, kind = self._assigned_value(expr, defined, lines)
         name = expr.target.name
         old = self.kinds.get(name)
-        target = f"env[{name!r}]"
+        target = self.ref(name)
+        scalar = _scalar_pair(expr.target, expr.value)
         if name not in defined and not masked:
             lines.append(f"{target} = materialize({value}, n)")
-        elif not masked and old == kind == "f" \
-                and _scalar_pair(expr.target, expr.value):
-            lines.append(f"{target} = _lanes({value}, n)")
+        elif not masked and old == kind == "f" and scalar:
+            if not (self._lane(expr.value)
+                    or (expr.op != "=" and self._lane(expr.target))):
+                value = f"_lanes({value}, n)"
+            lines.append(f"{target} = {value}")
             self._kills.add(name)
         else:
-            lines.append(f"store_local(env, {name!r}, {value}, ctx.mask, n)")
+            if self.prefix is None:
+                old_value, mask = f"env.get({name!r})", "ctx.mask"
+            else:
+                self._read_old(name)
+                old_value, mask = target, "None"
+            lines.append(f"{target} = stored({value}, {old_value}, {mask}, n)")
             kind = kind if name not in defined else _merged_kind(old, kind)
         defined.add(name)
         self._set_kind(name, kind)
+        # A full-mask store of one width-1 value leaves one entry per lane.
+        if scalar and not masked:
+            self.lanes.add(name)
+        else:
+            self.lanes.discard(name)
         return lines, cost
 
     def _assigned_value(self, expr: ast.Assignment, defined: Set[str],
@@ -733,6 +816,9 @@ class _Gen:
         ``target op value`` after the value, like the interpreter (the
         value runs twice and its flops count twice); the first run is a
         line of its own when ``lines`` is given."""
+        if expr.op != "=":
+            # A hoisted helper body would run once for the two values.
+            self._effects = True
         value, cost, kind = self.expr(expr.value, defined)
         if expr.op == "=":
             return value, cost, kind
@@ -748,6 +834,7 @@ class _Gen:
 
     def _decl(self, stmt: ast.DeclStatement, defined: Set[str]):
         is_int = stmt.decl_type.kind is ScalarKind.INT
+        lane = stmt.decl_type.width == 1
         if stmt.init is None:
             width = stmt.decl_type.width
             shape = "n" if width == 1 else f"(n, {width})"
@@ -757,8 +844,9 @@ class _Gen:
         else:
             # A float declaration stores its initializer unconverted.
             init, cost, kind = self.expr(stmt.init, defined)
+            lane = lane and self._lane(stmt.init)
             if not is_int or kind == "i":
-                code = f"np.asarray({init})"
+                code = init if lane else f"np.asarray({init})"
             elif kind == "f":
                 code, kind = f"np.asarray(np.trunc({init}), dtype=np.int32)", \
                     "i"
@@ -766,7 +854,11 @@ class _Gen:
                 code, kind = f"int_value({init})", "n"
         defined.add(stmt.name)
         self._set_kind(stmt.name, kind)
-        return [f"env[{stmt.name!r}] = {code}"], cost
+        if lane:
+            self.lanes.add(stmt.name)
+        else:
+            self.lanes.discard(stmt.name)
+        return [f"{self.ref(stmt.name)} = {code}"], cost
 
     def nodes(self, body: ast.Statement, defined: Set[str]) -> Tuple[str, int]:
         """The region tree of ``body`` as list source, plus the static cost
@@ -844,7 +936,7 @@ class _Gen:
         still charged) and stencil runs fused (slice mode)."""
         stmts = []
         flops = 0
-        for stmt in _flatten(body):
+        for index, stmt in enumerate(_flatten(body)):
             self._reads, self._kills = set(), set()
             stencil = None
             if isinstance(stmt, ast.DeclStatement):
@@ -855,7 +947,7 @@ class _Gen:
                 if self.slice_mode and stmt.decl_type.width == 1 \
                         and stmt.init is not None:
                     affine = self._extract_affine(stmt.init, defined)
-                lines, cost = self.statement(stmt, defined, masked=False)
+                lines, cost = self.statement(stmt, defined, False, index)
                 self._uniform_scalars.discard(stmt.name)
                 if stmt.decl_type.width == 1 \
                         and stmt.decl_type.kind is ScalarKind.FLOAT:
@@ -883,14 +975,20 @@ class _Gen:
                 match = self._match_stencil(stmt.expr) if self.slice_mode \
                     else None
                 plans_before = len(self.slice_plans)
-                lines, cost = self.statement(stmt, defined, masked=False)
+                acc_kind = None if match is None else self.kinds.get(match[0])
+                lines, cost = self.statement(stmt, defined, False, index)
                 if match is not None \
                         and len(self.slice_plans) == plans_before + 1:
                     acc_name, weight_expr, gather_left = match
-                    weight = None if weight_expr is None \
-                        else self.expr(weight_expr, defined)[0]
+                    weight, weight_kind = None, "f"
+                    if weight_expr is not None:
+                        weight, _, weight_kind = self.expr(weight_expr,
+                                                           defined)
+                    # A float32 accumulator plus float32 terms (the slice
+                    # is float32) stays float32: ``+=`` is then exact.
                     stencil = (acc_name, weight, gather_left,
-                               len(self.slice_plans) - 1)
+                               len(self.slice_plans) - 1,
+                               acc_kind == weight_kind == "f")
                 decl, removable = None, False
             else:
                 raise _Unsupported(type(stmt).__name__)
@@ -900,7 +998,7 @@ class _Gen:
             self._reads = None
         keep = _sweep_dead_decls(stmts)
         return _fuse_stencil_runs(
-            [s for s, live in zip(stmts, keep) if live]), flops
+            [s for s, live in zip(stmts, keep) if live], self.ref), flops
 
     def _match_stencil(self, expr: ast.Expression
                        ) -> Optional[Tuple[str, Optional[ast.Expression],
@@ -1010,7 +1108,7 @@ class _Gen:
                 self._reads.add(name)
             if name not in defined:
                 raise _Unsupported(f"read of undefined name {name!r}")
-            return f"env[{name!r}]", 0, self.kinds.get(name)
+            return self.ref(name), 0, self.kinds.get(name)
         if isinstance(expr, ast.UnaryOp):
             code, cost, kind = self.expr(expr.operand, defined)
             if expr.op == "-":
@@ -1053,6 +1151,7 @@ class _Gen:
                 return f"ctx.column({axis!r})", 0, "f"
             base, cost, kind = self.expr(expr.base, defined)
             indices = swizzle_indices(expr.member)
+            self._effects = True
             return f"swizzle({base}, {indices!r}, {expr.member!r}, n)", \
                 cost, kind
         if isinstance(expr, ast.IndexOfExpr):
@@ -1066,6 +1165,7 @@ class _Gen:
                 else _arith_kind(left_kind, right_kind)
             if scalar_pair:
                 return f"({left} {op} {right})", kind
+            self._effects = True
             return (f"operator.{_OPERATOR_NAMES[op]}"
                     f"(*align_pair({left}, {right}))", kind)
         floats = scalar_pair and left_kind == right_kind == "f"
@@ -1084,27 +1184,59 @@ class _Gen:
         """An assignment nested in an expression: the generic store."""
         value, cost, kind = self._assigned_value(expr, defined, None)
         target = expr.target
-        if isinstance(target, ast.Identifier):
-            defined.add(target.name)
-            self.kinds.pop(target.name, None)
-            return (f"store_local(env, {target.name!r}, {value}, ctx.mask, n)",
-                    cost, kind)
+        self._effects = True
         if isinstance(target, ast.MemberExpr) \
                 and isinstance(target.base, ast.Identifier):
+            name = target.base.name
             indices = swizzle_indices(target.member)
-            return (f"store_member(env, {target.base.name!r}, {indices!r}, "
-                    f"{target.member!r}, {value}, ctx.live, n)", cost, kind)
-        raise _Unsupported("unsupported assignment target")
+            if self.prefix is None:
+                return (f"store_member(env, {name!r}, {indices!r}, "
+                        f"{target.member!r}, {value}, ctx.live, n)", cost, kind)
+            store = (f"stored_member((_v := {value}), {self._old(name, defined)}"
+                     f", {name!r}, {indices!r}, {target.member!r}, ctx.live, n)")
+        elif isinstance(target, ast.Identifier):
+            name = target.name
+            if self.prefix is None:
+                defined.add(name)
+                self.kinds.pop(name, None)
+                return (f"store_local(env, {name!r}, {value}, ctx.mask, n)",
+                        cost, kind)
+            store = (f"stored((_v := {value}), {self._old(name, defined)}, "
+                     "None, n)")
+            defined.add(name)
+            self.kinds.pop(name, None)
+        else:
+            raise _Unsupported("unsupported assignment target")
+        # On locals the store rebinds the local and yields the value.
+        self.lanes.discard(name)
+        return f"(({self.ref(name)} := {store}), _v)[1]", cost, kind
+
+    def _old(self, name: str, defined: Set[str]) -> str:
+        """What a nested store on locals merges into: the local, or
+        ``None`` before its first store."""
+        if name not in defined:
+            return "None"
+        self._read_old(name)
+        return self.ref(name)
 
     def _call(self, expr: ast.CallExpr, defined: Set[str]):
+        # A helper call may be hoisted when nothing evaluated before it
+        # has an effect; its arguments then move along with it.
+        hoistable = self._pre is not None and not self._effects
         args = [self.expr(arg, defined) for arg in expr.args]
         codes = [code for code, _, _ in args]
         kinds = tuple(kind for _, _, kind in args)
         cost = sum(arg_cost for _, arg_cost, _ in args)
         builtin = lookup_builtin(expr.callee)
         if builtin is None:
-            helper, kind = self._helper(expr.callee, kinds)
-            return f"{helper}(ctx, {', '.join(codes)})", cost, kind
+            helper = self.src.helpers.get(expr.callee)
+            if hoistable and helper is not None and _straight_helper(helper):
+                self._effects = False
+                site, kind = self._inline(helper, expr.args, codes, kinds)
+                return site, cost, kind
+            self._effects = True
+            function, kind = self._helper(expr.callee, kinds)
+            return f"{function}(ctx, {', '.join(codes)})", cost, kind
         cost += builtin.flop_cost
         ufunc = _UFUNC_BUILTINS.get(expr.callee)
         if ufunc is not None and ufunc[1] == len(args) \
@@ -1114,9 +1246,10 @@ class _Gen:
             cast = [code if kind == "f"
                     else f"np.asarray({code}, dtype=np.float32)"
                     for code, kind in zip(codes, kinds)]
-            return f"{ufunc[0]}({', '.join(cast)})", cost, "f"
+            return ufunc[0].format(*cast), cost, "f"
         kind = "b" if expr.callee in ("any", "all") \
             else "f" if all(kind in _NUMERIC for kind in kinds) else None
+        self._effects = True
         return (f"apply_builtin({expr.callee!r}, [{', '.join(codes)}], n)",
                 cost, kind)
 
@@ -1126,6 +1259,7 @@ class _Gen:
         target = expr.target_type
         if target.width > 1:
             codes = "".join(f"{code}, " for code, _, _ in args)
+            self._effects = True
             return f"construct_vector({target.width}, n, ({codes}))", cost, "f"
         value = args[0][0]
         if target.kind is ScalarKind.INT:
@@ -1179,50 +1313,124 @@ class _Gen:
         self.src.compiling.add(name)
         try:
             params = [param.name for param in helper.params]
-            stmts = list(_flatten(helper.body))
-            straight = bool(stmts) \
-                and isinstance(stmts[-1], ast.ReturnStatement) \
-                and stmts[-1].value is not None \
-                and all(isinstance(stmt, (ast.DeclStatement, ast.ExprStatement))
-                        for stmt in stmts[:-1])
+            args = [f"a{i}" for i in range(len(arg_kinds))]
+            straight = _straight_helper(helper)
             kinds = dict(zip(params, arg_kinds))
             if not straight:
                 _drop_assigned(kinds, helper.body)
             nodes = self.src.assign("helper_nodes", _Gen(
                 self.src, helper, kinds, straight).nodes(helper.body,
                                                          set(params))[0])
-            bound = ", ".join(f"{param!r}: materialize(a{i}, n).copy()"
-                              for i, param in zip(range(len(arg_kinds)),
-                                                  params))
-            lines = [f"env = {{{bound}}}"]
+            lines: List[str] = []
             kind = "n"     # a merge into float32 zeros is never bool
             if straight:
-                fast = _Gen(self.src, helper, kinds, True)
-                defined = set(params)
-                body, cost = [], 0
-                for stmt in stmts[:-1]:
-                    stmt_lines, stmt_cost = fast.statement(stmt, defined, False)
-                    body += stmt_lines
-                    cost += stmt_cost
-                ret = stmts[-1].value
-                value, value_cost, value_kind = fast.expr(ret, defined)
-                if value_kind in ("f", "b"):
-                    kind = "f"
-                value = f"_fresh({value}, n)" \
-                    if value_kind == "f" and _width1(ret) else \
-                    f"_merge_masked(return_zeros(_v := {value}, n), _v, " \
-                    "ctx.full_mask)"
-                lines += ["if ctx.mask is None and n:",
-                          f"    ctx.stats.flops += {cost + value_cost} * n",
-                          *("    " + line for line in body),
-                          f"    return {value}"]
-            lines.append(f"return _call_nodes({nodes}, env, ctx)")
-            args = "".join(f", a{i}" for i in range(len(arg_kinds)))
-            function = self.src.function("helper", "ctx" + args, lines)
+                body, value, cost, kind = self._straight_body(
+                    helper, arg_kinds, args, [False] * len(args), "h_")
+                lines = ["if ctx.mask is None and n:",
+                         f"    ctx.stats.flops += {cost} * n",
+                         *_indented(body, "    "),
+                         f"    return {value}"]
+            bound = ", ".join(f"{param!r}: materialize({arg}, n).copy()"
+                              for arg, param in zip(args, params))
+            lines += [f"env = {{{bound}}}",
+                      f"return _call_nodes({nodes}, env, ctx)"]
+            function = self.src.function(
+                "helper", "ctx" + "".join(f", {arg}" for arg in args), lines)
         finally:
             self.src.compiling.discard(name)
         self.src.helper_functions[key] = (function, kind)
         return function, kind
+
+    def _straight_body(self, helper: ast.FunctionDef, arg_kinds: tuple,
+                       args: List[str], arg_lanes: List[bool], prefix: str):
+        """``(lines, value, cost, kind)`` of a straight-line helper body
+        under the full mask on locals named ``prefix + name``: the lines
+        binding the parameters to ``args`` and running the body, the
+        returned value as the caller receives it (a per-lane float32 or
+        the interpreter's merge into float32 zeros), the static flop cost
+        per lane, inlined helpers included, and the value's kind.
+
+        Like the interpreter's frame, a parameter holds one entry per
+        lane: an argument not proved so (``arg_lanes``) is materialized.
+        """
+        params = [param.name for param in helper.params]
+        stmts = list(_flatten(helper.body))
+        gen = _Gen(self.src, helper, dict(zip(params, arg_kinds)), True,
+                   prefix=prefix,
+                   lanes={param.name for param in helper.params
+                          if param.type.width == 1})
+        defined = set(params)
+        lines = [f"{prefix}{param} = {arg}" if lane else
+                 f"{prefix}{param} = materialize({arg}, n)"
+                 for param, arg, lane in zip(params, args, arg_lanes)]
+        cost = 0
+        for index, stmt in enumerate(stmts[:-1]):
+            stmt_lines, stmt_cost = gen.statement(stmt, defined, False, index)
+            lines += stmt_lines
+            cost += stmt_cost
+        ret = stmts[-1].value
+        pre, (value, value_cost, value_kind) = gen._hoisting(
+            len(stmts) - 1, lambda: gen.expr(ret, defined))
+        lines += pre
+        if value_kind == "f" and _width1(ret):
+            if not gen._lane(ret):
+                value = f"_lanes({value}, n)"
+        else:
+            value = (f"_merge_masked(return_zeros(_v := {value}, n), _v, "
+                     "ctx.full_mask)")
+        kind = "f" if value_kind in ("f", "b") else "n"
+        return lines, value, cost + value_cost + gen.inline_cost, kind
+
+    def _inline(self, helper: ast.FunctionDef, args: List[ast.Expression],
+                codes: List[str], arg_kinds: tuple) -> Tuple[str, str]:
+        """Hoist a straight-line helper call of a launch with lanes: its
+        arguments bind to locals, its body runs inline (its flops join the
+        launch's static cost) and its value lands in a local.  Returns
+        that local and the value's kind."""
+        if helper.name in self.src.compiling:
+            raise _Unsupported(f"recursive helper {helper.name!r}")
+        site = f"{self._site}{self._sites}"
+        self._sites += 1
+        self.src.compiling.add(helper.name)
+        try:
+            body, value, cost, kind = self._straight_body(
+                helper, arg_kinds, codes, [self._lane(arg) for arg in args],
+                site + "_")
+        finally:
+            self.src.compiling.discard(helper.name)
+        self.inline_cost += cost
+        self._pre += [*body, f"{site} = {value}"]
+        return site, kind
+
+    def _lane(self, expr: ast.Expression) -> bool:
+        """Whether ``expr``'s value, as emitted on locals, is proved an
+        ndarray with one entry per lane: a width-1 value computed
+        elementwise from at least one such value (the ``indexof`` column,
+        a gather, a local in ``lanes``), or a truth value the generated
+        source broadcasts.  A helper call's value is not proved: where no
+        lane returns, the general path yields the interpreter's 0-d zero."""
+        if self.prefix is None or not _width1(expr):
+            return False
+        if isinstance(expr, ast.Identifier):
+            return expr.name in self.lanes
+        if isinstance(expr, (ast.IndexExpr, ast.Conditional)):
+            return True
+        if isinstance(expr, ast.MemberExpr):
+            return self._index_axis(expr) is not None
+        if isinstance(expr, ast.UnaryOp):
+            return expr.op == "!" or self._lane(expr.operand)
+        if isinstance(expr, ast.BinaryOp):
+            return expr.op in ("&&", "||") or (
+                _scalar_pair(expr.left, expr.right)
+                and (self._lane(expr.left) or self._lane(expr.right)))
+        if isinstance(expr, ast.CallExpr):
+            return expr.callee in _UFUNC_BUILTINS \
+                and all(_width1(arg) for arg in expr.args) \
+                and any(self._lane(arg) for arg in expr.args)
+        if isinstance(expr, ast.ConstructorExpr):
+            return expr.target_type.kind is ScalarKind.BOOL \
+                or self._lane(expr.args[0])
+        return False
 
     def _gather(self, expr: ast.IndexExpr, defined: Set[str]):
         index_exprs: List[ast.Expression] = []
@@ -1245,7 +1453,11 @@ class _Gen:
         line = {("y", None): "y", (None, "x"): "x"}.get(
             tuple(self._index_axis(index) for index in index_exprs))
         codes = "".join(f"{code}, " for code, _, _ in indices)
-        return (f"_gather(ctx, {node.name!r}, ({codes}), {line!r})",
+        source = f"ctx.gathers.get({node.name!r})" if self.prefix is None \
+            else f"g_{node.name}"
+        self._effects = True
+        self.fetch_sites += 1
+        return (f"_gather(ctx, {source}, ({codes}), {line!r})",
                 sum(cost for _, cost, _ in indices), None)
 
     def _slice_gather(self, name: str, index_exprs: List[ast.Expression],
@@ -1269,18 +1481,19 @@ class _Gen:
         # compiles (and charges) the index expressions.  The cost-only
         # compile must not register runtime reads, or the slice-served
         # index locals would never become dead.
-        saved_reads = self._reads
-        self._reads = None
+        saved = self._reads, self._pre, self._effects
+        self._reads = self._pre = None
         try:
             cost = sum(self.expr(index, defined)[1] for index in index_exprs)
         finally:
-            self._reads = saved_reads
+            self._reads, self._pre, self._effects = saved
         self.slice_plans.append(_SlicePlan(name, row_aff.offset, col_aff.offset,
                                            row_aff.hi, col_aff.hi))
         # The window depends on the array's pad, known once every plan
         # is: ``_SLICE_VIEW`` marks it until then.  The prologue counts
-        # a fetch per lane for every evaluation of the view.
-        return f"<view {len(self.slice_plans) - 1}>.reshape(-1)", cost, None
+        # a fetch per lane for every evaluation of the view, and checks
+        # that the array is float32.
+        return f"<view {len(self.slice_plans) - 1}>.reshape(-1)", cost, "f"
 
 
 _SLICE_VIEW = re.compile(r"<view (\d+)>")
@@ -1325,7 +1538,7 @@ def _fixed_locals(kernel: ast.FunctionDef) -> Dict[str, ast.DeclStatement]:
             and decl.decl_type.kind is ScalarKind.FLOAT}
 
 
-def _fuse_stencil_runs(stmts: List[tuple]) -> List[str]:
+def _fuse_stencil_runs(stmts: List[tuple], ref) -> List[str]:
     """The lines of ``stmts``, with each run of >= 2 consecutive
     same-accumulator stencil statements replaced by one fused step.
 
@@ -1334,8 +1547,10 @@ def _fuse_stencil_runs(stmts: List[tuple]) -> List[str]:
     keeps the same operand order and op sequence over the 2-d padded
     slices and flattens once at the end.  Elementwise IEEE ops commute
     with reshape, so the result is bit-identical while skipping one
-    strided-view copy per gather.  The in-place accumulate is guarded to
-    identical dtype/shape, where ``+=`` and ``+`` produce the same bits.
+    strided-view copy per gather.  The accumulate is in place where ``+=``
+    and ``+`` produce the same bits: ``+=`` when the accumulator and every
+    weight are proved float32 (the slices are), else guarded at run time
+    to identical dtype/shape.  ``ref`` gives the source of a local.
     """
     out: List[str] = []
     run: List[tuple] = []
@@ -1344,18 +1559,20 @@ def _fuse_stencil_runs(stmts: List[tuple]) -> List[str]:
         if len(run) < 2:
             out.extend(line for stmt in run for line in stmt[0])
         else:
-            acc = run[0][4][0]
-            out.append(f"_s = env[{acc!r}]")
+            acc = ref(run[0][4][0])
+            exact = all(stmt[4][4] for stmt in run)
+            out.append(f"_s = {acc}")
             for position, stmt in enumerate(run):
-                _, weight, gather_left, plan = stmt[4]
+                _, weight, gather_left, plan, _ = stmt[4]
                 view = f"<view {plan}>"
                 term = view if weight is None else \
                     f"{view} * {weight}" if gather_left else f"{weight} * {view}"
                 out.append(
-                    f"_s = _accumulate(_s, {term})" if position else
+                    (f"_s += {term}" if exact else
+                     f"_s = _accumulate(_s, {term})") if position else
                     f"_s = (_s if _s.ndim == 0 else _s.reshape(rows, cols)) "
                     f"+ {term}")
-            out.append(f"env[{acc!r}] = _s.reshape(-1)")
+            out.append(f"{acc} = _s.reshape(-1)")
         run.clear()
 
     for stmt in stmts:
@@ -1470,59 +1687,82 @@ def _param_kinds(kernel: ast.FunctionDef) -> Dict[str, str]:
     return kinds
 
 
-def _missing(message: str):
-    raise KernelLaunchError(message)
+#: The argument table and the interpreter's word for each parameter kind.
+_PARAM_TABLES = {ParamKind.STREAM: ("S", "input stream"),
+                 ParamKind.ITERATOR: ("S", "input stream"),
+                 ParamKind.SCALAR: ("A", "scalar argument"),
+                 ParamKind.GATHER: ("G", "gather array"),
+                 ParamKind.REDUCE: ("R", "reduce accumulator")}
 
 
-def _binding(kernel: ast.FunctionDef) -> Tuple[List[str], List[str]]:
-    """The launch prologue binding every parameter, with the
-    interpreter's checks and messages, and the output epilogue."""
-    lines, streams, outs = [], [], []
-    sources = {ParamKind.STREAM: ("S", "input stream", "np.asarray"),
-               ParamKind.ITERATOR: ("S", "input stream", "np.asarray"),
-               ParamKind.SCALAR: ("A", "scalar argument", "np.asarray"),
-               ParamKind.GATHER: ("G", "gather array", None),
-               ParamKind.REDUCE: ("R", "reduce accumulator", "np.array")}
+def _missing(kernel_name: str, wanted: tuple, S, A, G, R) -> None:
+    """Raise the interpreter's error for the first parameter, in parameter
+    order, whose argument is missing; ``wanted`` holds ``(table, what,
+    name)`` per bound parameter.  Returns if none is missing."""
+    tables = {"S": S, "A": A, "G": G, "R": R}
+    for table, what, name in wanted:
+        if name not in tables[table]:
+            raise KernelLaunchError(
+                f"missing {what} {name!r} for kernel {kernel_name!r}") from None
+
+
+def _binding(kernel: ast.FunctionDef, src: _Source, prefix: Optional[str]
+             ) -> Tuple[List[str], List[str]]:
+    """The launch prologue binding every parameter once and the output
+    epilogue.  A missing argument surfaces as the table's ``KeyError``,
+    which one handler turns into the interpreter's error."""
+    ref = _local_ref(prefix)
+    lines, wanted, zeros, streams, outs = [], [], [], [], []
     for param in kernel.params:
-        name, target = param.name, f"env[{param.name!r}]"
+        name, target = param.name, ref(param.name)
         if param.kind is ParamKind.OUT_STREAM:
             width = param.type.width
             shape = "n" if width == 1 else f"(n, {width})"
-            lines.append(f"{target} = np.zeros({shape}, dtype=np.float32)")
+            zeros.append(f"{target} = np.zeros({shape}, dtype=np.float32)")
             outs.append(name)
             continue
-        table, what, convert = sources[param.kind]
-        message = f"missing {what} {name!r} for kernel {kernel.name!r}"
-        if convert is None:
-            lines.append(f"{name!r} in G or _missing({message!r})")
+        table, what = _PARAM_TABLES[param.kind]
+        wanted.append((table, what, name))
+        if param.kind is ParamKind.GATHER:
+            lines.append(f"G[{name!r}]" if prefix is None
+                         else f"g_{name} = G[{name!r}]")
             continue
         dtype = "int32" if param.kind is ParamKind.SCALAR \
             and param.type.kind is ScalarKind.INT else "float32"
-        copy = ", copy=True" if param.kind is ParamKind.REDUCE else ""
-        lines.append(f"{target} = {convert}({table}[{name!r}] if {name!r} in "
-                     f"{table} else _missing({message!r}), "
-                     f"dtype=np.{dtype}{copy})")
         if param.kind is ParamKind.REDUCE:
+            lines.append(f"{target} = np.array(R[{name!r}], "
+                         f"dtype=np.{dtype}, copy=True)")
             outs.append(name)
-        elif table == "S":
+            continue
+        lines.append(f"{target} = np.asarray({table}[{name!r}], "
+                     f"dtype=np.{dtype})")
+        if table == "S":
             streams.append(target)
+    if wanted:
+        lines = ["try:", *_indented(lines, "    "),
+                 "except KeyError:",
+                 f"    _missing({src.const(kernel.name)}, "
+                 f"{src.const(tuple(wanted))}, S, A, G, R)",
+                 "    raise"]
+    lines += zeros
     if streams:
         lines.append(f"stats.stream_reads = {len(streams)} * n")
     lines.append(f"inputs = ({''.join(s + ', ' for s in streams)})")
-    outputs = ", ".join(f"{name!r}: _owned(env[{name!r}], inputs)"
+    outputs = ", ".join(f"{name!r}: _owned({ref(name)}, inputs)"
                         for name in outs)
     return lines, [f"stats.stream_writes = {len(outs)} * n",
                    f"return {{{outputs}}}, stats"]
 
 
 def _slice_prologue(plans: List[_SlicePlan], uses: Counter
-                    ) -> Tuple[List[str], Dict[str, int]]:
+                    ) -> Tuple[List[str], List[str], Dict[str, int], int]:
     """The per-launch check of the slice plans (layout matches every
-    array's shape, every upper clamp is ``extent - 1``) and the pad of
-    each array; sets ``ok`` and, in the ``if ok:`` block it ends with,
-    binds the padded ``p_<name>``.  The body evaluates plan ``i``'s view
-    ``uses[i]`` times (a compound store evaluates its value twice), each
-    a fetch per lane, so the fetches are counted here."""
+    float32 array's shape, every upper clamp is ``extent - 1``), which
+    sets ``ok``; the lines that open the ``if ok:`` branch, binding the
+    padded ``p_<name>``; the pad of each array; and the fetches per lane.
+    The body evaluates plan ``i``'s view ``uses[i]`` times (a compound
+    store evaluates its value twice), each a fetch per lane, so the
+    fetches are counted here."""
     pads: Dict[str, int] = {}
     for plan in plans:
         pads[plan.name] = max(pads.get(plan.name, 0), abs(plan.dy),
@@ -1530,30 +1770,102 @@ def _slice_prologue(plans: List[_SlicePlan], uses: Counter
     checks = []
     for name in pads:
         checks += [f"d_{name} is not None", f"d_{name}.ndim == 2",
-                   f"d_{name}.shape == (rows, cols)"]
+                   f"d_{name}.shape == (rows, cols)",
+                   f"d_{name}.dtype == np.float32"]
     bounds = {(hi, extent) for plan in plans
               for hi, extent in ((plan.row_hi, "rows"), (plan.col_hi, "cols"))
               if hi is not None}
     checks += [f"_at_edge({hi}, {extent})" for hi, extent in sorted(bounds)]
-    lines = ["ok = layout is not None and index is None",
+    check = ["ok = layout is not None and index is None",
              "if ok:",
              "    rows, cols = layout",
              "    ok = rows * cols == n and rows <= _MAX_EXACT_EXTENT "
              "and cols <= _MAX_EXACT_EXTENT",
              "if ok:",
              "    try:",
-             *(f"        d_{name} = G[{name!r}].dense()" for name in pads),
+             *(f"        d_{name} = g_{name}.dense()" for name in pads),
              "        ok = " + " and ".join(checks),
              "    except Exception:",
-             "        ok = False",
-             "if ok:"]
+             "        ok = False"]
+    opening = []
+    fetches = 0
     for name, pad in pads.items():
         padded = f"_edge_pad(d_{name}, {pad})" if pad else f"d_{name}"
         count = sum(uses[i] for i, plan in enumerate(plans)
                     if plan.name == name)
-        lines += [f"    p_{name} = {padded}",
-                  f"    G[{name!r}].add_fetches({count} * n)"]
-    return lines, pads
+        fetches += count
+        opening += [f"p_{name} = {padded}",
+                    f"g_{name}.add_fetches({count} * n)"]
+    return check, opening, pads, fetches
+
+
+def _counting_fetches(lines: List[str]) -> List[str]:
+    """``lines`` with ``stats.gather_fetches`` set to the fetches the
+    gather sources count while they run."""
+    return ["fetched = _fetch_total(G)", *lines,
+            "stats.gather_fetches = _fetch_total(G) - fetched"]
+
+
+def _common_tail(first: List[str], second: List[str]) -> int:
+    """The number of trailing statements ``first`` and ``second`` share,
+    leaving each at least one of its own."""
+    count = 0
+    while count < min(len(first), len(second)) - 1 \
+            and first[-1 - count] == second[-1 - count]:
+        count += 1
+    return count
+
+
+def _straight_launch(src: _Source, kernel: ast.FunctionDef,
+                     kinds: Dict[str, str],
+                     fixed: Dict[str, ast.DeclStatement],
+                     defined: Set[str]) -> Tuple[List[str], int, bool]:
+    """The body of a straight-line launch on Python locals, its static
+    flops per lane (inlined helpers excluded) and whether it takes the
+    slice plan.
+
+    With slice plans the launch is ``if ok:`` slice body / ``else:``
+    per-lane body, then the statements both end with, emitted once.
+    The slice branch counts its fetches statically when every gather
+    there is slice-served; otherwise the fetch counters are read around
+    the per-lane reads.
+    """
+    lanes = {param.name for param in kernel.params
+             if param.kind is ParamKind.OUT_STREAM and param.type.width == 1}
+    fast = _Gen(src, kernel, kinds, True, fixed, slice_mode=True,
+                prefix="v_", lanes=lanes)
+    body, flops = fast.fast_body(kernel.body, set(defined))
+    plans = fast.slice_plans
+    if not plans:
+        body = [f"stats.flops += {flops + fast.inline_cost} * n", *body]
+        return (_counting_fetches(body) if fast.fetch_sites else body), \
+            flops, False
+    plain_gen = _Gen(src, kernel, kinds, True, fixed, prefix="v_",
+                     lanes=lanes)
+    plain = plain_gen.fast_body(kernel.body, set(defined))[0]
+    uses = Counter(int(view) for line in body
+                   for view in _SLICE_VIEW.findall(line))
+    check, opening, pads, fetches = _slice_prologue(plans, uses)
+    views = [f"p_{plan.name}[{pads[plan.name] + plan.dy}:"
+             f"{pads[plan.name] + plan.dy} + rows, "
+             f"{pads[plan.name] + plan.dx}:"
+             f"{pads[plan.name] + plan.dx} + cols]" for plan in plans]
+    body = [_SLICE_VIEW.sub(lambda m: views[int(m.group(1))], line)
+            for line in body]
+    shared = _common_tail(body, plain)
+    tail = body[len(body) - shared:]
+    sliced = [*opening, f"stats.flops += {flops + fast.inline_cost} * n",
+              *body[:len(body) - shared]]
+    per_lane = [f"stats.flops += {flops + plain_gen.inline_cost} * n",
+                *plain[:len(plain) - shared]]
+    static = not fast.fetch_sites
+    if static:
+        # Only the per-lane branch fetches through the sources.
+        sliced.insert(0, f"stats.gather_fetches = {fetches} * n")
+        per_lane = _counting_fetches(per_lane)
+    body = [*check, "if ok:", *_indented(sliced, "    "),
+            "else:", *_indented(per_lane, "    "), *tail]
+    return (body if static else _counting_fetches(body)), flops, True
 
 
 def _compile_program(kernel: ast.FunctionDef,
@@ -1564,49 +1876,34 @@ def _compile_program(kernel: ast.FunctionDef,
     fixed = _fixed_locals(kernel)
     kinds = _param_kinds(kernel)
     src = _Source(kernel.name, helpers)
-    binding, epilogue = _binding(kernel)
+    straight = is_straight_line(kernel.body)
+    binding, epilogue = _binding(kernel, src, "v_" if straight else None)
     launch = ["def launch(n, S, A, G, R, index, layout):",
               "    stats = KernelExecutionStats(elements=n)",
-              "    ctx = _VCtx(n, G, stats, index, layout)",
-              "    env = {}",
-              *("    " + line for line in binding)]
-    gathers = any(param.kind is ParamKind.GATHER for param in kernel.params)
-    if gathers:
-        launch.append("    fetched = _fetch_total(G)")
-    launch.append("    with np.errstate(all='ignore'):")
-    nodes, plans = "[]", []
-    if is_straight_line(kernel.body):
-        fast = _Gen(src, kernel, kinds, True, fixed, slice_mode=True)
-        body, flops = fast.fast_body(kernel.body, set(defined))
-        plans = fast.slice_plans
-        launch.append(f"        stats.flops += {flops} * n")
-        if plans:
-            plain = _Gen(src, kernel, kinds, True, fixed).fast_body(
-                kernel.body, set(defined))[0]
-            uses = Counter(int(view) for line in body
-                           for view in _SLICE_VIEW.findall(line))
-            prologue, pads = _slice_prologue(plans, uses)
-            views = [f"p_{plan.name}[{pads[plan.name] + plan.dy}:"
-                     f"{pads[plan.name] + plan.dy} + rows, "
-                     f"{pads[plan.name] + plan.dx}:"
-                     f"{pads[plan.name] + plan.dx} + cols]" for plan in plans]
-            body = prologue + [
-                *("    " + _SLICE_VIEW.sub(lambda m: views[int(m.group(1))],
-                                            line) for line in body),
-                "else:", *("    " + line for line in plain)]
-        launch += ["        " + line for line in body]
+              "    ctx = _VCtx(n, G, stats, index, layout)"]
+    nodes = "[]"
+    if straight:
+        body, flops, uses_slices = _straight_launch(src, kernel, kinds,
+                                                    fixed, defined)
+        launch += _indented(binding, "    ")
     else:
         _drop_assigned(kinds, kernel.body)
         nodes, flops = _Gen(src, kernel, kinds, False, fixed).nodes(
             kernel.body, set(defined))
         nodes = src.assign("kernel_nodes", nodes)
-        launch.append(f"        _run_nodes({nodes}, env, ctx, None, _Frame(n))")
-    if gathers:
-        launch.append("    stats.gather_fetches = _fetch_total(G) - fetched")
-    launch += ["    " + line for line in epilogue]
+        uses_slices = False
+        body = [f"_run_nodes({nodes}, env, ctx, None, _Frame(n))"]
+        if any(param.kind is ParamKind.GATHER for param in kernel.params):
+            body = _counting_fetches(body)
+        launch += ["    env = {}", *_indented(binding, "    ")]
+    # Like the interpreter, an empty launch runs no statement.
+    launch += ["    with np.errstate(all='ignore'):",
+               "        if n:",
+               *_indented(body, "            ")]
+    launch += _indented(epilogue, "    ")
     source = src.text(launch, nodes)
     return VectorizedKernelProgram(kernel, source, src.consts, flops,
-                                   bool(plans))
+                                   uses_slices)
 
 
 def build_vector_path(

@@ -157,12 +157,16 @@ class GLES2Context:
             if width <= 0 or height <= 0:
                 raise GLES2Error(f"invalid viewport {viewport}")
 
-        fetches_before = sum(t.sample_count for t in program.samplers.values())
+        # The bindings are read once: the job gets this copy, and the
+        # draw's fetches are what its textures count while the shader runs.
+        samplers = program.samplers
+        textures = tuple(samplers.values())
+        counts = [texture.sample_count for texture in textures]
         job = FragmentJob(
             width=width,
             height=height,
             uniforms=dict(program.uniforms),
-            samplers=program.samplers,
+            samplers=samplers,
         )
         rgba = program.shader.run(job)
         rgba = np.asarray(rgba, dtype=np.uint8)
@@ -172,7 +176,8 @@ class GLES2Context:
                 f"{(width * height, 4)}"
             )
         target.data[:height, :width] = rgba.reshape(height, width, 4)
-        fetches_after = sum(t.sample_count for t in program.samplers.values())
+        fetches = sum(texture.sample_count - count
+                      for texture, count in zip(textures, counts))
 
         flops = getattr(program.shader, "last_flops", None)
         if flops is None:
@@ -180,7 +185,7 @@ class GLES2Context:
         stats = DrawStats(
             program=program.name,
             fragments=width * height,
-            texture_fetches=fetches_after - fetches_before,
+            texture_fetches=fetches,
             flops=int(flops),
         )
         with self._lock:

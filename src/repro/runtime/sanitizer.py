@@ -113,11 +113,14 @@ class _CheckedGatherSource:
         self._inner.add_fetches(count)
 
     def fetch(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        row_idx = np.asarray(np.floor(rows), dtype=np.int64)
-        col_idx = np.asarray(np.floor(cols), dtype=np.int64)
         height, width = self._inner.shape
-        if row_idx.size and (row_idx.min() < 0 or row_idx.max() >= height
-                             or col_idx.min() < 0 or col_idx.max() >= width):
+        # Checked once on the float indices, where NaN fails every
+        # comparison: in bounds they are non-negative, so their floor is
+        # in bounds too.  Only a finding needs the floored ranges.
+        if rows.size and not (rows.min() >= 0 and rows.max() < height
+                              and cols.min() >= 0 and cols.max() < width):
+            row_idx = np.asarray(np.floor(rows), dtype=np.int64)
+            col_idx = np.asarray(np.floor(cols), dtype=np.int64)
             self._sanitizer.note_gather_oob(
                 self._name, self._kernel,
                 (int(row_idx.min()), int(row_idx.max())),

@@ -49,7 +49,7 @@ import numpy as np
 
 from ..core.analysis.sharding import ArgumentClass, ShardPlan, classify_kernel
 from ..core.analysis.tiling import PieceRect
-from ..core.exec.gather import GatherSource
+from ..core.exec.gather import GatherSource, _HostArraySource
 from ..errors import GatherBoundsError, StreamError
 from .partition import (
     PartitionedStorage,
@@ -81,7 +81,7 @@ class ShardedStorage(PartitionedStorage):
         return backend.devices[index]
 
 
-class HaloGatherSource(GatherSource):
+class HaloGatherSource(_HostArraySource):
     """Gather source serving global indices from a band-plus-halo slice.
 
     The band already contains every row/column the access-pattern
@@ -98,25 +98,44 @@ class HaloGatherSource(GatherSource):
 
     def __init__(self, band: np.ndarray, full_shape: Tuple[int, int],
                  row0: int, col0: int, clamping: bool):
-        band = np.asarray(band)
-        if band.ndim == 1:
-            band = band.reshape(1, -1)
-        self._band = band
+        super().__init__(band)
+        #: The full array's extent; the band's own is ``_data.shape``.
         self.shape = (int(full_shape[0]), int(full_shape[1]))
         self._row0 = int(row0)
         self._col0 = int(col0)
         self._clamping = bool(clamping)
-        self._fetches = 0
+        b_height, b_width = self._data.shape[0], self._data.shape[1]
+        #: The global rows and columns the band serves as they are.
+        self._inside = (max(0, self._row0),
+                        min(self.shape[0], self._row0 + b_height),
+                        max(0, self._col0),
+                        min(self.shape[1], self._col0 + b_width))
 
     def fetch(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        row_lo, row_hi, col_lo, col_hi = self._inside
+        # Checked on the float indices, where NaN fails every comparison;
+        # inside the band they are non-negative, so truncation is the
+        # floor.
+        if rows.size and not (rows.min() >= row_lo and rows.max() < row_hi
+                              and cols.min() >= col_lo
+                              and cols.max() < col_hi):
+            band_rows, band_cols = self._edge(rows, cols)
+        else:
+            band_rows = rows.astype(np.int64) - self._row0
+            band_cols = cols.astype(np.int64) - self._col0
+        return self._take(band_rows, band_cols)
+
+    def _edge(self, rows: np.ndarray, cols: np.ndarray):
+        """Band indices of a fetch reaching past the band: clamped, or the
+        backend's error."""
         rows = np.asarray(np.floor(rows), dtype=np.int64)
         cols = np.asarray(np.floor(cols), dtype=np.int64)
         height, width = self.shape
         if self._clamping:
             rows = np.clip(rows, 0, height - 1)
             cols = np.clip(cols, 0, width - 1)
-        elif rows.size and (rows.min() < 0 or rows.max() >= height
-                            or cols.min() < 0 or cols.max() >= width):
+        elif rows.min() < 0 or rows.max() >= height \
+                or cols.min() < 0 or cols.max() >= width:
             raise GatherBoundsError(
                 "gather access out of bounds on the CPU backend: "
                 f"rows in [{rows.min()}, {rows.max()}], cols in "
@@ -124,26 +143,20 @@ class HaloGatherSource(GatherSource):
             )
         band_rows = rows - self._row0
         band_cols = cols - self._col0
-        b_height, b_width = self._band.shape[0], self._band.shape[1]
+        b_height, b_width = self._data.shape[0], self._data.shape[1]
         if self._clamping:
             band_rows = np.clip(band_rows, 0, b_height - 1)
             band_cols = np.clip(band_cols, 0, b_width - 1)
-        elif band_rows.size and (
-                band_rows.min() < 0 or band_rows.max() >= b_height
-                or band_cols.min() < 0 or band_cols.max() >= b_width):
+        elif band_rows.min() < 0 or band_rows.max() >= b_height \
+                or band_cols.min() < 0 or band_cols.max() >= b_width:
             raise StreamError(
-                f"gather access escaped its shard halo band ({self._band.shape}"
-                f" at offset ({self._row0}, {self._col0}) of {self.shape}); "
-                "the stencil analysis mis-classified this kernel - please "
-                "report it (the launch would have been wrong on a real "
-                "device group)"
+                f"gather access escaped its shard halo band "
+                f"({self._data.shape} at offset ({self._row0}, {self._col0})"
+                f" of {self.shape}); the stencil analysis mis-classified "
+                "this kernel - please report it (the launch would have been "
+                "wrong on a real device group)"
             )
-        self._fetches += int(rows.size)
-        return self._band[band_rows, band_cols]
-
-    @property
-    def fetch_count(self) -> int:
-        return self._fetches
+        return band_rows, band_cols
 
 
 class DeviceGroup:

@@ -90,7 +90,31 @@ def prepare_request(runtime: BrookRuntime, request: ServiceRequest):
     return module, streams, plans
 
 
-def _signature_label(request: ServiceRequest) -> str:
+class _RequestKey:
+    """A request signature with its hash computed once.
+
+    The service interns one key per signature at submit, so its caches
+    (WCET bounds, planner decisions, the workers' prepared plans) find
+    their entries by identity: after submit no signature is rebuilt,
+    re-hashed or compared call by call.
+    """
+
+    __slots__ = ("signature", "_hash")
+
+    def __init__(self, signature: Tuple):
+        self.signature = signature
+        self._hash = hash(signature)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return self is other or (isinstance(other, _RequestKey)
+                                 and self._hash == other._hash
+                                 and self.signature == other.signature)
+
+
+def _signature_label(request: ServiceRequest, key: _RequestKey) -> str:
     """Stable human-readable identity of a request signature.
 
     The kernel chain plus a short signature digest: readable in reports,
@@ -98,7 +122,7 @@ def _signature_label(request: ServiceRequest) -> str:
     say) stay distinguishable.
     """
     digest = hashlib.sha1(
-        repr(request.signature()).encode("utf-8")).hexdigest()[:8]
+        repr(key.signature).encode("utf-8")).hexdigest()[:8]
     return "+".join(one_call.kernel for one_call in request.calls) \
         + "@" + digest
 
@@ -113,10 +137,13 @@ def _budget(request: ServiceRequest) -> Optional[float]:
 class _PendingItem:
     """One submitted request travelling through a worker queue."""
 
-    __slots__ = ("request", "future", "submitted_at", "wcet_s")
+    __slots__ = ("request", "key", "future", "submitted_at", "wcet_s")
 
-    def __init__(self, request: ServiceRequest, future: ServiceFuture):
+    def __init__(self, request: ServiceRequest, key: _RequestKey,
+                 future: ServiceFuture):
         self.request = request
+        #: The interned key of the request's signature.
+        self.key = key
         self.future = future
         self.submitted_at = time.perf_counter()
         #: The request's WCET bound in modelled seconds (deadline
@@ -211,16 +238,17 @@ class _ServiceWorker:
                 self._sig_stats.popitem(last=False)
         counters[0 if hit else 1] += 1
 
-    def _entry_for(self, request: ServiceRequest
+    def _entry_for(self, item: _PendingItem
                    ) -> "Tuple[_PreparedRequest, bool]":
-        key: Tuple = request.signature()
+        request = item.request
+        key: object = item.key
         chosen = None
         if self.service.plan_mode == "auto":
             # The planner decides first (PlanningError propagates to the
             # request's future); the chosen config joins the cache key,
             # so the same signature under a different deadline budget
             # can legitimately map to a differently-built entry.
-            decision = self.service._decision_for(request)
+            decision = self.service._decision_for(request, item.key)
             chosen = decision.choose(_budget(request))
             key = (key, chosen.config.key())
         entry = self._cache.get(key)
@@ -230,7 +258,7 @@ class _ServiceWorker:
             self._cache.move_to_end(key)
             return entry, True
         self._cache_misses += 1
-        label = _signature_label(request)
+        label = _signature_label(request, item.key)
         self._record_sig(label, hit=False)
         rt = self.runtime
         _module, streams, plans = prepare_request(rt, request)
@@ -252,7 +280,7 @@ class _ServiceWorker:
     def _process_batch(self, batch: List[_PendingItem]) -> None:
         for item in batch:
             try:
-                entry, cached = self._entry_for(item.request)
+                entry, cached = self._entry_for(item)
             except BaseException as exc:  # noqa: BLE001 - forwarded
                 self.service._complete(self, item, None, exc)
             else:
@@ -508,6 +536,9 @@ class BrookService:
         self._plan_lock = threading.Lock()
         self._autoplan_hits = 0
         self._autoplan_misses = 0
+        #: The interned key of each recent request signature.
+        self._keys: "OrderedDict[_RequestKey, _RequestKey]" = OrderedDict()
+        self._keys_lock = threading.Lock()
         self._round_robin = 0
         self.workers = [_ServiceWorker(self, index)
                         for index in range(self.pool_size)]
@@ -532,11 +563,11 @@ class BrookService:
             raise RuntimeBrookError(
                 "BrookService.submit expects a ServiceRequest")
         future = ServiceFuture(request)
-        item = _PendingItem(request, future)
+        item = _PendingItem(request, self._key_for(request), future)
         if self._track_deadlines:
             # Outside the dispatch lock: first derivation per signature
             # compiles the source.  Raises WCETError for unbounded work.
-            item.wcet_s = self._request_wcet_seconds(request)
+            item.wcet_s = self._request_wcet_seconds(request, item.key)
         rejection: Optional[DeadlineRejected] = None
         # Enqueue under the dispatch lock: a concurrent close() also
         # takes it before appending the stop sentinels, so a request
@@ -598,10 +629,21 @@ class BrookService:
         futures = [self.submit(request) for request in requests]
         return [future.result() for future in futures]
 
+    def _key_for(self, request: ServiceRequest) -> _RequestKey:
+        """The interned key of ``request``'s signature, built once per
+        submit."""
+        key = _RequestKey(request.signature())
+        with self._keys_lock:
+            key = self._keys.setdefault(key, key)
+            self._keys.move_to_end(key)
+            while len(self._keys) > max(64, 4 * self.plan_cache_size):
+                self._keys.popitem(last=False)
+        return key
+
     # ------------------------------------------------------------------ #
     # Auto-planning
     # ------------------------------------------------------------------ #
-    def _decision_for(self, request: ServiceRequest):
+    def _decision_for(self, request: ServiceRequest, key: _RequestKey):
         """The planner's decision for ``request`` (cached service-wide).
 
         Keyed ``(signature, platform, devices)``: the decision depends
@@ -613,7 +655,7 @@ class BrookService:
         creates streams and dry-run fuses only, so it adds no record to
         any worker's statistics.
         """
-        key = (request.signature(), self.platform, self.devices)
+        key = (key, self.platform, self.devices)
         with self._plan_lock:
             decision = self._plan_decisions.get(key)
             if decision is not None:
@@ -644,7 +686,8 @@ class BrookService:
     # ------------------------------------------------------------------ #
     # Deadline accounting helpers
     # ------------------------------------------------------------------ #
-    def _request_wcet_seconds(self, request: ServiceRequest) -> float:
+    def _request_wcet_seconds(self, request: ServiceRequest,
+                              key: _RequestKey) -> float:
         """WCET bound of ``request`` in modelled seconds (cached).
 
         Under ``plan="auto"`` this is the bound of the candidate the
@@ -660,14 +703,14 @@ class BrookService:
         exactly like the workers' prepared plans.
         """
         budget = _budget(request) if self.plan_mode == "auto" else None
-        key = (request.signature(), budget)
+        cache_key = (key, budget)
         with self._wcet_lock:
-            cached = self._wcet_cache.get(key)
+            cached = self._wcet_cache.get(cache_key)
             if cached is not None:
-                self._wcet_cache.move_to_end(key)
+                self._wcet_cache.move_to_end(cache_key)
                 return cached
         if self.plan_mode == "auto":
-            decision = self._decision_for(request)
+            decision = self._decision_for(request, key)
             try:
                 seconds = decision.choose(budget).wcet_s
             except PlanningError:
@@ -684,7 +727,7 @@ class BrookService:
                 limits=runtime.backend.target_limits(),
             ).seconds
         with self._wcet_lock:
-            self._wcet_cache[key] = seconds
+            self._wcet_cache[cache_key] = seconds
             while len(self._wcet_cache) > max(64, 4 * self.plan_cache_size):
                 self._wcet_cache.popitem(last=False)
         return seconds

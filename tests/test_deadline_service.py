@@ -321,3 +321,53 @@ class TestDeadlineServing:
                         for f in futures]
 
         assert run_once() == run_once()
+
+
+# --------------------------------------------------------------------------- #
+# One request signature per submit
+# --------------------------------------------------------------------------- #
+@pytest.fixture
+def signature_calls(monkeypatch):
+    """Names of the requests whose ``signature()`` was built."""
+    calls = []
+    real = ServiceRequest.signature
+
+    def counting(self):
+        calls.append(self.name)
+        return real(self)
+
+    monkeypatch.setattr(ServiceRequest, "signature", counting)
+    return calls
+
+
+@pytest.mark.parametrize("config,served,plan_cache,autoplan", [
+    ({}, 6, (5, 1), None),
+    ({"scheduler": "edf", "admission": True}, 4, (3, 1), None),
+    ({"scheduler": "edf", "admission": True, "plan": "auto"}, 4, (3, 1),
+     (5, 1)),
+])
+def test_signature_is_built_once_per_submit(signature_calls, config, served,
+                                            plan_cache, autoplan):
+    """The WCET cache, the planner's decisions and the worker's prepared
+    plans all key on the one signature built at submit, with the same
+    hits and misses as keying each on its own."""
+    data = frame()
+    requests = [make_request(data, deadline=60.0, name=f"ok{i}")
+                for i in range(3)]
+    requests += [make_request(data, deadline=1e-12, name=f"late{i}")
+                 for i in range(2)]
+    requests.append(make_request(data, deadline=60.0, name="ok3"))
+    with BrookService(backend="cpu", pool_size=1, **config) as service:
+        results = [service.submit(request).result(timeout=30)
+                   for request in requests]
+        report = service.service_report()
+    assert signature_calls == [request.name for request in requests]
+    assert sum(isinstance(result, ServiceResponse)
+               for result in results) == served
+    assert sum(isinstance(result, DeadlineRejected)
+               for result in results) == len(requests) - served
+    cache = report["workers"][0]["plan_cache"]
+    assert (cache["hits"], cache["misses"]) == plan_cache
+    if autoplan is not None:
+        decisions = report["autoplan"]["decision_cache"]
+        assert (decisions["hits"], decisions["misses"]) == autoplan

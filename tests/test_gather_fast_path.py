@@ -6,7 +6,9 @@ clamps the floored indices and reads the same way.  Both must behave as
 the 2-D fancy index over the floored int64 indices that the checks
 below use as an oracle: the same values (vector element types and
 sliced sources included), the same fetch counts and, on the CPU, the
-same ``GatherBoundsError`` text.
+same ``GatherBoundsError`` text.  The sharded halo source reads its band
+the same way (the band's ``StreamError`` included), and the sanitizer's
+checked source records the same out-of-bounds ranges.
 """
 
 import numpy as np
@@ -14,8 +16,10 @@ import pytest
 
 from repro.core.compiler import CompilerOptions
 from repro.core.exec.gather import ClampingGatherSource, NumpyGatherSource
-from repro.errors import GatherBoundsError
+from repro.errors import GatherBoundsError, StreamError
 from repro.runtime import BrookRuntime
+from repro.runtime.sanitizer import _CheckedGatherSource
+from repro.runtime.sharding import HaloGatherSource
 
 INTERP = CompilerOptions(enable_fast_path=False)
 VECTOR = CompilerOptions()
@@ -234,3 +238,155 @@ kernel void look2(float r<>, float c<>, float s[][], out float o<>) {
     o = s[c][r] + s[r][c] * 10.0;
 }
 """
+
+
+# --------------------------------------------------------------------------- #
+# The sharded halo source and the sanitizer's checked source
+# --------------------------------------------------------------------------- #
+def halo_oracle(band, shape, row0, col0, clamping, rows, cols):
+    """A halo band's fetch as the 2-D fancy index over floored int64
+    indices: the values, or the backend's error as ``(type, text)``."""
+    rows, cols = floored(rows), floored(cols)
+    height, width = shape
+    if clamping:
+        rows, cols = np.clip(rows, 0, height - 1), np.clip(cols, 0, width - 1)
+    elif rows.size and (rows.min() < 0 or rows.max() >= height
+                        or cols.min() < 0 or cols.max() >= width):
+        return GatherBoundsError, (
+            "gather access out of bounds on the CPU backend: "
+            f"rows in [{rows.min()}, {rows.max()}], cols in "
+            f"[{cols.min()}, {cols.max()}] for array of shape {shape}")
+    band_rows, band_cols = rows - row0, cols - col0
+    if clamping:
+        band_rows = np.clip(band_rows, 0, band.shape[0] - 1)
+        band_cols = np.clip(band_cols, 0, band.shape[1] - 1)
+    elif band_rows.size and (band_rows.min() < 0
+                             or band_rows.max() >= band.shape[0]
+                             or band_cols.min() < 0
+                             or band_cols.max() >= band.shape[1]):
+        return StreamError, (
+            f"gather access escaped its shard halo band ({band.shape} at "
+            f"offset ({row0}, {col0}) of {shape}); the stencil analysis "
+            "mis-classified this kernel - please report it (the launch "
+            "would have been wrong on a real device group)")
+    return band[band_rows, band_cols]
+
+
+#: ``(rows, cols)`` lane pairs of a 10 x 6 array served from rows 3-6.
+HALO_CASES = {
+    "in-band": (lanes(3.0, 6.9, 4.5, 5.0), lanes(0.0, 5.9, -0.0, 2.5)),
+    "empty": (lanes(), lanes()),
+    "off-band": (lanes(3.0, 7.0), lanes(1.0, 1.0)),
+    "above-band": (lanes(2.5, 4.0), lanes(1.0, 1.0)),
+    "off-array": (lanes(4.0, 10.0), lanes(1.0, 1.0)),
+    "negative": (lanes(4.0, 5.0), lanes(-0.5, 1.0)),
+    "non-finite": (lanes(np.nan, 4.0, np.inf), lanes(1.0, -np.inf, 2.0)),
+}
+
+
+class TestHaloFetch:
+    FULL = np.arange(10 * 6 * 2, dtype=np.float32).reshape(10, 6, 2)
+
+    @pytest.mark.parametrize("vector", [False, True])
+    @pytest.mark.parametrize("clamping", [False, True])
+    @pytest.mark.parametrize("case", sorted(HALO_CASES))
+    def test_matches_the_band_fancy_index(self, case, clamping, vector):
+        rows, cols = HALO_CASES[case]
+        band = self.FULL[3:7] if vector else self.FULL[3:7, :, 0]
+        source = HaloGatherSource(band, (10, 6), 3, 0, clamping)
+        with np.errstate(invalid="ignore"):
+            want = halo_oracle(np.asarray(band), (10, 6), 3, 0, clamping,
+                               rows, cols)
+            if isinstance(want, tuple):
+                with pytest.raises(want[0]) as error:
+                    source.fetch(rows, cols)
+                assert str(error.value) == want[1]
+                assert source.fetch_count == 0
+                return
+            got = source.fetch(rows, cols)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+        assert source.fetch_count == rows.size
+
+
+class _Findings:
+    """Stands in for the sanitizer: records what the source notes."""
+
+    def __init__(self):
+        self.noted = []
+
+    def note_gather_oob(self, *args):
+        self.noted.append(args)
+
+
+class TestSanitizedFetch:
+    @pytest.mark.parametrize("case", sorted(HALO_CASES))
+    def test_finding_ranges_and_values(self, case):
+        rows, cols = HALO_CASES[case]
+        findings = _Findings()
+        inner = ClampingGatherSource(DATA)
+        source = _CheckedGatherSource("a", inner, findings, "k")
+        with np.errstate(invalid="ignore"):
+            got = source.fetch(rows, cols)
+            want = clamped_oracle(DATA, rows, cols)
+            int_rows, int_cols = floored(rows), floored(cols)
+        np.testing.assert_array_equal(got, want)
+        assert source.fetch_count == rows.size
+        out = rows.size and (int_rows.min() < 0 or int_rows.max() >= 3
+                             or int_cols.min() < 0 or int_cols.max() >= 4)
+        assert findings.noted == ([(
+            "a", "k", (int(int_rows.min()), int(int_rows.max())),
+            (int(int_cols.min()), int(int_cols.max())), (3, 4))]
+            if out else [])
+
+
+SHARD_KERNELS = """
+kernel void blur(float src[][], float h, out float o<>) {
+    float2 p = indexof(o);
+    o = src[max(p.y - 1.0, 0.0)][p.x] + src[min(p.y + 1.0, h - 1.0)][p.x];
+}
+kernel void shifted(float src[][], out float o<>) {
+    float2 p = indexof(o);
+    o = src[p.y + 2.0][p.x];
+}
+"""
+
+
+def _sharded_gathers(backend, device, devices, options, kernel, frame):
+    """Output (or error), fetches and sanitizer findings of one launch."""
+    with BrookRuntime(backend=backend, device=device, devices=devices,
+                      compiler_options=options) as rt:
+        module = rt.compile(SHARD_KERNELS, strict=False)
+        out = rt.stream(frame.shape)
+        args = [rt.stream_from(frame)]
+        if kernel == "blur":
+            args.append(float(frame.shape[0]))
+        try:
+            getattr(module, kernel)(*args, out)
+            result = out.read().tobytes()
+        except Exception as error:      # compared, not hidden
+            result = (type(error), str(error))
+        return (result,
+                sum(record.texture_fetches
+                    for record in rt.statistics.launches),
+                [finding.kind for finding in rt.sanitizer.findings])
+
+
+@pytest.mark.parametrize("options", [INTERP, VECTOR])
+@pytest.mark.parametrize("kernel", ["blur", "shifted"])
+@pytest.mark.parametrize("backend,device", [("cpu", None),
+                                            ("gles2", "videocore-iv")])
+def test_sharded_sanitized_gathers_match_one_device(backend, device, kernel,
+                                                    options, monkeypatch):
+    monkeypatch.setenv("BROOKSAN", "1")
+    frame = np.random.default_rng(4).integers(0, 50, (12, 8)) \
+        .astype(np.float32)
+    single = _sharded_gathers(backend, device, 1, options, kernel, frame)
+    sharded = _sharded_gathers(backend, device, 2, options, kernel, frame)
+    if backend == "cpu" and kernel == "shifted":
+        # Each band reports its own lanes; both raise the CPU error.
+        assert single[0][0] is sharded[0][0] is GatherBoundsError
+        return
+    assert sharded[0] == single[0]
+    assert sharded[1] == single[1]
+    assert bool(single[2]) == (kernel == "shifted")

@@ -282,7 +282,7 @@ def test_admission_uses_the_chosen_candidate_bound():
     with BrookService(backend="gles2", pool_size=1, scheduler="edf",
                       admission=True, plan="auto") as service:
         response = service.submit(request).result()
-        decision = service._decision_for(request)
+        decision = service._decision_for(request, service._key_for(request))
     chosen = decision.choose(budget)
     assert chosen.config.fused_groups           # the fused pass fits
     assert response.wcet_s == chosen.wcet_s
