@@ -278,15 +278,21 @@ class Backend(abc.ABC):
         but out-of-bounds accesses are recorded as findings on every
         backend.
         """
-        sources = {
+        return self.checked_gathers({
             name: self.make_gather_source(self.device_view(stream.storage))
             for name, stream in gather_args.items()
-        }
-        sanitizer = getattr(self, "_sanitizer", None)
-        if sanitizer is not None:
-            sources = {name: sanitizer.checked_gather(name, source)
-                       for name, source in sources.items()}
-        return sources
+        })
+
+    def checked_gathers(self, sources: Dict[str, GatherSource]
+                        ) -> Dict[str, GatherSource]:
+        """``sources``, each wrapped with the sanitizer's bounds
+        shadow-check when this backend is sanitized.  The check reads a
+        source's ``shape``, so a source serving a part of a larger array
+        must report the whole array's extent."""
+        if self._sanitizer is None:
+            return sources
+        return {name: self._sanitizer.checked_gather(name, source)
+                for name, source in sources.items()}
 
     @abc.abstractmethod
     def launch(

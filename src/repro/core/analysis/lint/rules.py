@@ -357,7 +357,7 @@ def _check_straight_line(kernel: ast.FunctionDef, source_file: str,
             if vector_report is not None and vector_report.vectorizable:
                 how = ("masked vector execution"
                        if vector_report.divergent
-                       else "unmasked region-tree execution")
+                       else "unmasked control flow")
                 message += (f"; brookvec still runs it whole-array "
                             f"({vector_report.verdict}: {how})")
             elif vector_report is not None:

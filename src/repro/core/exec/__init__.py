@@ -14,8 +14,8 @@ There are two execution tiers, chosen in one place (:func:`evaluate`):
 * the **vector program** (:mod:`repro.core.exec.vectorized`): every
   kernel brookvec approves (BV-300/BV-301) is compiled once into
   generated NumPy source over the same primitives - one ``launch``
-  function for a straight-line kernel, one function per straight-line
-  region of a region tree otherwise;
+  function on Python locals, whose control flow (if any) runs over
+  lane-mask locals;
 * the **masked interpreter** (:mod:`repro.core.exec.evaluator`): runs
   everything else and is the bitwise reference the vector program is
   tested against.

@@ -47,8 +47,6 @@ __all__ = [
     "layout_positions",
     "modulo",
     "return_zeros",
-    "store_local",
-    "store_member",
     "stored",
     "stored_member",
     "swizzle",
@@ -280,14 +278,6 @@ def stored(value, old, mask: Optional[np.ndarray], size: int) -> np.ndarray:
                          materialize(value_arr, size), mask)
 
 
-def store_local(env: Dict[str, np.ndarray], name: str, value,
-                mask: Optional[np.ndarray], size: int):
-    """``name = value`` on the lanes of ``mask`` (``None``: every lane);
-    an int local truncates a non-int value.  Returns ``value``."""
-    env[name] = stored(value, env.get(name), mask, size)
-    return value
-
-
 def int_value(value) -> np.ndarray:
     """What an ``int`` declaration stores: ints stay, bools cast, the
     rest truncates toward zero (C's conversion)."""
@@ -403,15 +393,6 @@ def stored_member(value, old, name: str, indices: Sequence[int],
             else value_arr
         new[:, component] = np.where(mask, component_value, old[:, component])
     return new
-
-
-def store_member(env: Dict[str, np.ndarray], name: str,
-                 indices: Sequence[int], member: str, value,
-                 mask: np.ndarray, size: int):
-    """``name.member = value`` on the lanes of ``mask``; returns ``value``."""
-    env[name] = stored_member(value, env.get(name), name, indices, member,
-                              mask, size)
-    return value
 
 
 def gather(source: GatherSource, indices: Sequence, size: int) -> np.ndarray:

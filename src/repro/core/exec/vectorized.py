@@ -4,12 +4,12 @@ This is the compiled execution tier; everything it does not cover runs
 on the masked interpreter (:mod:`repro.core.exec.evaluator`), which
 stays the bitwise reference.  Every kernel that brookvec
 (:mod:`repro.core.analysis.vectorize`) marks BV-300 or BV-301 is
-compiled **once** into generated NumPy source: the compiler emits Python
-text for every straight-line region and ``compile()``s it once per
+compiled **once** into generated NumPy source: one ``launch`` function
+whose parameters and locals are Python locals (one binding per
+parameter, then the body), ``compile()``d once per
 :class:`VectorizedKernelProgram`, whose read-only ``source`` holds it.
 
-* a straight-line kernel is one generated ``launch`` function on Python
-  locals: one binding per parameter, the per-launch check of its
+* a straight-line kernel's ``launch`` runs the per-launch check of its
   padded-slice plan, then the whole body - gathers whose indices are
   affine in ``indexof`` and clamped to the array edge read **padded-array
   slices** (one strided read instead of a random fetch per lane), runs
@@ -17,20 +17,23 @@ text for every straight-line region and ``compile()``s it once per
   column gathered at a uniform index is one line read, straight-line
   helper calls are inlined, and pure declarations nothing reads are
   swept.  The slice body and the per-lane body share their common tail;
-* a kernel with control flow runs a small region tree: each maximal
-  straight-line run is one generated function and each condition one
-  generated expression, and the ``if``/loop/``return`` drivers replay
-  the masked interpreter's algorithm - same mask algebra, same
-  ``np.where`` lane merges, same error messages, with ``None`` standing
-  for "every lane live" so exit-free loops and branches under a full
-  mask skip the merges.
+* a kernel with control flow keeps its ``if``/``for``/``while``/``do``,
+  ``return``, ``break`` and ``continue`` as Python control flow over
+  mask locals, and a small runtime helper per construct (:func:`_branch`,
+  :func:`_narrow`, :func:`_step`, :func:`_exit`, :func:`_return`)
+  replays the masked interpreter's algorithm - same mask algebra, same
+  ``np.where`` lane merges, same statistics, same error messages, with
+  ``None`` standing for "every lane live" so exit-free loops and
+  branches under a full mask skip the merges.  A helper with control
+  flow is a generated function that takes the caller's mask and keeps
+  its frame (returned lanes, return value, loop records) in locals.
 
 An operation whose operands the compiler proves float32 and one value
 per lane (or uniform) is emitted as the bare ufunc; anything it cannot
 prove calls the helper the interpreter uses (:func:`align_pair`,
-:func:`apply_builtin`, :func:`store_local`, :func:`gather`, ...), so results
-stay bit-identical, and every region's flop count is a compile-time
-constant multiplied by the live-lane popcount.
+:func:`apply_builtin`, :func:`stored`, :func:`gather`, ...), so results
+stay bit-identical, and every straight-line run's flop count is a
+compile-time constant multiplied by the live-lane popcount.
 
 Legality is *not* re-derived here: the caller gates compilation on the
 brookvec verdict, whose speculation obligations (masked division,
@@ -68,9 +71,7 @@ from ..analysis.vectorize import (
 from .evaluator import (  # noqa: F401 - the generated source calls them
     UNARY_BUILTINS,
     KernelExecutionStats,
-    _Frame,
     _is_int_dtype,
-    _LoopRecord,
     _merge_masked,
     align_pair,
     apply_builtin,
@@ -83,8 +84,6 @@ from .evaluator import (  # noqa: F401 - the generated source calls them
     materialize,
     modulo,
     return_zeros,
-    store_local,
-    store_member,
     stored,
     stored_member,
     swizzle,
@@ -116,8 +115,8 @@ def is_straight_line(body: ast.Statement) -> bool:
 
     Declarations, expression statements and nested blocks qualify;
     ``if``/loops/``return``/``break``/``continue``/``goto`` do not.
-    Straight-line kernels become one generated launch function; the
-    rest run through the region tree.
+    Only straight-line kernels take the slice plan, helper inlining and
+    the dead-declaration sweep.
     """
     return all(isinstance(node, _STRAIGHT_LINE_STATEMENTS)
                or not isinstance(node, ast.Statement)
@@ -145,13 +144,6 @@ def _straight_helper(helper: ast.FunctionDef) -> bool:
         and stmts[-1].value is not None \
         and all(isinstance(stmt, (ast.DeclStatement, ast.ExprStatement))
                 for stmt in stmts[:-1])
-
-
-def _local_ref(prefix: Optional[str]):
-    """How generated source names a local: an ``env`` entry, or the Python
-    local ``prefix + name``."""
-    return (lambda name: f"env[{name!r}]") if prefix is None \
-        else prefix.__add__
 
 
 def _indented(lines: List[str], prefix: str) -> List[str]:
@@ -202,15 +194,14 @@ def _edge_pad(dense: np.ndarray, pad: int) -> np.ndarray:
 class _VCtx:
     """Per-launch execution context shared by every generated function.
 
-    Holds the current activity mask (``None`` while execution is
-    un-diverged - the common case that stores exploit to skip the
-    ``np.where`` merge) and the ``indexof`` values (per column, so a
-    kernel reading only ``idx.x`` never pays for the stack; shared
-    read-only arrays of the launch layout unless the caller passed
-    explicit positions).
+    Holds the ``indexof`` values (per column, so a kernel reading only
+    ``idx.x`` never pays for the stack; shared read-only arrays of the
+    launch layout unless the caller passed explicit positions) and the
+    all-true mask that stands in for a ``None`` mask where an array is
+    needed.
     """
 
-    __slots__ = ("size", "gathers", "stats", "layout", "mask",
+    __slots__ = ("size", "gathers", "stats", "layout",
                  "explicit_index", "_index", "_full")
 
     def __init__(self, size: int, gathers: Dict[str, GatherSource],
@@ -221,7 +212,6 @@ class _VCtx:
         self.gathers = gathers
         self.stats = stats
         self.layout = layout
-        self.mask: Optional[np.ndarray] = None
         self.explicit_index = index is not None
         self._index = None if index is None \
             else np.asarray(index, dtype=np.float32)
@@ -250,168 +240,80 @@ class _VCtx:
             self._full = np.ones(self.size, dtype=bool)
         return self._full
 
-    @property
-    def live(self) -> np.ndarray:
-        """The current mask as an array."""
-        return self.mask if self.mask is not None else self.full_mask
-
-
-def _popcount(ctx: _VCtx, mask: Optional[np.ndarray]) -> int:
-    return ctx.size if mask is None else int(mask.sum())
-
 
 # --------------------------------------------------------------------------- #
-# Region tree drivers (their region and condition functions are generated)
+# Control flow: what the masked interpreter does per construct
 # --------------------------------------------------------------------------- #
-def _run_nodes(nodes: List, env: Dict[str, np.ndarray], ctx: _VCtx,
-               mask: Optional[np.ndarray], frame: _Frame
-               ) -> Optional[np.ndarray]:
-    """Execute a node list; returns the fall-through mask (None = full)."""
-    current = mask
-    for node in nodes:
-        if current is not None and not current.any():
-            return current
-        current = node.exec(env, ctx, current, frame)
-    return current
+# Generated code keeps the current lane mask in a local (``None``: every
+# lane) and never mutates a mask in place, so aliasing one is safe.
+def _active(ctx: _VCtx, mask: Optional[np.ndarray]) -> np.ndarray:
+    """``mask`` as an array."""
+    return ctx.full_mask if mask is None else mask
 
 
-class _Seq(namedtuple("_Seq", "fn cost")):
-    """A maximal run of straight-line statements under one mask."""
+def _branch(ctx: _VCtx, cond, mask: Optional[np.ndarray]):
+    """The ``(then, else)`` lane masks of an ``if`` under ``mask``.
 
-    __slots__ = ()
-
-    def exec(self, env, ctx, mask, frame):
-        ctx.mask = mask
-        if self.cost:
-            ctx.stats.flops += self.cost * _popcount(ctx, mask)
-        self.fn(env, ctx)
-        return mask
-
-
-class _IfNode(namedtuple("_IfNode", "cond_fn cond_cost then_nodes "
-                                    "else_nodes exit_free")):
-    __slots__ = ()
-
-    def exec(self, env, ctx, mask, frame):
-        ctx.mask = mask
-        ctx.stats.flops += self.cond_cost * _popcount(ctx, mask)
-        raw = np.asarray(self.cond_fn(env, ctx))
-        if raw.ndim == 0:
-            # Uniform condition: the interpreter's broadcast mask algebra
-            # degenerates to taking one branch with the mask unchanged
-            # (and never counts a divergent branch).
-            branch = self.then_nodes if raw else self.else_nodes
-            return mask if branch is None \
-                else _run_nodes(branch, env, ctx, mask, frame)
-        cond = as_bool_array(raw, ctx.size)
-        base = mask if mask is not None else ctx.full_mask
-        then_mask = base & cond
-        else_mask = base & ~cond
-        if then_mask.any() and else_mask.any():
-            ctx.stats.divergent_branches += 1
-        after_then = _run_nodes(self.then_nodes, env, ctx, then_mask, frame)
-        after_else = else_mask if self.else_nodes is None \
-            else _run_nodes(self.else_nodes, env, ctx, else_mask, frame)
-        # Without exits the branches fall through with all their lanes,
-        # so the union is the entry mask - None (full) included.
-        return mask if self.exit_free else after_then | after_else
-
-
-class _LoopNode(namedtuple("_LoopNode", "kernel_name init_nodes cond_fn "
-                                        "cond_cost body_nodes update_fn "
-                                        "update_cost check_before exits")):
-    """Replays KernelEvaluator._run_loop over generated regions.
-
-    A body without exits needs no :class:`_LoopRecord` and falls through
-    with the mask it ran under, so the loop keeps the caller's mask -
-    None (full) included - until a per-lane condition turns a lane off.
+    A per-lane condition splits the lanes and counts a divergent branch
+    when both sides keep one, like ``KernelEvaluator._exec_if``; a
+    uniform one degenerates to taking one branch under the unchanged
+    mask (``None`` included) and gives the other no lane.
     """
-
-    __slots__ = ()
-
-    def _narrow(self, env, ctx, mask):
-        """``mask & cond``, staying ``None`` while every lane is live."""
-        ctx.mask = mask
-        ctx.stats.flops += self.cond_cost * _popcount(ctx, mask)
-        cond = as_bool_array(self.cond_fn(env, ctx), ctx.size)
-        if mask is None:
-            if cond.shape == (ctx.size,) and cond.all():
-                return None
-            mask = ctx.full_mask
-        return mask & cond
-
-    def exec(self, env, ctx, mask, frame):
-        if self.init_nodes is not None:
-            _run_nodes(self.init_nodes, env, ctx, mask, frame)
-        record = None
-        iter_mask = mask
-        if self.exits:
-            record = _LoopRecord(ctx.size)
-            frame.loops.append(record)
-            if iter_mask is None:
-                iter_mask = np.ones(ctx.size, dtype=bool)
-        steps = 0
-        while True:
-            if self.cond_fn is not None and (self.check_before or steps > 0):
-                iter_mask = self._narrow(env, ctx, iter_mask)
-            if not (ctx.size if iter_mask is None else iter_mask.any()):
-                break
-            steps += 1
-            ctx.stats.simt_loop_steps += 1
-            if steps > _MAX_SIMT_STEPS:
-                raise RuntimeBrookError(
-                    f"kernel {self.kernel_name!r} exceeded "
-                    f"{_MAX_SIMT_STEPS} loop steps; the loop is unbounded "
-                    "or the bound is too large for simulation"
-                )
-            if record is None:
-                _run_nodes(self.body_nodes, env, ctx, iter_mask, frame)
-            else:
-                record.continued[:] = False
-                fall = _run_nodes(self.body_nodes, env, ctx, iter_mask, frame)
-                alive = fall | (record.continued & iter_mask)
-                iter_mask = alive & ~record.broke & ~frame.returned
-            if self.update_fn is not None \
-                    and (iter_mask is None or iter_mask.any()):
-                ctx.mask = iter_mask
-                ctx.stats.flops += self.update_cost * _popcount(ctx, iter_mask)
-                self.update_fn(env, ctx)
-            if not self.check_before and self.cond_fn is not None:
-                iter_mask = self._narrow(env, ctx, iter_mask)
-        if record is None:
-            return mask
-        frame.loops.pop()
-        return (mask if mask is not None else ctx.full_mask) & ~frame.returned
+    cond = np.asarray(cond)
+    if cond.ndim == 0:
+        empty = np.zeros(ctx.size, dtype=bool)
+        return (mask, empty) if cond else (empty, mask)
+    cond = as_bool_array(cond, ctx.size)
+    base = _active(ctx, mask)
+    then_mask = base & cond
+    else_mask = base & ~cond
+    if then_mask.any() and else_mask.any():
+        ctx.stats.divergent_branches += 1
+    return then_mask, else_mask
 
 
-class _ReturnNode(namedtuple("_ReturnNode", "value_fn cost")):
-    __slots__ = ()
-
-    def exec(self, env, ctx, mask, frame):
-        ctx.mask = mask
-        base = mask if mask is not None else ctx.full_mask
-        if self.value_fn is not None:
-            ctx.stats.flops += self.cost * _popcount(ctx, mask)
-            value = self.value_fn(env, ctx)
-            if frame.return_value is None:
-                frame.return_value = return_zeros(value, ctx.size)
-            frame.return_value = _merge_masked(frame.return_value, value, base)
-        frame.returned = frame.returned | base
-        return np.zeros(ctx.size, dtype=bool)
+def _narrow(ctx: _VCtx, cond, mask: Optional[np.ndarray]):
+    """``mask & cond`` for a loop condition, staying ``None`` while every
+    lane is live."""
+    cond = as_bool_array(cond, ctx.size)
+    if mask is None:
+        if cond.shape == (ctx.size,) and cond.all():
+            return None
+        mask = ctx.full_mask
+    return mask & cond
 
 
-class _ExitNode(namedtuple("_ExitNode", "record")):
-    """``break`` (``record="broke"``) or ``continue`` (``"continued"``)."""
+def _step(stats: KernelExecutionStats, steps: int, kernel_name: str) -> int:
+    """Count one more step of a loop that has taken ``steps``."""
+    steps += 1
+    stats.simt_loop_steps += 1
+    if steps > _MAX_SIMT_STEPS:
+        raise RuntimeBrookError(
+            f"kernel {kernel_name!r} exceeded {_MAX_SIMT_STEPS} loop steps; "
+            "the loop is unbounded or the bound is too large for simulation"
+        )
+    return steps
 
-    __slots__ = ()
 
-    def exec(self, env, ctx, mask, frame):
-        if not frame.loops:
-            word = "break" if self.record == "broke" else "continue"
-            raise RuntimeBrookError(f"{word} outside of a loop")
-        lanes = getattr(frame.loops[-1], self.record)
-        lanes |= mask if mask is not None else ctx.full_mask
-        return np.zeros(ctx.size, dtype=bool)
+def _exit(ctx: _VCtx, lanes: np.ndarray, mask: Optional[np.ndarray]):
+    """``break``/``continue``: record the lanes of ``mask`` in the
+    innermost loop's ``lanes`` (its break or continue record); no lane
+    falls through."""
+    lanes |= _active(ctx, mask)
+    return np.zeros(ctx.size, dtype=bool)
+
+
+def _return(ctx: _VCtx, mask: Optional[np.ndarray], returned: np.ndarray,
+            result, *value):
+    """``return [value]`` on the lanes of ``mask``: the function's
+    returned lanes and return value after it (merged into the float32
+    zeros of its first ``return``), and the fall-through mask."""
+    base = _active(ctx, mask)
+    if value:
+        if result is None:
+            result = return_zeros(value[0], ctx.size)
+        result = _merge_masked(result, value[0], base)
+    return returned | base, result, np.zeros(ctx.size, dtype=bool)
 
 
 # --------------------------------------------------------------------------- #
@@ -497,20 +399,6 @@ def _at_edge(bound, extent) -> bool:
     """Whether a clamp bound is uniform and equal to ``extent - 1``."""
     bound = np.asarray(bound)
     return bound.ndim == 0 and float(bound) == float(extent - 1)
-
-
-def _call_nodes(nodes, env, ctx):
-    """A helper's masked path: a fresh frame under a copy of the caller's
-    mask, exactly like KernelEvaluator._call_helper."""
-    frame = _Frame(ctx.size)
-    caller_mask = ctx.mask
-    mask = caller_mask.copy() if caller_mask is not None \
-        else np.ones(ctx.size, dtype=bool)
-    _run_nodes(nodes, env, ctx, mask, frame)
-    ctx.mask = caller_mask
-    if frame.return_value is None:
-        return np.float32(0.0)
-    return frame.return_value
 
 
 def _fetch_total(gathers) -> int:
@@ -611,8 +499,8 @@ _SlicePlan = namedtuple("_SlicePlan", "name dy dx row_hi col_hi")
 # Source generation
 # --------------------------------------------------------------------------- #
 class _Source:
-    """The generated text of one kernel's program: constants, functions,
-    and its helpers' functions.
+    """The generated text of one kernel's program: constants, its
+    helpers' functions and the launch.
 
     Everything is emitted inside one factory, ``_program(K)``, whose
     nested functions read the constants ``K`` through closure cells and
@@ -645,20 +533,15 @@ class _Source:
     def function(self, prefix: str, params: str, lines: List[str]) -> str:
         name = self.name(prefix)
         self.defs.append("\n".join([f"def {name}({params}):",
-                                    "    n = ctx.size",
+                                    "    n, stats = ctx.size, ctx.stats",
                                     *_indented(lines, "    ")]))
         return name
 
-    def assign(self, prefix: str, code: str) -> str:
-        name = self.name(prefix)
-        self.defs.append(f"{name} = {code}")
-        return name
-
-    def text(self, launch: List[str], nodes: str) -> str:
+    def text(self, launch: List[str]) -> str:
         head = ["def _program(K):"]
         if self.consts:
             head.append(f"    {', '.join(self._const_names.values())}, = K")
-        chunks = self.defs + ["\n".join(launch), f"return launch, {nodes}"]
+        chunks = self.defs + ["\n".join(launch), "return launch"]
         body = "\n".join("    " + line if line else line
                          for chunk in chunks for line in chunk.split("\n"))
         return "\n".join(head) + "\n" + body + "\n"
@@ -674,17 +557,19 @@ class _Gen:
     their own names): an ``indexof`` binding there holds for the whole
     launch, so ``idx.x`` is the launch's index column.
 
-    ``prefix`` selects where locals live: ``None`` is the region tree's
-    ``env`` dict; otherwise every local ``x`` is the Python local
-    ``prefix + x`` of a straight-line launch (``v_``) or of an inlined
-    helper body, which runs under the full mask.  There ``lanes`` holds
-    the width-1 locals proved to hold an ndarray with one entry per lane.
+    Every local ``x`` is the Python local ``prefix + x``: ``v_`` in a
+    launch or a helper's function, a name of its own in an inlined
+    helper body.  ``lanes`` holds the width-1 locals proved to hold an
+    ndarray with one entry per lane.  ``mask`` is the source of the
+    current lane mask: ``"None"`` where every lane is statically live
+    (straight-line launches and helper bodies under the full mask), else
+    the local that :meth:`block` keeps it in.
     """
 
     def __init__(self, src: _Source, function: ast.FunctionDef,
                  kinds: Dict[str, str], track: bool,
                  fixed: Optional[Dict[str, ast.DeclStatement]] = None,
-                 slice_mode: bool = False, prefix: Optional[str] = None,
+                 slice_mode: bool = False, prefix: str = "v_",
                  lanes: Set[str] = frozenset()):
         self.src = src
         self.kinds = dict(kinds)
@@ -693,8 +578,12 @@ class _Gen:
         self.slice_mode = slice_mode
         self.prefix = prefix
         #: The source that reads or writes a local, by name.
-        self.ref = _local_ref(prefix)
+        self.ref = prefix.__add__
         self.lanes = set(lanes)
+        self.mask = "None"
+        #: ``(break record, continue record)`` locals of the enclosing
+        #: loops that have exits, innermost last.
+        self._loops: List[Tuple[str, str]] = []
         #: Lines hoisted before the statement being generated (the bodies
         #: of inlined helper calls); ``None`` where nothing may be hoisted.
         self._pre: Optional[List[str]] = None
@@ -741,15 +630,13 @@ class _Gen:
 
     # -- statements ------------------------------------------------------ #
     def statement(self, stmt: ast.Statement, defined: Set[str],
-                  masked: bool, index: int = 0) -> Tuple[List[str], int]:
+                  index: int = 0) -> Tuple[List[str], int]:
         """Lines and static cost of one declaration or expression
-        statement; ``masked`` says ``ctx.mask`` may be a lane mask.  On
-        locals, helper calls may be inlined: their bodies are lines of
-        their own before the statement's, named after ``index``."""
-        if self.prefix is None:
-            return self._statement(stmt, defined, masked)
+        statement under the full mask.  Helper calls may be inlined: their
+        bodies are lines of their own before the statement's, named after
+        ``index``."""
         pre, (lines, cost) = self._hoisting(
-            index, lambda: self._statement(stmt, defined, masked))
+            index, lambda: self._statement(stmt, defined))
         return pre + lines, cost
 
     def _hoisting(self, index: int, generate):
@@ -763,8 +650,8 @@ class _Gen:
         finally:
             self._pre = None
 
-    def _statement(self, stmt: ast.Statement, defined: Set[str],
-                   masked: bool) -> Tuple[List[str], int]:
+    def _statement(self, stmt: ast.Statement, defined: Set[str]
+                   ) -> Tuple[List[str], int]:
         if isinstance(stmt, ast.DeclStatement):
             return self._decl(stmt, defined)
         if not isinstance(stmt, ast.ExprStatement):
@@ -785,6 +672,7 @@ class _Gen:
         old = self.kinds.get(name)
         target = self.ref(name)
         scalar = _scalar_pair(expr.target, expr.value)
+        masked = self.mask != "None"
         if name not in defined and not masked:
             lines.append(f"{target} = materialize({value}, n)")
         elif not masked and old == kind == "f" and scalar:
@@ -794,12 +682,8 @@ class _Gen:
             lines.append(f"{target} = {value}")
             self._kills.add(name)
         else:
-            if self.prefix is None:
-                old_value, mask = f"env.get({name!r})", "ctx.mask"
-            else:
-                self._read_old(name)
-                old_value, mask = target, "None"
-            lines.append(f"{target} = stored({value}, {old_value}, {mask}, n)")
+            lines.append(f"{target} = stored({value}, "
+                         f"{self._old(name, defined)}, {self.mask}, n)")
             kind = kind if name not in defined else _merged_kind(old, kind)
         defined.add(name)
         self._set_kind(name, kind)
@@ -860,73 +744,175 @@ class _Gen:
             self.lanes.discard(stmt.name)
         return [f"{self.ref(stmt.name)} = {code}"], cost
 
-    def nodes(self, body: ast.Statement, defined: Set[str]) -> Tuple[str, int]:
-        """The region tree of ``body`` as list source, plus the static cost
-        of its own straight-line regions."""
-        items: List[str] = []
-        pending: List[str] = []
+    # -- control flow ---------------------------------------------------- #
+    def function_body(self, body: ast.Statement, defined: Set[str],
+                      entry: str, check: bool) -> Tuple[List[str], int]:
+        """Lines running a function ``body`` under the mask ``entry``
+        evaluates to (skipped when ``check`` and no lane is live), with
+        its frame in locals: ``returned`` lanes and ``result`` value when
+        it has exits.  Also the static cost of its own straight-line
+        statements."""
+        mask = self.src.name("m")
+        lines, cost = self.block(body, defined, mask)
+        if check:
+            lines = [f"if {mask}.any():", *_indented(lines or ["pass"], "    ")]
+        frame = ["returned = np.zeros(n, dtype=bool)", "result = None"] \
+            if _has_exit(body) else []
+        return [f"{mask} = {entry}", *frame, *lines], cost
+
+    def block(self, body: ast.Statement, defined: Set[str], mask: str
+              ) -> Tuple[List[str], int]:
+        """Lines running ``body`` under the lanes of local ``mask``, which
+        they leave holding the fall-through mask, and the static cost of
+        its own straight-line statements (nested bodies excluded)."""
+        saved, self.mask = self.mask, mask
+        try:
+            return self._run(list(_flatten(body)), defined)
+        finally:
+            self.mask = saved
+
+    def _run(self, stmts: List[ast.Statement], defined: Set[str]
+             ) -> Tuple[List[str], int]:
+        """:meth:`block` over flattened statements.  Like the interpreter,
+        the statements after one that may turn lanes off run only while a
+        lane is live; those after an exit never run, but are still
+        generated for their cost and their constructs."""
+        mask = self.mask
+        lines: List[str] = []
+        run: List[str] = []
         cost = total = 0
-
-        def flush():
-            nonlocal pending, cost, total
-            if pending:
-                region = self.src.function("region", "env, ctx", pending)
-                items.append(f"_Seq({region}, {cost})")
-                total += cost
-            pending, cost = [], 0
-
-        for stmt in _flatten(body):
+        for position, stmt in enumerate(stmts):
             if isinstance(stmt, (ast.DeclStatement, ast.ExprStatement)):
-                lines, stmt_cost = self.statement(stmt, defined, masked=True)
-                pending.extend(lines)
+                stmt_lines, stmt_cost = self._statement(stmt, defined)
+                run += stmt_lines
                 cost += stmt_cost
                 continue
-            flush()
+            lines += self._flops(cost, mask) + run
+            total += cost
+            run, cost = [], 0
             if isinstance(stmt, ast.IfStatement):
-                cond, cond_cost = self.value_fn(stmt.cond, defined)
-                then = self.nodes(stmt.then_branch, defined)[0]
-                other = "None" if stmt.else_branch is None \
-                    else self.nodes(stmt.else_branch, defined)[0]
-                items.append(f"_IfNode({cond}, {cond_cost}, {then}, {other}, "
-                             f"{not _has_exit(stmt)})")
+                lines += self._if(stmt, defined)
             elif isinstance(stmt, ast.ForStatement):
-                init = "None" if stmt.init is None \
-                    else self.nodes(stmt.init, defined)[0]
-                items.append(self._loop(stmt.cond, stmt.body, stmt.update,
-                                        True, init, defined))
+                if stmt.init is not None:
+                    lines += self.block(stmt.init, defined, mask)[0]
+                lines += self._while(stmt.cond, stmt.body, stmt.update,
+                                     True, defined)
             elif isinstance(stmt, ast.WhileStatement):
-                items.append(self._loop(stmt.cond, stmt.body, None, True,
-                                        "None", defined))
+                lines += self._while(stmt.cond, stmt.body, None, True,
+                                     defined)
             elif isinstance(stmt, ast.DoWhileStatement):
-                items.append(self._loop(stmt.cond, stmt.body, None, False,
-                                        "None", defined))
-            elif isinstance(stmt, ast.ReturnStatement):
-                value, value_cost = ("None", 0) if stmt.value is None \
-                    else self.value_fn(stmt.value, defined)
-                items.append(f"_ReturnNode({value}, {value_cost})")
-            elif isinstance(stmt, ast.BreakStatement):
-                items.append("_ExitNode('broke')")
-            elif isinstance(stmt, ast.ContinueStatement):
-                items.append("_ExitNode('continued')")
+                lines += self._while(stmt.cond, stmt.body, None, False,
+                                     defined)
+            elif isinstance(stmt, _EXITS):
+                lines += self._jump(stmt, defined)
+                return lines, total + self._run(stmts[position + 1:],
+                                                defined)[1]
             else:
                 raise _Unsupported(type(stmt).__name__)
-        flush()
-        return "[" + ", ".join(items) + "]", total
+            if _has_exit(stmt):
+                rest, rest_total = self._run(stmts[position + 1:], defined)
+                if rest:
+                    lines += [f"if {mask} is None or {mask}.any():",
+                              *_indented(rest, "    ")]
+                return lines, total + rest_total
+        return lines + self._flops(cost, mask) + run, total + cost
 
-    def _loop(self, cond_expr, body, update_expr, check_before, init,
-              defined: Set[str]) -> str:
-        cond, cond_cost = ("None", 0) if cond_expr is None \
-            else self.value_fn(cond_expr, defined)
-        body_nodes = self.nodes(body, defined)[0]
-        update, update_cost = ("None", 0) if update_expr is None \
-            else self.value_fn(update_expr, defined)
-        return (f"_LoopNode({self.src.kernel_name!r}, {init}, {cond}, {cond_cost}, "
-                f"{body_nodes}, {update}, {update_cost}, {check_before}, "
-                f"{_has_exit(body)})")
+    def _flops(self, cost: int, mask: str) -> List[str]:
+        """The line counting ``cost`` flops on every lane of ``mask``."""
+        if not cost:
+            return []
+        return [f"stats.flops += {cost} * "
+                f"(n if {mask} is None else int({mask}.sum()))"]
 
-    def value_fn(self, expr: ast.Expression, defined: Set[str]):
-        code, cost, _ = self.expr(expr, defined)
-        return self.src.function("value", "env, ctx", [f"return {code}"]), cost
+    def _if(self, stmt: ast.IfStatement, defined: Set[str]) -> List[str]:
+        mask = self.mask
+        cond, cond_cost, _ = self.expr(stmt.cond, defined)
+        then_mask, else_mask = self.src.name("m"), self.src.name("m")
+        lines = [*self._flops(cond_cost, mask),
+                 f"{then_mask}, {else_mask} = _branch(ctx, {cond}, {mask})"]
+        for branch, lanes in ((stmt.then_branch, then_mask),
+                              (stmt.else_branch, else_mask)):
+            if branch is not None:
+                body = self.block(branch, defined, lanes)[0]
+                lines += [f"if {lanes} is None or {lanes}.any():",
+                          *_indented(body or ["pass"], "    ")]
+        if _has_exit(stmt):
+            # Without exits every lane falls through: the mask stays.
+            lines.append(f"{mask} = None if {then_mask} is None or "
+                         f"{else_mask} is None else {then_mask} | {else_mask}")
+        return lines
+
+    def _while(self, cond_expr, body, update_expr, check_before,
+              defined: Set[str]) -> List[str]:
+        """``KernelEvaluator._run_loop``.  A body without exits needs no
+        break/continue records and falls through with the mask it ran
+        under, so the loop keeps the caller's mask - ``None`` included -
+        until a per-lane condition turns a lane off."""
+        mask, lanes = self.mask, self.src.name("m")
+        steps = self.src.name("steps")
+        exits = _has_exit(body)
+        entry = f"np.ones(n, dtype=bool) if {mask} is None else {mask}" \
+            if exits else mask
+        lines = [f"{lanes} = {entry}", f"{steps} = 0"]
+        if exits:
+            record = self.src.name("broke"), self.src.name("continued")
+            lines += [f"{name} = np.zeros(n, dtype=bool)" for name in record]
+        self.mask = lanes
+        try:
+            narrow = []
+            if cond_expr is not None:
+                cond, cond_cost, _ = self.expr(cond_expr, defined)
+                narrow = [*self._flops(cond_cost, lanes),
+                          f"{lanes} = _narrow(ctx, {cond}, {lanes})"]
+            # A ``do`` loop tests again on top of every step but the
+            # first, as the interpreter does.
+            step = narrow if check_before or not narrow \
+                else [f"if {steps}:", *_indented(narrow, "    ")]
+            step = [*step, f"if {lanes} is not None and not {lanes}.any():",
+                    "    break",
+                    f"{steps} = _step(stats, {steps}, "
+                    f"{self.src.const(self.src.kernel_name)})"]
+            if exits:
+                fall = self.src.name("m")
+                self._loops.append(record)
+                step += [f"{record[1]}[:] = False", f"{fall} = {lanes}",
+                         *self.block(body, defined, fall)[0],
+                         f"{lanes} = ({fall} | ({record[1]} & {lanes})) "
+                         f"& ~{record[0]} & ~returned"]
+                self._loops.pop()
+            else:
+                step += self.block(body, defined, lanes)[0]
+            if update_expr is not None:
+                update, update_cost, _ = self.expr(update_expr, defined)
+                step += [f"if {lanes} is None or {lanes}.any():",
+                         *_indented([*self._flops(update_cost, lanes), update],
+                                    "    ")]
+            if not check_before:
+                step += narrow
+        finally:
+            self.mask = mask
+        lines += ["while True:", *_indented(step, "    ")]
+        if exits:
+            lines.append(f"{mask} = _active(ctx, {mask}) & ~returned")
+        return lines
+
+    def _jump(self, stmt: ast.Statement, defined: Set[str]) -> List[str]:
+        """``return``, ``break`` or ``continue``: no lane falls through."""
+        mask = self.mask
+        if isinstance(stmt, ast.ReturnStatement):
+            value = ""
+            lines = []
+            if stmt.value is not None:
+                code, cost, _ = self.expr(stmt.value, defined)
+                value = f", {code}"
+                lines = self._flops(cost, mask)
+            return lines + [f"returned, result, {mask} = _return(ctx, {mask}, "
+                            f"returned, result{value})"]
+        word = "break" if isinstance(stmt, ast.BreakStatement) else "continue"
+        if not self._loops:
+            return [f"raise RuntimeBrookError({word + ' outside of a loop'!r})"]
+        record = self._loops[-1][word == "continue"]
+        return [f"{mask} = _exit(ctx, {record}, {mask})"]
 
     # -- the straight-line fast body ------------------------------------- #
     def fast_body(self, body: ast.Statement, defined: Set[str]
@@ -947,7 +933,7 @@ class _Gen:
                 if self.slice_mode and stmt.decl_type.width == 1 \
                         and stmt.init is not None:
                     affine = self._extract_affine(stmt.init, defined)
-                lines, cost = self.statement(stmt, defined, False, index)
+                lines, cost = self.statement(stmt, defined, index)
                 self._uniform_scalars.discard(stmt.name)
                 if stmt.decl_type.width == 1 \
                         and stmt.decl_type.kind is ScalarKind.FLOAT:
@@ -976,7 +962,7 @@ class _Gen:
                     else None
                 plans_before = len(self.slice_plans)
                 acc_kind = None if match is None else self.kinds.get(match[0])
-                lines, cost = self.statement(stmt, defined, False, index)
+                lines, cost = self.statement(stmt, defined, index)
                 if match is not None \
                         and len(self.slice_plans) == plans_before + 1:
                     acc_name, weight_expr, gather_left = match
@@ -1189,31 +1175,24 @@ class _Gen:
                 and isinstance(target.base, ast.Identifier):
             name = target.base.name
             indices = swizzle_indices(target.member)
-            if self.prefix is None:
-                return (f"store_member(env, {name!r}, {indices!r}, "
-                        f"{target.member!r}, {value}, ctx.live, n)", cost, kind)
             store = (f"stored_member((_v := {value}), {self._old(name, defined)}"
-                     f", {name!r}, {indices!r}, {target.member!r}, ctx.live, n)")
+                     f", {name!r}, {indices!r}, {target.member!r}, "
+                     f"_active(ctx, {self.mask}), n)")
         elif isinstance(target, ast.Identifier):
             name = target.name
-            if self.prefix is None:
-                defined.add(name)
-                self.kinds.pop(name, None)
-                return (f"store_local(env, {name!r}, {value}, ctx.mask, n)",
-                        cost, kind)
             store = (f"stored((_v := {value}), {self._old(name, defined)}, "
-                     "None, n)")
+                     f"{self.mask}, n)")
             defined.add(name)
             self.kinds.pop(name, None)
         else:
             raise _Unsupported("unsupported assignment target")
-        # On locals the store rebinds the local and yields the value.
+        # The store rebinds the local and yields the value.
         self.lanes.discard(name)
         return f"(({self.ref(name)} := {store}), _v)[1]", cost, kind
 
     def _old(self, name: str, defined: Set[str]) -> str:
-        """What a nested store on locals merges into: the local, or
-        ``None`` before its first store."""
+        """What a store merges into: the local, or ``None`` before its
+        first store."""
         if name not in defined:
             return "None"
         self._read_old(name)
@@ -1236,7 +1215,8 @@ class _Gen:
                 return site, cost, kind
             self._effects = True
             function, kind = self._helper(expr.callee, kinds)
-            return f"{function}(ctx, {', '.join(codes)})", cost, kind
+            return f"{function}(ctx, {self.mask}, {', '.join(codes)})", \
+                cost, kind
         cost += builtin.flop_cost
         ufunc = _UFUNC_BUILTINS.get(expr.callee)
         if ufunc is not None and ufunc[1] == len(args) \
@@ -1290,17 +1270,16 @@ class _Gen:
         return expr.member if isinstance(base, ast.IndexOfExpr) else None
 
     def _helper(self, name: str, arg_kinds: tuple) -> Tuple[str, str]:
-        """The generated function of a helper called with ``arg_kinds``.
+        """The generated function of a helper called with ``arg_kinds``;
+        it takes the caller's mask after ``ctx``.
 
-        Fully general: the body's region tree runs with a fresh frame
-        under a copy of the caller's mask, exactly like
-        KernelEvaluator._call_helper, and counts its own flops, so the
-        static call-site cost is zero.  A straight-line body ending in
-        ``return value`` also gets a frame-free path for the full mask:
-        every lane runs every statement once and returns, so the flops
-        are the static cost times the lane count and the return merge
-        selects every lane (an empty launch keeps the general path,
-        which runs no node at all there).
+        Fully general: the body runs with a fresh frame under the
+        caller's mask, exactly like KernelEvaluator._call_helper, and
+        counts its own flops, so the static call-site cost is zero.  A
+        straight-line body ending in ``return value`` also gets a
+        frame-free path for the full mask: every lane runs every
+        statement once and returns, so the flops are the static cost
+        times the lane count and the return merge selects every lane.
         """
         key = (name, arg_kinds)
         if key in self.src.helper_functions:
@@ -1318,24 +1297,26 @@ class _Gen:
             kinds = dict(zip(params, arg_kinds))
             if not straight:
                 _drop_assigned(kinds, helper.body)
-            nodes = self.src.assign("helper_nodes", _Gen(
-                self.src, helper, kinds, straight).nodes(helper.body,
-                                                         set(params))[0])
+            body, _ = _Gen(self.src, helper, kinds, straight).function_body(
+                helper.body, set(params),
+                "np.ones(n, dtype=bool) if mask is None else mask", True)
             lines: List[str] = []
             kind = "n"     # a merge into float32 zeros is never bool
             if straight:
-                body, value, cost, kind = self._straight_body(
+                fast, value, cost, kind = self._straight_body(
                     helper, arg_kinds, args, [False] * len(args), "h_")
-                lines = ["if ctx.mask is None and n:",
-                         f"    ctx.stats.flops += {cost} * n",
-                         *_indented(body, "    "),
+                lines = ["if mask is None:",
+                         f"    stats.flops += {cost} * n",
+                         *_indented(fast, "    "),
                          f"    return {value}"]
-            bound = ", ".join(f"{param!r}: materialize({arg}, n).copy()"
-                              for arg, param in zip(args, params))
-            lines += [f"env = {{{bound}}}",
-                      f"return _call_nodes({nodes}, env, ctx)"]
+            lines += [*(f"v_{param} = materialize({arg}, n).copy()"
+                        for arg, param in zip(args, params)),
+                      *body,
+                      "return np.float32(0.0) if result is None else result"
+                      if _has_exit(helper.body) else "return np.float32(0.0)"]
             function = self.src.function(
-                "helper", "ctx" + "".join(f", {arg}" for arg in args), lines)
+                "helper", "ctx, mask" + "".join(f", {arg}" for arg in args),
+                lines)
         finally:
             self.src.compiling.discard(name)
         self.src.helper_functions[key] = (function, kind)
@@ -1365,7 +1346,7 @@ class _Gen:
                  for param, arg, lane in zip(params, args, arg_lanes)]
         cost = 0
         for index, stmt in enumerate(stmts[:-1]):
-            stmt_lines, stmt_cost = gen.statement(stmt, defined, False, index)
+            stmt_lines, stmt_cost = gen.statement(stmt, defined, index)
             lines += stmt_lines
             cost += stmt_cost
         ret = stmts[-1].value
@@ -1409,7 +1390,7 @@ class _Gen:
         a gather, a local in ``lanes``), or a truth value the generated
         source broadcasts.  A helper call's value is not proved: where no
         lane returns, the general path yields the interpreter's 0-d zero."""
-        if self.prefix is None or not _width1(expr):
+        if not _width1(expr):
             return False
         if isinstance(expr, ast.Identifier):
             return expr.name in self.lanes
@@ -1453,11 +1434,9 @@ class _Gen:
         line = {("y", None): "y", (None, "x"): "x"}.get(
             tuple(self._index_axis(index) for index in index_exprs))
         codes = "".join(f"{code}, " for code, _, _ in indices)
-        source = f"ctx.gathers.get({node.name!r})" if self.prefix is None \
-            else f"g_{node.name}"
         self._effects = True
         self.fetch_sites += 1
-        return (f"_gather(ctx, {source}, ({codes}), {line!r})",
+        return (f"_gather(ctx, g_{node.name}, ({codes}), {line!r})",
                 sum(cost for _, cost, _ in indices), None)
 
     def _slice_gather(self, name: str, index_exprs: List[ast.Expression],
@@ -1639,13 +1618,13 @@ class VectorizedKernelProgram:
                  flops_per_element: int, uses_slices: bool):
         self.kernel = kernel
         #: Static per-element flop cost of the top-level straight-line
-        #: regions (the planner prices the vector path with this).
+        #: statements (the planner prices the vector path with this).
         self.flops_per_element = flops_per_element
         self.uses_slices = uses_slices
         self._source = source
         namespace: Dict[str, object] = {}
         exec(_code(source, kernel.name), globals(), namespace)
-        self._launch, self._nodes = namespace["_program"](consts)
+        self._launch = namespace["_program"](consts)
 
     @property
     def source(self) -> str:
@@ -1706,15 +1685,14 @@ def _missing(kernel_name: str, wanted: tuple, S, A, G, R) -> None:
                 f"missing {what} {name!r} for kernel {kernel_name!r}") from None
 
 
-def _binding(kernel: ast.FunctionDef, src: _Source, prefix: Optional[str]
+def _binding(kernel: ast.FunctionDef, src: _Source
              ) -> Tuple[List[str], List[str]]:
     """The launch prologue binding every parameter once and the output
     epilogue.  A missing argument surfaces as the table's ``KeyError``,
     which one handler turns into the interpreter's error."""
-    ref = _local_ref(prefix)
     lines, wanted, zeros, streams, outs = [], [], [], [], []
     for param in kernel.params:
-        name, target = param.name, ref(param.name)
+        name, target = param.name, "v_" + param.name
         if param.kind is ParamKind.OUT_STREAM:
             width = param.type.width
             shape = "n" if width == 1 else f"(n, {width})"
@@ -1724,8 +1702,7 @@ def _binding(kernel: ast.FunctionDef, src: _Source, prefix: Optional[str]
         table, what = _PARAM_TABLES[param.kind]
         wanted.append((table, what, name))
         if param.kind is ParamKind.GATHER:
-            lines.append(f"G[{name!r}]" if prefix is None
-                         else f"g_{name} = G[{name!r}]")
+            lines.append(f"g_{name} = G[{name!r}]")
             continue
         dtype = "int32" if param.kind is ParamKind.SCALAR \
             and param.type.kind is ScalarKind.INT else "float32"
@@ -1748,7 +1725,7 @@ def _binding(kernel: ast.FunctionDef, src: _Source, prefix: Optional[str]
     if streams:
         lines.append(f"stats.stream_reads = {len(streams)} * n")
     lines.append(f"inputs = ({''.join(s + ', ' for s in streams)})")
-    outputs = ", ".join(f"{name!r}: _owned({ref(name)}, inputs)"
+    outputs = ", ".join(f"{name!r}: _owned(v_{name}, inputs)"
                         for name in outs)
     return lines, [f"stats.stream_writes = {len(outs)} * n",
                    f"return {{{outputs}}}, stats"]
@@ -1816,13 +1793,18 @@ def _common_tail(first: List[str], second: List[str]) -> int:
     return count
 
 
+def _out_lanes(kernel: ast.FunctionDef) -> Set[str]:
+    """The width-1 ``out`` streams: bound to one zero per lane."""
+    return {param.name for param in kernel.params
+            if param.kind is ParamKind.OUT_STREAM and param.type.width == 1}
+
+
 def _straight_launch(src: _Source, kernel: ast.FunctionDef,
                      kinds: Dict[str, str],
                      fixed: Dict[str, ast.DeclStatement],
                      defined: Set[str]) -> Tuple[List[str], int, bool]:
-    """The body of a straight-line launch on Python locals, its static
-    flops per lane (inlined helpers excluded) and whether it takes the
-    slice plan.
+    """The body of a straight-line launch, its static flops per lane
+    (inlined helpers excluded) and whether it takes the slice plan.
 
     With slice plans the launch is ``if ok:`` slice body / ``else:``
     per-lane body, then the statements both end with, emitted once.
@@ -1830,18 +1812,16 @@ def _straight_launch(src: _Source, kernel: ast.FunctionDef,
     there is slice-served; otherwise the fetch counters are read around
     the per-lane reads.
     """
-    lanes = {param.name for param in kernel.params
-             if param.kind is ParamKind.OUT_STREAM and param.type.width == 1}
+    lanes = _out_lanes(kernel)
     fast = _Gen(src, kernel, kinds, True, fixed, slice_mode=True,
-                prefix="v_", lanes=lanes)
+                lanes=lanes)
     body, flops = fast.fast_body(kernel.body, set(defined))
     plans = fast.slice_plans
     if not plans:
         body = [f"stats.flops += {flops + fast.inline_cost} * n", *body]
         return (_counting_fetches(body) if fast.fetch_sites else body), \
             flops, False
-    plain_gen = _Gen(src, kernel, kinds, True, fixed, prefix="v_",
-                     lanes=lanes)
+    plain_gen = _Gen(src, kernel, kinds, True, fixed, lanes=lanes)
     plain = plain_gen.fast_body(kernel.body, set(defined))[0]
     uses = Counter(int(view) for line in body
                    for view in _SLICE_VIEW.findall(line))
@@ -1876,32 +1856,28 @@ def _compile_program(kernel: ast.FunctionDef,
     fixed = _fixed_locals(kernel)
     kinds = _param_kinds(kernel)
     src = _Source(kernel.name, helpers)
-    straight = is_straight_line(kernel.body)
-    binding, epilogue = _binding(kernel, src, "v_" if straight else None)
-    launch = ["def launch(n, S, A, G, R, index, layout):",
-              "    stats = KernelExecutionStats(elements=n)",
-              "    ctx = _VCtx(n, G, stats, index, layout)"]
-    nodes = "[]"
-    if straight:
+    binding, epilogue = _binding(kernel, src)
+    if is_straight_line(kernel.body):
         body, flops, uses_slices = _straight_launch(src, kernel, kinds,
                                                     fixed, defined)
-        launch += _indented(binding, "    ")
     else:
         _drop_assigned(kinds, kernel.body)
-        nodes, flops = _Gen(src, kernel, kinds, False, fixed).nodes(
-            kernel.body, set(defined))
-        nodes = src.assign("kernel_nodes", nodes)
+        body, flops = _Gen(src, kernel, kinds, False, fixed,
+                           lanes=_out_lanes(kernel)).function_body(
+            kernel.body, set(defined), "None", False)
         uses_slices = False
-        body = [f"_run_nodes({nodes}, env, ctx, None, _Frame(n))"]
         if any(param.kind is ParamKind.GATHER for param in kernel.params):
             body = _counting_fetches(body)
-        launch += ["    env = {}", *_indented(binding, "    ")]
     # Like the interpreter, an empty launch runs no statement.
-    launch += ["    with np.errstate(all='ignore'):",
-               "        if n:",
-               *_indented(body, "            ")]
-    launch += _indented(epilogue, "    ")
-    source = src.text(launch, nodes)
+    launch = ["def launch(n, S, A, G, R, index, layout):",
+              "    stats = KernelExecutionStats(elements=n)",
+              "    ctx = _VCtx(n, G, stats, index, layout)",
+              *_indented(binding, "    "),
+              "    with np.errstate(all='ignore'):",
+              "        if n:",
+              *_indented(body, "            "),
+              *_indented(epilogue, "    ")]
+    source = src.text(launch)
     return VectorizedKernelProgram(kernel, source, src.consts, flops,
                                    uses_slices)
 

@@ -274,7 +274,8 @@ def _prepare_shard_gathers(group, plan: ShardPlan, kernel,
     """Snapshot every gather array once and build per-shard sources.
 
     Returns ``(sources, halo_bytes)`` where ``sources[k]`` is the gather
-    dict for shard ``k``.  The single snapshot per logical launch is
+    dict for shard ``k``, wrapped for the sanitizer like
+    :meth:`Backend.prepare_gathers` wraps its own.  The single snapshot per logical launch is
     what keeps in-place launches (gather source == output stream)
     identical to an untiled, unsharded pass - the same audited contract
     as ``launch_tiled``.
@@ -336,7 +337,7 @@ def _prepare_shard_gathers(group, plan: ShardPlan, kernel,
             halo_bytes += (data.shape[0] * data.shape[1] - local) \
                 * element_bytes
             sources[shard.index][name] = group.make_gather_source(data)
-    return sources, halo_bytes
+    return [group.checked_gathers(shard) for shard in sources], halo_bytes
 
 
 def launch_sharded(

@@ -258,37 +258,43 @@ class TestBackendIntegration:
 
 
 # --------------------------------------------------------------------------- #
-# Generated regions
+# The generated launch
 # --------------------------------------------------------------------------- #
-def _straight_line_kernels():
-    """``(label, compiled kernel)`` of every straight-line app kernel and
-    of the fused ADAS kernel."""
+def _vector_kernels():
+    """``(label, compiled kernel)`` of every app kernel, every ADAS stage
+    and the fused ADAS kernel."""
     kernels = []
     for app_name in sorted(list_applications()):
         with BrookRuntime(backend="cpu") as rt:
             module = get_application(app_name).compile(rt)
             kernels += [(app_name, kernel)
-                        for kernel in module.program.kernels.values()
-                        if is_straight_line(kernel.definition.body)]
+                        for kernel in module.program.kernels.values()]
     frame = np.zeros((16, 16), dtype=np.float32)
     with BrookRuntime(backend="cpu") as rt:
-        _, _, plans = prepare_request(rt, build_adas_request(16, frame))
+        module, _, plans = prepare_request(rt, build_adas_request(16, frame))
+        kernels += [("adas", kernel)
+                    for kernel in module.program.kernels.values()]
         kernels += [("adas-fused", plan.kernel)
                     for plan, _ in rt.fuse(plans).segments
                     if isinstance(plan, FusedPlan)]
     return kernels
 
 
-class TestGeneratedRegions:
-    def test_straight_line_kernels_run_one_generated_launch(self):
-        kernels = _straight_line_kernels()
+class TestGeneratedLaunch:
+    def test_every_kernel_runs_one_generated_launch_on_locals(self):
+        kernels = _vector_kernels()
         assert any(label == "adas-fused" for label, _ in kernels)
+        assert any(not is_straight_line(kernel.definition.body)
+                   for _, kernel in kernels)
         for label, kernel in kernels:
             program = kernel.vector_path
             assert program is not None, f"{label}:{kernel.name}"
-            launch = program.source.split("def launch(", 1)[1]
-            # The whole body is inline in the launch: no region tree.
-            assert "_run_nodes(" not in launch, f"{label}:{kernel.name}"
+            source = program.source
+            assert source.count("def launch(") == 1, f"{label}:{kernel.name}"
+            # Every local is a Python local: no ``env`` dict, no region
+            # tree driver.
+            for word in ("env[", "env.get(", "_run_nodes"):
+                assert word not in source, f"{label}:{kernel.name}: {word}"
             with pytest.raises(AttributeError):
                 program.source = ""
 

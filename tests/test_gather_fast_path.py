@@ -383,6 +383,8 @@ def test_sharded_sanitized_gathers_match_one_device(backend, device, kernel,
         .astype(np.float32)
     single = _sharded_gathers(backend, device, 1, options, kernel, frame)
     sharded = _sharded_gathers(backend, device, 2, options, kernel, frame)
+    # Every shard's sources carry the bounds shadow-check.
+    assert sharded[2] == single[2]
     if backend == "cpu" and kernel == "shifted":
         # Each band reports its own lanes; both raise the CPU error.
         assert single[0][0] is sharded[0][0] is GatherBoundsError

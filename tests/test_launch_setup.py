@@ -204,24 +204,27 @@ class TestStraightLineHelpers:
         assert dataclasses.asdict(got_stats) == dataclasses.asdict(want_stats)
         assert got_stats.flops > 0 and got_stats.gather_fetches == size
 
-    @pytest.mark.parametrize("divergent,frames", [(False, 0), (True, 2)])
+    @pytest.mark.parametrize("divergent,frames", [(False, 0), (True, 1)])
     def test_full_mask_call_builds_no_frame(self, divergent, frames,
                                             monkeypatch, rng):
-        # A straight-line kernel is one generated launch that needs no
-        # frame, and neither does a full-mask call; inside a divergent
-        # ``if`` the kernel's region tree has one and the helper takes
-        # the masked path.
-        built = []
+        # A straight-line kernel is one generated launch with the helper
+        # inlined: no frame, no masked ``return``.  Inside a divergent
+        # ``if`` the helper's function takes its masked path, whose frame
+        # is in locals, and returns once.
+        returns = []
+        real = vectorized._return
 
-        class CountingFrame(vectorized._Frame):
-            def __init__(self, size):
-                built.append(size)
-                super().__init__(size)
+        def counting(*args):
+            returns.append(args[1] is None)
+            return real(*args)
 
-        monkeypatch.setattr(vectorized, "_Frame", CountingFrame)
+        monkeypatch.setattr(vectorized, "_return", counting)
         size = 16
         x = rng.uniform(0.0, 1.0, size).astype(np.float32)
         x[0], x[1] = 0.0, 1.0  # both branches live
-        run_with(VECTOR, helper_kernel("smooth(x)", divergent), size, x,
-                 np.zeros(size, dtype=np.float32))
-        assert len(built) == frames
+        source = helper_kernel("smooth(x)", divergent)
+        run_with(VECTOR, source, size, x, np.zeros(size, dtype=np.float32))
+        assert returns == [False] * frames
+        program = compile_source(source, options=VECTOR)
+        assert ("def helper" in program.kernel("k").vector_path.source) \
+            is divergent

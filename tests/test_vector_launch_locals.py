@@ -334,16 +334,15 @@ def test_locals_edges_match_the_interpreter(name, geometry):
     """Nested and member stores, compound stores around a helper, nested
     and non-float helpers, a helper after a per-lane fetch, and (on an
     empty launch, which runs no statement) int results stored into a
-    float output, straight-line and region tree alike."""
+    float output, straight-line and with control flow alike."""
     _, rows, cols, how = geometry
     program = compile_source(EDGES, options=CompilerOptions(strict=False))
     kernel = program.kernel(name)
     helpers = program.helpers()
     kernel.vector_path, report = build_vector_path(kernel.definition, helpers)
     assert kernel.vector_path is not None, report.reason
-    # Only a kernel with control flow keeps the region tree's ``env``.
-    assert ("env[" in kernel.vector_path.source.split("def launch(")[1]) \
-        is (not is_straight_line(kernel.definition.body))
+    # Control flow included, every local is a Python local.
+    assert "env[" not in kernel.vector_path.source
     args = _arguments(kernel, rows, cols, np.random.default_rng(5))
     layout = (rows, cols) if how == "layout" else None
     index = layout_positions(rows, cols) if how == "index" else None

@@ -18,6 +18,7 @@ the padded-slice stencil plan).
 
 import dataclasses
 import random
+import re
 
 import numpy as np
 import pytest
@@ -640,10 +641,100 @@ kernel void loop_return(float x<>, float n, out float r<>) {
         r = r + x * 0.5;
     }
 }
+
+kernel void lane_break(float x<>, float n, out float r<>) {
+    float acc = 0.0;
+    for (int i = 0; i < 8; i = i + 1) {
+        if (acc > x) {
+            break;
+        }
+        acc = acc + 0.5;
+    }
+    r = acc + n;
+}
+
+kernel void lane_continue(float x<>, float n, out float r<>) {
+    float acc = 0.0;
+    float i = 0.0;
+    do {
+        for (float j = 0.0; j < 6.0; j = j + 1.0) {
+            if (j * 0.5 > x) {
+                continue;
+            }
+            acc = acc + j * 0.25;
+        }
+        i = i + 1.0;
+    } while (i < n);
+    while (i < n + n) {
+        i = i + 1.0;
+        for (float j = 0.0; j < 4.0; j = j + 1.0) {
+            if (acc > x * 4.0) {
+                continue;
+            }
+            acc = acc + 0.5;
+        }
+    }
+    r = acc;
+}
+
+kernel void lane_return(float x<>, float n, out float r<>) {
+    r = x;
+    for (int i = 0; i < 6; i = i + 1) {
+        if (float(i) * 0.5 > x) {
+            return;
+        }
+        r = r + n * 0.5;
+    }
+    r = r * 2.0;
+}
+
+kernel void nested_break(float x<>, float n, out float r<>) {
+    float acc = 0.0;
+    for (int i = 0; i < n; i = i + 1) {
+        for (float j = 0.0; j < 8.0; j = j + 1.0) {
+            if (j > x) {
+                break;
+            }
+            acc = acc + 0.25;
+        }
+        acc = acc * 0.5 + 1.0;
+    }
+    r = acc;
+}
+
+float settle(float v, float n) {
+    float acc = v;
+    for (int i = 0; i < n; i = i + 1) {
+        if (acc > 2.5) {
+            return acc - float(i);
+        }
+        acc = acc * 1.5 + 0.25;
+    }
+    return acc;
+}
+
+kernel void helper_return(float x<>, float n, out float r<>) {
+    r = x;
+    if (x > 1.0) {
+        r = settle(x, n) + 0.5;
+    }
+}
+
+kernel void member_branch(float x<>, float n, out float r<>) {
+    float2 p = float2(x, n);
+    if (x > 1.5) {
+        p.y = x * 2.0;
+    }
+    r = p.x + p.y;
+}
 """
 
 #: ``lane_trip`` loops ``ceil(x)`` times per lane (the range spec bounds
 #: it); with ``x > 0`` every lane enters, then lanes leave one by one.
+#: The ``lane_*``, ``nested_break`` and ``helper_return`` exits test a
+#: per-lane value.  A lane-divergent ``while``/``do`` has no static trip
+#: bound (BV-302), so ``lane_continue``'s per-lane ``continue`` sits in
+#: bounded ``for`` loops inside them.
 LOOP_SPECS = {"lane_trip": {"params": {"x": (0, 8)}}}
 
 #: (kernel, trip counts ``n``) of the matrix.
@@ -658,6 +749,12 @@ LOOP_CASES = [
     ("int_counter", (0, 1, 6)),
     ("uniform_break", (0, 1, 5)),
     ("loop_return", (0, 1, 5)),
+    ("lane_break", (1,)),
+    ("lane_continue", (0, 1, 5)),
+    ("lane_return", (0, 1, 5)),
+    ("nested_break", (0, 1, 4)),
+    ("helper_return", (0, 1, 4)),
+    ("member_branch", (1,)),
 ]
 
 
@@ -677,17 +774,16 @@ def launch_stats(monkeypatch):
     return recorded
 
 
-def _loop_nodes(program):
-    """Every compiled loop node of a vector program, outermost first."""
-    pending, found = list(program._nodes), []
-    while pending:
-        node = pending.pop(0)
-        if isinstance(node, vector_tier._LoopNode):
-            found.append(node)
-            pending.extend(node.body_nodes)
-        elif isinstance(node, vector_tier._IfNode):
-            pending.extend(node.then_nodes + (node.else_nodes or []))
-    return found
+def _loop_records(program):
+    """``(loops, loops with lane records)`` of a vector program's
+    generated source: a loop whose body has a ``break``, ``continue`` or
+    ``return`` allocates one break and one continue lane array."""
+    source = program.source
+    broke = len(re.findall(r"broke\d+ = np\.zeros\(n, dtype=bool\)", source))
+    continued = len(re.findall(r"continued\d+ = np\.zeros\(n, dtype=bool\)",
+                               source))
+    assert broke == continued
+    return source.count("while True:"), broke
 
 
 class TestLoopAndBranchMatrix:
@@ -723,21 +819,38 @@ class TestLoopAndBranchMatrix:
         program = compile_source(LOOPS, options=CompilerOptions(
             strict=False, range_specs=LOOP_SPECS))
 
-        def exits(kernel):
-            return [node.exits
-                    for node in _loop_nodes(program.kernel(kernel).vector_path)]
+        def records(kernel):
+            return _loop_records(program.kernel(kernel).vector_path)
 
-        assert exits("for_n") == [False]
-        assert exits("nested") == [False, False]
-        assert exits("branch_in_loop") == [False]
-        assert exits("uniform_break") == [True]
-        assert exits("loop_return") == [True]
+        assert records("for_n") == (1, 0)
+        assert records("nested") == (2, 0)
+        assert records("branch_in_loop") == (1, 0)
+        assert records("uniform_break") == (1, 1)
+        assert records("loop_return") == (1, 1)
+        # The outer loop's body holds the inner loop's ``break``.
+        assert records("nested_break") == (2, 2)
+        # The loop is in the helper's generated function.
+        assert records("helper_return") == (1, 1)
+
+    @pytest.mark.parametrize("kernel", [kernel for kernel, _ in LOOP_CASES])
+    def test_empty_launch(self, kernel):
+        """Like the interpreter, an empty launch runs no statement."""
+        program = compile_source(LOOPS, options=CompilerOptions(
+            strict=False, range_specs=LOOP_SPECS))
+        handle = program.kernel(kernel)
+        args = dict(stream_inputs={"x": np.zeros(0, dtype=np.float32)},
+                    scalar_args={"n": 3.0})
+        evaluator = KernelEvaluator(handle.definition, program.helpers())
+        want = evaluator.run(0, **args)
+        got, stats = handle.vector_path.run(0, **args)
+        assert_bitwise(got["r"], want["r"], kernel)
+        assert stats == evaluator.stats
 
     def test_uniform_loop_stores_without_lane_merges(self, monkeypatch, rng):
         # Under the full mask a store is a plain rebinding; only the
         # first counter update (a 0-d value widening to one per lane)
         # still merges.
-        # Both tiers store through the evaluator's ``store_local``.
+        # Both tiers store through the evaluator's ``stored``.
         merges = []
         real_merge = exec_evaluator._merge_masked
 
@@ -777,6 +890,29 @@ class TestEdgeLaunches:
     def test_empty_and_single_lane_launch(self, size, n, rng):
         x = rng.uniform(0.0, 3.0, size).astype(np.float32)
         run_differential(self.SOURCE, "edge", size, {"x": x}, {"n": n})
+
+    EXIT_ALL = """
+    kernel void exit_all(float x<>, float g[][], out float r<>) {
+        float2 p = indexof(r);
+        r = x;
+        for (int i = 0; i < 4; i = i + 1) {
+            if (x > float(i)) {
+                return;
+            }
+        }
+        r = r + g[p.y][p.x];
+    }
+    """
+
+    @pytest.mark.parametrize("low", [0.25, -1.0], ids=["every-lane", "some"])
+    def test_nothing_runs_after_every_lane_exits(self, low, rng):
+        # With every lane returned the trailing gather must not run: a
+        # fetch counts every lane, whatever the mask.
+        x = rng.uniform(low, 1.0, 48).astype(np.float32)
+        data = rng.uniform(0.0, 1.0, (6, 8)).astype(np.float32)
+        run_differential(self.EXIT_ALL, "exit_all", 48, {"x": x},
+                         gathers={"g": NumpyGatherSource(data)},
+                         layout=(6, 8))
 
     @pytest.mark.parametrize("kernel", ["for_n", "uniform_break"])
     def test_step_limit_error_is_unchanged(self, kernel, monkeypatch):
