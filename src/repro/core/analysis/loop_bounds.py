@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .. import ast_nodes as ast
 
@@ -68,6 +68,7 @@ class LoopBoundAnalysis:
 
 def _eval_const(expr: ast.Expression, env: Dict[str, float]) -> Optional[float]:
     """Evaluate ``expr`` to a constant using ``env`` for named values."""
+    expr = ast.unconverted(expr)
     if isinstance(expr, ast.NumberLiteral):
         return float(expr.value)
     if isinstance(expr, ast.Identifier):
@@ -105,6 +106,47 @@ def _eval_const(expr: ast.Expression, env: Dict[str, float]) -> Optional[float]:
         if any(v is None for v in values):
             return None
         return min(values) if expr.callee == "min" else max(values)
+    return None
+
+
+# The syntactic matchers the analyses share.  They, ``_eval_const`` and
+# the abstract evaluators of ``ranges`` and ``sharding`` are where the
+# analyses read through the conversions the semantic analyzer inserted.
+def _var_name(expr: ast.Expression) -> Optional[str]:
+    """The variable ``expr`` reads, if it is one."""
+    expr = ast.unconverted(expr)
+    return expr.name if isinstance(expr, ast.Identifier) else None
+
+
+def _is_var(expr: ast.Expression, var: str) -> bool:
+    """Whether ``expr`` reads ``var``."""
+    return _var_name(expr) == var
+
+
+def _literal(expr: ast.Expression) -> Optional[float]:
+    """The value of ``expr`` when it is a number literal, maybe negated."""
+    expr = ast.unconverted(expr)
+    if isinstance(expr, ast.NumberLiteral):
+        return float(expr.value)
+    if isinstance(expr, ast.UnaryOp) and expr.op == "-":
+        inner = _literal(expr.operand)
+        if inner is not None:
+            return -inner
+    return None
+
+
+def _offset(expr: ast.Expression) -> Optional[Tuple[str, float]]:
+    """``(name, c)`` when ``expr`` is ``name + c``, ``c + name`` or
+    ``name - c`` (then ``(name, -c)``) for a literal ``c``."""
+    expr = ast.unconverted(expr)
+    if not isinstance(expr, ast.BinaryOp) or expr.op not in ("+", "-"):
+        return None
+    name, c = _var_name(expr.left), _literal(expr.right)
+    if name is not None and c is not None:
+        return name, c if expr.op == "+" else -c
+    name, c = _var_name(expr.right), _literal(expr.left)
+    if expr.op == "+" and name is not None and c is not None:
+        return name, c
     return None
 
 
@@ -149,9 +191,8 @@ def _step_value(stmt: ast.ForStatement, var: str, env: Dict[str, float]) -> Opti
         # returning the factor with a marker (handled in _for_bound).
         return None
     if update.op == "=":
-        value = update.value
-        if isinstance(value, ast.BinaryOp) and isinstance(value.left, ast.Identifier) \
-                and value.left.name == var:
+        value = ast.unconverted(update.value)
+        if isinstance(value, ast.BinaryOp) and _is_var(value.left, var):
             delta = _eval_const(value.right, env)
             if delta is None:
                 return None
@@ -159,8 +200,8 @@ def _step_value(stmt: ast.ForStatement, var: str, env: Dict[str, float]) -> Opti
                 return delta
             if value.op == "-":
                 return -delta
-        if isinstance(value, ast.BinaryOp) and isinstance(value.right, ast.Identifier) \
-                and value.right.name == var and value.op == "+":
+        if isinstance(value, ast.BinaryOp) and _is_var(value.right, var) \
+                and value.op == "+":
             return _eval_const(value.left, env)
     return None
 
@@ -175,11 +216,11 @@ def _geometric_factor(stmt: ast.ForStatement, var: str, env: Dict[str, float]) -
         return None
     if update.op == "*=":
         return _eval_const(update.value, env)
-    if update.op == "=" and isinstance(update.value, ast.BinaryOp) and update.value.op == "*":
-        value = update.value
-        if isinstance(value.left, ast.Identifier) and value.left.name == var:
+    value = ast.unconverted(update.value)
+    if update.op == "=" and isinstance(value, ast.BinaryOp) and value.op == "*":
+        if _is_var(value.left, var):
             return _eval_const(value.right, env)
-        if isinstance(value.right, ast.Identifier) and value.right.name == var:
+        if _is_var(value.right, var):
             return _eval_const(value.left, env)
     return None
 
@@ -196,10 +237,10 @@ def _for_bound(stmt: ast.ForStatement, env: Dict[str, float]) -> LoopBound:
     if not isinstance(cond, ast.BinaryOp) or cond.op not in ("<", "<=", ">", ">=", "!="):
         return LoopBound(stmt, "for", None, "loop condition is not a simple comparison")
     # Normalise to: var OP limit.
-    if isinstance(cond.left, ast.Identifier) and cond.left.name == var:
+    if _is_var(cond.left, var):
         limit = _eval_const(cond.right, env)
         op = cond.op
-    elif isinstance(cond.right, ast.Identifier) and cond.right.name == var:
+    elif _is_var(cond.right, var):
         limit = _eval_const(cond.left, env)
         op = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "!=": "!="}[cond.op]
     else:

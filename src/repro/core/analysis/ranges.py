@@ -51,7 +51,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from .. import ast_nodes as ast
-from .loop_bounds import _loop_variable, _step_value
+from .loop_bounds import (_is_var, _literal, _loop_variable, _offset,
+                          _step_value, _var_name)
 
 __all__ = [
     "Interval",
@@ -724,9 +725,9 @@ class _RangeWalker:
         if not isinstance(cond, ast.BinaryOp) or cond.op not in ("<", "<=",
                                                                  ">", ">="):
             return None
-        if isinstance(cond.left, ast.Identifier) and cond.left.name == var:
+        if _is_var(cond.left, var):
             limit_expr, op = cond.right, cond.op
-        elif isinstance(cond.right, ast.Identifier) and cond.right.name == var:
+        elif _is_var(cond.right, var):
             limit_expr = cond.left
             op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}[cond.op]
         else:
@@ -835,24 +836,16 @@ class _RangeWalker:
     def _affine_delta(name: str, node: ast.Assignment) -> Optional[float]:
         """Constant c when the assignment is ``name = name + c`` etc."""
         if node.op in ("+=", "-="):
-            if isinstance(node.value, ast.NumberLiteral):
-                c = float(node.value.value)
-                return c if node.op == "+=" else -c
-            return None
+            c = _literal(node.value)
+            if c is None:
+                return None
+            return c if node.op == "+=" else -c
         if node.op != "=":
             return None
-        value = node.value
-        if isinstance(value, ast.BinaryOp) and value.op in ("+", "-"):
-            if isinstance(value.left, ast.Identifier) and \
-                    value.left.name == name and \
-                    isinstance(value.right, ast.NumberLiteral):
-                c = float(value.right.value)
-                return c if value.op == "+" else -c
-            if value.op == "+" and isinstance(value.right, ast.Identifier) \
-                    and value.right.name == name and \
-                    isinstance(value.left, ast.NumberLiteral):
-                return float(value.left.value)
-        return None
+        offset = _offset(node.value)
+        if offset is None or offset[0] != name:
+            return None
+        return offset[1]
 
     def _join_values(self, a: Value, b: Value) -> Value:
         if isinstance(a, Interval) and isinstance(b, Interval):
@@ -876,6 +869,7 @@ class _RangeWalker:
         return value if isinstance(value, Interval) else Interval.top()
 
     def _eval(self, expr: ast.Expression, env: Dict[str, Value]) -> Value:
+        expr = ast.unconverted(expr)
         if isinstance(expr, ast.NumberLiteral):
             return Interval.const(float(expr.value),
                                   integral=not expr.is_float)
@@ -1186,10 +1180,11 @@ class _RangeWalker:
         finally:
             self._recording = recording
         constraint = self._constraint(op, bound)
-        if isinstance(target, ast.Identifier):
-            current = env.get(target.name)
+        name = _var_name(target)
+        if name is not None:
+            current = env.get(name)
             if isinstance(current, Interval):
-                env[target.name] = current.meet(constraint)
+                env[name] = current.meet(constraint)
         elif isinstance(target, ast.MemberExpr) and \
                 isinstance(target.base, ast.Identifier) and \
                 len(target.member) == 1:

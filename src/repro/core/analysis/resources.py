@@ -122,7 +122,7 @@ def _count_expression(expr: ast.Expression, res: KernelResources,
             cost = builtin.flop_cost if builtin is not None else 4
             res.instruction_estimate += cost
             res.flops_per_element += cost * multiplier
-        elif isinstance(node, ast.ConstructorExpr):
+        elif isinstance(node, ast.ConstructorExpr) and not node.implicit:
             res.instruction_estimate += 1
             res.flops_per_element += multiplier
         elif isinstance(node, ast.IndexExpr):

@@ -56,6 +56,7 @@ import numpy as np
 
 from .. import ast_nodes as ast
 from ..types import ParamKind
+from .loop_bounds import _literal, _offset
 from .tiling import PiecePlan, PieceRect
 
 __all__ = ["ShardPlan", "ClampGuard", "GatherAxisAccess",
@@ -190,32 +191,20 @@ def _rel(axis: str, bound: float, guards: Tuple[ClampGuard, ...]):
     return ("rel", axis, float(bound), tuple(guards))
 
 
-def _literal(node) -> Optional[float]:
-    if isinstance(node, ast.NumberLiteral):
-        return float(node.value)
-    if isinstance(node, ast.UnaryOp) and node.op == "-":
-        inner = _literal(node.operand)
-        if inner is not None:
-            return -inner
-    return None
-
-
 def _clamp_value(node) -> Optional[ClampGuard]:
     """Recognise a far-edge clamp bound: a literal or ``param - literal``."""
     literal = _literal(node)
     if literal is not None:
         return ClampGuard(param=None, delta=literal)
-    if isinstance(node, ast.BinaryOp) and node.op in ("-", "+"):
-        if isinstance(node.left, ast.Identifier):
-            delta = _literal(node.right)
-            if delta is not None:
-                return ClampGuard(param=node.left.name,
-                                  delta=delta if node.op == "-" else -delta)
+    offset = _offset(node)
+    if offset is not None:
+        return ClampGuard(param=offset[0], delta=-offset[1])
     return None
 
 
 def _analyze_expr(expr, env: Dict[str, tuple]):
     """Abstract-evaluate an index expression into the analysis lattice."""
+    expr = ast.unconverted(expr)
     literal = _literal(expr)
     if literal is not None:
         return ("const", literal)

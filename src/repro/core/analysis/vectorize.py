@@ -65,7 +65,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from .. import ast_nodes as ast
 from ..builtins import lookup_builtin
 from ..types import ParamKind, ScalarKind
-from .loop_bounds import analyze_loop_bounds
+from .loop_bounds import _literal, analyze_loop_bounds
 from .ranges import (
     Interval,
     KernelRangeAnalysis,
@@ -643,9 +643,8 @@ class _Analyzer:
             return True
         for node in helper.body.walk():
             if isinstance(node, ast.BinaryOp) and node.op in ("/", "%"):
-                divisor = node.right
-                if isinstance(divisor, ast.NumberLiteral) and \
-                        float(divisor.value) != 0.0:
+                divisor = _literal(node.right)
+                if divisor is not None and divisor != 0.0:
                     continue
                 return True
             if isinstance(node, ast.Assignment) and node.op in ("/=", "%="):

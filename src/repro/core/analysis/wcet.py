@@ -199,6 +199,8 @@ class _CostWalker:
             return self._call_cost(expr)
         if isinstance(expr, ast.ConstructorExpr):
             cost = _sum(self.expression(arg) for arg in expr.args)
+            if expr.implicit:
+                return cost
             return _add(cost, (1, 0))            # +1 slack for the pack
         if isinstance(expr, ast.IndexExpr):
             cost = _add(self.expression(expr.base), self.expression(expr.index))

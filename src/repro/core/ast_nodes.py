@@ -55,6 +55,7 @@ __all__ = [
     "FunctionDef",
     "TranslationUnit",
     "clone",
+    "unconverted",
 ]
 
 
@@ -214,17 +215,33 @@ class CallExpr(Expression):
 
 @dataclass
 class ConstructorExpr(Expression):
-    """Vector constructor such as ``float2(a, b)`` or ``float4(v, 1.0)``."""
+    """Vector constructor such as ``float2(a, b)`` or ``float4(v, 1.0)``,
+    or a scalar conversion ``int(x)``.
+
+    ``implicit`` marks a conversion the semantic analyzer inserted where
+    the source mixes ``int``, ``float`` or ``bool`` operands; it prints
+    as its operand in Brook source and costs nothing in the cost models.
+    """
 
     target_type: BrookType = None
     args: List[Expression] = field(default_factory=list)
+    implicit: bool = False
 
     def children(self) -> Iterable[Node]:
         return iter(self.args)
 
     def to_source(self, indent: int = 0) -> str:
+        if self.implicit:
+            return self.args[0].to_source()
         args = ", ".join(arg.to_source() for arg in self.args)
         return f"{self.target_type.name}({args})"
+
+
+def unconverted(expr: Expression) -> Expression:
+    """``expr`` without the implicit conversions wrapped around it."""
+    while isinstance(expr, ConstructorExpr) and expr.implicit:
+        expr = expr.args[0]
+    return expr
 
 
 @dataclass

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 from ...errors import CodegenError
 from .. import ast_nodes as ast
 from ..builtins import lookup_builtin
-from ..types import BrookType, ParamKind
+from ..types import BrookType, ParamKind, ScalarKind
 from .base import CodeEmitter
 
 __all__ = ["CSourceGenerator", "generate_c"]
@@ -109,6 +109,17 @@ class CSourceGenerator(CodeEmitter):
         if builtin is not None and builtin.c_name:
             return builtin.c_name
         return name
+
+    def emit_expr(self, expr: ast.Expression) -> str:
+        if isinstance(expr, ast.ConstructorExpr) \
+                and expr.target_type.width == 1:
+            # A scalar conversion is a C cast; ``bool`` is an ``int`` in C,
+            # so a conversion to it tests the value against zero.
+            value = self.emit_expr(expr.args[0])
+            if expr.target_type.kind is ScalarKind.BOOL:
+                return f"(({value}) != 0)"
+            return f"(({self.type_name(expr.target_type)})({value}))"
+        return super().emit_expr(expr)
 
     def emit_gather(self, expr: ast.IndexExpr) -> str:
         name, indices = self.gather_base_and_indices(expr)

@@ -28,7 +28,7 @@ import numpy as np
 from ...errors import KernelLaunchError, RuntimeBrookError
 from .. import ast_nodes as ast
 from ..builtins import lookup_builtin
-from ..types import ParamKind, ScalarKind, swizzle_indices
+from ..types import ParamKind, ScalarKind, numpy_dtype, swizzle_indices
 from .gather import GatherSource
 
 __all__ = [
@@ -43,9 +43,9 @@ __all__ = [
     "divide",
     "fmod",
     "gather",
-    "int_value",
     "layout_positions",
     "modulo",
+    "no_return",
     "return_zeros",
     "stored",
     "stored_member",
@@ -180,13 +180,10 @@ def apply_builtin(name: str, args: List, size: int):
     """Apply a Brook builtin to evaluated arguments.
 
     Shared by the tree-walking interpreter and the vector program so
-    both produce bit-identical results for every builtin.
+    both produce bit-identical results for every builtin.  The semantic
+    analyzer converted every argument of a math builtin to ``float``.
     """
-    arrays = []
-    for arg in args:
-        array = np.asarray(arg)
-        arrays.append(array if array.dtype.kind == "b"
-                      else np.asarray(array, dtype=np.float32))
+    arrays = [np.asarray(arg) for arg in args]
     if name in ("min",):
         return np.minimum(*align_pair(arrays[0], arrays[1]))
     if name in ("max",):
@@ -250,42 +247,19 @@ def apply_builtin(name: str, args: List, size: int):
 
 def stored(value, old, mask: Optional[np.ndarray], size: int) -> np.ndarray:
     """What a local holding ``old`` (``None``: not yet stored) holds after
-    ``= value`` on the lanes of ``mask`` (``None``: every lane); an int
-    local truncates a non-int value."""
-    if mask is None and type(value) is np.ndarray and type(old) is np.ndarray \
-            and value.dtype == old.dtype and value.shape == (size,) \
-            and old.shape == (size,):
-        # The common full-mask store: the elision below, decided first.
-        return value
+    ``= value`` on the lanes of ``mask`` (``None``: every lane).  The
+    semantic analyzer converted ``value`` to the local's type, so both
+    have its dtype."""
     if old is None:
         return materialize(value, size)
-    value_arr = np.asarray(value)
-    if _is_int_dtype(old) and not _is_int_dtype(value_arr):
-        value_arr = np.asarray(np.trunc(value_arr), dtype=np.int32)
+    value = np.asarray(value)
     if mask is None:
-        # Full-mask merge elision: np.where(all-true, new, old) is ``new``
-        # promoted against ``old``'s dtype.  A 0-d ``old`` materializes to
-        # an (n,) broadcast of the same dtype, so the promotion rule is
-        # identical.
-        old_arr = np.asarray(old)
-        if value_arr.shape == (size,) and old_arr.shape in ((), (size,)):
-            if value_arr.dtype != old_arr.dtype:
-                value_arr = value_arr.astype(np.result_type(
-                    value_arr.dtype, old_arr.dtype), copy=False)
-            return value_arr
+        # Full-mask merge elision: np.where(all-true, new, old) is ``new``.
+        if value.shape == (size,) and np.shape(old) in ((), (size,)):
+            return value
         mask = np.ones(size, dtype=bool)
-    return _merge_masked(materialize(old, size),
-                         materialize(value_arr, size), mask)
-
-
-def int_value(value) -> np.ndarray:
-    """What an ``int`` declaration stores: ints stay, bools cast, the
-    rest truncates toward zero (C's conversion)."""
-    if not _is_int_dtype(value):
-        value = np.asarray(np.trunc(value), dtype=np.int32) \
-            if np.asarray(value).dtype.kind != "b" \
-            else np.asarray(value, dtype=np.int32)
-    return np.asarray(value)
+    return _merge_masked(materialize(old, size), materialize(value, size),
+                         mask)
 
 
 #: Below this quotient magnitude a float32 remainder is exact in float64.
@@ -360,11 +334,14 @@ def swizzle(base, indices: Sequence[int], member: str, size: int):
     return base[:, list(indices)]
 
 
-def construct_vector(width: int, size: int, args: Sequence) -> np.ndarray:
-    """A ``floatN(...)`` constructor: one float32 column per component."""
+def construct_vector(width: int, size: int, args: Sequence,
+                     dtype: str) -> np.ndarray:
+    """A vector constructor such as ``float2(a, b)`` or ``int2(v)``: one
+    column of ``dtype`` per component, converted as C converts (toward
+    zero to ``int32``, against zero to ``bool``)."""
     columns: List[np.ndarray] = []
     for arg in args:
-        arg = np.asarray(arg, dtype=np.float32)
+        arg = np.asarray(arg)
         if arg.ndim == 2:
             columns.extend(arg[:, component]
                            for component in range(arg.shape[1]))
@@ -372,8 +349,17 @@ def construct_vector(width: int, size: int, args: Sequence) -> np.ndarray:
             columns.append(arg)
     if len(columns) == 1:
         columns = columns * width
-    return np.stack([np.broadcast_to(np.asarray(c, dtype=np.float32), (size,))
+    return np.stack([np.broadcast_to(_column(c, dtype), (size,))
                      for c in columns], axis=1)
+
+
+def _column(value: np.ndarray, dtype: str) -> np.ndarray:
+    """One constructor component as ``dtype``."""
+    if dtype == "bool":
+        return value != 0
+    if dtype == "int32" and value.dtype.kind == "f":
+        value = np.trunc(value)
+    return np.asarray(value, dtype=dtype)
 
 
 def stored_member(value, old, name: str, indices: Sequence[int],
@@ -415,10 +401,19 @@ def gather(source: GatherSource, indices: Sequence, size: int) -> np.ndarray:
     return source.fetch(rows, cols)
 
 
+def no_return(function: ast.FunctionDef):
+    """What a call of ``function`` returns when no lane reached a
+    ``return``: zero of its return type (a void call's value is unused)."""
+    if function.return_type.is_void:
+        return np.float32(0.0)
+    return np.dtype(numpy_dtype(function.return_type)).type(0)
+
+
 def return_zeros(value, size: int) -> np.ndarray:
-    """The float32 zeros a function's first ``return`` merges into."""
+    """The zeros a function's first ``return`` merges into (``value``
+    has the declared return type, so its dtype)."""
     shape = (size,) if np.ndim(value) <= 1 else (size, np.shape(value)[-1])
-    return np.zeros(shape, dtype=np.float32)
+    return np.zeros(shape, dtype=np.result_type(value))
 
 
 class KernelEvaluator:
@@ -432,8 +427,9 @@ class KernelEvaluator:
     ):
         """
         Args:
-            kernel: Kernel definition (semantic analysis recommended but the
-                evaluator only relies on the syntactic structure).
+            kernel: Kernel definition, analysed
+                (:func:`repro.core.semantic.analyze`): its implicit
+                conversions give every value the dtype its type declares.
             helpers: Non-kernel helper functions callable from the kernel,
                 keyed by name.
             max_simt_steps: Safety bound on loop iterations executed by the
@@ -507,9 +503,8 @@ class KernelEvaluator:
                         f"missing scalar argument {param.name!r} for kernel "
                         f"{self.kernel.name!r}"
                     )
-                raw = scalar_args[param.name]
-                dtype = np.int32 if param.type.kind is ScalarKind.INT else np.float32
-                frame.env[param.name] = np.asarray(raw, dtype=dtype)
+                frame.env[param.name] = np.asarray(
+                    scalar_args[param.name], dtype=numpy_dtype(param.type))
             elif param.kind is ParamKind.GATHER:
                 if param.name not in self._gathers:
                     raise KernelLaunchError(
@@ -561,10 +556,7 @@ class KernelEvaluator:
             else:
                 width = stmt.decl_type.width
                 shape = (self._size,) if width == 1 else (self._size, width)
-                dtype = np.int32 if stmt.decl_type.kind is ScalarKind.INT else np.float32
-                value = np.zeros(shape, dtype=dtype)
-            if stmt.decl_type.kind is ScalarKind.INT:
-                value = int_value(value)
+                value = np.zeros(shape, dtype=numpy_dtype(stmt.decl_type))
             frame.env[stmt.name] = np.asarray(value)
             return mask
         if isinstance(stmt, ast.ExprStatement):
@@ -624,10 +616,11 @@ class KernelEvaluator:
         steps = 0
         try:
             while True:
-                if check_before or steps > 0:
-                    if cond_expr is not None:
-                        cond = as_bool_array(self._eval(cond_expr, iter_mask, frame), self._size)
-                        iter_mask = iter_mask & cond
+                # A ``do`` loop tests its condition once per step, at the
+                # bottom, as C does.
+                if check_before and cond_expr is not None:
+                    cond = as_bool_array(self._eval(cond_expr, iter_mask, frame), self._size)
+                    iter_mask = iter_mask & cond
                 if not iter_mask.any():
                     break
                 steps += 1
@@ -805,7 +798,7 @@ class KernelEvaluator:
         with np.errstate(all="ignore"):
             self._exec_statement(helper.body, mask.copy(), frame)
         if frame.return_value is None:
-            return np.float32(0.0)
+            return no_return(helper)
         return frame.return_value
 
     def _apply_builtin(self, name: str, args: List):
@@ -815,14 +808,14 @@ class KernelEvaluator:
                           frame: _Frame):
         args = [np.asarray(self._eval(arg, mask, frame)) for arg in expr.args]
         target = expr.target_type
-        if target.width == 1:
-            value = args[0]
-            if target.kind is ScalarKind.INT:
-                return np.asarray(np.trunc(value), dtype=np.int32)
-            if target.kind is ScalarKind.FLOAT:
-                return np.asarray(value, dtype=np.float32)
-            return as_bool_array(value, self._size)
-        return construct_vector(target.width, self._size, args)
+        if target.width > 1:
+            return construct_vector(target.width, self._size, args,
+                                    numpy_dtype(target))
+        if target.kind is ScalarKind.BOOL:
+            return as_bool_array(args[0], self._size)
+        if target.kind is ScalarKind.INT:
+            return np.asarray(np.trunc(args[0]), dtype=np.int32)
+        return np.asarray(args[0], dtype=np.float32)
 
     def _eval_gather(self, expr: ast.IndexExpr, mask: np.ndarray, frame: _Frame):
         indices: List[ast.Expression] = []

@@ -67,10 +67,11 @@ class GatherSource:
 
 class _HostArraySource(GatherSource):
     """A gather over a host array: the data, its fetch count, and the read
-    of in-bounds integer indices both flavours below share."""
+    of in-bounds integer indices both flavours below share.  The data is
+    float32, as every backend stores it, so a gather reads float32."""
 
     def __init__(self, data: np.ndarray):
-        array = np.asarray(data)
+        array = np.asarray(data, dtype=np.float32)
         if array.ndim == 1:
             array = array.reshape(1, -1)
         self._data = array

@@ -28,10 +28,12 @@ parameter, then the body), ``compile()``d once per
   flow is a generated function that takes the caller's mask and keeps
   its frame (returned lanes, return value, loop records) in locals.
 
-An operation whose operands the compiler proves float32 and one value
-per lane (or uniform) is emitted as the bare ufunc; anything it cannot
-prove calls the helper the interpreter uses (:func:`align_pair`,
-:func:`apply_builtin`, :func:`stored`, :func:`gather`, ...), so results
+Every value has the dtype its semantic type declares: the semantic
+analyzer made each ``int``/``float`` conversion explicit, and a gather
+reads float32.  So an operation on operands of width 1 (uniform or one
+value per lane) is emitted as the bare operator or ufunc, and anything
+wider calls the helper the interpreter uses (:func:`align_pair`,
+:func:`apply_builtin`, :func:`stored`, :func:`gather`, ...); results
 stay bit-identical, and every straight-line run's flop count is a
 compile-time constant multiplied by the live-lane popcount.
 
@@ -62,7 +64,7 @@ import numpy as np
 from ...errors import KernelLaunchError, RuntimeBrookError
 from .. import ast_nodes as ast
 from ..builtins import lookup_builtin
-from ..types import ParamKind, ScalarKind, swizzle_indices
+from ..types import FLOAT, ParamKind, ScalarKind, numpy_dtype, swizzle_indices
 from ..analysis.vectorize import (
     VERDICT_FALLBACK,
     VectorizationReport,
@@ -71,7 +73,6 @@ from ..analysis.vectorize import (
 from .evaluator import (  # noqa: F401 - the generated source calls them
     UNARY_BUILTINS,
     KernelExecutionStats,
-    _is_int_dtype,
     _merge_masked,
     align_pair,
     apply_builtin,
@@ -80,9 +81,9 @@ from .evaluator import (  # noqa: F401 - the generated source calls them
     divide,
     fmod,
     gather,
-    int_value,
     materialize,
     modulo,
+    no_return,
     return_zeros,
     stored,
     stored_member,
@@ -201,15 +202,13 @@ class _VCtx:
     needed.
     """
 
-    __slots__ = ("size", "gathers", "stats", "layout",
-                 "explicit_index", "_index", "_full")
+    __slots__ = ("size", "stats", "layout", "explicit_index", "_index",
+                 "_full")
 
-    def __init__(self, size: int, gathers: Dict[str, GatherSource],
-                 stats: KernelExecutionStats,
+    def __init__(self, size: int, stats: KernelExecutionStats,
                  index: Optional[np.ndarray] = None,
                  layout: Optional[Tuple[int, int]] = None):
         self.size = size
-        self.gathers = gathers
         self.stats = stats
         self.layout = layout
         self.explicit_index = index is not None
@@ -320,9 +319,9 @@ def _return(ctx: _VCtx, mask: Optional[np.ndarray], returned: np.ndarray,
 # Helpers the generated source calls for what it cannot specialise
 # --------------------------------------------------------------------------- #
 def _lanes(value, size):
-    """A float32 store over a float32 local under the full mask: the value
-    itself when it has one entry per lane (what ``_store`` keeps), else
-    its per-lane broadcast (what the merge makes)."""
+    """A width-1 store under the full mask: the value itself when it has
+    one entry per lane (what ``stored`` keeps), else its per-lane
+    broadcast (what the merge makes)."""
     return value if value.shape == (size,) else materialize(value, size)
 
 
@@ -387,14 +386,6 @@ def _line_read(source: GatherSource, ctx: _VCtx, line: str,
     return values
 
 
-def _accumulate(total, term):
-    """``total + term``, in place where that gives the same bits."""
-    if total.dtype == term.dtype and total.shape == term.shape:
-        total += term
-        return total
-    return total + term
-
-
 def _at_edge(bound, extent) -> bool:
     """Whether a clamp bound is uniform and equal to ``extent - 1``."""
     bound = np.asarray(bound)
@@ -417,50 +408,37 @@ def _owned(value, inputs):
 
 
 # --------------------------------------------------------------------------- #
-# Proved runtime dtypes
+# Operations on declared dtypes
 # --------------------------------------------------------------------------- #
-#: A *kind* is what the compiler proves about a value's runtime dtype:
-#: ``"f"`` float32, ``"i"`` int32, ``"b"`` bool, ``"n"`` some numeric
-#: (non-bool) dtype, ``None`` nothing.  Shapes come from the semantic
-#: widths, as for ``_scalar_pair``.
-_NUMERIC = ("f", "i", "n")
-
-#: Builtins emitted as bare ufuncs when every argument is a proved
-#: numeric of width 1 - exactly ``apply_builtin`` once its float32 casts
-#: and ``align_pair`` are no-ops: name -> (source template over the
-#: arguments, arity).  Each template evaluates its arguments once, in
-#: order.
+#: Builtins emitted as bare ufuncs when every argument has width 1 -
+#: exactly ``apply_builtin`` on float32 arguments (the semantic analyzer
+#: converts every argument of a math builtin to ``float``), where
+#: ``align_pair`` is a no-op: name -> source template over the
+#: arguments.  Each template evaluates its arguments once, in order.
 _UFUNC_BUILTINS = {
-    "min": ("np.minimum({0}, {1})", 2), "max": ("np.maximum({0}, {1})", 2),
-    "pow": ("np.power({0}, {1})", 2), "atan2": ("np.arctan2({0}, {1})", 2),
-    "fmod": ("fmod({0}, {1})", 2),
-    "clamp": ("np.minimum(np.maximum({0}, {1}), {2})", 3),
-    "lerp": ("_lerp({0}, {1}, {2})", 3), "mix": ("_lerp({0}, {1}, {2})", 3),
-    "mad": ("(({0} * {1}) + {2})", 3),
-    **{name: (f"np.{ufunc.__name__}({{0}})", 1)
+    "min": "np.minimum({0}, {1})", "max": "np.maximum({0}, {1})",
+    "pow": "np.power({0}, {1})", "atan2": "np.arctan2({0}, {1})",
+    "fmod": "fmod({0}, {1})",
+    "clamp": "np.minimum(np.maximum({0}, {1}), {2})",
+    "lerp": "_lerp({0}, {1}, {2})", "mix": "_lerp({0}, {1}, {2})",
+    "mad": "(({0} * {1}) + {2})",
+    **{name: f"np.{ufunc.__name__}({{0}})"
        for name, ufunc in UNARY_BUILTINS.items()},
 }
 
-_COMPARISONS = ("<", ">", "<=", ">=", "==", "!=")
 _OPERATOR_NAMES = {"+": "add", "-": "sub", "*": "mul", "<": "lt", ">": "gt",
                    "<=": "le", ">=": "ge", "==": "eq", "!=": "ne"}
 
 
-def _arith_kind(left, right):
-    if left == right and left in ("f", "i"):
-        return left
-    return "n" if left in _NUMERIC or right in _NUMERIC else None
-
-
-def _merged_kind(old, new):
-    """Kind of a local after a store of a ``new`` value over ``old``."""
-    if old == new or (old == "f" and new == "b"):
-        return old
-    return "n" if old in _NUMERIC and new in _NUMERIC else None
-
-
 def _width1(expr: ast.Expression) -> bool:
-    return expr.type is not None and expr.type.width == 1
+    return expr.type.width == 1
+
+
+def _dtype_code(brook_type) -> str:
+    """The NumPy dtype of ``brook_type`` spelled in generated code
+    (``np.bool`` is missing from NumPy 1.24-1.26, ``np.bool_`` is not)."""
+    dtype = numpy_dtype(brook_type)
+    return "np.bool_" if dtype == "bool" else f"np.{dtype}"
 
 
 def _scalar_pair(left: ast.Expression, right: ast.Expression) -> bool:
@@ -514,8 +492,8 @@ class _Source:
         self.consts: List[object] = []
         self._const_names: Dict[str, str] = {}
         self.defs: List[str] = []
-        #: ``(helper name, argument kinds) -> (function, result kind)``.
-        self.helper_functions: Dict[tuple, Tuple[str, str]] = {}
+        #: Helper name -> its generated function.
+        self.helper_functions: Dict[str, str] = {}
         self.compiling: Set[str] = set()
         self._count = 0
 
@@ -550,12 +528,10 @@ class _Source:
 class _Gen:
     """Emits the NumPy source of one function body.
 
-    ``kinds`` holds the proved kind of each name; ``track`` says whether
-    writes keep that proof (straight-line bodies) or drop it (bodies with
-    control flow, whose joins this does not model).  ``fixed`` is the
-    kernel's :func:`_fixed_locals` (``None`` in helper bodies, which have
-    their own names): an ``indexof`` binding there holds for the whole
-    launch, so ``idx.x`` is the launch's index column.
+    ``fixed`` is the kernel's :func:`_fixed_locals` (``None`` in helper
+    bodies, which have their own names): an ``indexof`` binding there
+    holds for the whole launch, so ``idx.x`` is the launch's index
+    column.
 
     Every local ``x`` is the Python local ``prefix + x``: ``v_`` in a
     launch or a helper's function, a name of its own in an inlined
@@ -567,13 +543,10 @@ class _Gen:
     """
 
     def __init__(self, src: _Source, function: ast.FunctionDef,
-                 kinds: Dict[str, str], track: bool,
                  fixed: Optional[Dict[str, ast.DeclStatement]] = None,
                  slice_mode: bool = False, prefix: str = "v_",
                  lanes: Set[str] = frozenset()):
         self.src = src
-        self.kinds = dict(kinds)
-        self.track = track
         self._fixed = fixed
         self.slice_mode = slice_mode
         self.prefix = prefix
@@ -616,12 +589,6 @@ class _Gen:
         #: accumulators the stencil fuser may bypass the store path for.
         self._float_locals: Set[str] = set()
 
-    def _set_kind(self, name: str, kind: Optional[str]) -> None:
-        if self.track and kind is not None:
-            self.kinds[name] = kind
-        else:
-            self.kinds.pop(name, None)
-
     def _read_old(self, name: str) -> None:
         """A store that merges into ``name``'s old value reads it, so the
         declaration that bound it is not swept."""
@@ -657,25 +624,20 @@ class _Gen:
         if not isinstance(stmt, ast.ExprStatement):
             raise _Unsupported(type(stmt).__name__)
         expr = stmt.expr
-        for node in expr.walk():    # a nested store's value is unknown
-            if node is not expr:
-                target = _assigned_target(node)
-                self.kinds.pop(target, None)
-                self.lanes.discard(target)
         if not isinstance(expr, ast.Assignment) \
                 or not isinstance(expr.target, ast.Identifier):
-            code, cost, _ = self.expr(expr, defined)
+            code, cost = self.expr(expr, defined)
             return [code], cost
         lines: List[str] = []
-        value, cost, kind = self._assigned_value(expr, defined, lines)
+        value, cost = self._assigned_value(expr, defined, lines)
         name = expr.target.name
-        old = self.kinds.get(name)
         target = self.ref(name)
         scalar = _scalar_pair(expr.target, expr.value)
         masked = self.mask != "None"
         if name not in defined and not masked:
             lines.append(f"{target} = materialize({value}, n)")
-        elif not masked and old == kind == "f" and scalar:
+        elif not masked and scalar:
+            # The value has the local's dtype, so the store keeps it.
             if not (self._lane(expr.value)
                     or (expr.op != "=" and self._lane(expr.target))):
                 value = f"_lanes({value}, n)"
@@ -684,9 +646,7 @@ class _Gen:
         else:
             lines.append(f"{target} = stored({value}, "
                          f"{self._old(name, defined)}, {self.mask}, n)")
-            kind = kind if name not in defined else _merged_kind(old, kind)
         defined.add(name)
-        self._set_kind(name, kind)
         # A full-mask store of one width-1 value leaves one entry per lane.
         if scalar and not masked:
             self.lanes.add(name)
@@ -703,41 +663,30 @@ class _Gen:
         if expr.op != "=":
             # A hoisted helper body would run once for the two values.
             self._effects = True
-        value, cost, kind = self.expr(expr.value, defined)
+        value, cost = self.expr(expr.value, defined)
         if expr.op == "=":
-            return value, cost, kind
-        target, target_cost, target_kind = self.expr(expr.target, defined)
-        combined, combined_kind = self._binary(
-            expr.op[:-1], target, target_kind, value, kind,
-            _scalar_pair(expr.target, expr.value))
+            return value, cost
+        target, target_cost = self.expr(expr.target, defined)
+        combined = self._binary(expr.op[:-1], expr.target, target,
+                                expr.value, value)
         if lines is not None:
             lines.append(value)
         else:
             combined = f"({value}, {combined})[1]"
-        return combined, cost + target_cost + cost + 1, combined_kind
+        return combined, cost + target_cost + cost + 1
 
     def _decl(self, stmt: ast.DeclStatement, defined: Set[str]):
-        is_int = stmt.decl_type.kind is ScalarKind.INT
         lane = stmt.decl_type.width == 1
         if stmt.init is None:
             width = stmt.decl_type.width
             shape = "n" if width == 1 else f"(n, {width})"
-            dtype = "int32" if is_int else "float32"
-            code, cost, kind = f"np.zeros({shape}, dtype=np.{dtype})", 0, \
-                "i" if is_int else "f"
+            code, cost = (f"np.zeros({shape}, "
+                          f"dtype={_dtype_code(stmt.decl_type)})"), 0
         else:
-            # A float declaration stores its initializer unconverted.
-            init, cost, kind = self.expr(stmt.init, defined)
+            init, cost = self.expr(stmt.init, defined)
             lane = lane and self._lane(stmt.init)
-            if not is_int or kind == "i":
-                code = init if lane else f"np.asarray({init})"
-            elif kind == "f":
-                code, kind = f"np.asarray(np.trunc({init}), dtype=np.int32)", \
-                    "i"
-            else:
-                code, kind = f"int_value({init})", "n"
+            code = init if lane else f"np.asarray({init})"
         defined.add(stmt.name)
-        self._set_kind(stmt.name, kind)
         if lane:
             self.lanes.add(stmt.name)
         else:
@@ -826,7 +775,7 @@ class _Gen:
 
     def _if(self, stmt: ast.IfStatement, defined: Set[str]) -> List[str]:
         mask = self.mask
-        cond, cond_cost, _ = self.expr(stmt.cond, defined)
+        cond, cond_cost = self.expr(stmt.cond, defined)
         then_mask, else_mask = self.src.name("m"), self.src.name("m")
         lines = [*self._flops(cond_cost, mask),
                  f"{then_mask}, {else_mask} = _branch(ctx, {cond}, {mask})"]
@@ -861,14 +810,12 @@ class _Gen:
         try:
             narrow = []
             if cond_expr is not None:
-                cond, cond_cost, _ = self.expr(cond_expr, defined)
+                cond, cond_cost = self.expr(cond_expr, defined)
                 narrow = [*self._flops(cond_cost, lanes),
                           f"{lanes} = _narrow(ctx, {cond}, {lanes})"]
-            # A ``do`` loop tests again on top of every step but the
-            # first, as the interpreter does.
-            step = narrow if check_before or not narrow \
-                else [f"if {steps}:", *_indented(narrow, "    ")]
-            step = [*step, f"if {lanes} is not None and not {lanes}.any():",
+            # A ``do`` loop tests once per step, at the bottom.
+            step = [*(narrow if check_before else []),
+                    f"if {lanes} is not None and not {lanes}.any():",
                     "    break",
                     f"{steps} = _step(stats, {steps}, "
                     f"{self.src.const(self.src.kernel_name)})"]
@@ -883,7 +830,7 @@ class _Gen:
             else:
                 step += self.block(body, defined, lanes)[0]
             if update_expr is not None:
-                update, update_cost, _ = self.expr(update_expr, defined)
+                update, update_cost = self.expr(update_expr, defined)
                 step += [f"if {lanes} is None or {lanes}.any():",
                          *_indented([*self._flops(update_cost, lanes), update],
                                     "    ")]
@@ -903,7 +850,7 @@ class _Gen:
             value = ""
             lines = []
             if stmt.value is not None:
-                code, cost, _ = self.expr(stmt.value, defined)
+                code, cost = self.expr(stmt.value, defined)
                 value = f", {code}"
                 lines = self._flops(cost, mask)
             return lines + [f"returned, result, {mask} = _return(ctx, {mask}, "
@@ -961,20 +908,14 @@ class _Gen:
                 match = self._match_stencil(stmt.expr) if self.slice_mode \
                     else None
                 plans_before = len(self.slice_plans)
-                acc_kind = None if match is None else self.kinds.get(match[0])
                 lines, cost = self.statement(stmt, defined, index)
                 if match is not None \
                         and len(self.slice_plans) == plans_before + 1:
                     acc_name, weight_expr, gather_left = match
-                    weight, weight_kind = None, "f"
-                    if weight_expr is not None:
-                        weight, _, weight_kind = self.expr(weight_expr,
-                                                           defined)
-                    # A float32 accumulator plus float32 terms (the slice
-                    # is float32) stays float32: ``+=`` is then exact.
+                    weight = None if weight_expr is None \
+                        else self.expr(weight_expr, defined)[0]
                     stencil = (acc_name, weight, gather_left,
-                               len(self.slice_plans) - 1,
-                               acc_kind == weight_kind == "f")
+                               len(self.slice_plans) - 1)
                 decl, removable = None, False
             else:
                 raise _Unsupported(type(stmt).__name__)
@@ -991,10 +932,10 @@ class _Gen:
                                            bool]]:
         """Match ``acc = acc + [w *] gather`` for the stencil fuser.
 
-        ``acc`` must be a width-1 float local (so bypassing the scalar
-        store path loses no int truncation and the value shape is () or
-        (n,)), and the weight a literal or width-1 scalar param (provably
-        0-d, so multiplying the 2-d slice broadcasts like the 1-d path).
+        ``acc`` must be a width-1 float local (so the value shape is ()
+        or (n,)), and the weight a literal or width-1 scalar param
+        (provably 0-d, so multiplying the 2-d slice broadcasts like the
+        1-d path); both are then float32, like the slice.
         Returns ``(acc_name, weight_expr, gather_on_left)`` -
         ``gather_on_left`` preserves the operand order of the multiply so
         NaN-payload propagation stays bit-identical.
@@ -1080,48 +1021,43 @@ class _Gen:
 
     # -- expressions ----------------------------------------------------- #
     def expr(self, expr: ast.Expression, defined: Set[str]
-             ) -> Tuple[str, int, Optional[str]]:
-        """``(source, static cost, kind)`` of an expression."""
+             ) -> Tuple[str, int]:
+        """``(source, static cost)`` of an expression."""
         if isinstance(expr, ast.NumberLiteral):
             if expr.is_float:
-                return self.src.const(np.float32(expr.value)), 0, "f"
-            return self.src.const(np.int32(int(expr.value))), 0, "i"
+                return self.src.const(np.float32(expr.value)), 0
+            return self.src.const(np.int32(int(expr.value))), 0
         if isinstance(expr, ast.BoolLiteral):
-            return self.src.const(np.bool_(expr.value)), 0, "b"
+            return self.src.const(np.bool_(expr.value)), 0
         if isinstance(expr, ast.Identifier):
             name = expr.name
             if self._reads is not None:
                 self._reads.add(name)
             if name not in defined:
                 raise _Unsupported(f"read of undefined name {name!r}")
-            return self.ref(name), 0, self.kinds.get(name)
+            return self.ref(name), 0
         if isinstance(expr, ast.UnaryOp):
-            code, cost, kind = self.expr(expr.operand, defined)
+            code, cost = self.expr(expr.operand, defined)
             if expr.op == "-":
-                if kind in _NUMERIC:
-                    return f"(-{code})", cost + 1, kind
-                return f"(-np.asarray({code}))", cost + 1, None
+                return f"(-{code})", cost + 1
             if expr.op == "!":
-                return f"(~as_bool_array({code}, n))", cost + 1, "b"
+                return f"(~as_bool_array({code}, n))", cost + 1
             if expr.op == "~":
-                return f"(~np.asarray({code}, dtype=np.int32))", cost + 1, "i"
+                return f"(~np.asarray({code}, dtype=np.int32))", cost + 1
             raise _Unsupported(f"unary operator {expr.op!r}")
         if isinstance(expr, ast.BinaryOp):
-            left, c0, left_kind = self.expr(expr.left, defined)
-            right, c1, right_kind = self.expr(expr.right, defined)
-            code, kind = self._binary(expr.op, left, left_kind, right,
-                                      right_kind,
-                                      _scalar_pair(expr.left, expr.right))
-            return code, c0 + c1 + 1, kind
+            left, c0 = self.expr(expr.left, defined)
+            right, c1 = self.expr(expr.right, defined)
+            return self._binary(expr.op, expr.left, left, expr.right,
+                                right), c0 + c1 + 1
         if isinstance(expr, ast.Assignment):
             return self._assignment(expr, defined)
         if isinstance(expr, ast.Conditional):
-            cond, c0, _ = self.expr(expr.cond, defined)
-            then, c1, then_kind = self.expr(expr.then, defined)
-            other, c2, other_kind = self.expr(expr.otherwise, defined)
-            kind = _merged_kind(then_kind, other_kind)
+            cond, c0 = self.expr(expr.cond, defined)
+            then, c1 = self.expr(expr.then, defined)
+            other, c2 = self.expr(expr.otherwise, defined)
             return (f"where_select(as_bool_array({cond}, n), {then}, {other})",
-                    c0 + c1 + c2 + 1, kind)
+                    c0 + c1 + c2 + 1)
         if isinstance(expr, ast.CallExpr):
             return self._call(expr, defined)
         if isinstance(expr, ast.ConstructorExpr):
@@ -1134,41 +1070,39 @@ class _Gen:
             # column, which a line read recognises by identity.
             axis = self._index_axis(expr)
             if axis is not None:
-                return f"ctx.column({axis!r})", 0, "f"
-            base, cost, kind = self.expr(expr.base, defined)
+                return f"ctx.column({axis!r})", 0
+            base, cost = self.expr(expr.base, defined)
             indices = swizzle_indices(expr.member)
             self._effects = True
-            return f"swizzle({base}, {indices!r}, {expr.member!r}, n)", \
-                cost, kind
+            return f"swizzle({base}, {indices!r}, {expr.member!r}, n)", cost
         if isinstance(expr, ast.IndexOfExpr):
-            return "ctx.index", 0, "f"
+            return "ctx.index", 0
         raise _Unsupported(type(expr).__name__)
 
-    def _binary(self, op: str, left: str, left_kind, right: str, right_kind,
-                scalar_pair: bool) -> Tuple[str, Optional[str]]:
+    def _binary(self, op: str, left_expr: ast.Expression, left: str,
+                right_expr: ast.Expression, right: str) -> str:
+        """``left op right``; both operands have one base type."""
+        scalar_pair = _scalar_pair(left_expr, right_expr)
         if op in _OPERATOR_NAMES:
-            kind = "b" if op in _COMPARISONS \
-                else _arith_kind(left_kind, right_kind)
             if scalar_pair:
-                return f"({left} {op} {right})", kind
+                return f"({left} {op} {right})"
             self._effects = True
             return (f"operator.{_OPERATOR_NAMES[op]}"
-                    f"(*align_pair({left}, {right}))", kind)
-        floats = scalar_pair and left_kind == right_kind == "f"
+                    f"(*align_pair({left}, {right}))")
         if op in ("/", "%"):
-            if floats:
-                return (f"({left} / {right})" if op == "/"
-                        else f"fmod({left}, {right})"), "f"
+            if scalar_pair and left_expr.type == FLOAT:
+                return f"({left} / {right})" if op == "/" \
+                    else f"fmod({left}, {right})"
             helper = "divide" if op == "/" else "modulo"
-            return f"{helper}(*align_pair({left}, {right}))", "n"
+            return f"{helper}(*align_pair({left}, {right}))"
         if op in ("&&", "||"):
             combine = "and_" if op == "&&" else "or_"
-            return f"_logical(operator.{combine}, {left}, {right}, n)", "b"
+            return f"_logical(operator.{combine}, {left}, {right}, n)"
         raise _Unsupported(f"binary operator {op!r}")
 
     def _assignment(self, expr: ast.Assignment, defined: Set[str]):
         """An assignment nested in an expression: the generic store."""
-        value, cost, kind = self._assigned_value(expr, defined, None)
+        value, cost = self._assigned_value(expr, defined, None)
         target = expr.target
         self._effects = True
         if isinstance(target, ast.MemberExpr) \
@@ -1183,12 +1117,11 @@ class _Gen:
             store = (f"stored((_v := {value}), {self._old(name, defined)}, "
                      f"{self.mask}, n)")
             defined.add(name)
-            self.kinds.pop(name, None)
         else:
             raise _Unsupported("unsupported assignment target")
         # The store rebinds the local and yields the value.
         self.lanes.discard(name)
-        return f"(({self.ref(name)} := {store}), _v)[1]", cost, kind
+        return f"(({self.ref(name)} := {store}), _v)[1]", cost
 
     def _old(self, name: str, defined: Set[str]) -> str:
         """What a store merges into: the local, or ``None`` before its
@@ -1203,51 +1136,40 @@ class _Gen:
         # has an effect; its arguments then move along with it.
         hoistable = self._pre is not None and not self._effects
         args = [self.expr(arg, defined) for arg in expr.args]
-        codes = [code for code, _, _ in args]
-        kinds = tuple(kind for _, _, kind in args)
-        cost = sum(arg_cost for _, arg_cost, _ in args)
+        codes = [code for code, _ in args]
+        cost = sum(arg_cost for _, arg_cost in args)
         builtin = lookup_builtin(expr.callee)
         if builtin is None:
             helper = self.src.helpers.get(expr.callee)
             if hoistable and helper is not None and _straight_helper(helper):
                 self._effects = False
-                site, kind = self._inline(helper, expr.args, codes, kinds)
-                return site, cost, kind
+                return self._inline(helper, expr.args, codes), cost
             self._effects = True
-            function, kind = self._helper(expr.callee, kinds)
-            return f"{function}(ctx, {self.mask}, {', '.join(codes)})", \
-                cost, kind
+            return (f"{self._helper(expr.callee)}(ctx, {self.mask}, "
+                    f"{', '.join(codes)})"), cost
         cost += builtin.flop_cost
         ufunc = _UFUNC_BUILTINS.get(expr.callee)
-        if ufunc is not None and ufunc[1] == len(args) \
-                and all(kind in _NUMERIC for kind in kinds) \
-                and all(_width1(arg) for arg in expr.args):
-            # apply_builtin casts each argument to float32 first.
-            cast = [code if kind == "f"
-                    else f"np.asarray({code}, dtype=np.float32)"
-                    for code, kind in zip(codes, kinds)]
-            return ufunc[0].format(*cast), cost, "f"
-        kind = "b" if expr.callee in ("any", "all") \
-            else "f" if all(kind in _NUMERIC for kind in kinds) else None
+        if ufunc is not None and all(_width1(arg) for arg in expr.args):
+            return ufunc.format(*codes), cost
         self._effects = True
         return (f"apply_builtin({expr.callee!r}, [{', '.join(codes)}], n)",
-                cost, kind)
+                cost)
 
     def _constructor(self, expr: ast.ConstructorExpr, defined: Set[str]):
         args = [self.expr(arg, defined) for arg in expr.args]
-        cost = sum(arg_cost for _, arg_cost, _ in args)
+        cost = sum(arg_cost for _, arg_cost in args)
         target = expr.target_type
-        if target.width > 1:
-            codes = "".join(f"{code}, " for code, _, _ in args)
-            self._effects = True
-            return f"construct_vector({target.width}, n, ({codes}))", cost, "f"
         value = args[0][0]
+        if target.width > 1:
+            codes = "".join(f"{code}, " for code, _ in args)
+            self._effects = True
+            return (f"construct_vector({target.width}, n, ({codes}), "
+                    f"{numpy_dtype(target)!r})"), cost
+        if target.kind is ScalarKind.BOOL:
+            return f"as_bool_array({value}, n)", cost
         if target.kind is ScalarKind.INT:
-            return (f"np.asarray(np.trunc(np.asarray({value})), "
-                    f"dtype=np.int32)", cost, "i")
-        if target.kind is ScalarKind.FLOAT:
-            return f"np.asarray({value}, dtype=np.float32)", cost, "f"
-        return f"as_bool_array(np.asarray({value}), n)", cost, "b"
+            return f"np.asarray(np.trunc({value}), dtype=np.int32)", cost
+        return f"np.asarray({value}, dtype=np.float32)", cost
 
     def _index_axis(self, expr: ast.Expression) -> Optional[str]:
         """The ``indexof`` column (``"x"``/``"y"``) ``expr`` reads whole,
@@ -1269,9 +1191,9 @@ class _Gen:
             base = self._fixed[base.name].init
         return expr.member if isinstance(base, ast.IndexOfExpr) else None
 
-    def _helper(self, name: str, arg_kinds: tuple) -> Tuple[str, str]:
-        """The generated function of a helper called with ``arg_kinds``;
-        it takes the caller's mask after ``ctx``.
+    def _helper(self, name: str) -> str:
+        """The generated function of a helper; it takes the caller's mask
+        after ``ctx``.
 
         Fully general: the body runs with a fresh frame under the
         caller's mask, exactly like KernelEvaluator._call_helper, and
@@ -1281,9 +1203,8 @@ class _Gen:
         statement once and returns, so the flops are the static cost
         times the lane count and the return merge selects every lane.
         """
-        key = (name, arg_kinds)
-        if key in self.src.helper_functions:
-            return self.src.helper_functions[key]
+        if name in self.src.helper_functions:
+            return self.src.helper_functions[name]
         helper = self.src.helpers.get(name)
         if helper is None:
             raise _Unsupported(f"call to unknown function {name!r}")
@@ -1292,52 +1213,47 @@ class _Gen:
         self.src.compiling.add(name)
         try:
             params = [param.name for param in helper.params]
-            args = [f"a{i}" for i in range(len(arg_kinds))]
-            straight = _straight_helper(helper)
-            kinds = dict(zip(params, arg_kinds))
-            if not straight:
-                _drop_assigned(kinds, helper.body)
-            body, _ = _Gen(self.src, helper, kinds, straight).function_body(
+            args = [f"a{i}" for i in range(len(params))]
+            body, _ = _Gen(self.src, helper).function_body(
                 helper.body, set(params),
                 "np.ones(n, dtype=bool) if mask is None else mask", True)
             lines: List[str] = []
-            kind = "n"     # a merge into float32 zeros is never bool
-            if straight:
-                fast, value, cost, kind = self._straight_body(
-                    helper, arg_kinds, args, [False] * len(args), "h_")
+            if _straight_helper(helper):
+                fast, value, cost = self._straight_body(
+                    helper, args, [False] * len(args), "h_")
                 lines = ["if mask is None:",
                          f"    stats.flops += {cost} * n",
                          *_indented(fast, "    "),
                          f"    return {value}"]
+            zero = self.src.const(no_return(helper))
             lines += [*(f"v_{param} = materialize({arg}, n).copy()"
                         for arg, param in zip(args, params)),
                       *body,
-                      "return np.float32(0.0) if result is None else result"
-                      if _has_exit(helper.body) else "return np.float32(0.0)"]
+                      f"return {zero} if result is None else result"
+                      if _has_exit(helper.body) else f"return {zero}"]
             function = self.src.function(
                 "helper", "ctx, mask" + "".join(f", {arg}" for arg in args),
                 lines)
         finally:
             self.src.compiling.discard(name)
-        self.src.helper_functions[key] = (function, kind)
-        return function, kind
+        self.src.helper_functions[name] = function
+        return function
 
-    def _straight_body(self, helper: ast.FunctionDef, arg_kinds: tuple,
-                       args: List[str], arg_lanes: List[bool], prefix: str):
-        """``(lines, value, cost, kind)`` of a straight-line helper body
-        under the full mask on locals named ``prefix + name``: the lines
-        binding the parameters to ``args`` and running the body, the
-        returned value as the caller receives it (a per-lane float32 or
-        the interpreter's merge into float32 zeros), the static flop cost
-        per lane, inlined helpers included, and the value's kind.
+    def _straight_body(self, helper: ast.FunctionDef, args: List[str],
+                       arg_lanes: List[bool], prefix: str):
+        """``(lines, value, cost)`` of a straight-line helper body under
+        the full mask on locals named ``prefix + name``: the lines binding
+        the parameters to ``args`` and running the body, the returned
+        value as the caller receives it (one entry per lane, or the
+        interpreter's merge into zeros for a vector), and the static flop
+        cost per lane, inlined helpers included.
 
         Like the interpreter's frame, a parameter holds one entry per
         lane: an argument not proved so (``arg_lanes``) is materialized.
         """
         params = [param.name for param in helper.params]
         stmts = list(_flatten(helper.body))
-        gen = _Gen(self.src, helper, dict(zip(params, arg_kinds)), True,
-                   prefix=prefix,
+        gen = _Gen(self.src, helper, prefix=prefix,
                    lanes={param.name for param in helper.params
                           if param.type.width == 1})
         defined = set(params)
@@ -1350,38 +1266,37 @@ class _Gen:
             lines += stmt_lines
             cost += stmt_cost
         ret = stmts[-1].value
-        pre, (value, value_cost, value_kind) = gen._hoisting(
+        pre, (value, value_cost) = gen._hoisting(
             len(stmts) - 1, lambda: gen.expr(ret, defined))
         lines += pre
-        if value_kind == "f" and _width1(ret):
+        if _width1(ret):
+            # The value has the return type, so the merge keeps its dtype.
             if not gen._lane(ret):
                 value = f"_lanes({value}, n)"
         else:
             value = (f"_merge_masked(return_zeros(_v := {value}, n), _v, "
                      "ctx.full_mask)")
-        kind = "f" if value_kind in ("f", "b") else "n"
-        return lines, value, cost + value_cost + gen.inline_cost, kind
+        return lines, value, cost + value_cost + gen.inline_cost
 
     def _inline(self, helper: ast.FunctionDef, args: List[ast.Expression],
-                codes: List[str], arg_kinds: tuple) -> Tuple[str, str]:
+                codes: List[str]) -> str:
         """Hoist a straight-line helper call of a launch with lanes: its
         arguments bind to locals, its body runs inline (its flops join the
-        launch's static cost) and its value lands in a local.  Returns
-        that local and the value's kind."""
+        launch's static cost) and its value lands in a local, which this
+        returns."""
         if helper.name in self.src.compiling:
             raise _Unsupported(f"recursive helper {helper.name!r}")
         site = f"{self._site}{self._sites}"
         self._sites += 1
         self.src.compiling.add(helper.name)
         try:
-            body, value, cost, kind = self._straight_body(
-                helper, arg_kinds, codes, [self._lane(arg) for arg in args],
-                site + "_")
+            body, value, cost = self._straight_body(
+                helper, codes, [self._lane(arg) for arg in args], site + "_")
         finally:
             self.src.compiling.discard(helper.name)
         self.inline_cost += cost
         self._pre += [*body, f"{site} = {value}"]
-        return site, kind
+        return site
 
     def _lane(self, expr: ast.Expression) -> bool:
         """Whether ``expr``'s value, as emitted on locals, is proved an
@@ -1433,11 +1348,11 @@ class _Gen:
         # one index a whole indexof column in its own position.
         line = {("y", None): "y", (None, "x"): "x"}.get(
             tuple(self._index_axis(index) for index in index_exprs))
-        codes = "".join(f"{code}, " for code, _, _ in indices)
+        codes = "".join(f"{code}, " for code, _ in indices)
         self._effects = True
         self.fetch_sites += 1
         return (f"_gather(ctx, g_{node.name}, ({codes}), {line!r})",
-                sum(cost for _, cost, _ in indices), None)
+                sum(cost for _, cost in indices))
 
     def _slice_gather(self, name: str, index_exprs: List[ast.Expression],
                       defined: Set[str]):
@@ -1472,7 +1387,7 @@ class _Gen:
         # is: ``_SLICE_VIEW`` marks it until then.  The prologue counts
         # a fetch per lane for every evaluation of the view, and checks
         # that the array is float32.
-        return f"<view {len(self.slice_plans) - 1}>.reshape(-1)", cost, "f"
+        return f"<view {len(self.slice_plans) - 1}>.reshape(-1)", cost
 
 
 _SLICE_VIEW = re.compile(r"<view (\d+)>")
@@ -1486,17 +1401,6 @@ def _assigned_target(node: ast.Node) -> Optional[str]:
     if isinstance(target, ast.MemberExpr):
         target = target.base
     return target.name if isinstance(target, ast.Identifier) else None
-
-
-def _drop_assigned(kinds: Dict[str, str], body: ast.Statement) -> None:
-    """Forget the kind of every name ``body`` writes anywhere.
-
-    Control-flow joins are not modelled, and a loop reads a name again
-    after later writes of its body, so in a body with control flow a
-    written parameter proves nothing.
-    """
-    for node in body.walk():
-        kinds.pop(_assigned_target(node), None)
 
 
 def _fixed_locals(kernel: ast.FunctionDef) -> Dict[str, ast.DeclStatement]:
@@ -1526,10 +1430,9 @@ def _fuse_stencil_runs(stmts: List[tuple], ref) -> List[str]:
     keeps the same operand order and op sequence over the 2-d padded
     slices and flattens once at the end.  Elementwise IEEE ops commute
     with reshape, so the result is bit-identical while skipping one
-    strided-view copy per gather.  The accumulate is in place where ``+=``
-    and ``+`` produce the same bits: ``+=`` when the accumulator and every
-    weight are proved float32 (the slices are), else guarded at run time
-    to identical dtype/shape.  ``ref`` gives the source of a local.
+    strided-view copy per gather.  The accumulator, the weights and the
+    slices are all float32, so the accumulation after the first term is
+    an in-place ``+=``.  ``ref`` gives the source of a local.
     """
     out: List[str] = []
     run: List[tuple] = []
@@ -1539,16 +1442,14 @@ def _fuse_stencil_runs(stmts: List[tuple], ref) -> List[str]:
             out.extend(line for stmt in run for line in stmt[0])
         else:
             acc = ref(run[0][4][0])
-            exact = all(stmt[4][4] for stmt in run)
             out.append(f"_s = {acc}")
             for position, stmt in enumerate(run):
-                _, weight, gather_left, plan, _ = stmt[4]
+                _, weight, gather_left, plan = stmt[4]
                 view = f"<view {plan}>"
                 term = view if weight is None else \
                     f"{view} * {weight}" if gather_left else f"{weight} * {view}"
                 out.append(
-                    (f"_s += {term}" if exact else
-                     f"_s = _accumulate(_s, {term})") if position else
+                    f"_s += {term}" if position else
                     f"_s = (_s if _s.ndim == 0 else _s.reshape(rows, cols)) "
                     f"+ {term}")
             out.append(f"{acc} = _s.reshape(-1)")
@@ -1655,17 +1556,6 @@ class VectorizedKernelProgram:
 # --------------------------------------------------------------------------- #
 # Entry points
 # --------------------------------------------------------------------------- #
-def _param_kinds(kernel: ast.FunctionDef) -> Dict[str, str]:
-    kinds = {}
-    for param in kernel.params:
-        if param.kind is ParamKind.SCALAR:
-            kinds[param.name] = "i" if param.type.kind is ScalarKind.INT \
-                else "f"
-        elif param.kind is not ParamKind.GATHER:
-            kinds[param.name] = "f"
-    return kinds
-
-
 #: The argument table and the interpreter's word for each parameter kind.
 _PARAM_TABLES = {ParamKind.STREAM: ("S", "input stream"),
                  ParamKind.ITERATOR: ("S", "input stream"),
@@ -1704,15 +1594,15 @@ def _binding(kernel: ast.FunctionDef, src: _Source
         if param.kind is ParamKind.GATHER:
             lines.append(f"g_{name} = G[{name!r}]")
             continue
-        dtype = "int32" if param.kind is ParamKind.SCALAR \
-            and param.type.kind is ScalarKind.INT else "float32"
+        dtype = _dtype_code(param.type) if param.kind is ParamKind.SCALAR \
+            else "np.float32"
         if param.kind is ParamKind.REDUCE:
             lines.append(f"{target} = np.array(R[{name!r}], "
-                         f"dtype=np.{dtype}, copy=True)")
+                         f"dtype={dtype}, copy=True)")
             outs.append(name)
             continue
         lines.append(f"{target} = np.asarray({table}[{name!r}], "
-                     f"dtype=np.{dtype})")
+                     f"dtype={dtype})")
         if table == "S":
             streams.append(target)
     if wanted:
@@ -1800,7 +1690,6 @@ def _out_lanes(kernel: ast.FunctionDef) -> Set[str]:
 
 
 def _straight_launch(src: _Source, kernel: ast.FunctionDef,
-                     kinds: Dict[str, str],
                      fixed: Dict[str, ast.DeclStatement],
                      defined: Set[str]) -> Tuple[List[str], int, bool]:
     """The body of a straight-line launch, its static flops per lane
@@ -1813,15 +1702,14 @@ def _straight_launch(src: _Source, kernel: ast.FunctionDef,
     the per-lane reads.
     """
     lanes = _out_lanes(kernel)
-    fast = _Gen(src, kernel, kinds, True, fixed, slice_mode=True,
-                lanes=lanes)
+    fast = _Gen(src, kernel, fixed, slice_mode=True, lanes=lanes)
     body, flops = fast.fast_body(kernel.body, set(defined))
     plans = fast.slice_plans
     if not plans:
         body = [f"stats.flops += {flops + fast.inline_cost} * n", *body]
         return (_counting_fetches(body) if fast.fetch_sites else body), \
             flops, False
-    plain_gen = _Gen(src, kernel, kinds, True, fixed, lanes=lanes)
+    plain_gen = _Gen(src, kernel, fixed, lanes=lanes)
     plain = plain_gen.fast_body(kernel.body, set(defined))[0]
     uses = Counter(int(view) for line in body
                    for view in _SLICE_VIEW.findall(line))
@@ -1854,15 +1742,13 @@ def _compile_program(kernel: ast.FunctionDef,
     defined = {param.name for param in kernel.params
                if param.kind is not ParamKind.GATHER}
     fixed = _fixed_locals(kernel)
-    kinds = _param_kinds(kernel)
     src = _Source(kernel.name, helpers)
     binding, epilogue = _binding(kernel, src)
     if is_straight_line(kernel.body):
-        body, flops, uses_slices = _straight_launch(src, kernel, kinds,
-                                                    fixed, defined)
+        body, flops, uses_slices = _straight_launch(src, kernel, fixed,
+                                                    defined)
     else:
-        _drop_assigned(kinds, kernel.body)
-        body, flops = _Gen(src, kernel, kinds, False, fixed,
+        body, flops = _Gen(src, kernel, fixed,
                            lanes=_out_lanes(kernel)).function_body(
             kernel.body, set(defined), "None", False)
         uses_slices = False
@@ -1871,7 +1757,7 @@ def _compile_program(kernel: ast.FunctionDef,
     # Like the interpreter, an empty launch runs no statement.
     launch = ["def launch(n, S, A, G, R, index, layout):",
               "    stats = KernelExecutionStats(elements=n)",
-              "    ctx = _VCtx(n, G, stats, index, layout)",
+              "    ctx = _VCtx(n, stats, index, layout)",
               *_indented(binding, "    "),
               "    with np.errstate(all='ignore'):",
               "        if n:",

@@ -6,6 +6,17 @@ translation unit and annotates every expression node with its resolved
 The annotated AST is what the code generators and the execution engine
 consume, so analysis is a mandatory stage of the compilation pipeline.
 
+Brook accepts C's mixing of ``int``, ``float`` and ``bool`` operands, but
+GLSL ES 1.00 has no implicit conversions (spec sections 4.1.10 and 5.9)
+and MISRA C:2012 rule 10.4 forbids them.  So the analyzer makes each
+one explicit, once: where an operand of an operator, an initializer, a
+stored value, a ``?:`` branch, a call argument or a returned value has
+another base type than its context, it is wrapped in an implicit
+``float(x)``, ``int(x)`` or ``bool(x)`` :class:`~repro.core.ast_nodes.
+ConstructorExpr`.  Every printer and both execution tiers then read one
+base type per operation, and every value has the dtype its type
+declares.
+
 The checks implemented here are the *language-level* rules of Brook
 itself (a call must match a known function, a gather array must be
 indexed with the right rank, ...).  The additional restrictions of the
@@ -207,6 +218,7 @@ class SemanticAnalyzer:
                         f"with a value of type {init_type}",
                         stmt.location,
                     )
+                stmt.init = _converted(stmt.init, stmt.decl_type.kind)
             scope.declare(stmt.name, stmt.decl_type, stmt.location)
         elif isinstance(stmt, ast.ExprStatement):
             self._check_expression(stmt.expr, scope)
@@ -244,6 +256,7 @@ class SemanticAnalyzer:
                         f"got {value_type}",
                         stmt.location,
                     )
+                stmt.value = _converted(stmt.value, func.return_type.kind)
             elif not func.return_type.is_void:
                 raise BrookTypeError(
                     f"non-void function {func.name!r} must return a value",
@@ -298,6 +311,8 @@ class SemanticAnalyzer:
                     f"incompatible branches of conditional: {then_type} vs {else_type}",
                     expr.location,
                 )
+            expr.then = _converted(expr.then, merged.kind)
+            expr.otherwise = _converted(expr.otherwise, merged.kind)
             return merged
         if isinstance(expr, ast.CallExpr):
             return self._infer_call(expr, scope)
@@ -327,9 +342,11 @@ class SemanticAnalyzer:
                 f"incompatible operands for {expr.op!r}: {left} and {right}",
                 expr.location,
             )
-        if expr.op in ("<", ">", "<=", ">=", "==", "!="):
-            return BrookType(ScalarKind.BOOL, merged.width)
-        if expr.op in ("&&", "||"):
+        # ``&&`` and ``||`` combine truth values.
+        kind = ScalarKind.BOOL if expr.op in ("&&", "||") else merged.kind
+        expr.left = _converted(expr.left, kind)
+        expr.right = _converted(expr.right, kind)
+        if expr.op in ("<", ">", "<=", ">=", "==", "!=", "&&", "||"):
             return BrookType(ScalarKind.BOOL, merged.width)
         return merged
 
@@ -342,6 +359,18 @@ class SemanticAnalyzer:
                 f"{target_type}",
                 expr.location,
             )
+        merged = common_type(target_type, value_type)
+        if expr.op != "=" and merged.kind is not target_type.kind:
+            # C computes ``t op= v`` in the common type of ``t`` and ``v``
+            # and converts the result back, so ``i *= 0.5`` on an
+            # ``int i`` stores ``int(float(i) * 0.5)``: spelled out here.
+            combined = ast.BinaryOp(
+                location=expr.location, op=expr.op[:-1],
+                left=_converted(ast.clone(expr.target), merged.kind),
+                right=_converted(expr.value, merged.kind))
+            combined.type = merged
+            expr.op, expr.value = "=", combined
+        expr.value = _converted(expr.value, target_type.kind)
         self._record_output_assignment(expr.target)
         return target_type
 
@@ -362,7 +391,12 @@ class SemanticAnalyzer:
         arg_types = [self._check_expression(arg, scope) for arg in expr.args]
         builtin = lookup_builtin(expr.callee)
         if builtin is not None:
-            return builtin.result_type(arg_types)
+            result = builtin.result_type(arg_types)
+            if expr.callee not in ("any", "all"):
+                # The math builtins take float arguments.
+                expr.args = [_converted(arg, ScalarKind.FLOAT)
+                             for arg in expr.args]
+            return result
         if expr.callee in _FOREIGN_C_FUNCTIONS:
             # C library calls (malloc, free, memcpy, ...) are typed
             # permissively so analysis of legacy CUDA/OpenCL-style code can
@@ -390,6 +424,8 @@ class SemanticAnalyzer:
                     f"{param.type}, got {arg_type}",
                     expr.location,
                 )
+        expr.args = [_converted(arg, param.type.kind)
+                     for arg, param in zip(expr.args, func.params)]
         if self._current is not None and expr.callee not in self._current.callees:
             self._current.callees.append(expr.callee)
         return func.return_type
@@ -501,6 +537,19 @@ class SemanticAnalyzer:
         if value.width == 1:
             return True
         return False
+
+
+def _converted(expr: ast.Expression, kind: ScalarKind) -> ast.Expression:
+    """``expr`` as a value of base type ``kind``: wrapped in an implicit
+    conversion when its own base type differs."""
+    if expr.type.kind is kind or expr.type.is_void:
+        return expr
+    target = BrookType(kind, expr.type.width)
+    conversion = ast.ConstructorExpr(location=expr.location,
+                                     target_type=target, args=[expr],
+                                     implicit=True)
+    conversion.type = target
+    return conversion
 
 
 def analyze(unit: ast.TranslationUnit) -> AnalyzedProgram:

@@ -6,11 +6,13 @@ import pytest
 from repro.core.exec.evaluator import KernelEvaluator
 from repro.core.exec.gather import ClampingGatherSource, NumpyGatherSource
 from repro.core.parser import parse
+from repro.core.semantic import analyze
 from repro.errors import KernelLaunchError, RuntimeBrookError, StreamError
 
 
 def make_evaluator(source, kernel_name=None, max_steps=1_000_000):
     unit = parse(source)
+    analyze(unit)
     helpers = {f.name: f for f in unit.functions
                if not (f.is_kernel or f.is_reduction)}
     kernel = unit.kernels[0] if kernel_name is None else unit.kernel(kernel_name)
@@ -280,6 +282,7 @@ class TestHelpersAndGathers:
 class TestReductionsAndErrors:
     def test_reduce_kernel_combines_accumulator(self):
         unit = parse("reduce void total(float a<>, reduce float r) { r += a; }")
+        analyze(unit)
         evaluator = KernelEvaluator(unit.kernels[0])
         outputs = evaluator.run(
             4,

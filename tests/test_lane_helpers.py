@@ -11,7 +11,7 @@ and in constant folding.
 import numpy as np
 import pytest
 
-from repro.core import parse
+from repro.core import analyze, ast_nodes as ast, parse
 from repro.core.compiler import CompilerOptions, compile_source
 from repro.core.exec.evaluator import KernelEvaluator, fmod
 from repro.core.exec.vectorized import build_vector_path
@@ -283,6 +283,11 @@ class TestCIntegerSemantics:
         unit = parse("kernel void f(float a<>, out float o<>) "
                      f"{{ o = a + float({expr}); }}")
         folded = fold_constants(unit.kernels[0])
+        # Semantic analysis runs after the source-to-source passes.
+        analyze(ast.TranslationUnit(functions=[folded]))
         call = folded.body.statements[0].expr.value.right
         (literal,) = call.args
         assert literal.value == value
+        zeros = np.zeros(2, dtype=np.float32)
+        output = KernelEvaluator(folded).run(2, stream_inputs={"a": zeros})
+        np.testing.assert_array_equal(output["o"], value)

@@ -263,9 +263,9 @@ def test_fused_adas_source_emits_the_shared_tail_once():
         "adas-fused"].vector_path.source
     launch = source.split("def launch(", 1)[1]
     assert launch.count("np.power(") == 1
-    # The stencil result is proved float32: no re-cast before the clamp
-    # on the slice branch, and the contrast helper's body runs inline.
-    assert launch.count("np.asarray(") == 22 + 1 + 1   # binding, acc, cast
+    # Every value has its declared dtype: no cast before the clamp, and
+    # the contrast helper's body runs inline.
+    assert launch.count("np.asarray(") == 22 + 1   # binding, acc
     assert "helper" not in source
 
 
@@ -323,18 +323,32 @@ kernel void branchy(float x<>, out float r<>) {
     r = i * 2;
     if (x > 0.5) { r = r + whole(x); }
 }
+kernel void truth(float x<>, out float r<>) {
+    bool big = x;
+    float f = big;
+    int h = whole(x) / 2;
+    r = f + float(x && big) + h;
+}
+kernel void ints(float x<>, float n, out float r<>) {
+    int2 v = float2(x * 4.0, -x * 4.0);
+    int2 w;
+    if (n > 0.0) { w = v; w.y *= 0.5; }
+    r = v.x + v.y * 10 + w.x * 100 + w.y * 1000;
+}
 """
 
 
 @pytest.mark.parametrize("geometry", GEOMETRIES, ids=[g[0] for g in GEOMETRIES])
 @pytest.mark.parametrize("name", ["nested", "member", "compound", "calls",
                                   "after_fetch", "typed", "swizzled",
-                                  "uniform", "uniform_vector", "branchy"])
+                                  "uniform", "uniform_vector", "branchy",
+                                  "truth", "ints"])
 def test_locals_edges_match_the_interpreter(name, geometry):
     """Nested and member stores, compound stores around a helper, nested
-    and non-float helpers, a helper after a per-lane fetch, and (on an
-    empty launch, which runs no statement) int results stored into a
-    float output, straight-line and with control flow alike."""
+    and non-float helpers, a helper after a per-lane fetch, int results
+    converted into a float output (also on an empty launch, which runs
+    no statement), bool conversions and truncated int vectors, masked
+    and compound-stored, straight-line and with control flow alike."""
     _, rows, cols, how = geometry
     program = compile_source(EDGES, options=CompilerOptions(strict=False))
     kernel = program.kernel(name)

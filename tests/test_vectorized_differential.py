@@ -29,8 +29,6 @@ from repro.backends import base as backend_base
 from repro.backends import gles2_backend
 from repro.backends.gles2_backend import GLES2Backend
 from repro.backends.sharded import ShardedBackend
-from repro.core import ast_nodes as ast
-from repro.core import parse
 from repro.core.compiler import CompilerOptions, compile_source
 from repro.core.exec import evaluate, layout_positions
 from repro.core.exec import evaluator as exec_evaluator
@@ -173,9 +171,10 @@ def _random_expr(rnd, depth, names=("x", "y", "s")):
 
 
 def _random_kernel(seed, tail):
-    """A fuzzed kernel covering what the vector tier specialises on proved
-    dtypes: int locals, a ``float`` declared from an int expression (it
-    stays int32 at runtime), ``int()``/``float()``, ``+=``/``*=``, ``?:``,
+    """A fuzzed kernel covering what the vector tier specialises on
+    declared dtypes: int locals, a ``float`` declared from an int
+    expression (an implicit ``float()``), int operands mixed with float
+    ones, ``int()``/``float()``, ``+=``/``*=``, ``?:``,
     a ``float2`` local with a swizzle read and a member store, a
     straight-line helper call and ``indexof`` columns.  ``tail`` is
     ``"straight"`` or ``"if"``."""
@@ -226,6 +225,26 @@ class TestSeededRandomKernels:
 # Targeted semantics
 # --------------------------------------------------------------------------- #
 class TestSemanticEdges:
+    def test_gathers_read_float32(self, rng):
+        # A gather over float64 data reads float32, so the vector tier
+        # divides by the gathered value with the bare float32 operator.
+        source = """
+        kernel void ratio(float g[], float x<>, out float r<>) {
+            float2 p = indexof(r);
+            r = x / g[p.x];
+        }"""
+        program = compile_source(source, options=CompilerOptions(strict=False))
+        handle = program.kernel("ratio")
+        data = rng.uniform(1.0, 3.0, (1, 32))
+        args = dict(stream_inputs={"x": rng.uniform(0.0, 3.0, 32)
+                                   .astype(np.float32)})
+        want = KernelEvaluator(handle.definition, {}).run(
+            32, gathers={"g": NumpyGatherSource(data)}, **args)
+        got, _ = handle.vector_path.run(
+            32, gathers={"g": NumpyGatherSource(data)}, **args)
+        assert got["r"].dtype == want["r"].dtype == np.float32
+        assert_bitwise(got["r"], want["r"], "ratio")
+
     def test_divergent_branch_nan_propagation(self, rng):
         # sqrt of negatives on the speculatively evaluated side must
         # produce the interpreter's exact NaN bit patterns after the
@@ -326,9 +345,9 @@ class TestSemanticEdges:
         assert_bitwise(got["dst"], want["dst"], "member-store kill")
 
     def test_looping_helper_reassigns_a_float_parameter(self, rng):
-        # ``a = a * 0.75 + i`` makes ``a`` float64 after the first trip,
-        # so the next trip's reads of ``a`` must not keep the call site's
-        # float32 proof: the interpreter casts to float32 first.
+        # ``a = a * 0.75 + i`` adds the int counter as ``float(i)``, so
+        # the float parameter stays float32 on every trip, and the next
+        # trip's reads of ``a`` take the bare ufuncs on both tiers.
         source = """
         float h(float a) {
             for (int i = 0; i < 3; i = i + 1) {
@@ -815,6 +834,32 @@ class TestLoopAndBranchMatrix:
             assert got_stats == want_stats, f"{kernel}(n={n}) on {backend}"
             assert got_stats, "no launch was recorded"
 
+    @pytest.mark.parametrize("options", [INTERP, VECTOR],
+                             ids=["interp", "vector"])
+    def test_do_tests_its_condition_once_per_step(self, options,
+                                                  launch_stats):
+        # As in C: body, test; body, test; body, test - c = 3, i = 3.
+        source = """
+        kernel void count(float x<>, out float r<>) {
+            float i = 0.0;
+            float c = 0.0;
+            do { c = c + 1.0; } while ((i = i + 1.0) < 3.0);
+            r = c * 10.0 + i;
+        }"""
+        with BrookRuntime(backend="cpu", compiler_options=options) as rt:
+            module = rt.compile(source, strict=False)
+            handle = module.program.kernel("count")
+            assert (handle.vector_path is None) == (options is INTERP)
+            x = rt.stream_from(np.zeros(4, dtype=np.float32))
+            r = rt.stream((4,))
+            module.count(x, r)
+            np.testing.assert_array_equal(r.read(), 33.0)
+        ((_, stats),) = launch_stats
+        assert stats.simt_loop_steps == 3
+        # Per lane: three body adds and three tests of one add and one
+        # compare each, plus the final multiply-add.
+        assert stats.flops == 4 * (3 + 3 * 2 + 2)
+
     def test_exit_free_loops_drop_the_loop_record(self):
         program = compile_source(LOOPS, options=CompilerOptions(
             strict=False, range_specs=LOOP_SPECS))
@@ -1034,22 +1079,22 @@ class TestLoopCompositions:
         assert_bitwise(got["w"], want["w"], "scalarized swirl")
         assert stats == evaluator.stats
 
-    def test_untyped_ast_keeps_the_aligning_path(self, rng):
-        # Without semantic analysis every node has ``type is None``, so
-        # each binary op keeps align_pair (float2 against float here).
-        kernel = parse(SWIRL).functions[0]
-        assert all(node.type is None for node in kernel.walk()
-                   if isinstance(node, ast.Expression))
+    def test_vector_operands_keep_the_aligning_path(self, rng):
+        # ``acc * 0.5`` multiplies a float2 by a float, so that binary op
+        # keeps align_pair; the int counter meets ``n`` as ``float(i)``.
+        program = compile_source(SWIRL, options=CompilerOptions(strict=False))
+        handle = program.kernel("swirl")
+        assert "(float(i) < n)" in handle.desktop_glsl
+        vec = handle.vector_path
+        assert "align_pair(" in vec.source
         size = 32
         inputs = {"v": rng.uniform(0.0, 2.0, (size, 2)).astype(np.float32)}
-        evaluator = KernelEvaluator(kernel, {})
+        evaluator = KernelEvaluator(handle.definition, {})
         want = evaluator.run(size, stream_inputs=inputs,
                              scalar_args={"n": 3.0})
-        vec, report = build_vector_path(kernel, {})
-        assert vec is not None, report.reason
         got, stats = vec.run(size, stream_inputs=inputs,
                              scalar_args={"n": 3.0})
-        assert_bitwise(got["w"], want["w"], "untyped swirl")
+        assert_bitwise(got["w"], want["w"], "swirl")
         assert stats == evaluator.stats
 
 
