@@ -91,7 +91,8 @@ def build_adas(rt, size):
 
 def build_spmv(rt, size):
     module = rt.compile(
-        SPMV_SOURCE, param_bounds={"spmv_accumulate": {"nnz": SPMV_NNZ}})
+        SPMV_SOURCE,
+        range_specs={"spmv_accumulate": {"params": {"nnz": (1, SPMV_NNZ)}}})
     rng = np.random.default_rng(SEED)
     values = rng.integers(-4, 4, (size, SPMV_NNZ)).astype(np.float32)
     columns = rng.integers(0, size, (size, SPMV_NNZ)).astype(np.float32)

@@ -28,14 +28,14 @@ def test_certification_checker_throughput(benchmark):
 
     target = get_device_profile("videocore-iv").limits.to_target_limits()
     sources = [(get_application(name).brook_source,
-                get_application(name).param_bounds)
+                get_application(name).range_specs)
                for name in list_applications()]
 
     def compile_all():
         compiled = []
         for source, bounds in sources:
             compiled.append(compile_source(source, target=target,
-                                           param_bounds=bounds, strict=True))
+                                           range_specs=bounds, strict=True))
         return compiled
 
     programs = benchmark(compile_all)

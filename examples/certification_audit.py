@@ -52,6 +52,9 @@ kernel void moving_average(float samples[], float window_size,
 }
 """
 
+#: The declared range of the window size: 1 to 64 samples.
+WINDOW_RANGE = {"moving_average": {"params": {"window_size": (1, 64)}}}
+
 
 def main() -> None:
     target = get_device_profile("videocore-iv").limits.to_target_limits()
@@ -76,13 +79,13 @@ def main() -> None:
     print("=" * 72)
     print("2. Brook Auto rewrite")
     print("=" * 72)
-    # The window size is a scalar parameter; declaring its maximum makes the
+    # The window size is a scalar parameter; declaring its range makes the
     # loop bound statically known (rule BA-005).
     compliant = compile_source(
         BROOK_AUTO_SOURCE,
         target=target,
         strict=True,
-        param_bounds={"moving_average": {"window_size": 64}},
+        range_specs=WINDOW_RANGE,
     )
     cert = compliant.certification.kernels["moving_average"]
     print("verdict: COMPLIANT")
@@ -105,10 +108,7 @@ def main() -> None:
 
     # Finally, show that the compliant kernel actually runs on the target.
     runtime = BrookRuntime(backend="gles2", device="videocore-iv")
-    module = runtime.compile(
-        BROOK_AUTO_SOURCE,
-        param_bounds={"moving_average": {"window_size": 64}},
-    )
+    module = runtime.compile(BROOK_AUTO_SOURCE, range_specs=WINDOW_RANGE)
     import numpy as np
 
     samples = runtime.stream_from(np.arange(64, dtype=np.float32), name="samples")

@@ -70,10 +70,9 @@ class BrookApplication(abc.ABC):
     figure: str = ""
     #: Brook kernel source of the application.
     brook_source: str = ""
-    #: Declared maxima of scalar kernel parameters (rule BA-005).
-    param_bounds: Dict[str, Dict[str, float]] = {}
     #: Per-kernel range specs for the interval analysis / brooklint:
-    #: gather extents, launch-domain symbols and scalar parameter ranges.
+    #: gather extents, launch-domain symbols and scalar parameter ranges
+    #: (a data-dependent loop's limit needs one, rule BA-005).
     range_specs: Dict[str, dict] = {}
     #: Input sizes explored in the paper (per-dimension extents).
     default_sizes: Sequence[int] = (128, 256, 512, 1024, 2048)
@@ -121,8 +120,8 @@ class BrookApplication(abc.ABC):
 
     def compile(self, runtime: BrookRuntime) -> BrookModule:
         """Compile the application's kernels for ``runtime``'s backend."""
-        return runtime.compile(self.brook_source, param_bounds=self.param_bounds,
-                               strict=True, range_specs=self.range_specs)
+        return runtime.compile(self.brook_source, strict=True,
+                               range_specs=self.range_specs)
 
     def validate(self, outputs: Dict[str, np.ndarray],
                  reference: Dict[str, np.ndarray]) -> Tuple[bool, float]:

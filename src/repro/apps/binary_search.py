@@ -35,10 +35,9 @@ MAX_PROBES = 24
 
 #: The probe loop is bounded by ``probes``, an adaptive per-launch count
 #: derived from the declared table size: ``ceil(log2(count)) + 1`` capped
-#: at ``MAX_PROBES``.  The syntactic loop-bound deduction cannot evaluate
-#: the ``log2``/``ceil`` limit, so certification and WCET rely on the
-#: interval range analysis (``range_specs`` below), which proves 23 trips
-#: for the largest declared table — one tighter than the fixed cap.  The
+#: at ``MAX_PROBES``.  The interval range analysis bounds the loop at
+#: the cap from the clamp alone, and at 23 trips for the largest table
+#: ``range_specs`` below declares — one tighter than the fixed cap.  The
 #: gather indices are clamped to the declared extents (rule BL-102) and
 #: the equal/less/greater cases are restructured so no float ``==``
 #: comparison remains (rule BL-104).

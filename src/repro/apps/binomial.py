@@ -83,7 +83,6 @@ class BinomialOptionApp(BrookApplication):
     figure = "figure2"
     brook_source = BROOK_SOURCE
     #: ``num_steps`` bounds the per-option loop (rule BA-005).
-    param_bounds = {"binomial_option": {"num_steps": NUM_STEPS}}
     range_specs = {
         "binomial_option": {
             "params": {

@@ -56,7 +56,7 @@ class FlopsApp(BrookApplication):
     brook_source = BROOK_SOURCE
     #: The loop bound is data dependent (``niters``), so Brook Auto needs a
     #: declared maximum to certify rule BA-005.
-    param_bounds = {"flops_kernel": {"niters": 256}}
+    range_specs = {"flops_kernel": {"params": {"niters": (0, 256)}}}
     default_sizes = (128, 256, 512)
     max_target_size = 2048
     validation_rtol = 5e-3

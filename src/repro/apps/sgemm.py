@@ -55,7 +55,6 @@ class SgemmApp(BrookApplication):
     brook_source = BROOK_SOURCE
     #: The inner-product loop is bounded by the matrix dimension, which is
     #: itself bounded by the texture limit of the target (rule BA-005).
-    param_bounds = {"sgemm": {"inner": MAX_INNER_DIMENSION}}
     range_specs = {
         "sgemm": {
             "domain": ("m", "n"),

@@ -64,7 +64,6 @@ class SpMVApp(BrookApplication):
     description = "Sparse matrix-vector multiply (gather / multiply / accumulate)"
     figure = "figure2"
     brook_source = BROOK_SOURCE
-    param_bounds = {"spmv_accumulate": {"nnz": NNZ_PER_ROW}}
     range_specs = {
         "spmv_gather": {
             "gathers": {"vector": ("count",)},

@@ -313,7 +313,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             app = get_application(name)
             options = CompilerOptions(
                 target=_target_limits(args.device), strict=False,
-                param_bounds=dict(app.param_bounds),
                 range_specs=dict(app.range_specs),
                 emit_glsl_es=False, emit_desktop_glsl=False, emit_c=False,
                 enable_fast_path=False,
@@ -430,7 +429,6 @@ def _cmd_vectorize(args: argparse.Namespace) -> int:
     def compile_options(app=None):
         return CompilerOptions(
             target=_target_limits(args.device), strict=False,
-            param_bounds=dict(app.param_bounds) if app else {},
             range_specs=dict(app.range_specs) if app else {},
             emit_glsl_es=False, emit_desktop_glsl=False, emit_c=False,
         )

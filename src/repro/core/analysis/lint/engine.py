@@ -38,7 +38,6 @@ def lint_program(program, specs: Optional[Dict[str, dict]] = None,
     """
     if specs is None:
         specs = getattr(program.options, "range_specs", None) or {}
-    param_bounds = getattr(program.options, "param_bounds", None) or {}
     report = LintReport()
     helpers = program.helpers()
 
@@ -47,9 +46,8 @@ def lint_program(program, specs: Optional[Dict[str, dict]] = None,
         spec = specs.get(kernel.name)
         ctx = RangeContext(spec)
         analysis = analyze_kernel_ranges(kernel, spec, helpers)
-        vector_report = analyze_kernel_vectorization(
-            kernel, helpers, spec=spec,
-            param_bounds=param_bounds.get(kernel.name))
+        vector_report = analyze_kernel_vectorization(kernel, helpers,
+                                                     spec=spec)
         report.kernels.append(kernel.name)
         facts = kernel_facts(analysis, ctx)
         if kernel.is_kernel:
@@ -64,7 +62,7 @@ def lint_program(program, specs: Optional[Dict[str, dict]] = None,
 
     for name, helper in helpers.items():
         ctx = RangeContext(None)
-        analysis = analyze_kernel_ranges(helper, None, helpers=None)
+        analysis = program.certification.ranges.analysis(name)
         report.kernels.append(name)
         report.facts[name] = kernel_facts(analysis, ctx)
         # Gather/division rules only: helpers have unconstrained

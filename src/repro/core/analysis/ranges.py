@@ -20,8 +20,7 @@ The analysis is seeded from:
 
 * the launch-domain shape (``indexof`` components),
 * declared scalar/stream parameter ranges (the ``params`` spec),
-* loop induction variables (step direction plus the deduced trip count,
-  reusing the :mod:`~repro.core.analysis.loop_bounds` deduction),
+* loop induction variables (step direction plus the deduced trip count),
 * branch-condition refinement (``if (i < n)`` narrows ``i`` in the then
   branch and widens it in the else branch).
 
@@ -38,10 +37,11 @@ Outputs:
 * per-gather-site index intervals with an in-bounds verdict
   (``proved`` / ``oob`` / ``unknown``) — consumed by the linter,
 * per-division-site divisor intervals — consumed by the linter,
-* range-tightened loop trip counts keyed by ``id(loop)`` — consumed by
-  :func:`~repro.core.analysis.wcet.analyze_kernel_wcet` and the
-  certification checker (rule BA-005), which combine them with the
-  legacy deduction by taking the minimum so bounds can only tighten.
+* one :class:`~repro.core.analysis.loop_bounds.LoopBound` per loop, a
+  trip count or the reason there is none (:meth:`_RangeWalker._bound_for`)
+  — the only loop-bound deduction: the certification checker (rule
+  BA-005), the compiler driver, brookvec and the WCET analysis all read
+  it, through :class:`ProgramRanges` once per function and compile.
 """
 
 from __future__ import annotations
@@ -50,9 +50,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
+from ...errors import RangeSpecError
 from .. import ast_nodes as ast
-from .loop_bounds import (_is_var, _literal, _loop_variable, _offset,
-                          _step_value, _var_name)
+from .loop_bounds import (LoopBound, LoopBoundAnalysis, _has_loops,
+                          _is_var, _literal, _loop_variable, _offset,
+                          _var_name)
 
 __all__ = [
     "Interval",
@@ -61,8 +63,9 @@ __all__ = [
     "DivisionSite",
     "KernelRangeAnalysis",
     "analyze_kernel_ranges",
-    "range_trip_overrides",
+    "ProgramRanges",
     "parse_bound_spec",
+    "check_range_specs",
 ]
 
 _INF = math.inf
@@ -398,6 +401,44 @@ def parse_bound_spec(spec: BoundSpec) -> Tuple[Optional[str], float]:
     raise ValueError(f"unparseable range-spec bound {spec!r}")
 
 
+def check_range_specs(specs: Dict[str, dict]) -> None:
+    """Reject a malformed range spec before any analysis reads it.
+
+    Raises:
+        RangeSpecError: naming the kernel, the key and the value of the
+            first entry that is not a spec the analysis can read.
+    """
+    for kernel, spec in specs.items():
+        for key, value in (spec or {}).items():
+            try:
+                if key == "params":
+                    for lo, hi in value.values():
+                        parse_bound_spec(lo)
+                        parse_bound_spec(hi)
+                elif key == "gathers":
+                    for extents in value.values():
+                        _extent_specs(extents)
+                elif key == "domain" and value:
+                    _extent_specs(value)
+                elif key != "domain":
+                    raise ValueError("unknown key")
+            except (TypeError, ValueError, AttributeError) as exc:
+                raise RangeSpecError(
+                    f"range spec of kernel {kernel!r}: {key!r} entry "
+                    f"{value!r} is malformed ({exc})") from None
+
+
+def _extent_specs(extents) -> Tuple[BoundSpec, ...]:
+    """The one or two extents of a domain or gather entry, parsed."""
+    dims = tuple(extents) if isinstance(extents, (tuple, list)) \
+        else (extents,)
+    if len(dims) not in (1, 2):
+        raise ValueError(f"{len(dims)} extents")
+    for dim in dims:
+        parse_bound_spec(dim)
+    return dims
+
+
 class RangeContext:
     """Numeric ranges of the symbols a kernel's range spec declares."""
 
@@ -440,7 +481,7 @@ class RangeContext:
         if not domain:
             half = Interval(0.0, _INF, integral=True)
             return VecValue({"x": half, "y": half})
-        dims = tuple(domain) if isinstance(domain, (tuple, list)) else (domain,)
+        dims = _extent_specs(domain)
         if len(dims) == 1:
             return VecValue({"x": self._extent_index(dims[0]),
                              "y": Interval.const(0.0, integral=True)})
@@ -462,7 +503,7 @@ class RangeContext:
         entry = (self.spec.get("gathers") or {}).get(name)
         if entry is None:
             return None
-        dims = tuple(entry) if isinstance(entry, (tuple, list)) else (entry,)
+        dims = _extent_specs(entry)
         if len(dims) == 1:
             return (1, dims[0])
         return (dims[0], dims[1])
@@ -527,8 +568,8 @@ class KernelRangeAnalysis:
     kernel_name: str
     gather_sites: List[GatherSite] = field(default_factory=list)
     division_sites: List[DivisionSite] = field(default_factory=list)
-    #: Range-deduced max trip count per loop, keyed by ``id(loop_node)``.
-    loop_trips: Dict[int, int] = field(default_factory=dict)
+    #: One :class:`LoopBound` per loop, in source order.
+    loop_bounds: Optional[LoopBoundAnalysis] = None
     #: Final variable environment (exposed for tests).
     env: Dict[str, Value] = field(default_factory=dict)
 
@@ -604,6 +645,59 @@ def check_gather_site(site: GatherSite, ctx: RangeContext) -> None:
 # The abstract interpreter
 # --------------------------------------------------------------------------- #
 _COMPONENTS = "xyzw"
+#: A counted loop's comparison, and its mirror image (``LIMIT op i``).
+_MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "!=": "!="}
+#: Loops whose values stay within this magnitude count exactly in
+#: float32 (and never overflow int32).
+_EXACT = 2.0 ** 24
+_GEOMETRIC_CAP = 64
+
+
+def _written(body: ast.Statement) -> set:
+    """Variables ``body`` declares or assigns (the base of a member or
+    element store)."""
+    names = set()
+    for node in body.walk():
+        if isinstance(node, ast.DeclStatement):
+            names.add(node.name)
+        elif isinstance(node, ast.Assignment):
+            target = node.target
+            while isinstance(target, (ast.MemberExpr, ast.IndexExpr)):
+                target = target.base
+            if isinstance(target, ast.Identifier):
+                names.add(target.name)
+    return names
+
+
+def _update_form(update: Optional[ast.Expression], var: str
+                 ) -> Optional[Tuple[str, ast.Expression, int]]:
+    """``("+", STEP, sign)`` for ``i += STEP``, ``i -= STEP`` (sign -1),
+    ``i = i +- STEP`` or ``i = STEP + i``; ``("*", F, 1)`` for
+    ``i *= F``, ``i = i * F`` or ``i = F * i``."""
+    if not isinstance(update, ast.Assignment) or \
+            not _is_var(update.target, var):
+        return None
+    if update.op in ("+=", "-=", "*="):
+        return ("*" if update.op == "*=" else "+", update.value,
+                -1 if update.op == "-=" else 1)
+    value = ast.unconverted(update.value)
+    if update.op != "=" or not isinstance(value, ast.BinaryOp):
+        return None
+    kind = "*" if value.op == "*" else "+"
+    if value.op in ("+", "-", "*") and _is_var(value.left, var):
+        return kind, value.right, -1 if value.op == "-" else 1
+    if value.op in ("+", "*") and _is_var(value.right, var):
+        return kind, value.left, 1
+    return None
+
+
+def _is_integer_var(stmt: ast.ForStatement) -> bool:
+    """Whether a counted loop's index is an ``int``."""
+    init = stmt.init
+    if isinstance(init, ast.DeclStatement):
+        return bool(getattr(init.decl_type, "is_integer", False))
+    index_type = getattr(stmt.update.target, "type", None)
+    return bool(getattr(index_type, "is_integer", False))
 
 
 class _RangeWalker:
@@ -614,7 +708,9 @@ class _RangeWalker:
         self.kernel = kernel
         self.ctx = ctx
         self.helpers = dict(helpers or {})
-        self.result = KernelRangeAnalysis(kernel_name=kernel.name)
+        self.result = KernelRangeAnalysis(
+            kernel_name=kernel.name,
+            loop_bounds=LoopBoundAnalysis(kernel_name=kernel.name))
         self._gather_params = {p.name for p in kernel.gather_params}
         self._sites: Dict[int, GatherSite] = {}
         self._divisions: Dict[int, DivisionSite] = {}
@@ -680,7 +776,12 @@ class _RangeWalker:
         elif isinstance(stmt, ast.ForStatement):
             self._exec_for(stmt, env)
         elif isinstance(stmt, (ast.WhileStatement, ast.DoWhileStatement)):
-            self._widen_assigned(stmt.body, env, trips=None, steps={})
+            kind = "while" if isinstance(stmt, ast.WhileStatement) \
+                else "do-while"
+            self.result.loop_bounds.loops.append(LoopBound(
+                stmt, kind, None, f"{kind.replace('-', '/')} loops have no "
+                "statically deducible trip count"))
+            self._widen_assigned((stmt.body,), env, None)
             body_env = dict(env)
             self.refine(body_env, stmt.cond, True)
             self.eval_expr(stmt.cond, env)
@@ -697,13 +798,10 @@ class _RangeWalker:
     def _exec_for(self, stmt: ast.ForStatement, env: Dict[str, Value]) -> None:
         if stmt.init is not None:
             self.exec_stmt(stmt.init, env)
-        var = _loop_variable(stmt)
-        step = _step_value(stmt, var, {}) if var else None
-        trips = self._loop_trips(stmt, env, var, step)
-        if trips is not None:
-            self.result.loop_trips[id(stmt)] = trips
-        steps = {var: step} if (var and step is not None) else {}
-        self._widen_assigned(stmt.body, env, trips, steps)
+        bound = self._bound_for(stmt, env)
+        self.result.loop_bounds.loops.append(bound)
+        self._widen_assigned((stmt.body, stmt.update), env,
+                             bound.max_trip_count)
         if stmt.cond is not None:
             self.eval_expr(stmt.cond, env)
         body_env = dict(env)
@@ -716,73 +814,146 @@ class _RangeWalker:
             if name in body_env:
                 env[name] = self._join_values(env[name], body_env[name])
 
-    def _loop_trips(self, stmt: ast.ForStatement, env: Dict[str, Value],
-                    var: Optional[str], step: Optional[float]) -> Optional[int]:
-        """Range-deduced max trip count of a counted for loop."""
-        if var is None or step in (None, 0):
-            return None
+    def _bound_for(self, stmt: ast.ForStatement,
+                   env: Dict[str, Value]) -> LoopBound:
+        """The trip bound of a counted ``for`` loop, or why it has none.
+
+        ``env`` is the loop-entry environment.  START, LIMIT and STEP
+        are intervals there; the bound is the trip count of the slowest
+        run (lowest start, smallest step, highest limit), which float32
+        rounding never makes slower while every value stays within
+        2**24.  It holds only if the body writes neither the index nor
+        anything the condition or update reads (MISRA C:2012 Rule 14.2).
+        """
+        def unbounded(reason: str) -> LoopBound:
+            return LoopBound(stmt, "for", None, reason)
+
+        var = _loop_variable(stmt)
+        if var is None:
+            return unbounded("loop variable could not be identified")
         cond = stmt.cond
-        if not isinstance(cond, ast.BinaryOp) or cond.op not in ("<", "<=",
-                                                                 ">", ">="):
-            return None
+        if not isinstance(cond, ast.BinaryOp) or cond.op not in _MIRRORED:
+            return unbounded("loop condition is not a simple comparison")
         if _is_var(cond.left, var):
             limit_expr, op = cond.right, cond.op
         elif _is_var(cond.right, var):
-            limit_expr = cond.left
-            op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}[cond.op]
+            limit_expr, op = cond.left, _MIRRORED[cond.op]
         else:
-            return None
+            return unbounded("loop condition does not test the loop variable")
+        read = {node.name for part in (cond, stmt.update) if part is not None
+                for node in part.walk() if isinstance(node, ast.Identifier)}
+        for name in sorted(_written(stmt.body) & read):
+            what = "its index" if name == var else "the variable"
+            return unbounded(f"loop body writes {what} {name!r}, which "
+                             "its condition or update reads (MISRA C:2012 "
+                             "Rule 14.2)")
+        form = _update_form(stmt.update, var)
+        if form is None:
+            return unbounded("loop update is not a constant step")
+        kind, step_expr, sign = form
+        if any(_is_var(node, var) or isinstance(node, ast.Assignment)
+               for part in (limit_expr, step_expr) for node in part.walk()):
+            return unbounded("loop limit or step reads the loop index")
         start = env.get(var)
         if not isinstance(start, Interval):
-            return None
-        # The limit is evaluated in the loop-entry environment, which is
-        # only sound when the loop body cannot mutate it.
-        mutated = set(self._assignment_deltas(stmt.body))
-        for node in limit_expr.walk():
-            if isinstance(node, ast.Identifier) and node.name in mutated:
-                return None
-        recording = self._recording
-        self._recording = False
-        try:
-            limit = self.eval_expr(limit_expr, env)
-        finally:
-            self._recording = recording
-        if not isinstance(limit, Interval):
-            return None
-        if op in ("<", "<="):
-            if step <= 0:
-                return None
-            distance = limit.numeric_hi(self.ctx) - start.numeric_lo(self.ctx)
-            distance += 1 if op == "<=" else 0
-        else:
-            if step >= 0:
-                return None
-            distance = start.numeric_hi(self.ctx) - limit.numeric_lo(self.ctx)
-            distance += 1 if op == ">=" else 0
-        if not math.isfinite(distance):
-            return None
-        return max(0, math.ceil(distance / abs(step)))
+            return unbounded(f"start of {var!r} is not a number")
+        ctx = self.ctx
+        limit, step = self._peek(limit_expr, env), self._peek(step_expr, env)
+        s_lo, s_hi = start.numeric_lo(ctx), start.numeric_hi(ctx)
+        l_lo, l_hi = limit.numeric_lo(ctx), limit.numeric_hi(ctx)
+        d_lo, d_hi = step.numeric_lo(ctx), step.numeric_hi(ctx)
+        if sign < 0:
+            d_lo, d_hi = -d_hi, -d_lo
+        integer = _is_integer_var(stmt)
+        if op == "!=":
+            exact = s_lo == s_hi and l_lo == l_hi and d_lo == d_hi \
+                and kind == "+" and d_lo != 0 \
+                and max(abs(s_lo), abs(l_lo)) + abs(d_lo) <= _EXACT \
+                and all(float(v).is_integer() for v in (s_lo, l_lo, d_lo))
+            trips = (l_lo - s_lo) / d_lo if exact else -1.0
+            if not (trips >= 0 and trips.is_integer()):
+                return unbounded("loop tests != but its step does not "
+                                 "divide the distance exactly")
+            return LoopBound(stmt, "for", int(trips), "canonical counted loop")
+        if op in (">", ">="):
+            if kind == "*":
+                return unbounded("geometric loop does not count up")
+            # Mirror a descending loop into an ascending one.
+            s_lo, l_hi, d_lo, d_hi = -s_hi, -l_lo, -d_hi, -d_lo
+            op = "<" if op == ">" else "<="
+        if not math.isfinite(s_lo):
+            return unbounded(f"start of {var!r} is not bounded")
+        if not math.isfinite(l_hi):
+            return unbounded(
+                "loop limit is not bounded (declare the range of its "
+                'parameters in range_specs[kernel]["params"] to make this '
+                "loop certifiable)")
+        if integer:
+            s_lo = math.ceil(s_lo)
+        if kind == "*":
+            return self._geometric_bound(stmt, unbounded, s_lo, l_hi, op,
+                                         d_lo, d_hi, integer)
+        if d_hi <= 0:
+            return unbounded("loop steps away from its limit")
+        if max(abs(s_lo), abs(l_hi) + d_hi) > _EXACT:
+            return unbounded("loop counts past 2**24, where float32 steps "
+                             "are inexact")
+        exact = integer or all(float(v).is_integer()
+                               for v in (s_lo, l_hi, d_lo))
+        if integer:  # an int index adds at least floor(step)
+            progress = math.floor(d_lo)
+        elif exact:
+            progress = d_lo
+        else:  # each float32 add may round down by half an ulp
+            progress = d_lo * (1 - 2 ** -24) \
+                - max(abs(s_lo), abs(l_hi) + d_hi) * 2 ** -24
+        if not progress > 0:
+            return unbounded(
+                "loop step is not bounded away from zero (declare its "
+                'lower bound in range_specs[kernel]["params"])')
+        quotient = (l_hi - s_lo) / progress
+        trips = math.ceil(quotient) if exact and op == "<" \
+            else math.floor(quotient) + 1
+        return LoopBound(stmt, "for", max(0, trips), "canonical counted loop")
 
-    def _widen_assigned(self, body: ast.Statement, env: Dict[str, Value],
-                        trips: Optional[int],
-                        steps: Dict[str, Optional[float]]) -> None:
-        """Widen every variable the loop body can mutate.
+    @staticmethod
+    def _geometric_bound(stmt, unbounded, start: float, limit: float,
+                         op: str, f_lo: float, f_hi: float,
+                         integer: bool) -> LoopBound:
+        """Trip bound of ``i = i * F`` counting up from ``start``."""
+        if start <= 0:
+            return unbounded("geometric loop does not start above zero")
+        if limit * f_hi > _EXACT:
+            return unbounded("loop counts past 2**24, where float32 steps "
+                             "are inexact")
+        if integer:  # an int index grows at least by floor(F)
+            factor = math.floor(f_lo)
+        elif float(start).is_integer() and float(f_lo).is_integer():
+            factor = f_lo
+        else:  # each float32 product may round down
+            factor = f_lo * (1 - 2 ** -23)
+        if not factor > 1:
+            return unbounded("geometric loop factor is not above 1")
+        trips, value = 0, start
+        while value < limit or (op == "<=" and value == limit):
+            if trips == _GEOMETRIC_CAP:
+                return unbounded("geometric loop needs more than "
+                                 f"{_GEOMETRIC_CAP} steps")
+            value *= factor
+            trips += 1
+        return LoopBound(stmt, "for", trips, "geometric loop")
+
+    def _widen_assigned(self, parts: Tuple[Optional[ast.Node], ...],
+                        env: Dict[str, Value],
+                        trips: Optional[int]) -> None:
+        """Widen every variable a loop's body or update can mutate.
 
         Variables updated only by constant same-sign steps keep their
         entry bound on the stable side and gain ``entry + trips * step``
         on the moving side (full widening when the trip count is
         unknown); everything else is widened to TOP.
         """
-        deltas = self._assignment_deltas(body)
-        for var, step in steps.items():
-            if var in deltas:
-                prior = deltas[var]
-                if prior is None or prior * step < 0:
-                    deltas[var] = None
-                else:
-                    deltas[var] = prior + step
-            else:
-                deltas[var] = step
+        deltas = self._assignment_deltas(parts)
         for name, delta in deltas.items():
             entry = env.get(name)
             if not isinstance(entry, Interval):
@@ -806,10 +977,12 @@ class _RangeWalker:
                                      entry.integral and
                                      float(delta).is_integer())
 
-    def _assignment_deltas(self, body: ast.Statement) -> Dict[str, Optional[float]]:
+    def _assignment_deltas(self, parts: Tuple[Optional[ast.Node], ...]
+                           ) -> Dict[str, Optional[float]]:
         """Per-variable summed constant step, None when non-affine."""
         deltas: Dict[str, Optional[float]] = {}
-        for node in body.walk():
+        for node in (node for part in parts if part is not None
+                     for node in part.walk()):
             if isinstance(node, ast.DeclStatement):
                 deltas[node.name] = None
             if not isinstance(node, ast.Assignment):
@@ -867,6 +1040,16 @@ class _RangeWalker:
     def _scalar(self, expr: ast.Expression, env: Dict[str, Value]) -> Interval:
         value = self._eval(expr, env)
         return value if isinstance(value, Interval) else Interval.top()
+
+    def _peek(self, expr: ast.Expression, env: Dict[str, Value]) -> Interval:
+        """``expr``'s interval, recording none of its gather or division
+        sites."""
+        recording = self._recording
+        self._recording = False
+        try:
+            return self._scalar(expr, env)
+        finally:
+            self._recording = recording
 
     def _eval(self, expr: ast.Expression, env: Dict[str, Value]) -> Value:
         expr = ast.unconverted(expr)
@@ -1173,13 +1356,7 @@ class _RangeWalker:
 
     def _refine_operand(self, env: Dict[str, Value], target: ast.Expression,
                         op: str, other: ast.Expression) -> None:
-        recording = self._recording
-        self._recording = False
-        try:
-            bound = self._scalar(other, env)
-        finally:
-            self._recording = recording
-        constraint = self._constraint(op, bound)
+        constraint = self._constraint(op, self._peek(other, env))
         name = _var_name(target)
         if name is not None:
             current = env.get(name)
@@ -1246,18 +1423,31 @@ def analyze_kernel_ranges(
     return walker.run()
 
 
-def range_trip_overrides(
-    kernel: ast.FunctionDef,
-    spec: Optional[dict] = None,
-    helpers: Optional[Dict[str, ast.FunctionDef]] = None,
-) -> Dict[int, int]:
-    """Range-deduced loop trip counts, keyed by ``id(loop_node)``.
+class ProgramRanges:
+    """The range analysis of each function of one program, walked once.
 
-    Consumers combine these with the legacy
-    :func:`~repro.core.analysis.loop_bounds._for_bound` deduction by
-    taking the minimum, so WCET bounds can only ever tighten.
+    A kernel is analysed under its range spec, a helper standalone, each
+    on first use.  :meth:`loop_bounds` of a function without loops needs
+    no walk.
     """
-    try:
-        return analyze_kernel_ranges(kernel, spec, helpers).loop_trips
-    except Exception:  # analysis must never break compilation
-        return {}
+
+    def __init__(self, functions: Dict[str, ast.FunctionDef],
+                 specs: Optional[Dict[str, dict]] = None):
+        self.functions = functions
+        self.specs = specs or {}
+        self._analyses: Dict[str, KernelRangeAnalysis] = {}
+
+    def analysis(self, name: str) -> KernelRangeAnalysis:
+        """The range analysis of function ``name``."""
+        analysis = self._analyses.get(name)
+        if analysis is None:
+            analysis = analyze_kernel_ranges(self.functions[name],
+                                             self.specs.get(name))
+            self._analyses[name] = analysis
+        return analysis
+
+    def loop_bounds(self, name: str) -> LoopBoundAnalysis:
+        """The bound of every loop of function ``name``."""
+        if name in self._analyses or _has_loops(self.functions[name]):
+            return self.analysis(name).loop_bounds
+        return LoopBoundAnalysis(kernel_name=name)

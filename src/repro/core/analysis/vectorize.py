@@ -19,11 +19,10 @@ This module decides that legality statically, in three steps:
    uniform: all lanes agree, no mask is needed) or *divergent*; every
    loop is *uniform-trip* (uniform condition and no lane-dependent
    ``break``/``continue``/``return``), *bounded-divergent* (lanes exit
-   at different trips, but a static trip bound exists via
-   :func:`~repro.core.analysis.loop_bounds.analyze_loop_bounds` or the
-   PR-8 interval engine), or *unvectorizable* (no deducible bound —
-   whole-array execution could not be proved to terminate like the
-   interpreter does).
+   at different trips, but the interval engine
+   (:mod:`repro.core.analysis.ranges`) bounds it), or *unvectorizable*
+   (no deducible bound — whole-array execution could not be proved to
+   terminate like the interpreter does).
 
 3. **Safe-speculation obligations.**  Whole-array evaluation runs every
    statement on *all* lanes; lanes masked out by divergent control still
@@ -65,13 +64,8 @@ from typing import Dict, List, Optional, Set, Tuple
 from .. import ast_nodes as ast
 from ..builtins import lookup_builtin
 from ..types import ParamKind, ScalarKind
-from .loop_bounds import _literal, analyze_loop_bounds
-from .ranges import (
-    Interval,
-    KernelRangeAnalysis,
-    RangeContext,
-    analyze_kernel_ranges,
-)
+from .loop_bounds import _literal
+from .ranges import Interval, ProgramRanges, RangeContext
 
 __all__ = [
     "VERDICT_VECTORIZED",
@@ -240,11 +234,12 @@ class _Analyzer:
     def __init__(self, kernel: ast.FunctionDef,
                  helpers: Dict[str, ast.FunctionDef],
                  spec: Optional[dict],
-                 param_bounds: Optional[Dict[str, float]]):
+                 ranges: Optional[ProgramRanges]):
         self.kernel = kernel
         self.helpers = helpers
         self.spec = spec
-        self.param_bounds = dict(param_bounds or {})
+        self.ranges = ranges or ProgramRanges({kernel.name: kernel},
+                                              {kernel.name: spec})
         self.report = VectorizationReport(kernel_name=kernel.name)
         #: name -> True when uniform (absent names are varying).
         self.uniform: Dict[str, bool] = {}
@@ -432,21 +427,10 @@ class _Analyzer:
         return scan(body, False)
 
     def _loop_bound(self, stmt) -> Optional[int]:
-        analysis = analyze_loop_bounds(self.kernel, self.param_bounds,
-                                       self._trip_overrides())
-        for bound in analysis.loops:
-            if bound.loop is stmt and bound.is_bounded:
+        for bound in self.ranges.loop_bounds(self.kernel.name).loops:
+            if bound.loop is stmt:
                 return bound.max_trip_count
         return None
-
-    def _trip_overrides(self) -> Dict[int, int]:
-        if not hasattr(self, "_trip_cache"):
-            try:
-                self._trip_cache = analyze_kernel_ranges(
-                    self.kernel, self.spec, self.helpers).loop_trips
-            except Exception:
-                self._trip_cache = {}
-        return self._trip_cache
 
     # ------------------------------------------------------------------ #
     # Expression uniformity
@@ -565,11 +549,7 @@ class _Analyzer:
                 or self._masked_int_writes or self._masked_helper_calls):
             return
         ctx = RangeContext(self.spec)
-        try:
-            analysis = analyze_kernel_ranges(self.kernel, self.spec,
-                                             self.helpers)
-        except Exception:
-            analysis = KernelRangeAnalysis(kernel_name=self.kernel.name)
+        analysis = self.ranges.analysis(self.kernel.name)
 
         gather_sites = {}
         for site in analysis.gather_sites:
@@ -685,7 +665,7 @@ def analyze_kernel_vectorization(
     kernel: ast.FunctionDef,
     helpers: Optional[Dict[str, ast.FunctionDef]] = None,
     spec: Optional[dict] = None,
-    param_bounds: Optional[Dict[str, float]] = None,
+    ranges: Optional[ProgramRanges] = None,
 ) -> VectorizationReport:
     """Run brookvec over one kernel definition.
 
@@ -694,13 +674,15 @@ def analyze_kernel_vectorization(
         helpers: Helper functions callable from the kernel.
         spec: The kernel's range spec (see
             :func:`~repro.core.analysis.ranges.analyze_kernel_ranges`);
-            used to discharge speculation obligations.
-        param_bounds: Declared scalar parameter maxima, used to bound
-            divergent loops (same mapping the certification checker uses).
+            its range analysis bounds divergent loops and discharges
+            speculation obligations.
+        ranges: The program's range analyses, when ``kernel`` is one of
+            its functions (analysed under ``spec``): brookvec reads the
+            analysis certification made instead of walking again.
 
     Returns:
         A :class:`VectorizationReport` whose ``verdict`` is one of the
         stable BV-3xx codes.
     """
-    analyzer = _Analyzer(kernel, dict(helpers or {}), spec, param_bounds)
+    analyzer = _Analyzer(kernel, dict(helpers or {}), spec, ranges)
     return analyzer.run()

@@ -26,9 +26,10 @@ the execution engines perform:
 * the masked interpreter executes **both** branches of an ``if`` (and
   both arms of ``?:``), so the walker sums them;
 * loop conditions are evaluated ``trips + 1`` times, loop bodies and
-  updates ``trips`` times, with ``trips`` taken from the same
-  :func:`~repro.core.analysis.loop_bounds._for_bound` deduction the
-  certification checker uses;
+  updates ``trips`` times, with ``trips`` the loop bound the
+  certification checker reads (:mod:`repro.core.analysis.ranges`
+  records it; a kernel is bounded under its range spec, a helper
+  standalone);
 * helper calls are **inlined** with their full body cost (the static
   resource estimate's flat per-call charge would under-count helpers,
   which the interpreter executes at full cost);
@@ -53,7 +54,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ...errors import WCETError
 from .. import ast_nodes as ast
 from ..builtins import lookup_builtin
-from .loop_bounds import _for_bound
+from .loop_bounds import LoopBound
+from .ranges import ProgramRanges
 from .resources import TargetLimits
 from .tiling import folded_layout, tile_grid
 
@@ -97,13 +99,18 @@ class _CostWalker:
     """AST walker computing (flops, fetches) upper bounds per element."""
 
     def __init__(self, helpers: Dict[str, ast.FunctionDef],
-                 env: Dict[str, float],
-                 trip_overrides: Optional[Dict[int, int]] = None):
-        self.helpers = helpers or {}
-        self.env = dict(env or {})
-        self.trip_overrides = trip_overrides or {}
+                 ranges: ProgramRanges):
+        self.helpers = helpers
+        self.ranges = ranges
+        #: The bound of every loop of the functions walked so far.
+        self.bounds: Dict[int, LoopBound] = {}
         self._helper_cache: Dict[str, Tuple[int, int]] = {}
         self._inlining: List[str] = []
+
+    def function(self, func: ast.FunctionDef) -> Tuple[int, int]:
+        for bound in self.ranges.loop_bounds(func.name).loops:
+            self.bounds[id(bound.loop)] = bound
+        return self.statement(func.body)
 
     # -- statements ------------------------------------------------------ #
     def statement(self, stmt: ast.Statement) -> Tuple[int, int]:
@@ -144,19 +151,13 @@ class _CostWalker:
             f"cannot bound statement {type(stmt).__name__} statically")
 
     def _for_cost(self, stmt: ast.ForStatement) -> Tuple[int, int]:
-        bound = _for_bound(stmt, self.env)
-        # Min-combine with the interval-analysis deduction: the override
-        # can tighten a syntactic bound or rescue a loop the syntactic
-        # deduction cannot bound at all, but never loosens anything.
-        override = self.trip_overrides.get(id(stmt))
-        if not bound.is_bounded and override is None:
+        bound = self.bounds[id(stmt)]
+        if not bound.is_bounded:
             raise WCETError(
                 f"for loop has no deducible trip count: {bound.reason}",
                 reasons=[bound.reason],
             )
-        candidates = [c for c in (bound.max_trip_count, override)
-                      if c is not None]
-        trips = max(0, min(candidates))
+        trips = bound.max_trip_count
         init_cost = (0, 0)
         if stmt.init is not None:
             init_cost = self.statement(stmt.init)
@@ -230,7 +231,7 @@ class _CostWalker:
             raise WCETError(f"recursive helper {name!r} cannot be bounded")
         self._inlining.append(name)
         try:
-            cost = self.statement(helper.body)
+            cost = self.function(helper)
         finally:
             self._inlining.pop()
         self._helper_cache[name] = cost
@@ -255,7 +256,6 @@ def _sum(costs: Iterable[Tuple[int, int]]) -> Tuple[int, int]:
 def analyze_kernel_wcet(
     kernel: ast.FunctionDef,
     helpers: Optional[Dict[str, ast.FunctionDef]] = None,
-    param_bounds: Optional[Dict[str, float]] = None,
     range_spec: Optional[dict] = None,
 ) -> KernelWCET:
     """Derive the worst-case per-element work bound of one kernel.
@@ -264,37 +264,36 @@ def analyze_kernel_wcet(
         kernel: The (transformed) kernel definition.
         helpers: Helper functions callable from the kernel; their bodies
             are inlined at full cost.
-        param_bounds: Declared maxima of scalar parameters, used to bound
-            data-dependent loops (same mapping ``analyze_loop_bounds``
-            consumes).
         range_spec: The kernel's range spec for the interval analysis
-            (see :func:`repro.core.analysis.ranges.analyze_kernel_ranges`);
-            range-deduced trip counts are min-combined with the syntactic
-            deduction so the WCET bound can only ever tighten.
+            (see :func:`repro.core.analysis.ranges.analyze_kernel_ranges`),
+            which bounds its loops; a ``params`` entry declares the range
+            of a scalar parameter a data-dependent loop counts to.
 
     Raises:
         WCETError: When the kernel contains an unbounded loop, recursion,
             an unknown call or a construct the walker cannot price.
     """
-    from .ranges import range_trip_overrides
-    trip_overrides = range_trip_overrides(kernel, range_spec, helpers)
-    walker = _CostWalker(helpers or {}, param_bounds or {}, trip_overrides)
-    flops, fetches = walker.statement(kernel.body)
+    helpers = dict(helpers or {})
+    ranges = ProgramRanges({**helpers, kernel.name: kernel},
+                           {kernel.name: range_spec})
+    return _kernel_wcet(kernel, helpers, ranges)
+
+
+def _kernel_wcet(kernel: ast.FunctionDef,
+                 helpers: Dict[str, ast.FunctionDef],
+                 ranges: ProgramRanges) -> KernelWCET:
+    """:func:`analyze_kernel_wcet` with the loop bounds of ``ranges``."""
+    walker = _CostWalker(helpers, ranges)
+    flops, fetches = walker.function(kernel)
     # Loop-iteration product, for reporting; the per-element costs above
     # already fold the trip counts in.
-    from .loop_bounds import analyze_loop_bounds
-    analysis = analyze_loop_bounds(kernel, param_bounds, trip_overrides)
-    if not analysis.all_bounded:  # pragma: no cover - walker raises first
-        raise WCETError(
-            f"kernel {kernel.name!r} has unbounded loops",
-            reasons=[loop.reason for loop in analysis.unbounded],
-        )
+    iterations = ranges.loop_bounds(kernel.name).max_total_iterations
     return KernelWCET(
         kernel_name=kernel.name,
         flops_per_element=flops,
         gather_fetches_per_element=fetches,
         stream_inputs=len(kernel.stream_params),
-        max_loop_iterations=analysis.max_total_iterations or 1,
+        max_loop_iterations=iterations or 1,
         is_reduction=kernel.is_reduction,
     )
 
@@ -302,23 +301,14 @@ def analyze_kernel_wcet(
 # --------------------------------------------------------------------------- #
 # Program-level entry points (certification-gated)
 # --------------------------------------------------------------------------- #
-def _piece_bounds(program, piece_name: str, original: str) -> Dict[str, float]:
-    bounds = program.options.param_bounds
-    return bounds.get(piece_name, bounds.get(original, {}))
-
-
-def _piece_spec(program, piece_name: str, original: str) -> Optional[dict]:
-    specs = getattr(program.options, "range_specs", None) or {}
-    return specs.get(piece_name, specs.get(original))
-
-
 def kernel_wcet(program, kernel_name: str) -> KernelWCET:
     """WCET work bound for one compiled kernel piece, certification-gated.
 
     ``program`` is a :class:`~repro.core.compiler.CompiledProgram`;
     ``kernel_name`` names one of its (transformed) kernels.  Raises
     :class:`~repro.errors.WCETError` when the kernel's certification
-    report carries violations or its loops cannot be bounded.
+    report carries violations or its loops cannot be bounded.  The loop
+    bounds are the ones the certification checker read.
     """
     compiled = program.kernel(kernel_name)
     cert = program.certification.kernels.get(kernel_name)
@@ -329,11 +319,8 @@ def kernel_wcet(program, kernel_name: str) -> KernelWCET:
             "no WCET bound exists (" + "; ".join(reasons) + ")",
             reasons=reasons,
         )
-    return analyze_kernel_wcet(
-        compiled.definition, program.helpers(),
-        _piece_bounds(program, kernel_name, compiled.original_name),
-        range_spec=_piece_spec(program, kernel_name, compiled.original_name),
-    )
+    return _kernel_wcet(compiled.definition, program.helpers(),
+                        program.certification.ranges)
 
 
 def program_wcet(program) -> Dict[str, KernelWCET]:

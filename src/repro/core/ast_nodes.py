@@ -238,10 +238,21 @@ class ConstructorExpr(Expression):
 
 
 def unconverted(expr: Expression) -> Expression:
-    """``expr`` without the implicit conversions wrapped around it."""
-    while isinstance(expr, ConstructorExpr) and expr.implicit:
+    """``expr`` without the implicit conversions wrapped around it, nor
+    the explicit ``float(...)`` widenings of a scalar ``int``."""
+    while isinstance(expr, ConstructorExpr) and (expr.implicit
+                                                 or _widens(expr)):
         expr = expr.args[0]
     return expr
+
+
+def _widens(expr: ConstructorExpr) -> bool:
+    """Whether ``expr`` is ``float(k)`` of a scalar ``int`` ``k``."""
+    arg_type = getattr(expr.args[0], "type", None) if expr.args else None
+    return (len(expr.args) == 1 and expr.target_type is not None
+            and expr.target_type.is_float and not expr.target_type.is_vector
+            and arg_type is not None and arg_type.is_integer
+            and not arg_type.is_vector)
 
 
 @dataclass

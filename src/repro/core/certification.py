@@ -50,7 +50,7 @@ from typing import Dict, List, Optional, Sequence
 from ..errors import CertificationError, SourceLocation
 from . import ast_nodes as ast
 from .analysis.call_graph import build_call_graph
-from .analysis.loop_bounds import analyze_loop_bounds
+from .analysis.ranges import ProgramRanges
 from .analysis.resources import TargetLimits, estimate_resources
 from .analysis.stack_depth import estimate_stack_depth, frame_sizes
 from .semantic import AnalyzedProgram
@@ -144,6 +144,10 @@ class CertificationReport:
 
     target: TargetLimits
     kernels: Dict[str, KernelCertification] = field(default_factory=dict)
+    #: The range analysis of every function, whose loop bounds rule
+    #: BA-005 checked; the compiler and the WCET analysis read the same.
+    ranges: Optional[ProgramRanges] = field(default=None, repr=False,
+                                            compare=False)
 
     @property
     def violations(self) -> List[Violation]:
@@ -187,7 +191,6 @@ class CertificationChecker:
         self,
         program: AnalyzedProgram,
         target: Optional[TargetLimits] = None,
-        param_bounds: Optional[Dict[str, Dict[str, float]]] = None,
         range_specs: Optional[Dict[str, dict]] = None,
     ):
         """
@@ -195,31 +198,22 @@ class CertificationChecker:
             program: Result of :func:`repro.core.semantic.analyze`.
             target: Hardware limits of the compilation target; defaults to
                 the minimal OpenGL ES 2.0 profile.
-            param_bounds: Per-kernel mapping of scalar parameter names to
-                their declared maximum values, used to bound data-dependent
-                loops (``{"kernel_name": {"num_steps": 255}}``).
             range_specs: Per-kernel range specs for the interval analysis
-                (:mod:`repro.core.analysis.ranges`); range-deduced loop
-                trip counts are min-combined with the syntactic deduction,
-                so they can certify loops whose limit lives in a local
-                variable but never loosen an existing bound.
+                (:mod:`repro.core.analysis.ranges`), which bounds every
+                loop; a ``params`` entry declares the range of a scalar
+                parameter a data-dependent loop counts to
+                (``{"kernel_name": {"params": {"num_steps": (1, 255)}}}``).
         """
         self.program = program
         self.target = target or TargetLimits()
-        self.param_bounds = param_bounds or {}
-        self.range_specs = range_specs or {}
-
-    def _trip_overrides(self, func: ast.FunctionDef,
-                        kernel: ast.FunctionDef) -> Dict[int, int]:
-        from .analysis.ranges import range_trip_overrides
-        spec = self.range_specs.get(kernel.name) if func is kernel else None
-        helpers = {info.name: info.definition
-                   for info in self.program.helpers}
-        return range_trip_overrides(func, spec, helpers)
+        self.ranges = ProgramRanges(
+            {name: info.definition
+             for name, info in program.functions.items()},
+            range_specs)
 
     # ------------------------------------------------------------------ #
     def check(self) -> CertificationReport:
-        report = CertificationReport(target=self.target)
+        report = CertificationReport(target=self.target, ranges=self.ranges)
         call_graph = build_call_graph(self.program)
         recursive = call_graph.recursive_functions()
         frames = frame_sizes(self.program)
@@ -314,12 +308,10 @@ class CertificationChecker:
                               node.location)
 
     def _check_loops(self, kernel: ast.FunctionDef, cert: KernelCertification) -> None:
-        bounds = self.param_bounds.get(kernel.name, {})
         total = 1
         bounded = True
         for func in self._functions_reached(kernel):
-            analysis = analyze_loop_bounds(func, bounds,
-                                           self._trip_overrides(func, kernel))
+            analysis = self.ranges.loop_bounds(func.name)
             for loop in analysis.unbounded:
                 self._add(cert, "BA-005",
                           f"loop in {func.name!r} has no statically deducible maximum "
@@ -339,11 +331,8 @@ class CertificationChecker:
                           param.location)
 
     def _check_resources(self, kernel: ast.FunctionDef, cert: KernelCertification) -> None:
-        bounds = self.param_bounds.get(kernel.name, {})
-        loop_analysis = analyze_loop_bounds(kernel, bounds,
-                                            self._trip_overrides(kernel,
-                                                                 kernel))
-        resources = estimate_resources(kernel, loop_analysis)
+        resources = estimate_resources(kernel,
+                                       self.ranges.loop_bounds(kernel.name))
         cert.resource_summary = resources
         problems = resources.fits(self.target)
         for problem in problems:
@@ -400,7 +389,6 @@ class CertificationChecker:
 def check_program(
     program: AnalyzedProgram,
     target: Optional[TargetLimits] = None,
-    param_bounds: Optional[Dict[str, Dict[str, float]]] = None,
     strict: bool = False,
     range_specs: Optional[Dict[str, dict]] = None,
 ) -> CertificationReport:
@@ -409,14 +397,12 @@ def check_program(
     Args:
         program: Analyzed translation unit.
         target: Target hardware limits (defaults to minimal OpenGL ES 2.0).
-        param_bounds: Per-kernel declared maxima for scalar parameters.
         strict: When True, raise :class:`CertificationError` on any
             error-severity violation instead of returning the report.
-        range_specs: Per-kernel range specs feeding interval-analysis
-            trip counts into the loop-bound rule (BA-005).
+        range_specs: Per-kernel range specs; the interval analysis they
+            feed bounds every loop (rule BA-005).
     """
-    report = CertificationChecker(program, target, param_bounds,
-                                  range_specs).check()
+    report = CertificationChecker(program, target, range_specs).check()
     if strict:
         report.raise_if_non_compliant()
     return report

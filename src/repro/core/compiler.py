@@ -21,9 +21,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import CodegenError
 from . import ast_nodes as ast
-from .analysis.loop_bounds import analyze_loop_bounds
-from .analysis.ranges import range_trip_overrides
-from .analysis.resources import KernelResources, TargetLimits, estimate_resources
+from .analysis.ranges import check_range_specs
+from .analysis.resources import KernelResources, TargetLimits
 from .certification import CertificationReport, check_program
 from .codegen.c_backend import generate_c
 from .codegen.glsl_desktop import generate_desktop_glsl
@@ -46,13 +45,13 @@ class CompilerOptions:
 
     Attributes:
         target: Hardware limits used for certification and kernel fitting.
-        param_bounds: Per-kernel declared maxima of scalar parameters, used
-            to bound data-dependent loops (``{"kernel": {"n": 255}}``).
         range_specs: Per-kernel range specs for the interval analysis
             (:mod:`repro.core.analysis.ranges`): declared gather extents,
             launch-domain symbols and scalar parameter ranges.  Feeds the
-            brooklint bounds rules and min-combines range-deduced loop
-            trip counts into certification and WCET bounds.
+            brooklint bounds rules and bounds every loop for
+            certification and WCET; a data-dependent loop needs the range
+            of its limit's parameters
+            (``{"kernel": {"params": {"n": (1, 255)}}}``).
         strict: Raise :class:`~repro.errors.CertificationError` when the
             program violates the Brook Auto subset (default).  Non-strict
             mode still produces the report but lets compilation continue,
@@ -75,7 +74,6 @@ class CompilerOptions:
     """
 
     target: TargetLimits = field(default_factory=TargetLimits)
-    param_bounds: Dict[str, Dict[str, float]] = field(default_factory=dict)
     range_specs: Dict[str, dict] = field(default_factory=dict)
     strict: bool = True
     split_outputs: bool = True
@@ -91,20 +89,14 @@ class CompilerOptions:
 
         Two option sets with the same fingerprint produce identical
         compiler output for the same source, which is what the runtime's
-        compile cache keys on.  Target limits and parameter bounds are
-        serialised field by field so equal values hash equally regardless
-        of object identity.
+        compile cache keys on.  Target limits are serialised field by
+        field so equal values hash equally regardless of object identity.
         """
         payload = {}
         for option in fields(self):
             value = getattr(self, option.name)
             if option.name == "target":
                 value = {f.name: getattr(value, f.name) for f in fields(value)}
-            elif option.name == "param_bounds":
-                value = {
-                    kernel: dict(sorted(bounds.items()))
-                    for kernel, bounds in sorted(value.items())
-                }
             payload[option.name] = value
         encoded = json.dumps(payload, sort_keys=True, default=repr)
         return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
@@ -232,19 +224,16 @@ class BrookAutoCompiler:
         )
 
         program = analyze(transformed_unit)
-        bounds = dict(options.param_bounds)
+        check_range_specs(options.range_specs)
         specs = dict(options.range_specs)
-        # Bounds declared for an original kernel apply to its split pieces.
+        # Specs declared for an original kernel apply to its split pieces.
         for original, pieces in kernel_groups.items():
-            if original in bounds:
-                for piece in pieces:
-                    bounds.setdefault(piece, bounds[original])
             if original in specs:
                 for piece in pieces:
                     specs.setdefault(piece, specs[original])
         certification = check_program(
-            program, target=options.target, param_bounds=bounds,
-            strict=options.strict, range_specs=specs,
+            program, target=options.target, strict=options.strict,
+            range_specs=specs,
         )
 
         compiled = CompiledProgram(
@@ -256,14 +245,9 @@ class BrookAutoCompiler:
             },
         )
         helper_defs = [info.definition for info in program.helpers]
-        helper_map = {helper.name: helper for helper in helper_defs}
         for info in program.kernels:
             kernel = info.definition
-            trip_overrides = range_trip_overrides(
-                kernel, specs.get(kernel.name), helper_map)
-            loop_analysis = analyze_loop_bounds(
-                kernel, bounds.get(kernel.name, {}), trip_overrides)
-            resources = estimate_resources(kernel, loop_analysis)
+            loop_bounds = certification.ranges.loop_bounds(kernel.name)
             original = next(
                 (orig for orig, pieces in kernel_groups.items() if kernel.name in pieces),
                 kernel.name,
@@ -272,8 +256,8 @@ class BrookAutoCompiler:
                 name=kernel.name,
                 definition=kernel,
                 original_name=original,
-                resources=resources,
-                max_loop_iterations=loop_analysis.max_total_iterations,
+                resources=certification.kernels[kernel.name].resource_summary,
+                max_loop_iterations=loop_bounds.max_total_iterations,
             )
             # Code generation is best-effort per backend: a kernel that is
             # outside a backend's capabilities (vector streams on GL ES 2,
@@ -300,7 +284,7 @@ class BrookAutoCompiler:
                     build_vector_path(
                         kernel, compiled.helpers(),
                         spec=specs.get(kernel.name),
-                        param_bounds=bounds.get(kernel.name))
+                        ranges=certification.ranges)
             compiled.kernels[kernel.name] = compiled_kernel
         return compiled
 

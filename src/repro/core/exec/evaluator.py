@@ -688,7 +688,7 @@ class KernelEvaluator:
         if isinstance(expr, ast.CallExpr):
             return self._eval_call(expr, mask, frame)
         if isinstance(expr, ast.ConstructorExpr):
-            return self._eval_constructor(expr, mask, frame)
+            return self._eval_ctor(expr, mask, frame)
         if isinstance(expr, ast.IndexExpr):
             return self._eval_gather(expr, mask, frame)
         if isinstance(expr, ast.MemberExpr):
@@ -804,7 +804,7 @@ class KernelEvaluator:
     def _apply_builtin(self, name: str, args: List):
         return apply_builtin(name, args, self._size)
 
-    def _eval_constructor(self, expr: ast.ConstructorExpr, mask: np.ndarray,
+    def _eval_ctor(self, expr: ast.ConstructorExpr, mask: np.ndarray,
                           frame: _Frame):
         args = [np.asarray(self._eval(arg, mask, frame)) for arg in expr.args]
         target = expr.target_type

@@ -65,6 +65,7 @@ from ...errors import KernelLaunchError, RuntimeBrookError
 from .. import ast_nodes as ast
 from ..builtins import lookup_builtin
 from ..types import FLOAT, ParamKind, ScalarKind, numpy_dtype, swizzle_indices
+from ..analysis.ranges import ProgramRanges
 from ..analysis.vectorize import (
     VERDICT_FALLBACK,
     VectorizationReport,
@@ -1772,7 +1773,7 @@ def build_vector_path(
     kernel: ast.FunctionDef,
     helpers: Optional[Dict[str, ast.FunctionDef]] = None,
     spec: Optional[dict] = None,
-    param_bounds: Optional[Dict[str, float]] = None,
+    ranges: Optional[ProgramRanges] = None,
     report: Optional[VectorizationReport] = None,
 ) -> Tuple[Optional[VectorizedKernelProgram], VectorizationReport]:
     """Compile ``kernel``'s vector path, gated by its brookvec verdict.
@@ -1786,7 +1787,7 @@ def build_vector_path(
     helpers = dict(helpers or {})
     if report is None:
         report = analyze_kernel_vectorization(kernel, helpers, spec=spec,
-                                              param_bounds=param_bounds)
+                                              ranges=ranges)
     if not report.vectorizable:
         return None, report
     try:

@@ -241,7 +241,7 @@ def merge_compiled(
     result = fuse_definitions(producer.definition, consumer.definition,
                               connections)
     fused_def = result.definition
-    loop_analysis = analyze_loop_bounds(fused_def, {})
+    loop_analysis = analyze_loop_bounds(fused_def)
     fused = CompiledKernel(
         name=fused_def.name,
         definition=fused_def,

@@ -58,6 +58,10 @@ class BrookTypeError(BrookError):
         super().__init__(message)
 
 
+class RangeSpecError(BrookError):
+    """A kernel's range spec is malformed (the compiler rejects it)."""
+
+
 class CertificationError(BrookError):
     """Raised when compiling in strict mode and a Brook Auto rule is violated."""
 

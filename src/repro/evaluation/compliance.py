@@ -155,7 +155,6 @@ def run(device: str = "videocore-iv") -> ComplianceResult:
         # multi-output splitting the target requires) and take the
         # certification report of what would actually be deployed.
         options = CompilerOptions(target=target,
-                                  param_bounds=dict(app.param_bounds),
                                   range_specs=dict(app.range_specs),
                                   strict=False)
         compiled = compile_source(app.brook_source, filename=f"{name}.br",

@@ -257,7 +257,6 @@ class BrookRuntime:
     def compile(
         self,
         source: str,
-        param_bounds: Optional[Dict[str, Dict[str, float]]] = None,
         strict: bool = True,
         filename: str = "<string>",
         scalarize: bool = False,
@@ -267,11 +266,11 @@ class BrookRuntime:
 
         Args:
             source: The ``.br`` kernel source text.
-            param_bounds: Per-kernel declared maxima for scalar parameters
-                (used by the loop-bound certification rule BA-005).
             range_specs: Per-kernel range specs for the interval analysis
                 (gather extents, domain symbols, scalar parameter ranges);
-                used by brooklint and to tighten loop/WCET bounds.
+                used by brooklint and to bound every loop (rule BA-005,
+                WCET): a data-dependent loop needs its limit's parameter
+                ranges declared under ``"params"``.
             strict: Raise on Brook Auto rule violations (default).  Legacy
                 Brook code can be compiled with ``strict=False`` to obtain
                 the certification report without aborting.
@@ -290,7 +289,6 @@ class BrookRuntime:
         else:
             options = CompilerOptions()
         options.target = self.backend.target_limits()
-        options.param_bounds = dict(param_bounds or {})
         options.range_specs = dict(range_specs or {})
         options.strict = strict
         options.scalarize = scalarize

@@ -82,7 +82,7 @@ class TestLoopBounds:
         )
         undeclared = analyze_loop_bounds(kernel)
         assert not undeclared.all_bounded
-        declared = analyze_loop_bounds(kernel, {"n": 64})
+        declared = analyze_loop_bounds(kernel, {"params": {"n": (1, 64)}})
         assert declared.all_bounded
         assert declared.loops[0].max_trip_count == 64
 
@@ -333,85 +333,6 @@ class TestMemoryUsage:
         assert report.total_mebibytes == pytest.approx(1.0)
 
 
-class TestEvalConst:
-    """Direct coverage of the constant folder feeding loop bounds (and,
-    through them, the WCET analysis)."""
-
-    def _eval(self, expr, env=None):
-        from repro.core import ast_nodes as ast
-        from repro.core.analysis.loop_bounds import _eval_const
-
-        self.ast = ast
-        return _eval_const(expr, env or {})
-
-    def _nodes(self):
-        from repro.core import ast_nodes as ast
-        return ast
-
-    def test_literal_and_identifier(self):
-        ast = self._nodes()
-        assert self._eval(ast.NumberLiteral(value=3)) == 3.0
-        assert self._eval(ast.Identifier(name="n"), {"n": 7}) == 7.0
-        assert self._eval(ast.Identifier(name="missing"), {"n": 7}) is None
-
-    def test_unary_operators(self):
-        ast = self._nodes()
-        assert self._eval(ast.UnaryOp(op="-", operand=ast.NumberLiteral(value=4))) == -4.0
-        assert self._eval(ast.UnaryOp(op="!", operand=ast.NumberLiteral(value=0))) == 1.0
-        assert self._eval(ast.UnaryOp(op="!", operand=ast.NumberLiteral(value=3))) == 0.0
-        assert self._eval(
-            ast.UnaryOp(op="-", operand=ast.Identifier(name="missing"))) is None
-
-    def test_binary_arithmetic(self):
-        ast = self._nodes()
-
-        def binop(op, left, right):
-            return ast.BinaryOp(op=op, left=ast.NumberLiteral(value=left),
-                                right=ast.NumberLiteral(value=right))
-
-        assert self._eval(binop("+", 2, 3)) == 5.0
-        assert self._eval(binop("-", 2, 3)) == -1.0
-        assert self._eval(binop("*", 2, 3)) == 6.0
-        assert self._eval(binop("/", 7, 2)) == 3.5
-        assert self._eval(binop("%", 7, 4)) == 3.0
-
-    def test_division_and_modulo_by_zero_are_not_constant(self):
-        ast = self._nodes()
-        zero_div = ast.BinaryOp(op="/", left=ast.NumberLiteral(value=1),
-                                right=ast.NumberLiteral(value=0))
-        zero_mod = ast.BinaryOp(op="%", left=ast.NumberLiteral(value=1),
-                                right=ast.NumberLiteral(value=0))
-        assert self._eval(zero_div) is None
-        assert self._eval(zero_mod) is None
-
-    def test_min_max_calls(self):
-        ast = self._nodes()
-        expr = ast.CallExpr(callee="min", args=[
-            ast.Identifier(name="n"), ast.NumberLiteral(value=32)])
-        assert self._eval(expr, {"n": 64}) == 32.0
-        expr_max = ast.CallExpr(callee="max", args=[
-            ast.Identifier(name="n"), ast.NumberLiteral(value=32)])
-        assert self._eval(expr_max, {"n": 64}) == 64.0
-        # A non-constant argument poisons the whole call.
-        assert self._eval(expr) is None
-
-    def test_other_calls_are_not_constant(self):
-        ast = self._nodes()
-        expr = ast.CallExpr(callee="sqrt", args=[ast.NumberLiteral(value=4)])
-        assert self._eval(expr) is None
-
-    def test_env_propagates_through_nested_expressions(self):
-        ast = self._nodes()
-        # (n + 2) * 2 with n = 3  ->  10
-        expr = ast.BinaryOp(
-            op="*",
-            left=ast.BinaryOp(op="+", left=ast.Identifier(name="n"),
-                              right=ast.NumberLiteral(value=2)),
-            right=ast.NumberLiteral(value=2),
-        )
-        assert self._eval(expr, {"n": 3}) == 10.0
-
-
 class TestLoopBoundEdgeCases:
     """Edge cases of the for-loop trip-count derivation that the WCET
     analysis leans on."""
@@ -427,7 +348,7 @@ class TestLoopBoundEdgeCases:
             "o = 0.0; for (int i = 0; i < min(n, 32.0); i = i + 1) { o += a; }",
             params="float a<>, float n, out float o<>",
         )
-        analysis = analyze_loop_bounds(kernel, {"n": 64})
+        analysis = analyze_loop_bounds(kernel, {"params": {"n": (1, 64)}})
         assert analysis.loops[0].max_trip_count == 32
 
     def test_negative_start(self):
@@ -447,6 +368,15 @@ class TestLoopBoundEdgeCases:
             "o = 0.0; for (int i = 0; i != 8; i = i + 1) { o += a; }"
         ))
         assert analysis.loops[0].max_trip_count == 8
+
+    def test_not_equal_needs_a_step_dividing_the_distance(self):
+        exact = analyze_loop_bounds(kernel_from(
+            "o = 0.0; for (int i = 9; i != 0; i -= 3) { o += a; }"))
+        assert exact.loops[0].max_trip_count == 3
+        skips = analyze_loop_bounds(kernel_from(
+            "o = 0.0; for (int i = 0; i != 9; i += 2) { o += a; }"))
+        assert not skips.all_bounded
+        assert "divide the distance" in skips.loops[0].reason
 
     def test_descending_with_stride(self):
         analysis = analyze_loop_bounds(kernel_from(
@@ -477,7 +407,7 @@ class TestLoopBoundEdgeCases:
             "o = 0.0; for (int i = 1; i < 256; i = i * 1) { o += a; }"
         ))
         assert not analysis.all_bounded
-        assert "not a constant step" in analysis.loops[0].reason
+        assert "factor is not above 1" in analysis.loops[0].reason
 
     def test_geometric_zero_start_is_unbounded(self):
         analysis = analyze_loop_bounds(kernel_from(
@@ -486,20 +416,29 @@ class TestLoopBoundEdgeCases:
         assert not analysis.all_bounded
 
     def test_geometric_trip_cap(self):
+        # 100 doublings reach 1e30: past the cap, so no bound (not 64).
         kernel = kernel_from(
             "o = 0.0; for (int i = 1; i < n; i = i * 2) { o += a; }",
             params="float a<>, float n, out float o<>",
         )
-        analysis = analyze_loop_bounds(kernel, {"n": 1e30})
-        assert analysis.loops[0].max_trip_count == 64
+        analysis = analyze_loop_bounds(kernel,
+                                       {"params": {"n": (1, 1e30)}})
+        assert not analysis.all_bounded
+        slow = analyze_loop_bounds(kernel_from(
+            "o = 0.0; for (float x = 1.0; x < 1000.0; x = x * 1.05) "
+            "{ o += a; }"))
+        assert "more than 64 steps" in slow.loops[0].reason
 
     def test_parameter_bound_step(self):
+        # The step is bounded by its declared *lower* bound: n = 1 runs
+        # 16 trips, and with no lower bound the loop is unbounded.
         kernel = kernel_from(
             "o = 0.0; for (int i = 0; i < 16; i = i + n) { o += a; }",
             params="float a<>, float n, out float o<>",
         )
-        analysis = analyze_loop_bounds(kernel, {"n": 4})
-        assert analysis.loops[0].max_trip_count == 4
+        assert not analyze_loop_bounds(kernel).all_bounded
+        analysis = analyze_loop_bounds(kernel, {"params": {"n": (1, 4)}})
+        assert analysis.loops[0].max_trip_count == 16
 
     def test_nested_loops_with_parameter_bounds(self):
         kernel = kernel_from(
@@ -508,7 +447,8 @@ class TestLoopBoundEdgeCases:
             "  for (int j = 0; j < m; j = j + 1) { o += a; } }",
             params="float a<>, float n, float m, out float o<>",
         )
-        analysis = analyze_loop_bounds(kernel, {"n": 4, "m": 8})
+        analysis = analyze_loop_bounds(
+            kernel, {"params": {"n": (1, 4), "m": (1, 8)}})
         assert analysis.all_bounded
         assert analysis.max_total_iterations == 32
 
@@ -518,4 +458,21 @@ class TestLoopBoundEdgeCases:
             params="float a<>, float n, out float o<>",
         )
         analysis = analyze_loop_bounds(kernel)
-        assert "KernelBounds" in analysis.loops[0].reason
+        assert 'range_specs[kernel]["params"]' in analysis.loops[0].reason
+
+    @pytest.mark.parametrize("body", [
+        "if (a > 0.5) { i = 0; }",
+        "n = n + 1.0;",
+        "i += 1;",
+    ], ids=["index", "limit", "index-compound"])
+    def test_body_writes_refuse_the_bound(self, body):
+        # MISRA C:2012 Rule 14.2: the body must not write the index or a
+        # variable the loop condition reads.
+        kernel = kernel_from(
+            f"o = 0.0; float n = 8.0; for (int i = 0; i < n; i = i + 1) "
+            f"{{ o += a; {body} }}")
+        analysis = analyze_loop_bounds(kernel)
+        assert not analysis.all_bounded
+        name = "n" if body.startswith("n") else "i"
+        assert "writes" in analysis.loops[0].reason
+        assert repr(name) in analysis.loops[0].reason

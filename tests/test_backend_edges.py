@@ -43,7 +43,7 @@ class TestTargetDependentCertification:
             for name in list_applications():
                 app = get_application(name)
                 program = compile_source(app.brook_source, target=target,
-                                         param_bounds=app.param_bounds,
+                                         range_specs=app.range_specs,
                                          strict=False)
                 assert program.is_certified, f"{name} on {device}"
 

@@ -15,9 +15,9 @@ from repro.core.semantic import analyze
 from repro.errors import CertificationError
 
 
-def check(source, target=None, param_bounds=None, strict=False):
+def check(source, target=None, range_specs=None, strict=False):
     return check_program(analyze(parse(source)), target=target,
-                         param_bounds=param_bounds, strict=strict)
+                         range_specs=range_specs, strict=strict)
 
 
 COMPLIANT = """
@@ -155,9 +155,26 @@ class TestLoopRule:
             " o = 0.0; for (int i = 0; i < n; i = i + 1) { o += a; } }"
         )
         assert check(source).violations_for_rule("BA-005")
-        bounded = check(source, param_bounds={"f": {"n": 32}})
+        bounded = check(source, range_specs={"f": {"params": {"n": (1, 32)}}})
         assert not bounded.violations_for_rule("BA-005")
         assert bounded.kernels["f"].max_loop_iterations == 32
+
+    @pytest.mark.parametrize("body, name", [
+        ("if (i == 5 && again > 0.5) { i = 0; again = 0.0; }", "i"),
+        ("n = n + 1.0;", "n"),
+    ], ids=["index", "limit"])
+    def test_body_writes_are_refused(self, body, name):
+        # MISRA C:2012 Rule 14.2: the index restarting at 0 once runs 15
+        # trips; a growing limit runs past its declared maximum.
+        source = (
+            "kernel void f(float again, float x<>, out float o<>) {"
+            " float acc = 0.0; float n = 10.0;"
+            f" for (int i = 0; i < n; i = i + 1) {{ acc = acc + 1.0; {body} }}"
+            " o = acc; }")
+        violations = check(source).violations_for_rule("BA-005")
+        assert len(violations) == 1 and repr(name) in violations[0].message
+        with pytest.raises(CertificationError):
+            check(source, strict=True)
 
 
 class TestStreamAndResourceRules:

@@ -314,7 +314,7 @@ kernel void risky(float d, float x<>, out float r<>) {
 
     def test_plain_br_file(self, divergent_file, capsys):
         # Regression: a path without --apps compiles with empty (not
-        # None) param_bounds/range_specs.
+        # None) range_specs.
         assert main(["vectorize", str(divergent_file)]) == 0
         out = capsys.readouterr().out
         assert "BV-301" in out

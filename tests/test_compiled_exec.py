@@ -90,10 +90,13 @@ reduce void peak_if(float v<>, reduce float acc) {
 """
 
 
+LOOPING_RANGE = {"looping": {"params": {"n": (0, 4)}}}
+
+
 @pytest.fixture(scope="module")
 def program():
     return compile_source(STRAIGHT_SOURCE, strict=False,
-                          param_bounds={"looping": {"n": 4}})
+                          range_specs=LOOPING_RANGE)
 
 
 # --------------------------------------------------------------------------- #
@@ -142,7 +145,7 @@ class TestQualification:
         disabled = compile_source(
             STRAIGHT_SOURCE,
             options=CompilerOptions(enable_fast_path=False, strict=False),
-            param_bounds={"looping": {"n": 4}},
+            range_specs=LOOPING_RANGE,
         )
         assert all(k.vector_path is None for k in disabled.kernels.values())
 

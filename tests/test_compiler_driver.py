@@ -78,13 +78,14 @@ class TestSplittingAndTargets:
         assert program.kernel_groups["pair"] == ["pair"]
         assert not program.is_certified   # violates BA-007 on the default target
 
-    def test_param_bounds_propagate_to_split_kernels(self):
+    def test_range_specs_propagate_to_split_kernels(self):
         source = (
             "kernel void pair(float a<>, float n, out float x<>, out float y<>) {"
             " x = 0.0; y = 0.0;"
             " for (int i = 0; i < n; i = i + 1) { x += a; y -= a; } }"
         )
-        program = compile_source(source, param_bounds={"pair": {"n": 16}})
+        program = compile_source(
+            source, range_specs={"pair": {"params": {"n": (1, 16)}}})
         assert program.is_certified
         for name in program.kernel_groups["pair"]:
             assert program.kernel(name).max_loop_iterations == 16

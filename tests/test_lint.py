@@ -209,8 +209,7 @@ class TestSuiteLintClean:
         from repro.core.analysis.lint import lint_program
 
         app = get_application(name)
-        options = CompilerOptions(param_bounds=dict(app.param_bounds),
-                                  range_specs=dict(app.range_specs),
+        options = CompilerOptions(range_specs=dict(app.range_specs),
                                   strict=False)
         program = compile_source(app.brook_source, filename=f"{name}.br",
                                  options=options)
@@ -223,8 +222,7 @@ class TestSuiteLintClean:
         from repro.core.analysis.lint import lint_program
 
         app = get_application(name)
-        options = CompilerOptions(param_bounds=dict(app.param_bounds),
-                                  range_specs=dict(app.range_specs),
+        options = CompilerOptions(range_specs=dict(app.range_specs),
                                   strict=False)
         program = compile_source(app.brook_source, filename=f"{name}.br",
                                  options=options)

@@ -144,7 +144,7 @@ def build_spmv(rt, size, seed):
     rng = np.random.default_rng(seed)
     module = rt.compile(
         SPMV_SOURCE,
-        param_bounds={"spmv_accumulate": {"nnz": SPMV_NNZ}})
+        range_specs={"spmv_accumulate": {"params": {"nnz": (1, SPMV_NNZ)}}})
     values = rng.integers(-4, 4, (size, SPMV_NNZ)).astype(np.float32)
     columns = rng.integers(0, size, (size, SPMV_NNZ)).astype(np.float32)
     vector = rng.integers(-4, 4, size).astype(np.float32)

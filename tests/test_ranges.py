@@ -7,27 +7,29 @@ Two contracts are under test:
   steps, ``--`` decrements, clamp idioms, branch refinement, non-affine
   updates, overflow) — it may answer "unknown" but never "proved" for an
   access that can actually fault; and
-* range-deduced trip counts only ever *tighten* the legacy WCET bounds:
-  the combination is the minimum, so no kernel's bound gets looser, and
-  the binary-search app (whose probe limit is a local variable the legacy
-  syntactic analysis cannot see through) goes from "no bound" to a real
-  bound.
+* the walker's loop record is the one trip deduction: a range spec
+  bounds a data-dependent loop (the binary-search app's probe limit is a
+  local variable) and a tighter spec tightens the WCET bound.
 """
 
+import pytest
+
+
 from repro.apps.base import get_application, list_applications
-from repro.core.analysis.ranges import (
-    Interval,
-    analyze_kernel_ranges,
-    range_trip_overrides,
-)
+from repro.core.analysis.ranges import Interval, analyze_kernel_ranges
 from repro.core.analysis.wcet import analyze_kernel_wcet
+from repro.core.compiler import compile_source
 from repro.core.parser import parse
-from repro.errors import WCETError
+from repro.errors import RangeSpecError
 
 
 def kernel_from(body, params="float a<>, out float o<>"):
     unit = parse(f"kernel void f({params}) {{ {body} }}")
     return unit.kernels[0]
+
+
+def trips(analysis):
+    return [loop.max_trip_count for loop in analysis.loop_bounds.loops]
 
 
 def gather_kernel(body, params="float lut[], float n, out float o<>"):
@@ -43,14 +45,14 @@ class TestLoopDirections:
             "o = 0.0; for (int i = 15; i >= 0; i = i - 1) { o = o + lut[i]; }")
         analysis = analyze_kernel_ranges(kernel, LUT16)
         assert [s.verdict for s in analysis.gather_sites] == ["proved"]
-        assert list(analysis.loop_trips.values()) == [16]
+        assert trips(analysis) == [16]
 
     def test_decrement_operator_loop(self):
         kernel = gather_kernel(
             "o = 0.0; for (int i = 15; i >= 0; i--) { o = o + lut[i]; }")
         analysis = analyze_kernel_ranges(kernel, LUT16)
         assert [s.verdict for s in analysis.gather_sites] == ["proved"]
-        assert list(analysis.loop_trips.values()) == [16]
+        assert trips(analysis) == [16]
 
     def test_negative_step_overshoot_is_not_proved(self):
         # i reaches -1 on the last test but -2 after the final decrement;
@@ -119,7 +121,7 @@ class TestWideningAndOverflow:
         analysis = analyze_kernel_ranges(kernel, LUT16)
         assert analysis.gather_sites[0].verdict != "proved"
         # The loop itself is still bounded by its affine counter.
-        assert list(analysis.loop_trips.values()) == [8]
+        assert trips(analysis) == [8]
 
     def test_interval_arithmetic_saturates(self):
         big = Interval.range(1.0, 1e308)
@@ -135,54 +137,54 @@ class TestWideningAndOverflow:
             "for (int i = 0; i < 4; i = i + 1) { j = j * j + 1.0; }"
             "o = j;")
         analysis = analyze_kernel_ranges(kernel, None)
-        assert list(analysis.loop_trips.values()) == [4]
+        assert trips(analysis) == [4]
 
 
-class TestTripOverrides:
-    def test_overrides_keyed_by_loop_node(self):
+class TestLoopRecord:
+    def test_one_bound_per_loop_node(self):
         kernel = gather_kernel(
             "o = 0.0; for (int i = 0; i < n; i = i + 1) { o = o + lut[i]; }")
-        overrides = range_trip_overrides(kernel, LUT16)
-        assert list(overrides.values()) == [16]
+        analysis = analyze_kernel_ranges(kernel, LUT16)
+        assert [loop.loop for loop in analysis.loop_bounds.loops] == \
+            [kernel.body.statements[1]]
+        assert trips(analysis) == [16]
 
-    def test_overrides_never_raise(self):
-        kernel = kernel_from("o = a;")
-        assert range_trip_overrides(kernel, {"params": {"bogus": object()}}) == {}
+    @pytest.mark.parametrize("spec, key", [
+        ({"params": {"bogus": object()}}, "params"),
+        ({"params": {"n": (1, 2, 3)}}, "params"),
+        ({"gathers": {"lut": ("rows", "cols", 2)}}, "gathers"),
+        ({"domain": "8 x 8"}, "domain"),
+        ({"param": {"n": (1, 16)}}, "param"),
+    ])
+    def test_malformed_spec_is_a_typed_error(self, spec, key):
+        source = "kernel void f(float a<>, out float o<>) { o = a; }"
+        with pytest.raises(RangeSpecError) as error:
+            compile_source(source, range_specs={"f": spec})
+        message = str(error.value)
+        assert "'f'" in message and repr(key) in message
+        assert repr(spec[key]) in message
 
 
 class TestWCETTightening:
-    def test_range_spec_tightens_param_bound(self):
-        # Legacy bound: n <= 2048 from param_bounds. Range spec: n <= 100.
+    def test_range_spec_tightens_the_bound(self):
         kernel = kernel_from(
             "o = 0.0; for (int i = 0; i < n; i = i + 1) { o = o + a; }",
             params="float a<>, float n, out float o<>")
-        loose = analyze_kernel_wcet(kernel, param_bounds={"n": 2048})
-        tight = analyze_kernel_wcet(kernel, param_bounds={"n": 2048},
-                                    range_spec={"params": {"n": (1, 100)}})
+        loose = analyze_kernel_wcet(
+            kernel, range_spec={"params": {"n": (1, 2048)}})
+        tight = analyze_kernel_wcet(
+            kernel, range_spec={"params": {"n": (1, 100)}})
         assert loose.max_loop_iterations == 2048
         assert tight.max_loop_iterations == 100
         assert tight.flops_per_element < loose.flops_per_element
 
-    def test_range_spec_never_loosens(self):
-        # Range spec claims n <= 4096, param_bounds says 64: min wins.
-        kernel = kernel_from(
-            "o = 0.0; for (int i = 0; i < n; i = i + 1) { o = o + a; }",
-            params="float a<>, float n, out float o<>")
-        loose = analyze_kernel_wcet(kernel, param_bounds={"n": 64},
-                                    range_spec={"params": {"n": (1, 4096)}})
-        assert loose.max_loop_iterations == 64
-
     def test_local_variable_limit_needs_ranges(self):
-        # The binary-search shape: the loop limit is a *local* variable,
-        # which the legacy syntactic analysis cannot bound at all; the
-        # interval analysis sees through the min(..., 24) clamp.
-        from repro.core.analysis.loop_bounds import analyze_loop_bounds
+        # The binary-search shape: the loop limit is a *local* variable;
+        # the interval analysis sees through the min(..., 24) clamp.
         body = ("float limit = min(ceil(log2(max(n, 2.0))) + 1.0, 24.0);"
                 "o = 0.0;"
                 "for (int i = 0; i < limit; i = i + 1) { o = o + a; }")
         kernel = kernel_from(body, params="float a<>, float n, out float o<>")
-        legacy = analyze_loop_bounds(kernel)
-        assert not legacy.loops[0].is_bounded
         bound = analyze_kernel_wcet(kernel)
         assert bound.max_loop_iterations == 24
         tight = analyze_kernel_wcet(
@@ -200,24 +202,3 @@ class TestWCETTightening:
             kernel, range_spec=app.range_specs[kernel.name])
         assert bound.max_loop_iterations == 23
         assert bound.max_loop_iterations < loose.max_loop_iterations
-
-    def test_suite_bounds_never_looser_with_specs(self):
-        # For every seed app kernel the legacy analysis can bound, adding
-        # the range spec must not increase any WCET component.
-        for name in list_applications():
-            app = get_application(name)
-            unit = parse(app.brook_source)
-            helpers = {f.name: f for f in unit.functions if not f.is_kernel}
-            for kernel in unit.kernels:
-                bounds = app.param_bounds.get(kernel.name, {})
-                try:
-                    legacy = analyze_kernel_wcet(kernel, helpers=helpers,
-                                                 param_bounds=bounds)
-                except WCETError:
-                    continue
-                ranged = analyze_kernel_wcet(
-                    kernel, helpers=helpers, param_bounds=bounds,
-                    range_spec=app.range_specs.get(kernel.name))
-                assert ranged.max_loop_iterations <= legacy.max_loop_iterations
-                assert ranged.flops_per_element <= legacy.flops_per_element
-                assert ranged.fetches_per_element <= legacy.fetches_per_element

@@ -163,7 +163,8 @@ class TestCompileCache:
     def test_differing_options_miss(self, cpu_runtime):
         cpu_runtime.compile(SAXPY)
         cpu_runtime.compile(SAXPY, strict=False)
-        cpu_runtime.compile(SAXPY, param_bounds={"saxpy": {"a": 8.0}})
+        cpu_runtime.compile(SAXPY,
+                            range_specs={"saxpy": {"params": {"a": (0, 8)}}})
         info = cpu_runtime.compile_cache_info()
         assert info["misses"] == 3
         assert info["hits"] == 0

@@ -94,7 +94,6 @@ def test_app_loop_headers_compare_floats(app, header):
     application = get_application(app)
     program = compile_source(
         application.brook_source,
-        param_bounds=dict(application.param_bounds),
         range_specs=dict(application.range_specs))
     assert any(header in kernel.glsl_es for kernel in program.kernels.values()
                if kernel.glsl_es is not None)
@@ -136,7 +135,7 @@ kernel void spelled(float a[][], float b[][], float x<>, float n, int w,
 
 def _analysis_facts(source):
     program = compile_source(source, options=CompilerOptions(
-        strict=False, param_bounds={"spelled": {"n": 7}},
+        strict=False,
         range_specs={"spelled": {"gathers": {"b": (1, 9)},
                                  "params": {"n": (0, 7)}}}))
     kernel = program.kernel("spelled")
@@ -158,6 +157,40 @@ def test_analyses_read_through_conversions():
     assert arguments["a"].col_access.bound == 1
     assert verdict == "BV-301"
     assert len(obligations) == 5 and all(proved for *_, proved in obligations)
+
+
+WIDENED = """
+kernel void widened(float b[][], float x<>, float n, out float o<>) {
+    float2 p = indexof(o);
+    float acc = 0.0;
+    for (int k = 0; %s < n; k = k + 1) {
+        if (x > 1.0) { acc = acc + b[p.y][k + 1]; }
+    }
+    o = acc;
+}
+"""
+
+
+@pytest.mark.parametrize("index", ["float(k)", "k"])
+def test_explicit_widening_is_read_through(index):
+    # The trip deduction and the branch refinement read through an
+    # explicit float(k) of an int k as through the implicit one.
+    program = compile_source(WIDENED % index, options=CompilerOptions(
+        strict=False, range_specs={"widened": {
+            "domain": ("rows", 8), "gathers": {"b": ("rows", 8)},
+            "params": {"n": (0, 7)}}}))
+    kernel = program.kernel("widened")
+    assert kernel.max_loop_iterations == 7
+    assert kernel.vector_report.verdict == "BV-301"
+
+
+def test_narrowing_is_not_read_through():
+    # int(f) < n does not bound f by n: f = 6.5 still passes for n = 7.
+    source = ("kernel void narrowed(float n, out float o<>) { o = 0.0;"
+              " for (float f = 0.5; int(f) < n; f = f + 1.0) { o += 1.0; } }")
+    program = compile_source(source, options=CompilerOptions(
+        strict=False, range_specs={"narrowed": {"params": {"n": (0, 7)}}}))
+    assert program.kernel("narrowed").max_loop_iterations is None
 
 
 FALL_OFF = """

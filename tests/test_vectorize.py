@@ -92,10 +92,9 @@ def program():
                           options=CompilerOptions(strict=False))
 
 
-def _analyze(program, name, spec=None, param_bounds=None):
+def _analyze(program, name, spec=None):
     kernel = program.kernel(name).definition
-    return analyze_kernel_vectorization(kernel, program.helpers(),
-                                        spec=spec, param_bounds=param_bounds)
+    return analyze_kernel_vectorization(kernel, program.helpers(), spec=spec)
 
 
 # --------------------------------------------------------------------------- #

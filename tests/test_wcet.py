@@ -135,7 +135,8 @@ class TestKernelBounds:
         )
         with pytest.raises(WCETError):
             analyze_kernel_wcet(kernel)
-        bounded = analyze_kernel_wcet(kernel, param_bounds={"n": 16})
+        bounded = analyze_kernel_wcet(
+            kernel, range_spec={"params": {"n": (1, 16)}})
         assert bounded.max_loop_iterations == 16
 
 

@@ -204,6 +204,7 @@ kernel void accumulate(float x<>, float n, out float y<>) {
 }
 kernel void scale(float y<>, float k, out float z<>) { z = y * k; }
 """
+LOOP_RANGE = {"accumulate": {"params": {"n": (1, 8)}}}
 
 
 def test_unbounded_merged_kernel_falls_back_to_member_bounds():
@@ -218,8 +219,7 @@ def test_unbounded_merged_kernel_falls_back_to_member_bounds():
                                                        "z")),
         inputs={"x": data}, outputs={"z": (8, 8)}, scratch={"y": (8, 8)})
     with BrookRuntime(backend="gles2") as rt:
-        module = rt.compile(LOOP_SOURCE,
-                            param_bounds={"accumulate": {"n": 8}})
+        module = rt.compile(LOOP_SOURCE, range_specs=LOOP_RANGE)
         streams = {name: rt.stream(data.shape, name=name)
                    for name in ("x", "y", "z")}
         plans = [module.accumulate.bind(streams["x"], 4.0, streams["y"]),
@@ -249,8 +249,7 @@ def test_plan_wcet_bounds_an_unbounded_merged_kernel_by_its_members():
     bounds instead of raising, and the bound dominates the fused pass."""
     data = np.linspace(0.0, 1.0, 64, dtype=np.float32).reshape(8, 8)
     with BrookRuntime(backend="gles2") as rt:
-        module = rt.compile(LOOP_SOURCE,
-                            param_bounds={"accumulate": {"n": 8}})
+        module = rt.compile(LOOP_SOURCE, range_specs=LOOP_RANGE)
         limits = rt.backend.target_limits()
         x = rt.stream_from(data)
         y, z = rt.stream(data.shape), rt.stream(data.shape)
